@@ -197,39 +197,104 @@ SERIES_FIELDS = ("timestamp", "hashrate_a", "hashrate_b", "difficulty_a",
                  "difficulty_b", "price_ratio_k")
 
 
+# Exact sums: every finite float is an integer multiple of 2**-1074, so a
+# running sum kept in those units is exact, and int / _ONE rounds it once,
+# correctly, which is what math.fsum returns.
+_ONE_BITS = 1074
+_ONE = 1 << _ONE_BITS
+
+
+def _exact(x: float) -> int:
+    """x as an exact integer count of 2**-1074 units."""
+    n, d = x.as_integer_ratio()
+    return n << (_ONE_BITS + 1 - d.bit_length())
+
+
 class _Chain:
-    __slots__ = ("coin", "regime", "difficulty", "alloc", "height", "progress",
-                 "threshold", "anchor_height", "anchor_time", "window",
+    """Live state of one chain.
+
+    `power` is the exact sum of the powers mining it (2**-1074 units) and
+    `alloc` its rounded value.  `acc` is the reward paid so far per unit of
+    power mining the chain; an agent's share of a stretch of blocks is its
+    power times the growth of `acc` while it mined here.
+    """
+
+    __slots__ = ("coin", "label", "perblock", "eda", "n", "eda_threshold", "eda_factor",
+                 "difficulty", "history", "power", "alloc", "acc", "height", "progress",
+                 "threshold", "anchor_height", "anchor_time", "window", "window_sum",
                  "first_ts", "last_ts")
 
     def __init__(self, coin: Coin, regime: DifficultyRegime, difficulty: float):
         self.coin = coin
-        self.regime = regime
+        self.label = coin.value
+        self.perblock = isinstance(regime, PerBlockWindow)
+        self.eda = isinstance(regime, EpochWithEda)
+        self.n = None if self.perblock else regime.n
+        if self.eda:
+            self.eda_threshold = regime.eda_threshold
+            self.eda_factor = regime.eda_factor
         self.difficulty = difficulty
+        self.history = [(0.0, difficulty)]
+        self.power = 0
         self.alloc = 0.0
+        self.acc = 0.0
         self.height = 0
         self.progress = 0.0
         self.threshold = 1.0
         self.anchor_height = 0
         self.anchor_time = 0.0
-        if isinstance(regime, PerBlockWindow):
-            maxlen = regime.window + 1
-        elif isinstance(regime, EpochWithEda):
-            maxlen = regime.eda_window + 1
+        # PerBlockWindow: (time, exact difficulty) of the last window + 1
+        # blocks, with window_sum the exact sum of their difficulties.
+        # EpochWithEda: the times of the last eda_window + 1 blocks.
+        if self.perblock:
+            self.window = deque(maxlen=regime.window + 1)
+        elif self.eda:
+            self.window = deque(maxlen=regime.eda_window + 1)
         else:
-            maxlen = 2
-        self.window: deque[tuple[float, float]] = deque(maxlen=maxlen)
+            self.window = None
+        self.window_sum = 0
         self.first_ts: float | None = None
         self.last_ts: float | None = None
 
-    def next_block_time(self, now: float) -> float:
-        if self.alloc <= 0.0:
-            return _INF
-        return now + (self.threshold - self.progress) * self.difficulty / self.alloc
-
-    def advance(self, dt: float):
-        if self.alloc > 0.0:
-            self.progress += self.alloc / self.difficulty * dt
+    def retarget(self, now: float) -> str | None:
+        """Regime hook after a block at `now`; the event kind if difficulty changed."""
+        window = self.window
+        if self.perblock:
+            d = self.difficulty
+            x = _exact(d)
+            if len(window) == window.maxlen:
+                self.window_sum -= window[0][1]
+            window.append((now, x))
+            self.window_sum += x
+            if len(window) < 2:
+                return None
+            first_t, first_x = window[0]
+            span = now - first_t
+            if not span > 0.0:
+                return None
+            # The interval ending at the oldest block lies outside the span.
+            inferred = (self.window_sum - first_x) / _ONE / span
+            self.difficulty = min(max(inferred, 0.5 * d), 2.0 * d)
+            self.history.append((now, self.difficulty))
+            return "difficulty"
+        if window is not None:
+            window.append(now)
+        blocks_since = self.height - self.anchor_height
+        if blocks_since >= self.n:
+            span = now - self.anchor_time
+            if span > 0.0:
+                self.difficulty = blocks_since * self.difficulty / span
+            kind = "difficulty"
+        elif self.eda and len(window) == window.maxlen and \
+                window[-1] - window[0] > self.eda_threshold:
+            self.difficulty *= self.eda_factor
+            kind = "eda"
+        else:
+            return None
+        self.anchor_height = self.height
+        self.anchor_time = now
+        self.history.append((now, self.difficulty))
+        return kind
 
 
 def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
@@ -252,22 +317,6 @@ def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
     return roster
 
 
-def _fickle_target(d_a: float, d_b: float, k: float, r_f: float, r_b: float) -> Coin:
-    if d_b < min(r_f + r_b, k * d_a) or d_b <= r_b:
-        return Coin.B
-    return Coin.A
-
-
-def _automatic_target(d_a: float, d_b: float, k: float, current: Coin) -> Coin:
-    gain_a = 1.0 / d_a
-    gain_b = k / d_b
-    if gain_b > gain_a:
-        return Coin.B
-    if gain_a > gain_b:
-        return Coin.A
-    return current
-
-
 def run(
     world: ChainWorld,
     agents: Sequence[MinerAgent],
@@ -282,52 +331,59 @@ def run(
 
     mode "exponential" draws Exp(1) work thresholds per block;
     "deterministic" uses expected intervals exactly.  Identical inputs
-    produce identical reports.
+    produce identical reports.  Each block costs the same whatever the
+    roster size: rewards accrue per chain and are split among agents only
+    when one moves, at fickle cycle marks and at the end.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
+    if not (0.0 < duration < _INF):
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if mode not in ("exponential", "deterministic"):
         raise ValueError(f"unknown mode {mode!r}")
     exponential = mode == "exponential"
     rng = random.Random(seed)
+    expovariate = rng.expovariate
     roster = _validate_agents(agents)
 
     r_f_policy = math.fsum(a.power for a in roster if a.policy is Strategy.FICKLE)
     r_b_policy = math.fsum(a.power for a in roster if a.policy is Strategy.B_ONLY)
-    switchers = [a for a in roster if a.policy in (Strategy.FICKLE, Strategy.AUTOMATIC)]
-    fickle = [a for a in roster if a.policy is Strategy.FICKLE]
-    automatic = [a for a in roster if a.policy is Strategy.AUTOMATIC]
+    r_fb_policy = r_f_policy + r_b_policy
 
     k = world.k
-    chains = {
-        Coin.A: _Chain(Coin.A, regime_a, world.difficulty_a),
-        Coin.B: _Chain(Coin.B, regime_b, world.difficulty_b),
-    }
+    A = _Chain(Coin.A, regime_a, world.difficulty_a)
+    B = _Chain(Coin.B, regime_b, world.difficulty_b)
 
-    # Loyalists take their coin; switchers start on A and make their first
-    # decision through the regular re-evaluation below, so an opening move
-    # to B shows up in the event log like any other switch.
-    for a in roster:
-        if a.policy is Strategy.A_ONLY:
-            a.current_coin = Coin.A
-        elif a.policy is Strategy.B_ONLY:
-            a.current_coin = Coin.B
-        elif a.current_coin is None:
-            a.current_coin = Coin.A
-
-    def recompute_alloc():
-        chains[Coin.A].alloc = math.fsum(
-            a.power for a in roster if a.current_coin is Coin.A
-        )
-        chains[Coin.B].alloc = math.fsum(
-            a.power for a in roster if a.current_coin is Coin.B
-        )
-
-    recompute_alloc()
+    # Per-agent state, by roster index: the chain mined, the chain's acc
+    # when the agent's unsettled stretch began, and the reward settled so
+    # far.  Loyalists take their coin; switchers start on A (or the coin
+    # preset on the agent) and make their first decision through the
+    # regular re-evaluation below, so an opening move shows up in the event
+    # log like any other switch.
+    ids = [a.id for a in roster]
+    powers = [a.power for a in roster]
+    exact_powers = [_exact(p) for p in powers]
+    on: list[_Chain] = []
+    for a, x in zip(roster, exact_powers):
+        if a.policy is Strategy.B_ONLY or (
+                a.policy is not Strategy.A_ONLY and a.current_coin is Coin.B):
+            ch = B
+        else:
+            ch = A
+        ch.power += x
+        on.append(ch)
+    marks = [0.0] * len(roster)
+    earned = [0.0] * len(roster)
+    fickle = [i for i, a in enumerate(roster) if a.policy is Strategy.FICKLE]
+    automatic = [i for i, a in enumerate(roster) if a.policy is Strategy.AUTOMATIC]
+    # The fickle cohort's common chain, None while it is split.
+    fickle_on = on[fickle[0]] if fickle and all(on[i] is on[fickle[0]] for i in fickle) \
+        else None
+    auto_on_b = sum(1 for i in automatic if on[i] is B)
+    A.alloc = A.power / _ONE
+    B.alloc = B.power / _ONE
 
     if exponential:
-        for ch in chains.values():
-            ch.threshold = rng.expovariate(1.0)
+        A.threshold = expovariate(1.0)
+        B.threshold = expovariate(1.0)
 
     t = 0.0
     price_changes = list(world.k_schedule.entries) if world.k_schedule else []
@@ -336,161 +392,150 @@ def run(
         k = price_changes[price_idx][1]
         price_idx += 1
 
-    rewards = {a.id: 0.0 for a in roster}
-    blocks = {Coin.A: 0, Coin.B: 0}
-    difficulty_history = {
-        Coin.A: [(0.0, chains[Coin.A].difficulty)],
-        Coin.B: [(0.0, chains[Coin.B].difficulty)],
-    }
     k_history = [(0.0, k)]
-    occupancy = [(0.0, chains[Coin.A].alloc, chains[Coin.B].alloc)]
+    occupancy = [(0.0, A.alloc, B.alloc)]
     events: list[tuple] | None = [] if record_events else None
     fickle_cycles = 0
     b_phase_durations: list[float] = []
     fickle_on_b = False
-    b_phase_start: float | None = None
+    b_phase_start = 0.0
     cycle_mark_first = None
     cycle_mark_last = None
 
-    def log(chain_label: str, kind: str):
+    def log(label: str, kind: str):
         if events is not None:
-            events.append((
-                t, chain_label, kind,
-                chains[Coin.A].difficulty, chains[Coin.B].difficulty,
-                r_f_policy, r_b_policy,
-            ))
+            events.append((t, label, kind, A.difficulty, B.difficulty,
+                           r_f_policy, r_b_policy))
 
-    def reevaluate(price_tick: bool, block_event: bool, difficulty_changed: bool) -> bool:
-        """Apply agent policies after an event; True if allocation moved."""
-        nonlocal fickle_on_b, b_phase_start, fickle_cycles
+    def move(i: int, dest: _Chain):
+        src = on[i]
+        earned[i] += powers[i] * (src.acc - marks[i])
+        src.power -= exact_powers[i]
+        dest.power += exact_powers[i]
+        on[i] = dest
+        marks[i] = dest.acc
+
+    def settle_all() -> dict[str, float]:
+        for i, ch in enumerate(on):
+            earned[i] += powers[i] * (ch.acc - marks[i])
+            marks[i] = ch.acc
+        return dict(zip(ids, earned))
+
+    def reevaluate(fickle_due: bool):
+        """Apply agent policies after an event: fickle agents when a
+        difficulty or the price changed, automatic agents always."""
+        nonlocal fickle_on, fickle_on_b, b_phase_start, fickle_cycles, auto_on_b
         nonlocal cycle_mark_first, cycle_mark_last
         moved = False
-        d_a = chains[Coin.A].difficulty
-        d_b = chains[Coin.B].difficulty
-        if fickle and (difficulty_changed or price_tick):
-            target = _fickle_target(d_a, d_b, k, r_f_policy, r_b_policy)
-            if fickle[0].current_coin is not target:
-                for a in fickle:
-                    a.current_coin = target
+        d_a = A.difficulty
+        d_b = B.difficulty
+        if fickle_due and fickle:
+            target = B if d_b < min(r_fb_policy, k * d_a) or d_b <= r_b_policy else A
+            if fickle_on is not target:
+                for i in fickle:
+                    if on[i] is not target:
+                        move(i, target)
+                fickle_on = target
                 moved = True
-                log("b" if target is Coin.B else "a", "switch_fickle")
-                if target is Coin.B:
+                log(target.label, "switch_fickle")
+                if target is B:
                     fickle_on_b = True
                     b_phase_start = t
-                    mark = (t, dict(rewards))
+                    mark = (t, settle_all())
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
                 elif fickle_on_b:
                     fickle_on_b = False
-                    if b_phase_start is not None:
-                        b_phase_durations.append(t - b_phase_start)
+                    b_phase_durations.append(t - b_phase_start)
                     fickle_cycles += 1
-        if automatic and (difficulty_changed or price_tick or block_event):
-            for a in automatic:
-                target = _automatic_target(d_a, d_b, k, a.current_coin)
-                if target is not a.current_coin:
-                    a.current_coin = target
-                    moved = True
-                    log("b" if target is Coin.B else "a", "switch_auto")
+        if automatic:
+            gain_a = 1.0 / d_a
+            gain_b = k / d_b
+            # Ties keep every automatic agent where it is.
+            if gain_b > gain_a and auto_on_b < len(automatic):
+                target = B
+            elif gain_a > gain_b and auto_on_b:
+                target = A
+            else:
+                target = None
+            if target is not None:
+                for i in automatic:
+                    if on[i] is not target:
+                        move(i, target)
+                        log(target.label, "switch_auto")
+                auto_on_b = len(automatic) if target is B else 0
+                moved = True
         if moved:
-            recompute_alloc()
-            occupancy.append((t, chains[Coin.A].alloc, chains[Coin.B].alloc))
-        return moved
+            A.alloc = A.power / _ONE
+            B.alloc = B.power / _ONE
+            occupancy.append((t, A.alloc, B.alloc))
 
-    def adjust_difficulty(ch: _Chain) -> bool:
-        """Regime hook at each block; True when difficulty was updated."""
-        regime = ch.regime
-        now = ch.last_ts
-        if isinstance(regime, PerBlockWindow):
-            if len(ch.window) >= 2:
-                span = ch.window[-1][0] - ch.window[0][0]
-                if span > 0.0:
-                    inferred = math.fsum(d for _, d in list(ch.window)[1:]) / span
-                    new_d = min(max(inferred, 0.5 * ch.difficulty), 2.0 * ch.difficulty)
-                    ch.difficulty = new_d
-                    ch.anchor_height = ch.height
-                    ch.anchor_time = now
-                    difficulty_history[ch.coin].append((now, ch.difficulty))
-                    log(ch.coin.value, "difficulty")
-                    return True
-            return False
-        blocks_since = ch.height - ch.anchor_height
-        if blocks_since >= regime.n:
-            span = now - ch.anchor_time
-            if span > 0.0:
-                ch.difficulty = blocks_since * ch.difficulty / span
-            ch.anchor_height = ch.height
-            ch.anchor_time = now
-            difficulty_history[ch.coin].append((now, ch.difficulty))
-            log(ch.coin.value, "difficulty")
-            return True
-        if isinstance(regime, EpochWithEda) and len(ch.window) > regime.eda_window:
-            span = ch.window[-1][0] - ch.window[0][0]
-            if span > regime.eda_threshold:
-                ch.difficulty *= regime.eda_factor
-                ch.anchor_height = ch.height
-                ch.anchor_time = now
-                difficulty_history[ch.coin].append((now, ch.difficulty))
-                log(ch.coin.value, "eda")
-                return True
-        return False
-
-    reevaluate(price_tick=False, block_event=True, difficulty_changed=True)
-    if chains[Coin.B].alloc == 0.0 and switchers and world.k_schedule is None:
+    reevaluate(True)
+    if B.alloc == 0.0 and (fickle or automatic) and world.k_schedule is None:
         # Nobody mines coin_B and its difficulty can never decrease, so the
         # switchable power is permanently stuck waiting for a trigger.
         raise ZeroPowerChain("coin_B starts unmined and can never adjust")
 
+    n_prices = len(price_changes)
+    t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
     while True:
-        t_a = chains[Coin.A].next_block_time(t)
-        t_b = chains[Coin.B].next_block_time(t)
-        t_price = price_changes[price_idx][0] if price_idx < len(price_changes) else _INF
-        t_next = min(t_a, t_b, t_price)
+        alloc_a = A.alloc
+        alloc_b = B.alloc
+        t_a = t + (A.threshold - A.progress) * A.difficulty / alloc_a if alloc_a > 0.0 \
+            else _INF
+        t_b = t + (B.threshold - B.progress) * B.difficulty / alloc_b if alloc_b > 0.0 \
+            else _INF
+        t_block = t_a if t_a <= t_b else t_b
+        t_next = t_price if t_price < t_block else t_block
         if t_next > duration or t_next == _INF:
             break
         dt = t_next - t
-        chains[Coin.A].advance(dt)
-        chains[Coin.B].advance(dt)
+        if alloc_a > 0.0:
+            A.progress += alloc_a / A.difficulty * dt
+        if alloc_b > 0.0:
+            B.progress += alloc_b / B.difficulty * dt
         t = t_next
 
-        if t_price <= min(t_a, t_b):
+        if t_price <= t_block:
             k = price_changes[price_idx][1]
             price_idx += 1
+            t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
             k_history.append((t, k))
             log("-", "price")
-            reevaluate(price_tick=True, block_event=False, difficulty_changed=False)
+            reevaluate(True)
             continue
 
-        coin = Coin.A if t_a <= t_b else Coin.B
-        ch = chains[coin]
+        if t_a <= t_b:
+            ch = A
+            ch.acc += 1.0 / alloc_a
+        else:
+            ch = B
+            ch.acc += k / alloc_b
         ch.height += 1
-        blocks[coin] += 1
         if ch.first_ts is None:
             ch.first_ts = t
         ch.last_ts = t
-        ch.window.append((t, ch.difficulty))
-        unit = 1.0 if coin is Coin.A else k
-        alloc = ch.alloc
-        for a in roster:
-            if a.current_coin is coin:
-                rewards[a.id] += unit * a.power / alloc
         ch.progress = 0.0
-        ch.threshold = rng.expovariate(1.0) if exponential else 1.0
-        log(coin.value, "block")
-        changed = adjust_difficulty(ch)
-        reevaluate(price_tick=False, block_event=True, difficulty_changed=changed)
+        ch.threshold = expovariate(1.0) if exponential else 1.0
+        if events is not None:  # log() inlined: this runs once per block
+            events.append((t, ch.label, "block", A.difficulty, B.difficulty,
+                           r_f_policy, r_b_policy))
+        kind = ch.retarget(t)
+        if kind is not None:
+            log(ch.label, kind)
+            reevaluate(True)
+        elif automatic:
+            reevaluate(False)
 
-    # Close an open fickle B-phase for cycle accounting.
-    if fickle_on_b and b_phase_start is not None and duration > b_phase_start:
-        pass  # open phase: not counted as a completed cycle
-
+    # An open fickle B-phase at the horizon is not a completed cycle.
+    rewards = settle_all()
     mean_interval = {}
-    for coin, ch in chains.items():
-        if blocks[coin] >= 2:
-            mean_interval[coin] = (ch.last_ts - ch.first_ts) / (blocks[coin] - 1)
+    for ch in (A, B):
+        if ch.height >= 2:
+            mean_interval[ch.coin] = (ch.last_ts - ch.first_ts) / (ch.height - 1)
         else:
-            mean_interval[coin] = None
+            mean_interval[ch.coin] = None
 
     return SimReport(
         duration=duration,
@@ -499,16 +544,16 @@ def run(
         agent_power={a.id: a.power for a in roster},
         agent_policy={a.id: a.policy for a in roster},
         agent_rewards=rewards,
-        blocks=blocks,
+        blocks={Coin.A: A.height, Coin.B: B.height},
         mean_interval=mean_interval,
-        difficulty_history=difficulty_history,
+        difficulty_history={Coin.A: A.history, Coin.B: B.history},
         k_history=k_history,
         occupancy=occupancy,
         fickle_cycles=fickle_cycles,
         b_phase_durations=b_phase_durations,
         r_f_policy=r_f_policy,
         r_b_policy=r_b_policy,
-        final_difficulty={c: chains[c].difficulty for c in chains},
+        final_difficulty={Coin.A: A.difficulty, Coin.B: B.difficulty},
         events=events,
         cycle_mark_first=cycle_mark_first,
         cycle_mark_last=cycle_mark_last,
@@ -638,17 +683,47 @@ def sample_series(
     return rows
 
 
+class _ReprMemo(dict):
+    """Float -> repr text, formatted once per distinct value.
+
+    csv writes a float as its repr, so rows built from the memo's text are
+    byte-identical to rows of the floats themselves.  Other values pass
+    through for csv to format.  Zeros are not stored, since 0.0 and -0.0
+    are equal keys with different reprs.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, x):
+        if type(x) is not float:
+            return x
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def write_series_csv(rows: Iterable[dict], path: str):
+    """Write sample_series rows; each row must carry every SERIES_FIELDS key."""
+    m = _ReprMemo()
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SERIES_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(SERIES_FIELDS)
+        writer.writerows(
+            (r["timestamp"], m[r["hashrate_a"]], m[r["hashrate_b"]],
+             m[r["difficulty_a"]], m[r["difficulty_b"]], m[r["price_ratio_k"]])
+            for r in rows
+        )
 
 
 def write_events_csv(report: SimReport, path: str):
     if report.events is None:
         raise ValueError("run() was called with record_events=False")
+    m = _ReprMemo()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_FIELDS)
-        writer.writerows(report.events)
+        writer.writerows(
+            (t, chain, kind, m[d_a], m[d_b], m[r_f], m[r_b])
+            for t, chain, kind, d_a, d_b, r_f, r_b in report.events
+        )

@@ -263,6 +263,11 @@ def _report_dict(report: chainsim.SimReport) -> dict:
 
 
 def _cmd_chain_sim(args) -> int:
+    if args.replicas < 1:
+        raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
+    if args.replicas > 1 and (args.events or args.series):
+        raise _UsageError("--events and --series write one run; they cannot be "
+                          "combined with --replicas > 1")
     with open(args.config) as fh:
         raw = json.load(fh)
     world = chainsim.ChainWorld(
@@ -283,7 +288,7 @@ def _cmd_chain_sim(args) -> int:
 
     def one(seed: int) -> chainsim.SimReport:
         return chainsim.run(world, agents, regime_a, regime_b, args.duration, seed,
-                            mode=args.mode)
+                            mode=args.mode, record_events=bool(args.events))
 
     if args.replicas > 1:
         with ThreadPoolExecutor(max_workers=min(args.replicas, 8)) as pool:

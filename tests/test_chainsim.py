@@ -1,6 +1,8 @@
+import csv
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualchain.core import MiningState, PowerSumMismatch, Strategy, validate_config
 from dualchain.chainsim import (
@@ -10,12 +12,17 @@ from dualchain.chainsim import (
     EpochWithEda,
     InsufficientCycles,
     MinerAgent,
+    EVENT_FIELDS,
+    SERIES_FIELDS,
     PerBlockWindow,
     ZeroPowerChain,
+    _Chain,
     eda_expected_nde,
     empirical_payoffs,
     run,
     sample_series,
+    write_events_csv,
+    write_series_csv,
 )
 from dualchain.dynamics import Schedule
 from dualchain.equilibrium import zone_of
@@ -339,3 +346,146 @@ def test_sample_series_schema_and_monotone_timestamps():
     ts = [r["timestamp"] for r in rows]
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert all(0.0 < r["price_ratio_k"] <= 1.0 for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window=st.integers(min_value=1, max_value=12),
+    difficulties=st.lists(
+        st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=40,
+    ),
+)
+def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
+    # Drive the per-block regime with arbitrary difficulties and check each
+    # retarget against the fsum of the window it replaced.
+    ch = _Chain(Coin.B, PerBlockWindow(window), difficulties[0])
+    seen = []
+    for height, d in enumerate(difficulties, start=1):
+        now = float(height)
+        ch.difficulty = d
+        ch.height = height
+        seen.append(d)
+        kind = ch.retarget(now)
+        if len(seen) < 2:
+            assert kind is None
+            continue
+        last = seen[-(window + 1):]
+        span = now - (height - len(last) + 1)
+        inferred = math.fsum(last[1:]) / span
+        assert kind == "difficulty"
+        assert ch.difficulty == min(max(inferred, 0.5 * d), 2.0 * d)
+
+
+def _old_events_csv(report, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EVENT_FIELDS)
+        writer.writerows(report.events)
+
+
+def _old_series_csv(rows, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SERIES_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("mode", ["exponential", "deterministic"])
+def test_csv_writers_match_plain_csv_output(tmp_path, mode):
+    agents = loyal_roster(0.3, 0.2)
+    world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378,
+                       k_schedule=Schedule.from_pairs([(0.0, 0.378), (400.0, 0.5)]))
+    rep = run(world, agents, EpochFixed(10**9), PerBlockWindow(144), 800.0, seed=11,
+              mode=mode)
+    rows = sample_series(rep, step=0.5)
+    for name, new, old in (
+        ("events", lambda p: write_events_csv(rep, p), lambda p: _old_events_csv(rep, p)),
+        ("series", lambda p: write_series_csv(rows, p), lambda p: _old_series_csv(rows, p)),
+    ):
+        new(tmp_path / f"{name}.new.csv")
+        old(tmp_path / f"{name}.old.csv")
+        assert (tmp_path / f"{name}.new.csv").read_bytes() == \
+            (tmp_path / f"{name}.old.csv").read_bytes(), name
+
+
+def test_series_writer_formats_signed_zero_and_non_floats(tmp_path):
+    rows = [
+        {"timestamp": 0, "hashrate_a": 0.0, "hashrate_b": -0.0, "difficulty_a": 0.25,
+         "difficulty_b": float("nan"), "price_ratio_k": 1},
+        {"timestamp": 600, "hashrate_a": -0.0, "hashrate_b": 0.0, "difficulty_a": 0.25,
+         "difficulty_b": 1e-320, "price_ratio_k": "0.5"},
+    ]
+    write_series_csv(rows, tmp_path / "new.csv")
+    _old_series_csv(rows, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _split_roster(n):
+    # Pieces on a 2**-40 grid times n - 1 are exact, and so is the remainder,
+    # so the pieces sum to the unsplit power exactly: the chains see the same
+    # allocation with one agent or n.
+    agents = []
+    for aid, power, policy in (("f", 0.3, Strategy.FICKLE), ("b", 0.2, Strategy.B_ONLY),
+                               ("a", 0.45, Strategy.A_ONLY), ("u", 0.05, Strategy.AUTOMATIC)):
+        piece = math.ldexp(round(math.ldexp(power / n, 40)), -40)
+        parts = [piece] * (n - 1) + [power - piece * (n - 1)]
+        agents += [MinerAgent(f"{aid}{i}", p, policy) for i, p in enumerate(parts)]
+    return agents
+
+
+@pytest.mark.parametrize("regime_b", [EpochWithEda(144, 6, 12.0, 0.8), PerBlockWindow(36)])
+@pytest.mark.parametrize("mode", ["exponential", "deterministic"])
+def test_splitting_agents_keeps_policy_rewards(regime_b, mode):
+    world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
+    reports = [run(world, _split_roster(n), EpochFixed(144), regime_b, 1500.0, seed=4,
+                   mode=mode, record_events=False) for n in (1, 7, 40)]
+    base = reports[0]
+    for rep in reports[1:]:
+        assert rep.blocks == base.blocks
+        assert rep.occupancy == base.occupancy
+        for policy in Strategy:
+            want = math.fsum(r for aid, r in base.agent_rewards.items()
+                             if base.agent_policy[aid] is policy)
+            got = math.fsum(r for aid, r in rep.agent_rewards.items()
+                            if rep.agent_policy[aid] is policy)
+            assert abs(got - want) <= 1e-12 * abs(want), policy
+
+
+@pytest.mark.parametrize("regime_b", [EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
+                                      PerBlockWindow(144)])
+def test_rewards_sum_to_coins_minted(regime_b):
+    world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3,
+                       k_schedule=Schedule.from_pairs([(700.0, 0.45), (1400.0, 0.3)]))
+    rep = run(world, _split_roster(9), EpochFixed(144), regime_b, 2500.0, seed=8)
+    minted = 0.0
+    for (t, chain, kind, *_rest) in rep.events:
+        if kind == "block":
+            minted += 1.0 if chain == "a" else [k for at, k in rep.k_history if at <= t][-1]
+    assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 1000
+    assert math.fsum(rep.agent_rewards.values()) == pytest.approx(minted, rel=1e-9)
+    # Power-proportional crediting: one reward rate per policy.
+    for policy in Strategy:
+        rates = [r / rep.agent_power[aid] for aid, r in rep.agent_rewards.items()
+                 if rep.agent_policy[aid] is policy]
+        assert max(rates) - min(rates) <= 1e-12 * max(rates), policy
+
+
+def test_fickle_cohort_starting_apart_moves_together():
+    # d_b is below r_b, so the opening decision sends fickle power to B.
+    # f1 starts there already; f2 must join it instead of staying on A.
+    agents = [
+        MinerAgent("f1", 0.2, Strategy.FICKLE, current_coin=Coin.B),
+        MinerAgent("f2", 0.2, Strategy.FICKLE, current_coin=Coin.A),
+        MinerAgent("b", 0.2, Strategy.B_ONLY),
+        MinerAgent("a", 0.4, Strategy.A_ONLY),
+    ]
+    world = ChainWorld(difficulty_a=0.6, difficulty_b=0.1, k=0.4)
+    rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 300.0, seed=1,
+              mode="deterministic")
+    assert rep.occupancy[0] == pytest.approx((0.0, 0.6, 0.4))
+    assert rep.occupancy[1] == pytest.approx((0.0, 0.4, 0.6))
+    switches = [e for e in rep.events if e[2] == "switch_fickle"]
+    assert switches[0][:2] == (0.0, "b")
+    assert rep.agent_rewards["f1"] == pytest.approx(rep.agent_rewards["f2"], rel=1e-12)
+

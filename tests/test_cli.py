@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dualchain
+from dualchain import chainsim
 from dualchain.cli import dispatch
 
 
@@ -222,3 +227,65 @@ def test_best_response_subcommand(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["converged"] is True
     assert payload["r_b"] == pytest.approx(0.94)
+
+
+@pytest.fixture
+def sim_inputs(tmp_path):
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps({"k": 0.4, "difficulty_a": 1.0, "difficulty_b": 0.4}))
+    agents = tmp_path / "agents.json"
+    agents.write_text(json.dumps([
+        {"id": "a", "power": 0.6, "policy": "a_only"},
+        {"id": "b", "power": 0.4, "policy": "b_only"},
+    ]))
+    return ["chain-sim", "--config", str(world), "--agents", str(agents),
+            "--regime-a", "epoch:100", "--regime-b", "epoch:100", "--quiet"]
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_chain_sim_non_finite_duration_exits_2(sim_inputs, duration):
+    # These horizons used to loop forever; run them in a child process so a
+    # regression fails on the timeout instead of hanging the suite.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualchain.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualchain.cli", *sim_inputs, "--duration", duration],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--replicas", "0"],
+    ["--replicas", "-3"],
+    ["--replicas", "2", "--events", "events.csv"],
+    ["--replicas", "2", "--series", "series.csv"],
+])
+def test_chain_sim_rejects_unusable_replica_flags(sim_inputs, tmp_path, capsys, extra):
+    extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+    code, out, err = run_cli(capsys, *sim_inputs, "--duration", "50", *extra)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["code"] == "usage"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("with_events", [False, True])
+def test_chain_sim_records_events_only_when_written(sim_inputs, tmp_path, capsys,
+                                                    monkeypatch, with_events):
+    seen = []
+    real_run = chainsim.run
+
+    def spy(*args, **kwargs):
+        report = real_run(*args, **kwargs)
+        seen.append(report.events is not None)
+        return report
+
+    monkeypatch.setattr(chainsim, "run", spy)
+    extra = ["--events", str(tmp_path / "events.csv")] if with_events else []
+    code, _, _ = run_cli(capsys, *sim_inputs, "--duration", "50", *extra)
+    assert code == 0
+    assert seen == [with_events]
