@@ -39,7 +39,6 @@ to coin_A units at the k in effect at earn time.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from collections import deque
@@ -214,9 +213,10 @@ class _Chain:
     """Live state of one chain.
 
     `power` is the exact sum of the powers mining it (2**-1074 units) and
-    `alloc` its rounded value.  `acc` is the reward paid so far per unit of
-    power mining the chain; an agent's share of a stretch of blocks is its
-    power times the growth of `acc` while it mined here.
+    `alloc` its rounded value.  `acc` is the reward paid since the last
+    settlement per unit of power mining the chain; an agent's share of a
+    stretch of blocks is its power times the growth of `acc` while it mined
+    here.
     """
 
     __slots__ = ("coin", "label", "perblock", "eda", "n", "eda_threshold", "eda_factor",
@@ -333,7 +333,8 @@ def run(
     "deterministic" uses expected intervals exactly.  Identical inputs
     produce identical reports.  Each block costs the same whatever the
     roster size: rewards accrue per chain and are split among agents only
-    when one moves, at fickle cycle marks and at the end.
+    when one moves, at fickle cycle marks, every few thousand blocks and at
+    the end.
     """
     if not (0.0 < duration < _INF):
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
@@ -372,6 +373,9 @@ def run(
         on.append(ch)
     marks = [0.0] * len(roster)
     earned = [0.0] * len(roster)
+    # A settlement costs O(roster); one per settle_every blocks keeps the
+    # amortized cost of a block constant.
+    settle_every = max(4096, len(roster))
     fickle = [i for i, a in enumerate(roster) if a.policy is Strategy.FICKLE]
     automatic = [i for i, a in enumerate(roster) if a.policy is Strategy.AUTOMATIC]
     # The fickle cohort's common chain, None while it is split.
@@ -415,11 +419,14 @@ def run(
         on[i] = dest
         marks[i] = dest.acc
 
-    def settle_all() -> dict[str, float]:
+    def settle():
+        """Pay every agent up to now and restart both accumulators at 0, so
+        the rounding error of `acc` never spans more than settle_every
+        blocks of its chain, however long the run."""
         for i, ch in enumerate(on):
             earned[i] += powers[i] * (ch.acc - marks[i])
-            marks[i] = ch.acc
-        return dict(zip(ids, earned))
+            marks[i] = 0.0
+        A.acc = B.acc = 0.0
 
     def reevaluate(fickle_due: bool):
         """Apply agent policies after an event: fickle agents when a
@@ -441,7 +448,8 @@ def run(
                 if target is B:
                     fickle_on_b = True
                     b_phase_start = t
-                    mark = (t, settle_all())
+                    settle()
+                    mark = (t, dict(zip(ids, earned)))
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
@@ -518,9 +526,9 @@ def run(
         ch.last_ts = t
         ch.progress = 0.0
         ch.threshold = expovariate(1.0) if exponential else 1.0
-        if events is not None:  # log() inlined: this runs once per block
-            events.append((t, ch.label, "block", A.difficulty, B.difficulty,
-                           r_f_policy, r_b_policy))
+        log(ch.label, "block")
+        if not ch.height % settle_every:
+            settle()
         kind = ch.retarget(t)
         if kind is not None:
             log(ch.label, kind)
@@ -529,7 +537,8 @@ def run(
             reevaluate(False)
 
     # An open fickle B-phase at the horizon is not a completed cycle.
-    rewards = settle_all()
+    settle()
+    rewards = dict(zip(ids, earned))
     mean_interval = {}
     for ch in (A, B):
         if ch.height >= 2:
@@ -686,10 +695,9 @@ def sample_series(
 class _ReprMemo(dict):
     """Float -> repr text, formatted once per distinct value.
 
-    csv writes a float as its repr, so rows built from the memo's text are
-    byte-identical to rows of the floats themselves.  Other values pass
-    through for csv to format.  Zeros are not stored, since 0.0 and -0.0
-    are equal keys with different reprs.
+    A float's repr is what csv writes for it.  Other values pass through
+    unchanged.  Zeros are not stored, since 0.0 and -0.0 are equal keys
+    with different reprs.
     """
 
     __slots__ = ()
@@ -704,26 +712,31 @@ class _ReprMemo(dict):
 
 
 def write_series_csv(rows: Iterable[dict], path: str):
-    """Write sample_series rows; each row must carry every SERIES_FIELDS key."""
+    """Write sample_series rows; each row must carry every SERIES_FIELDS key.
+
+    Lines are formatted directly, in the bytes csv.writer writes for
+    numbers: floats as repr, ints as str, CRLF line ends.  The float
+    columns must hold floats, since the memo would print an int equal to an
+    earlier float as that float.
+    """
     m = _ReprMemo()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_FIELDS)
-        writer.writerows(
-            (r["timestamp"], m[r["hashrate_a"]], m[r["hashrate_b"]],
-             m[r["difficulty_a"]], m[r["difficulty_b"]], m[r["price_ratio_k"]])
+        fh.write(",".join(SERIES_FIELDS) + "\r\n")
+        fh.writelines(
+            f"{r['timestamp']},{m[r['hashrate_a']]},{m[r['hashrate_b']]},"
+            f"{m[r['difficulty_a']]},{m[r['difficulty_b']]},{m[r['price_ratio_k']]}\r\n"
             for r in rows
         )
 
 
 def write_events_csv(report: SimReport, path: str):
+    """Write report.events, one line per event, formatted as write_series_csv does."""
     if report.events is None:
         raise ValueError("run() was called with record_events=False")
     m = _ReprMemo()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_FIELDS)
-        writer.writerows(
-            (t, chain, kind, m[d_a], m[d_b], m[r_f], m[r_b])
+        fh.write(",".join(EVENT_FIELDS) + "\r\n")
+        fh.writelines(
+            f"{t},{chain},{kind},{m[d_a]},{m[d_b]},{m[r_f]},{m[r_b]}\r\n"
             for t, chain, kind, d_a, d_b, r_f, r_b in report.events
         )

@@ -489,3 +489,40 @@ def test_fickle_cohort_starting_apart_moves_together():
     assert switches[0][:2] == (0.0, "b")
     assert rep.agent_rewards["f1"] == pytest.approx(rep.agent_rewards["f2"], rel=1e-12)
 
+
+
+def _per_block_policy_rewards(rep):
+    # Rebuild each policy's reward from the event log, block by block: the
+    # share of a block is power * (unit / chain allocation), summed exactly.
+    power = {rep.agent_policy[aid]: p for aid, p in rep.agent_power.items()}
+    where = {policy: "b" if policy is Strategy.B_ONLY else "a" for policy in power}
+    mover = {"switch_fickle": Strategy.FICKLE, "switch_auto": Strategy.AUTOMATIC}
+    ks = iter(rep.k_history)
+    k = next(ks)[1]
+    terms = {policy: [] for policy in power}
+    for _t, chain, kind, *_rest in rep.events:
+        if kind == "price":
+            k = next(ks)[1]
+        elif kind in mover:
+            where[mover[kind]] = chain
+        elif kind == "block":
+            mining = [policy for policy in power if where[policy] == chain]
+            alloc = math.fsum(power[policy] for policy in mining)
+            unit = 1.0 if chain == "a" else k
+            for policy in mining:
+                terms[policy].append(power[policy] * (unit / alloc))
+    return {policy: math.fsum(v) for policy, v in terms.items()}
+
+
+def test_long_run_rewards_match_per_block_sum():
+    # ~190k blocks and ~800 fickle cycles: the reward accumulators restart at
+    # every settlement, so their rounding error does not grow with the run.
+    world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
+    rep = run(world, _split_roster(1), EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
+              60000.0, seed=5)
+    assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
+    assert rep.fickle_cycles > 500
+    want = _per_block_policy_rewards(rep)
+    for aid, got in rep.agent_rewards.items():
+        policy = rep.agent_policy[aid]
+        assert abs(got - want[policy]) <= 1e-12 * want[policy], policy
