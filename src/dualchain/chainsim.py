@@ -46,7 +46,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import DualchainError, GameConfig, MiningState, NegativePower, PowerSumMismatch, Strategy
+from .core import (SERIES_COLUMNS, DualchainError, GameConfig, MiningState, NegativePower,
+                   PowerSumMismatch, Strategy)
 from .dynamics import Schedule
 
 _INF = math.inf
@@ -135,8 +136,9 @@ class ChainWorld:
     k_schedule: Schedule | None = None
 
     def __post_init__(self):
-        if self.difficulty_a <= 0.0 or self.difficulty_b <= 0.0:
-            raise ValueError("difficulties must be positive")
+        if not (0.0 < self.difficulty_a < math.inf and 0.0 < self.difficulty_b < math.inf):
+            raise ValueError("difficulties must be positive and finite, got "
+                             f"({self.difficulty_a}, {self.difficulty_b})")
         if not (0.0 < self.k <= 1.0):
             raise ValueError(f"k must be in (0, 1], got {self.k}")
 
@@ -192,8 +194,7 @@ class SimReport:
 EVENT_FIELDS = ("time", "chain", "event_type", "difficulty_a", "difficulty_b",
                 "r_f_active", "r_b_active")
 
-SERIES_FIELDS = ("timestamp", "hashrate_a", "hashrate_b", "difficulty_a",
-                 "difficulty_b", "price_ratio_k")
+SERIES_FIELDS = SERIES_COLUMNS
 
 
 # Exact sums: every finite float is an integer multiple of 2**-1074, so a

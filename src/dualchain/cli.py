@@ -10,8 +10,6 @@ reproducibility; stdout carries data only.  DUALCHAIN_LOG
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import os
@@ -20,12 +18,15 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import chainsim, dynamics, equilibrium, ingest
-from .core import DualchainError, GameConfig, MiningState, Strategy, config_from_json
+from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, config_from_json
 from .payoff import payoff_triple
 
 log = logging.getLogger("dualchain")
 
 _POLICIES = {s.value: s for s in Strategy}
+# CSV cells of the enum columns.  Enum.value is a Python-level property;
+# this lookup measured ~1.4x faster per cell.
+_LABELS = {m: m.value for enum in (Zone, ingest.Basis) for m in enum}
 
 
 class _UsageError(Exception):
@@ -58,6 +59,11 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool = True):
     sub.add_argument("--quiet", action="store_true")
 
 
+def _json(obj) -> str:
+    """One JSON line; NaN or infinity anywhere raises ValueError (exit 2)."""
+    return json.dumps(obj, allow_nan=False) + "\n"
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -66,12 +72,24 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _rows_to_csv(fields, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(fh, fields, rows):
+    """Write a header line, then one line per row tuple.
+
+    Cells are ints, floats, "" or enum labels.  csv.writer writes each of
+    them as str() of the cell, unquoted, so "%s" per cell gives its bytes.
+    """
+    line = ",".join(["%s"] * len(fields)) + "\r\n"
+    fh.write(",".join(fields) + "\r\n")
+    for row in rows:
+        fh.write(line % row)
+
+
+def _emit_csv(fields, rows, out: str | None):
+    if out:
+        with open(out, "w", newline="") as fh:
+            _write_csv(fh, fields, rows)
+    else:
+        _write_csv(sys.stdout, fields, rows)
 
 
 def _echo(args, resolved: dict):
@@ -126,9 +144,9 @@ def _cmd_payoff(args) -> int:
         "u_b": None if triple.divergent[2] else triple.u_b,
     }
     if args.format == "csv":
-        _emit(_rows_to_csv(list(row), [row]), args.out)
+        _emit_csv(tuple(row), [tuple("" if v is None else v for v in row.values())], args.out)
     else:
-        _emit(json.dumps(row) + "\n", args.out)
+        _emit(_json(row), args.out)
     return 0
 
 
@@ -138,17 +156,20 @@ def _cmd_zones(args) -> int:
     if n < 1:
         raise _UsageError("--grid must be >= 1")
     _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **_config_dict(config)})
-    rows = []
-    for i in range(n):
-        r_f = (i + 0.5) / n
-        for j in range(n):
-            r_b = (j + 0.5) / n * (1.0 - r_f)
-            zone = equilibrium.zone_of(MiningState(r_f, r_b), config, args.tol)
-            rows.append({"r_f": r_f, "r_b": r_b, "zone": zone.value})
+    zone_of, tol, labels = equilibrium.zone_of, args.tol, _LABELS
+
+    def cells():
+        for i in range(n):
+            r_f = (i + 0.5) / n
+            for j in range(n):
+                r_b = (j + 0.5) / n * (1.0 - r_f)
+                yield r_f, r_b, labels[zone_of(MiningState(r_f, r_b), config, tol)]
+
+    fields = ("r_f", "r_b", "zone")
     if args.format == "json":
-        _emit(json.dumps(rows) + "\n", args.out)
+        _emit(_json([dict(zip(fields, cell)) for cell in cells()]), args.out)
     else:
-        _emit(_rows_to_csv(("r_f", "r_b", "zone"), rows), args.out)
+        _emit_csv(fields, cells(), args.out)
     return 0
 
 
@@ -156,15 +177,14 @@ def _cmd_equilibria(args) -> int:
     config = config_from_json(args.config)
     _echo(args, {"command": "equilibria", **_config_dict(config)})
     result = equilibrium.equilibria(config)
-    _emit(json.dumps(result.to_dict()) + "\n", args.out)
+    _emit(_json(result.to_dict()), args.out)
     return 0
 
 
 def _cmd_threshold(args) -> int:
     config = config_from_json(args.config)
     _echo(args, {"command": "threshold", **_config_dict(config)})
-    _emit(json.dumps({"automatic_threshold": dynamics.automatic_threshold(config)}) + "\n",
-          args.out)
+    _emit(_json({"automatic_threshold": dynamics.automatic_threshold(config)}), args.out)
     return 0
 
 
@@ -185,15 +205,16 @@ def _cmd_simulate(args) -> int:
                  "rate": args.rate, "max_steps": args.max_steps, "eps": args.eps,
                  **_config_dict(config)})
     traj = dynamics.simulate_flow(initial, flow, config)
-    rows = [
-        {"step": i, "r_f": s.r_f, "r_b": s.r_b, "zone": z.value, "k": k, "c_stick": c}
+    fields = ("step", "r_f", "r_b", "zone", "k", "c_stick")
+    rows = (
+        (i, s.r_f, s.r_b, _LABELS[z], k, c)
         for i, (s, z, k, c) in enumerate(zip(traj.states, traj.zones, traj.ks, traj.c_sticks))
-    ]
+    )
     if args.format == "json":
-        _emit(json.dumps({"outcome": traj.outcome.value, "steps_used": traj.steps_used,
-                          "trajectory": rows}) + "\n", args.out)
+        _emit(_json({"outcome": traj.outcome.value, "steps_used": traj.steps_used,
+                     "trajectory": [dict(zip(fields, row)) for row in rows]}), args.out)
     else:
-        _emit(_rows_to_csv(("step", "r_f", "r_b", "zone", "k", "c_stick"), rows), args.out)
+        _emit_csv(fields, rows, args.out)
         if not args.quiet:
             print(f"# outcome: {traj.outcome.value} steps_used: {traj.steps_used}",
                   file=sys.stderr)
@@ -222,13 +243,13 @@ def _cmd_best_response(args) -> int:
         equilibrium.finite_deviation(state, c_i, s, config).payoff_gain
         for s, c_i in zip(assignment, config.powers)
     ]
-    _emit(json.dumps({
+    _emit(_json({
         "assignment": [s.value for s in assignment],
         "r_f": state.r_f, "r_b": state.r_b,
         "changes": history,
         "max_gain": max(gains) if gains else 0.0,
         "converged": all(g <= 0.0 for g in gains),
-    }) + "\n", args.out)
+    }), args.out)
     return 0
 
 
@@ -302,7 +323,7 @@ def _cmd_chain_sim(args) -> int:
             merged["mean_policy_density"] = {
                 k: sum(d[k] for d in densities) / len(densities) for k in keys
             }
-        _emit(json.dumps(merged) + "\n", args.out)
+        _emit(_json(merged), args.out)
         return 0
 
     report = one(args.seed)
@@ -312,7 +333,7 @@ def _cmd_chain_sim(args) -> int:
         chainsim.write_series_csv(
             chainsim.sample_series(report, step=args.series_step), args.series
         )
-    _emit(json.dumps(_report_dict(report)) + "\n", args.out)
+    _emit(_json(_report_dict(report)), args.out)
     return 0
 
 
@@ -336,30 +357,23 @@ def _cmd_analyze(args) -> int:
                 {"start_index": p.start_index, "end_index": p.end_index,
                  "trigger_ratio": p.trigger_ratio, "r_f_estimate": rf}
                 for p, rf in zip(periods, period_rf)
-            ], fh)
+            ], fh, allow_nan=False)
     if args.out_estimates:
-        rows = [{
-            "timestamp": e.timestamp, "basis": e.basis.value, "share": e.share,
-            "r_f_est": "" if e.r_f is None else e.r_f,
-            "r_b_est": "" if e.r_b is None else e.r_b,
-        } for e in estimates]
-        with open(args.out_estimates, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=("timestamp", "basis", "share",
-                                                    "r_f_est", "r_b_est"))
-            writer.writeheader()
-            writer.writerows(rows)
+        _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"), (
+            (e.timestamp, _LABELS[e.basis], e.share,
+             "" if e.r_f is None else e.r_f, "" if e.r_b is None else e.r_b)
+            for e in estimates
+        ), args.out_estimates)
     if args.out_zones:
+        # zone_path runs to the end before the file opens, so a refusal
+        # leaves no zones file behind.
         zones, _ = ingest.zone_path(estimates, config)
-        with open(args.out_zones, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=("timestamp", "zone", "k"))
-            writer.writeheader()
-            writer.writerows(
-                {"timestamp": e.timestamp, "zone": z.value, "k": e.k}
-                for e, z in zip(estimates, zones)
-            )
+        _emit_csv(("timestamp", "zone", "k"),
+                  ((e.timestamp, _LABELS[z], e.k) for e, z in zip(estimates, zones)),
+                  args.out_zones)
     summary = {"records": len(loaded.records), "periods": len(periods),
                "out_of_order": loaded.out_of_order_count}
-    _emit(json.dumps(summary) + "\n", args.out)
+    _emit(_json(summary), args.out)
     return 0
 
 

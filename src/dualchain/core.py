@@ -22,6 +22,11 @@ POWER_SUM_TOL = 1e-9
 # Sum r_f + r_b may exceed 1 by float dust after clamped arithmetic.
 _SIMPLEX_SLACK = 1e-12
 
+# Columns of a hash-rate series CSV: written by the chain simulator's
+# sampler, read by the series analyzer.
+SERIES_COLUMNS = ("timestamp", "hashrate_a", "hashrate_b", "difficulty_a",
+                  "difficulty_b", "price_ratio_k")
+
 
 class DualchainError(Exception):
     """Base error. `code` is the stable machine-readable identifier."""
@@ -117,9 +122,10 @@ class MiningState:
     r_b: float
 
     def __post_init__(self):
-        if self.r_f < 0.0 or self.r_b < 0.0:
-            raise ValueError(f"negative power fraction: ({self.r_f}, {self.r_b})")
-        if self.r_f + self.r_b > 1.0 + _SIMPLEX_SLACK:
+        # Written so that NaN fails the first test; +inf fails the second.
+        if not (self.r_f >= 0.0 and self.r_b >= 0.0):
+            raise ValueError(f"power fractions must be >= 0: ({self.r_f}, {self.r_b})")
+        if not (self.r_f + self.r_b <= 1.0 + _SIMPLEX_SLACK):
             raise ValueError(f"r_f + r_b > 1: ({self.r_f}, {self.r_b})")
 
     @property
@@ -161,13 +167,16 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
             raise ZeroBlockCount(f"{name} must be a positive integer, got {value}", field=name)
         counts[name] = value
 
-    if c_stick < 0.0:
+    if not (c_stick >= 0.0):
         raise NegativePower(f"c_stick must be >= 0, got {c_stick}", field="c_stick")
     for i, p in enumerate(powers):
         if not (p > 0.0):
             raise NegativePower(f"powers[{i}] must be > 0, got {p}", field="powers")
 
     total = c_stick + math.fsum(powers)
+    if not math.isfinite(total):
+        raise PowerSumMismatch(f"c_stick + sum(powers) = {total!r} is not finite",
+                               field="powers")
     if abs(total - 1.0) > POWER_SUM_TOL:
         if not normalize:
             raise PowerSumMismatch(

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import DualchainError, GameConfig, MiningState, Zone
+from .core import SERIES_COLUMNS, DualchainError, GameConfig, MiningState, Zone
 from .equilibrium import ZONE_TOL, zone_of
 
 
@@ -54,8 +54,9 @@ class UnresolvableState(DualchainError):
     code = "unresolvable_state"
 
 
-SERIES_HEADER = ("timestamp", "hashrate_a", "hashrate_b", "difficulty_a",
-                 "difficulty_b", "price_ratio_k")
+SERIES_HEADER = SERIES_COLUMNS
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def load_series(path: str) -> SeriesLoad:
     """Parse and validate a series CSV; rows are sorted by timestamp.
 
     Out-of-order rows are tolerated (the result reports how many);
-    duplicate timestamps are rejected.
+    duplicate timestamps are rejected, and so are non-finite values.
     """
     records: list[SeriesRecord] = []
     with open(path, newline="") as fh:
@@ -150,14 +151,22 @@ def load_series(path: str) -> SeriesLoad:
                     difficulty_b=float(row[4]),
                     price_ratio_k=float(row[5]),
                 )
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
+                # int(float("inf")) overflows; int(float("nan")) is a ValueError.
                 raise ParseError(str(exc), line=lineno) from exc
-            if rec.hashrate_a < 0.0 or rec.hashrate_b < 0.0:
-                raise InvariantViolation("negative hash rate", line=lineno, field="hashrate")
+            # The chained tests are false for NaN as well as out of range.
+            if not (0.0 <= rec.hashrate_a < _INF and 0.0 <= rec.hashrate_b < _INF):
+                raise InvariantViolation(
+                    f"hash rates ({row[1]}, {row[2]}) must be finite and >= 0",
+                    line=lineno, field="hashrate",
+                )
             if rec.hashrate_a == 0.0 and rec.hashrate_b == 0.0:
                 raise InvariantViolation("both hash rates zero", line=lineno, field="hashrate")
-            if rec.difficulty_a <= 0.0 or rec.difficulty_b <= 0.0:
-                raise InvariantViolation("difficulty must be > 0", line=lineno, field="difficulty")
+            if not (0.0 < rec.difficulty_a < _INF and 0.0 < rec.difficulty_b < _INF):
+                raise InvariantViolation(
+                    f"difficulties ({row[3]}, {row[4]}) must be finite and > 0",
+                    line=lineno, field="difficulty",
+                )
             if not (0.0 < rec.price_ratio_k <= 1.0):
                 raise InvariantViolation(
                     f"price ratio {rec.price_ratio_k} outside (0, 1]",
@@ -303,6 +312,7 @@ def zone_path(
     zones: list[Zone] = []
     transitions: list[tuple[int, Zone, Zone]] = []
     carried_rf: float | None = None
+    n_in, n_de, c_stick, powers = config.n_in, config.n_de, config.c_stick, config.powers
     for i, est in enumerate(estimates):
         if est.basis is Basis.GRAY_PERIOD:
             if est.r_f is None:
@@ -322,7 +332,7 @@ def zone_path(
                 )
             r_b = est.r_b if est.r_b is not None else est.share
             r_f = min(carried_rf, max(0.0, 1.0 - r_b))
-        cfg = config if est.k == config.k else replace(config, k=est.k)
+        cfg = config if est.k == config.k else GameConfig(est.k, n_in, n_de, c_stick, powers)
         r_f = min(r_f, 1.0)
         zone = zone_of(MiningState(r_f, min(r_b, 1.0 - r_f)), cfg, tol)
         if zones and zone is not zones[-1]:

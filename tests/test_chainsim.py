@@ -324,6 +324,15 @@ def test_zero_power_chain_guard():
             EpochFixed(100), EpochFixed(100), 50.0, seed=1)
 
 
+@pytest.mark.parametrize("d_a,d_b", [
+    (math.nan, 0.4), (0.4, math.nan), (math.inf, 0.4), (0.4, math.inf), (1.0, -math.inf),
+    (0.0, 0.4),
+])
+def test_chain_world_rejects_non_finite_difficulties(d_a, d_b):
+    with pytest.raises(ValueError):
+        ChainWorld(d_a, d_b, 0.4)
+
+
 def test_roster_validation():
     world = ChainWorld(1.0, 0.5, 0.3)
     with pytest.raises(PowerSumMismatch):

@@ -1,15 +1,20 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import dualchain
-from dualchain import chainsim
+from dualchain import chainsim, cli, dynamics, ingest
 from dualchain.cli import dispatch
+from dualchain.core import MiningState, Zone, config_from_json
+from dualchain.equilibrium import zone_of
+from dualchain.payoff import payoff_triple
 
 
 @pytest.fixture
@@ -289,3 +294,243 @@ def test_chain_sim_records_events_only_when_written(sim_inputs, tmp_path, capsys
     code, _, _ = run_cli(capsys, *sim_inputs, "--duration", "50", *extra)
     assert code == 0
     assert seen == [with_events]
+
+
+# ---------------------------------------------------------------------------
+# CSV tables: the streamed lines must be the bytes csv.DictWriter wrote.
+
+
+def dictwriter_text(fields, rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def cli_table(capsys, tmp_path, to_file, *argv):
+    """Run a table subcommand; return what it wrote to --out or to stdout."""
+    if to_file:
+        out = tmp_path / "table.csv"
+        code, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0 and stdout == ""
+        return out.read_bytes().decode()
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return stdout
+
+
+CELLS = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(""),
+    st.sampled_from([*Zone, *ingest.Basis]).map(lambda m: m.value),
+)
+
+
+@given(st.integers(2, 6).flatmap(
+    lambda width: st.lists(st.tuples(*[CELLS] * width), max_size=12).map(
+        lambda rows: (width, rows))))
+def test_write_csv_matches_csv_writer(table):
+    width, rows = table
+    fields = tuple(f"c{i}" for i in range(width))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(fields)
+    writer.writerows(rows)
+    got = io.StringIO()
+    cli._write_csv(got, fields, iter(rows))
+    assert got.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("member", [*Zone, *ingest.Basis])
+def test_enum_labels_need_no_csv_quoting(member):
+    assert not set(member.value) & set(',"\r\n')
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_zones_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_file):
+    config, n = config_from_json(config_path), 9
+    rows = []
+    for i in range(n):
+        r_f = (i + 0.5) / n
+        for j in range(n):
+            r_b = (j + 0.5) / n * (1.0 - r_f)
+            rows.append({"r_f": r_f, "r_b": r_b,
+                         "zone": zone_of(MiningState(r_f, r_b), config).value})
+    expected = dictwriter_text(("r_f", "r_b", "zone"), rows)
+    assert cli_table(capsys, tmp_path, to_file, "zones", "--config", config_path,
+                     "--grid", str(n), "--quiet") == expected
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_simulate_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_file):
+    traj = dynamics.simulate_flow(MiningState(0.01, 0.01), dynamics.FlowConfig(0.01),
+                                  config_from_json(config_path))
+    rows = [
+        {"step": i, "r_f": s.r_f, "r_b": s.r_b, "zone": z.value, "k": k, "c_stick": c}
+        for i, (s, z, k, c) in enumerate(zip(traj.states, traj.zones, traj.ks, traj.c_sticks))
+    ]
+    expected = dictwriter_text(("step", "r_f", "r_b", "zone", "k", "c_stick"), rows)
+    assert cli_table(capsys, tmp_path, to_file, "simulate", "--config", config_path,
+                     "--initial", "0.01,0.01", "--rate", "0.01", "--format", "csv",
+                     "--quiet") == expected
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_payoff_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_file):
+    triple = payoff_triple(MiningState(0.0, 0.0), config_from_json(config_path))
+    assert any(triple.divergent)
+    values = (triple.u_f, triple.u_a, triple.u_b)
+    row = {"r_f": 0.0, "r_b": 0.0, **{
+        name: None if div else v
+        for name, v, div in zip(("u_f", "u_a", "u_b"), values, triple.divergent)
+    }}
+    expected = dictwriter_text(("r_f", "r_b", "u_f", "u_a", "u_b"), [row])
+    assert ",," in expected or ",\r\n" in expected
+    assert cli_table(capsys, tmp_path, to_file, "payoff", "--config", config_path,
+                     "--state", "0,0", "--format", "csv", "--quiet") == expected
+
+
+def write_series(path, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(ingest.SERIES_HEADER) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
+    return str(path)
+
+
+def series_row(ts, share, d_b_over_d_a, k):
+    return (ts, 1.0 - share, share, 1.0, d_b_over_d_a, k)
+
+
+@pytest.fixture
+def analyze_inputs(tmp_path):
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps({"k": 0.1, "n_in": 2016, "n_de": 6, "powers": [1.0]}))
+    # A fickle period first pins r_f; the price then steps up.
+    rows = [series_row(i * 600, 0.355, 0.05, 0.1) for i in range(10)]
+    rows += [series_row(i * 600, 0.055, 0.5, 0.1 if i < 25 else 0.9) for i in range(10, 40)]
+    return str(config), write_series(tmp_path / "series.csv", rows)
+
+
+def expected_analyze_tables(config_path, series_path):
+    records = ingest.load_series(series_path).records
+    periods = ingest.detect_fickle_periods(records)
+    estimates, _ = ingest.estimate_state_path(records, periods)
+    est_text = dictwriter_text(("timestamp", "basis", "share", "r_f_est", "r_b_est"), [{
+        "timestamp": e.timestamp, "basis": e.basis.value, "share": e.share,
+        "r_f_est": "" if e.r_f is None else e.r_f,
+        "r_b_est": "" if e.r_b is None else e.r_b,
+    } for e in estimates])
+    try:
+        zones, _ = ingest.zone_path(estimates, config_from_json(config_path))
+    except ingest.UnresolvableState:
+        return est_text, None
+    zone_text = dictwriter_text(("timestamp", "zone", "k"), [
+        {"timestamp": e.timestamp, "zone": z.value, "k": e.k}
+        for e, z in zip(estimates, zones)
+    ])
+    return est_text, zone_text
+
+
+def test_analyze_csv_bytes_match_dictwriter(analyze_inputs, tmp_path, capsys):
+    config_path, series_path = analyze_inputs
+    est_out, zone_out = tmp_path / "est.csv", tmp_path / "zones.csv"
+    code, out, _ = run_cli(capsys, "analyze", "--config", config_path, "--input", series_path,
+                           "--out-estimates", str(est_out), "--out-zones", str(zone_out),
+                           "--quiet")
+    assert code == 0
+    assert json.loads(out)["periods"] >= 1
+    est_text, zone_text = expected_analyze_tables(config_path, series_path)
+    assert ",," in est_text
+    assert est_out.read_bytes().decode() == est_text
+    assert zone_out.read_bytes().decode() == zone_text
+
+
+def test_analyze_refusal_writes_estimates_but_no_zones(tmp_path, capsys):
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]}))
+    # coin_B mining and no fickle period: no r_f estimate to carry.
+    series = write_series(tmp_path / "series.csv",
+                          [series_row(i * 600, 0.25, 0.5, 0.3) for i in range(10)])
+    est_out, zone_out = tmp_path / "est.csv", tmp_path / "zones.csv"
+    code, out, err = run_cli(capsys, "analyze", "--config", str(config), "--input", series,
+                             "--out-estimates", str(est_out), "--out-zones", str(zone_out),
+                             "--quiet")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["code"] == "unresolvable_state"
+    est_text, zone_text = expected_analyze_tables(str(config), series)
+    assert zone_text is None
+    assert est_out.read_bytes().decode() == est_text
+    assert not zone_out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input exits 2 with nothing on stdout.
+
+
+def assert_exit_2(capsys, argv, code_name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["code"] == code_name
+
+
+@pytest.mark.parametrize("column,value,code_name", [
+    (1, "nan", "invariant_violation"),
+    (2, "inf", "invariant_violation"),
+    (3, "-inf", "invariant_violation"),
+    (4, "nan", "invariant_violation"),
+    (0, "inf", "parse_error"),
+    (0, "nan", "parse_error"),
+])
+def test_analyze_non_finite_series_exits_2(analyze_inputs, tmp_path, capsys,
+                                          column, value, code_name):
+    config_path, _ = analyze_inputs
+    bad = list(series_row(600, 0.1, 0.5, 0.3))
+    bad[column] = value
+    series = write_series(tmp_path / "bad.csv", [series_row(0, 0.1, 0.5, 0.3), bad])
+    assert_exit_2(capsys, ["analyze", "--config", config_path, "--input", series,
+                           "--out-estimates", str(tmp_path / "est.csv"), "--quiet"],
+                  code_name)
+    assert not (tmp_path / "est.csv").exists()
+
+
+@pytest.mark.parametrize("state", ["nan,0.1", "0.1,nan", "inf,0", "0,-inf"])
+def test_payoff_non_finite_state_exits_2(config_path, capsys, state):
+    assert_exit_2(capsys, ["payoff", "--config", config_path, "--state", state, "--quiet"],
+                  "invalid_input")
+
+
+@pytest.mark.parametrize("c_stick,code_name", [
+    ("NaN", "negative_power"), ("Infinity", "power_sum_mismatch"),
+])
+def test_non_finite_c_stick_exits_2(tmp_path, capsys, c_stick, code_name):
+    config = tmp_path / "game.json"
+    config.write_text('{"k": 0.3, "n_in": 10, "n_de": 10, "c_stick": %s, "powers": [1.0]}'
+                      % c_stick)
+    assert_exit_2(capsys, ["payoff", "--config", str(config), "--state", "0.3,0.1",
+                           "--quiet"], code_name)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("difficulty_a", "NaN"), ("difficulty_b", "Infinity"), ("difficulty_a", "-Infinity"),
+])
+def test_chain_sim_non_finite_difficulty_exits_2(tmp_path, capsys, field, value):
+    world = {"k": 0.4, "difficulty_a": 1.0, "difficulty_b": 0.4}
+    world_path = tmp_path / "world.json"
+    world_path.write_text(json.dumps(world).replace(f'"{field}": {world[field]}',
+                                                     f'"{field}": {value}'))
+    assert value in world_path.read_text()
+    agents = tmp_path / "agents.json"
+    agents.write_text(json.dumps([{"id": "a", "power": 1.0, "policy": "a_only"}]))
+    assert_exit_2(capsys, ["chain-sim", "--config", str(world_path), "--agents", str(agents),
+                           "--duration", "10", "--quiet"], "invalid_input")
+
+
+def test_json_emit_refuses_non_finite(config_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "automatic_threshold", lambda config: math.nan)
+    assert_exit_2(capsys, ["threshold", "--config", config_path, "--quiet"],
+                  "invalid_input")

@@ -119,7 +119,24 @@ def test_mining_state_residual_in_unit_interval(r_f, frac):
     assert 0.0 <= state.r_a <= 1.0
 
 
-@pytest.mark.parametrize("r_f,r_b", [(-0.1, 0.2), (0.2, -0.1), (0.7, 0.4)])
+@pytest.mark.parametrize("r_f,r_b", [
+    (-0.1, 0.2), (0.2, -0.1), (0.7, 0.4),
+    (math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0), (0.0, math.inf), (-math.inf, 0.1),
+])
 def test_mining_state_rejects_invalid(r_f, r_b):
     with pytest.raises(ValueError):
         MiningState(r_f, r_b)
+
+
+@pytest.mark.parametrize("c_stick,powers,exc", [
+    (math.nan, [1.0], NegativePower),
+    (-math.inf, [1.0], NegativePower),
+    (math.inf, [1.0], PowerSumMismatch),
+    (0.0, [math.inf], PowerSumMismatch),
+])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_validate_rejects_non_finite_powers(c_stick, powers, exc, normalize):
+    # With normalize=True an infinite total would divide into NaN fractions.
+    with pytest.raises(exc):
+        validate_config({"k": 0.3, "n_in": 10, "n_de": 10, "c_stick": c_stick,
+                         "powers": powers}, normalize=normalize)

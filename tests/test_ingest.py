@@ -87,6 +87,28 @@ def test_load_series_rejects_duplicates_and_bad_shapes(tmp_path):
         load_series(zero)
 
 
+@pytest.mark.parametrize("column,field", [
+    (1, "hashrate"), (2, "hashrate"), (3, "difficulty"), (4, "difficulty"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_series_rejects_non_finite_values(tmp_path, column, field, value):
+    row = list(synthetic_row(600, 0.1, 0.5))
+    row[column] = value
+    path = write_csv(tmp_path / "s.csv", [synthetic_row(0, 0.1, 0.5), row])
+    with pytest.raises(InvariantViolation) as err:
+        load_series(path)
+    assert (err.value.line, err.value.field) == (3, field)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_series_rejects_non_finite_timestamp(tmp_path, value):
+    path = write_csv(tmp_path / "s.csv", [synthetic_row(0, 0.1, 0.5),
+                                          (value, *synthetic_row(600, 0.1, 0.5)[1:])])
+    with pytest.raises(ParseError) as err:
+        load_series(path)
+    assert err.value.line == 3
+
+
 def square_wave_series(k=0.3, low=0.1, high=0.5, period=20, n=100):
     """Difficulty ratio alternating below and above k."""
     rows = []
