@@ -155,6 +155,7 @@ def _cmd_zones(args) -> int:
     n = args.grid
     if n < 1:
         raise _UsageError("--grid must be >= 1")
+    equilibrium.check_tol(args.tol)
     _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **_config_dict(config)})
     zone_of, tol, labels = equilibrium.zone_of, args.tol, _LABELS
 
@@ -377,48 +378,31 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="dualchain", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("payoff", help="profit densities at one state")
-    _add_common(p)
+def _payoff_args(p):
     p.add_argument("--state", required=True, help="rF,rB")
-    p.set_defaults(func=_cmd_payoff)
 
-    p = subs.add_parser("zones", help="zone classification grid (CSV)")
-    _add_common(p)
+
+def _zones_args(p):
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--tol", type=float, default=equilibrium.ZONE_TOL)
-    p.set_defaults(func=_cmd_zones)
 
-    p = subs.add_parser("equilibria", help="equilibrium set (JSON)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_equilibria)
 
-    p = subs.add_parser("threshold", help="automatic-mining power threshold")
-    _add_common(p)
-    p.set_defaults(func=_cmd_threshold)
-
-    p = subs.add_parser("simulate", help="zone-flow trajectory (CSV)")
-    _add_common(p)
+def _simulate_args(p):
     p.add_argument("--initial", required=True, help="rF,rB")
     p.add_argument("--rate", type=float, default=0.001)
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--eps", type=float, default=0.005)
     p.add_argument("--k-schedule")
     p.add_argument("--c-stick-schedule")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = subs.add_parser("best-response", help="iterated best-response updates")
-    _add_common(p)
+
+def _best_response_args(p):
     p.add_argument("--assignment", required=True,
                    help="JSON list of per-player strategies")
     p.add_argument("--steps", type=int, default=1000)
-    p.set_defaults(func=_cmd_best_response)
 
-    p = subs.add_parser("chain-sim", help="block-level twin-chain simulation")
-    _add_common(p)
+
+def _chain_sim_args(p):
     p.add_argument("--agents", required=True, help="JSON roster [{id,power,policy}]")
     p.add_argument("--regime-a", default="epoch:2016")
     p.add_argument("--regime-b", default="epoch:2016")
@@ -430,10 +414,9 @@ def build_parser() -> _Parser:
     p.add_argument("--series-step", type=float, default=1.0)
     p.add_argument("--k-schedule")
     p.add_argument("--replicas", type=int, default=1)
-    p.set_defaults(func=_cmd_chain_sim)
 
-    p = subs.add_parser("analyze", help="series ingestion and reconstruction")
-    _add_common(p)
+
+def _analyze_args(p):
     p.add_argument("--input", required=True, help="series CSV")
     p.add_argument("--hysteresis", type=float, default=0.02)
     p.add_argument("--baseline-start", type=int, default=0)
@@ -441,15 +424,49 @@ def build_parser() -> _Parser:
     p.add_argument("--out-periods")
     p.add_argument("--out-estimates")
     p.add_argument("--out-zones")
-    p.set_defaults(func=_cmd_analyze)
 
+
+def _no_args(p):
+    pass
+
+
+# name -> (help, adder of the command's own arguments, handler), in help order.
+_COMMANDS = {
+    "payoff": ("profit densities at one state", _payoff_args, _cmd_payoff),
+    "zones": ("zone classification grid (CSV)", _zones_args, _cmd_zones),
+    "equilibria": ("equilibrium set (JSON)", _no_args, _cmd_equilibria),
+    "threshold": ("automatic-mining power threshold", _no_args, _cmd_threshold),
+    "simulate": ("zone-flow trajectory (CSV)", _simulate_args, _cmd_simulate),
+    "best-response": ("iterated best-response updates", _best_response_args,
+                      _cmd_best_response),
+    "chain-sim": ("block-level twin-chain simulation", _chain_sim_args, _cmd_chain_sim),
+    "analyze": ("series ingestion and reconstruction", _analyze_args, _cmd_analyze),
+}
+
+
+def build_parser(only: str | None = None) -> _Parser:
+    """The CLI parser; with `only`, just that command's subparser.
+
+    A command's arguments, usage and errors do not depend on which other
+    commands the parser holds.
+    """
+    parser = _Parser(prog="dualchain", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        if only is None or name == only:
+            p = subs.add_parser(name, help=help_text)
+            _add_common(p)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
     """Parse and run; returns the process exit code."""
     _setup_logging()
-    parser = build_parser()
+    # Build only the named command's subparser.  No command, -h or an
+    # unknown name gets the full parser, which lists every command.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

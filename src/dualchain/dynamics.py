@@ -24,7 +24,9 @@ from enum import Enum
 from typing import Sequence
 
 from .core import GameConfig, MiningState, Strategy, Zone, coexist_rb
-from .equilibrium import ZONE_TOL, finite_deviation, solve_alpha, solve_beta, zone_of
+from .equilibrium import (
+    ZONE_TOL, DivergentState, finite_deviation, solve_alpha, solve_beta, zone_of,
+)
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,9 @@ class FlowConfig:
     def __post_init__(self):
         if not (0.0 < self.migration_rate <= 0.1):
             raise ValueError(f"migration_rate must be in (0, 0.1], got {self.migration_rate}")
-        if self.convergence_eps <= 0.0:
-            raise ValueError("convergence_eps must be positive")
+        if not (0.0 < self.convergence_eps < float("inf")):
+            raise ValueError(
+                f"convergence_eps must be finite and positive, got {self.convergence_eps}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -244,7 +247,7 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
         # Ran out of steps with one trailing state; keep the lists matched.
         try:
             zones.append(zone_of(states[-1], config))
-        except Exception:
+        except DivergentState:
             zones.append(zones[-1])
         ks.append(ks[-1] if ks else config.k)
         c_sticks.append(c_sticks[-1] if c_sticks else config.c_stick)

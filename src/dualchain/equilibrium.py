@@ -37,6 +37,16 @@ ZONE_TOL = 1e-10
 _BISECT_MAX_ITER = 200
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless `tol` is a finite tie tolerance >= 0.
+
+    A NaN tolerance would make every tie test false.  Callers that
+    classify many states check once; zone_of itself does not check.
+    """
+    if not (0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 class DivergentState(DualchainError):
     code = "divergent_state"
 

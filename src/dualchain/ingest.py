@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Sequence
 
 from .core import SERIES_COLUMNS, DualchainError, GameConfig, MiningState, Zone
-from .equilibrium import ZONE_TOL, zone_of
+from .equilibrium import ZONE_TOL, check_tol, zone_of
 
 
 class ParseError(DualchainError):
@@ -127,6 +127,8 @@ def load_series(path: str) -> SeriesLoad:
     duplicate timestamps are rejected, and so are non-finite values.
     """
     records: list[SeriesRecord] = []
+    append = records.append
+    n_fields = len(SERIES_HEADER)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -140,39 +142,37 @@ def load_series(path: str) -> SeriesLoad:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(SERIES_HEADER):
-                raise ParseError(f"expected {len(SERIES_HEADER)} fields", line=lineno)
+            if len(row) != n_fields:
+                raise ParseError(f"expected {n_fields} fields", line=lineno)
             try:
-                rec = SeriesRecord(
-                    timestamp=int(float(row[0])),
-                    hashrate_a=float(row[1]),
-                    hashrate_b=float(row[2]),
-                    difficulty_a=float(row[3]),
-                    difficulty_b=float(row[4]),
-                    price_ratio_k=float(row[5]),
-                )
+                timestamp = int(float(row[0]))
+                h_a = float(row[1])
+                h_b = float(row[2])
+                d_a = float(row[3])
+                d_b = float(row[4])
+                k = float(row[5])
             except (ValueError, OverflowError) as exc:
                 # int(float("inf")) overflows; int(float("nan")) is a ValueError.
                 raise ParseError(str(exc), line=lineno) from exc
             # The chained tests are false for NaN as well as out of range.
-            if not (0.0 <= rec.hashrate_a < _INF and 0.0 <= rec.hashrate_b < _INF):
+            if not (0.0 <= h_a < _INF and 0.0 <= h_b < _INF):
                 raise InvariantViolation(
                     f"hash rates ({row[1]}, {row[2]}) must be finite and >= 0",
                     line=lineno, field="hashrate",
                 )
-            if rec.hashrate_a == 0.0 and rec.hashrate_b == 0.0:
+            if h_a == 0.0 and h_b == 0.0:
                 raise InvariantViolation("both hash rates zero", line=lineno, field="hashrate")
-            if not (0.0 < rec.difficulty_a < _INF and 0.0 < rec.difficulty_b < _INF):
+            if not (0.0 < d_a < _INF and 0.0 < d_b < _INF):
                 raise InvariantViolation(
                     f"difficulties ({row[3]}, {row[4]}) must be finite and > 0",
                     line=lineno, field="difficulty",
                 )
-            if not (0.0 < rec.price_ratio_k <= 1.0):
+            if not (0.0 < k <= 1.0):
                 raise InvariantViolation(
-                    f"price ratio {rec.price_ratio_k} outside (0, 1]",
+                    f"price ratio {k} outside (0, 1]",
                     line=lineno, field="price_ratio_k",
                 )
-            records.append(rec)
+            append(SeriesRecord(timestamp, h_a, h_b, d_a, d_b, k))
 
     if not records:
         raise EmptySeries(f"{path} has no data rows")
@@ -206,8 +206,8 @@ def detect_fickle_periods(
     """
     if len(series) < 2:
         raise EmptySeries("need at least 2 records to detect periods")
-    if hysteresis < 0.0:
-        raise ValueError("hysteresis must be >= 0")
+    if not (0.0 <= hysteresis < _INF):
+        raise ValueError(f"hysteresis must be finite and >= 0, got {hysteresis}")
     lo, hi = baseline
     base = [series[i].difficulty_a for i in range(max(lo, 0), min(hi, len(series)))]
     if not base:
@@ -233,10 +233,6 @@ def detect_fickle_periods(
     return periods
 
 
-def _b_share(rec: SeriesRecord) -> float:
-    return rec.hashrate_b / (rec.hashrate_a + rec.hashrate_b)
-
-
 def estimate_state_path(
     series: Sequence[SeriesRecord],
     periods: Sequence[FicklePeriod],
@@ -249,50 +245,47 @@ def estimate_state_path(
     Inside a period the share observes r_f + r_b, so r_b is the share
     minus the period's r_f; outside, r_b is the share and r_f is left
     unresolved (zone_path carries the last period estimate forward).
+    Raises ValueError for a period that is not 0 <= start <= end < len(series).
     """
-    in_period = [False] * len(series)
+    n = len(series)
     for p in periods:
-        for i in range(p.start_index, p.end_index + 1):
-            in_period[i] = True
+        if not (0 <= p.start_index <= p.end_index < n):
+            raise ValueError(f"{p} does not fit a series of {n} records")
+    shares = [rec.hashrate_b / (rec.hashrate_a + rec.hashrate_b) for rec in series]
+    # Each record's period r_f, or None outside every period.  The first
+    # pass marks period records with 0.0, so the flanks can skip them.
+    rf_at: list[float | None] = [None] * n
+    for p in periods:
+        rf_at[p.start_index:p.end_index + 1] = [0.0] * (p.end_index + 1 - p.start_index)
 
     period_rf: list[float] = []
     for p in periods:
-        inside = [_b_share(series[i]) for i in range(p.start_index, p.end_index + 1)]
         flanking: list[float] = []
         i = p.start_index - 1
         while i >= 0 and len(flanking) < flank:
-            if not in_period[i]:
-                flanking.append(_b_share(series[i]))
+            if rf_at[i] is None:
+                flanking.append(shares[i])
             i -= 1
         after: list[float] = []
         i = p.end_index + 1
-        while i < len(series) and len(after) < flank:
-            if not in_period[i]:
-                after.append(_b_share(series[i]))
+        while i < n and len(after) < flank:
+            if rf_at[i] is None:
+                after.append(shares[i])
             i += 1
         flanking.extend(after)
         base = statistics.median(flanking) if flanking else 0.0
-        period_rf.append(max(0.0, statistics.median(inside) - base))
+        inside = statistics.median(shares[p.start_index:p.end_index + 1])
+        period_rf.append(max(0.0, inside - base))
+    for p, rf in zip(periods, period_rf):
+        rf_at[p.start_index:p.end_index + 1] = [rf] * (p.end_index + 1 - p.start_index)
 
-    estimates: list[StateEstimate] = []
-    period_idx_of = {}
-    for pi, p in enumerate(periods):
-        for i in range(p.start_index, p.end_index + 1):
-            period_idx_of[i] = pi
-    for i, rec in enumerate(series):
-        share = _b_share(rec)
-        if in_period[i]:
-            rf = period_rf[period_idx_of[i]]
-            estimates.append(StateEstimate(
-                rec.timestamp, Basis.GRAY_PERIOD, share,
-                r_f=rf, r_b=max(0.0, share - rf), k=rec.price_ratio_k,
-            ))
-        else:
-            estimates.append(StateEstimate(
-                rec.timestamp, Basis.NON_GRAY, share,
-                r_f=None, r_b=share, k=rec.price_ratio_k,
-            ))
-    return estimates, period_rf
+    gray, non_gray = Basis.GRAY_PERIOD, Basis.NON_GRAY
+    return [
+        StateEstimate(rec.timestamp, non_gray, share, None, share, rec.price_ratio_k)
+        if rf is None else
+        StateEstimate(rec.timestamp, gray, share, rf, max(0.0, share - rf), rec.price_ratio_k)
+        for rec, share, rf in zip(series, shares, rf_at)
+    ], period_rf
 
 
 def zone_path(
@@ -309,6 +302,7 @@ def zone_path(
     bonanza.  A record that does carry B mining before any period has
     provided an r_f estimate is unresolvable.
     """
+    check_tol(tol)
     zones: list[Zone] = []
     transitions: list[tuple[int, Zone, Zone]] = []
     carried_rf: float | None = None

@@ -534,3 +534,135 @@ def test_json_emit_refuses_non_finite(config_path, capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "automatic_threshold", lambda config: math.nan)
     assert_exit_2(capsys, ["threshold", "--config", config_path, "--quiet"],
                   "invalid_input")
+
+
+# ---------------------------------------------------------------------------
+# dispatch builds only the named command's subparser; it must behave exactly
+# as the full parser does.
+
+VALID_ARGV = {
+    "payoff": ["--config", "c.json", "--state", "0.1,0.2"],
+    "zones": ["--config", "c.json", "--grid", "3", "--tol", "1e-9", "--format", "json"],
+    "equilibria": ["--config", "c.json", "--quiet"],
+    "threshold": ["--config", "c.json", "--out", "t.json"],
+    "simulate": ["--config", "c.json", "--initial", "0.1,0.1", "--max-steps", "5",
+                 "--k-schedule", "k.csv"],
+    "best-response": ["--config", "c.json", "--assignment", "a.json", "--seed", "3"],
+    "chain-sim": ["--config", "c.json", "--agents", "a.json", "--duration", "10",
+                  "--mode", "deterministic", "--regime-b", "perblock:144"],
+    "analyze": ["--config", "c.json", "--input", "s.csv", "--hysteresis", "0.1"],
+}
+
+
+def test_valid_argvs_cover_every_command():
+    assert set(VALID_ARGV) == set(cli._COMMANDS)
+
+
+def parse_outcome(parser, argv):
+    try:
+        return "args", vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def dispatch_outcome(capsys, argv):
+    try:
+        code = dispatch(list(argv))
+    except SystemExit as exc:  # -h prints help and exits 0
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_ARGVS = [[], ["-h"], ["bogus"], ["bogus", "--config", "c.json"]] + [
+    argv
+    for name, valid in VALID_ARGV.items()
+    for argv in ([name, "-h"], [name], [name] + valid[2:], [name] + valid + ["--bogus"],
+                 [name, "--config"], [name] + valid + ["extra"])
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_filtered_parser_matches_full_parser(monkeypatch, capsys, argv):
+    built = []
+    full = cli.build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return full(only)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    filtered = dispatch_outcome(capsys, argv)
+    expected_only = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    assert built == [expected_only]
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
+    assert dispatch_outcome(capsys, argv) == filtered
+    assert filtered[0] in (2, ("exit", 0))
+    assert filtered[1] == "" or filtered[0] == ("exit", 0)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_ARGV))
+def test_filtered_parser_parses_valid_argv_like_full_parser(name):
+    argv = [name] + VALID_ARGV[name]
+    kind, parsed = parse_outcome(cli.build_parser(name), argv)
+    assert kind == "args"
+    assert parsed["func"] is cli._COMMANDS[name][2]
+    assert parse_outcome(cli.build_parser(), argv) == (kind, parsed)
+
+
+def test_filtered_parser_holds_only_its_command():
+    subs = cli.build_parser("zones")._subparsers._group_actions[0]
+    assert list(subs.choices) == ["zones"]
+    full = cli.build_parser()._subparsers._group_actions[0]
+    assert list(full.choices) == list(cli._COMMANDS)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite tuning knobs exit 2 with nothing on stdout.
+
+
+def square_wave_inputs(tmp_path):
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]}))
+    rows = [series_row(i * 600, 0.4 if (i // 10) % 2 else 0.1,
+                       0.1 if (i // 10) % 2 else 0.5, 0.3) for i in range(40)]
+    return str(config), write_series(tmp_path / "square.csv", rows)
+
+
+def test_analyze_default_hysteresis_finds_square_wave_periods(tmp_path, capsys):
+    config, series = square_wave_inputs(tmp_path)
+    code, out, _ = run_cli(capsys, "analyze", "--config", config, "--input", series, "--quiet")
+    assert code == 0
+    assert json.loads(out)["periods"] == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+def test_analyze_bad_hysteresis_exits_2(tmp_path, capsys, value):
+    config, series = square_wave_inputs(tmp_path)
+    periods = tmp_path / "periods.json"
+    assert_exit_2(capsys, ["analyze", "--config", config, "--input", series,
+                           f"--hysteresis={value}", "--out-periods", str(periods), "--quiet"],
+                  "invalid_input")
+    assert not periods.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_simulate_bad_eps_exits_2(config_path, capsys, value):
+    assert_exit_2(capsys, ["simulate", "--config", config_path, "--initial", "0.01,0.01",
+                           f"--eps={value}", "--quiet"], "invalid_input")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-10"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zones_bad_tol_exits_2(config_path, capsys, value, fmt):
+    assert_exit_2(capsys, ["zones", "--config", config_path, "--grid", "4", f"--tol={value}",
+                           "--format", fmt, "--quiet"], "invalid_input")
+
+
+def test_zones_zero_tol_is_accepted(config_path, capsys):
+    code, out, _ = run_cli(capsys, "zones", "--config", config_path, "--grid", "4",
+                           "--tol", "0", "--quiet")
+    assert code == 0
+    assert len(out.splitlines()) == 17

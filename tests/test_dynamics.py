@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from dualchain.core import MiningState, Strategy, Zone, coexist_rb, validate_config
+from dualchain import dynamics
 from dualchain.dynamics import (
     FlowConfig,
     Outcome,
@@ -15,7 +17,9 @@ from dualchain.dynamics import (
     step_best_response,
     step_flow,
 )
-from dualchain.equilibrium import Segment, equilibria, finite_deviation, zone_of
+from dualchain.equilibrium import (
+    DivergentState, Segment, equilibria, finite_deviation, zone_of,
+)
 
 
 def config(k, n_in=2016, n_de=2016, c_stick=0.0, powers=None):
@@ -262,3 +266,32 @@ def test_automatic_threshold_is_price_ratio():
     assert automatic_threshold(config(0.05)) == 0.05
     assert automatic_threshold(config(1.0)) == 1.0
     assert automatic_threshold(config(0.3)) == 0.3
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_flow_config_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="convergence_eps"):
+        FlowConfig(convergence_eps=eps)
+
+
+def test_trailing_zone_keeps_last_zone_only_for_divergent_state(monkeypatch):
+    cfg = config(0.3)
+    calls = []
+
+    def failing_second_call(error):
+        def fake(state, config, tol=1e-10):
+            calls.append(state)
+            if len(calls) == 2:
+                raise error
+            return zone_of(state, config, tol)
+        return fake
+
+    monkeypatch.setattr(dynamics, "zone_of", failing_second_call(DivergentState("corner")))
+    traj = simulate_flow(MiningState(0.01, 0.01), FlowConfig(max_steps=1), cfg)
+    assert len(calls) == 2 and len(traj.states) == 2
+    assert traj.zones == [traj.zones[0]] * 2
+
+    calls.clear()
+    monkeypatch.setattr(dynamics, "zone_of", failing_second_call(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        simulate_flow(MiningState(0.01, 0.01), FlowConfig(max_steps=1), cfg)

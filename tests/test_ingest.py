@@ -1,12 +1,16 @@
+import re
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualchain.core import MiningState, Strategy, Zone, validate_config
 from dualchain.chainsim import ChainWorld, EpochFixed, MinerAgent, run, sample_series
 from dualchain.equilibrium import zone_of
 from dualchain.ingest import (
     Basis,
+    SeriesRecord,
+    StateEstimate,
     EmptySeries,
     FicklePeriod,
     InvariantViolation,
@@ -208,6 +212,16 @@ def test_zone_path_all_a_series(tmp_path):
     assert transitions == []
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+def test_zone_path_rejects_bad_tol(tmp_path, tol):
+    cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
+    rows = [(i * 600, 1.0, 0.0, 1.0, 0.5, 0.3) for i in range(5)]
+    loaded = load_series(write_csv(tmp_path / "a.csv", rows))
+    estimates, _ = estimate_state_path(loaded.records, [])
+    with pytest.raises(ValueError, match="tol must be finite"):
+        zone_path(estimates, cfg, tol)
+
+
 def test_zone_path_unresolvable_before_first_period(tmp_path):
     cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
     rows = [synthetic_row(i * 600, 0.25, 0.5) for i in range(10)]
@@ -269,3 +283,95 @@ def test_round_trip_recovers_simulated_state(tmp_path):
     truth = zone_of(MiningState(r_f, r_b), cfg)
     agreement = sum(1 for z in zones if z is truth) / len(zones)
     assert agreement >= 0.9
+
+
+@pytest.mark.parametrize("start,end", [(30, 45), (-3, 2), (5, 3), (40, 40), (0, -1)])
+def test_estimate_rejects_periods_outside_the_series(tmp_path, start, end):
+    loaded = load_series(write_csv(tmp_path / "sq.csv", square_wave_series(n=40)))
+    period = FicklePeriod(start, end, 0.1)
+    with pytest.raises(ValueError, match=re.escape(repr(period))):
+        estimate_state_path(loaded.records, [FicklePeriod(2, 4, 0.1), period])
+
+
+def reference_estimate_state_path(series, periods, flank=24):
+    """estimate_state_path as it stood before shares were computed once."""
+    def b_share(rec):
+        return rec.hashrate_b / (rec.hashrate_a + rec.hashrate_b)
+
+    in_period = [False] * len(series)
+    for p in periods:
+        for i in range(p.start_index, p.end_index + 1):
+            in_period[i] = True
+    period_rf = []
+    for p in periods:
+        inside = [b_share(series[i]) for i in range(p.start_index, p.end_index + 1)]
+        flanking = []
+        i = p.start_index - 1
+        while i >= 0 and len(flanking) < flank:
+            if not in_period[i]:
+                flanking.append(b_share(series[i]))
+            i -= 1
+        after = []
+        i = p.end_index + 1
+        while i < len(series) and len(after) < flank:
+            if not in_period[i]:
+                after.append(b_share(series[i]))
+            i += 1
+        flanking.extend(after)
+        base = statistics.median(flanking) if flanking else 0.0
+        period_rf.append(max(0.0, statistics.median(inside) - base))
+    estimates = []
+    period_idx_of = {}
+    for pi, p in enumerate(periods):
+        for i in range(p.start_index, p.end_index + 1):
+            period_idx_of[i] = pi
+    for i, rec in enumerate(series):
+        share = b_share(rec)
+        if in_period[i]:
+            rf = period_rf[period_idx_of[i]]
+            estimates.append(StateEstimate(rec.timestamp, Basis.GRAY_PERIOD, share,
+                                           r_f=rf, r_b=max(0.0, share - rf),
+                                           k=rec.price_ratio_k))
+        else:
+            estimates.append(StateEstimate(rec.timestamp, Basis.NON_GRAY, share,
+                                           r_f=None, r_b=share, k=rec.price_ratio_k))
+    return estimates, period_rf
+
+
+def test_estimate_adjacent_and_end_periods_equal_reference(tmp_path):
+    loaded = load_series(write_csv(tmp_path / "sq.csv", square_wave_series(n=40)))
+    periods = [FicklePeriod(0, 3, 0.1), FicklePeriod(4, 9, 0.1), FicklePeriod(15, 39, 0.1)]
+    assert (estimate_state_path(loaded.records, periods)
+            == reference_estimate_state_path(loaded.records, periods))
+
+
+@st.composite
+def series_and_periods(draw):
+    n = draw(st.integers(1, 80))
+    rate = st.floats(0.0, 10.0, allow_nan=False)
+    series = []
+    for i in range(n):
+        h_a, h_b = draw(rate), draw(rate)
+        if h_a == 0.0 and h_b == 0.0:
+            h_b = 1.0
+        series.append(SeriesRecord(i * 600, h_a, h_b, 1.0, 0.5,
+                                   draw(st.floats(0.01, 1.0))))
+    # Disjoint sorted periods from cut points; gaps of zero make adjacent
+    # periods, and cuts at 0 and n - 1 put periods at both ends.
+    cuts = sorted(draw(st.lists(st.integers(0, n - 1), max_size=12)))
+    periods = []
+    next_free = 0
+    for a, b in zip(cuts[::2], cuts[1::2]):
+        start = max(a, next_free)
+        if start <= b:
+            periods.append(FicklePeriod(start, b, 0.1))
+            next_free = b + 1
+    return series, periods, draw(st.integers(0, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_and_periods())
+def test_estimate_state_path_equals_reference(case):
+    series, periods, flank = case
+    assert (estimate_state_path(series, periods, flank)
+            == reference_estimate_state_path(series, periods, flank))
