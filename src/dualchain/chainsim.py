@@ -47,8 +47,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .core import (SERIES_COLUMNS, DualchainError, GameConfig, MiningState, NegativePower,
-                   PowerSumMismatch, Strategy)
-from .dynamics import Schedule
+                   PowerSumMismatch, Schedule, Strategy, check_k_schedule)
 
 _INF = math.inf
 
@@ -141,6 +140,7 @@ class ChainWorld:
                              f"({self.difficulty_a}, {self.difficulty_b})")
         if not (0.0 < self.k <= 1.0):
             raise ValueError(f"k must be in (0, 1], got {self.k}")
+        check_k_schedule(self.k_schedule)
 
 
 @dataclass

@@ -18,7 +18,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import chainsim, dynamics, equilibrium, ingest
-from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, config_from_json
+from .core import (DualchainError, GameConfig, MiningState, Schedule, Strategy, Zone,
+                   config_from_json)
 from .payoff import payoff_triple
 
 log = logging.getLogger("dualchain")
@@ -33,11 +34,19 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so errors map to exit 2."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # Only -h/--help gets here, after printing the help: error() raises first.
+        raise _HelpShown
 
 
 def _setup_logging():
@@ -157,14 +166,15 @@ def _cmd_zones(args) -> int:
         raise _UsageError("--grid must be >= 1")
     equilibrium.check_tol(args.tol)
     _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **_config_dict(config)})
-    zone_of, tol, labels = equilibrium.zone_of, args.tol, _LABELS
+    zone_at, tol, labels = equilibrium.zone_at, args.tol, _LABELS
+    k, n_in, n_de = config.k, config.n_in, config.n_de
 
     def cells():
         for i in range(n):
             r_f = (i + 0.5) / n
             for j in range(n):
                 r_b = (j + 0.5) / n * (1.0 - r_f)
-                yield r_f, r_b, labels[zone_of(MiningState(r_f, r_b), config, tol)]
+                yield r_f, r_b, labels[zone_at(r_f, r_b, k, n_in, n_de, tol)]
 
     fields = ("r_f", "r_b", "zone")
     if args.format == "json":
@@ -196,9 +206,9 @@ def _cmd_simulate(args) -> int:
         migration_rate=args.rate,
         max_steps=args.max_steps,
         convergence_eps=args.eps,
-        k_schedule=dynamics.Schedule.from_file(args.k_schedule) if args.k_schedule else None,
+        k_schedule=Schedule.from_file(args.k_schedule) if args.k_schedule else None,
         c_stick_schedule=(
-            dynamics.Schedule.from_file(args.c_stick_schedule)
+            Schedule.from_file(args.c_stick_schedule)
             if args.c_stick_schedule else None
         ),
     )
@@ -297,7 +307,7 @@ def _cmd_chain_sim(args) -> int:
         difficulty_b=float(raw["difficulty_b"]) if "difficulty_b" in raw else float(raw["k"]),
         k=float(raw["k"]),
         k_schedule=(
-            dynamics.Schedule.from_file(args.k_schedule) if args.k_schedule else None
+            Schedule.from_file(args.k_schedule) if args.k_schedule else None
         ),
     )
     agents = _load_agents(args.agents)
@@ -470,6 +480,8 @@ def dispatch(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except _HelpShown:
+        return 0
     except _UsageError as exc:
         print(json.dumps({"code": "usage", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -11,11 +11,13 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
+import csv
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 POWER_SUM_TOL = 1e-9
 
@@ -90,6 +92,10 @@ class Zone(Enum):
     BOUNDARY23 = "boundary23"
     COEXIST = "coexist"
 
+    # Members are singletons compared by identity, so the identity hash
+    # gives the same lookups as Enum's, without a Python-level call.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -131,6 +137,64 @@ class MiningState:
     @property
     def r_a(self) -> float:
         return max(0.0, 1.0 - self.r_f - self.r_b)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Piecewise-constant values keyed by step index or P_ag time.
+
+    `value_at(x, default)` returns the value of the last entry at or
+    before x, or `default` before the first entry.  Linear interpolation
+    is deliberately not offered.  Every key and value must be finite;
+    the consumer checks the value range (`check_values`).
+    """
+
+    entries: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        for at, value in self.entries:
+            if not (math.isfinite(at) and math.isfinite(value)):
+                raise ValueError(f"schedule entry ({at}, {value}) is not finite")
+        ordered = tuple(sorted(self.entries))
+        object.__setattr__(self, "entries", ordered)
+        object.__setattr__(self, "_ats", tuple(at for at, _ in ordered))
+
+    def value_at(self, x: float, default: float) -> float:
+        i = bisect.bisect_right(self._ats, x)
+        if i == 0:
+            return default
+        return self.entries[i - 1][1]
+
+    def check_values(self, name: str, accept: Callable[[float], bool], interval: str) -> None:
+        """Raise ValueError at the first value `accept` refuses."""
+        for at, value in self.entries:
+            if not accept(value):
+                raise ValueError(f"{name} schedule value at {at} must be in {interval}, "
+                                 f"got {value}")
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Schedule":
+        return cls(tuple((float(a), float(v)) for a, v in pairs))
+
+    @classmethod
+    def from_file(cls, path: str) -> "Schedule":
+        """Load from JSON ([[at, value], ...]) or two-column CSV."""
+        if path.endswith(".json"):
+            with open(path) as fh:
+                return cls.from_pairs(json.load(fh))
+        with open(path, newline="") as fh:
+            rows = []
+            for row in csv.reader(fh):
+                if not row or row[0].strip().lower() in ("at", "step", "time", "t"):
+                    continue
+                rows.append((float(row[0]), float(row[1])))
+        return cls.from_pairs(rows)
+
+
+def check_k_schedule(schedule: Schedule | None) -> None:
+    """Raise ValueError unless every scheduled k lies in (0, 1], like `GameConfig.k`."""
+    if schedule is not None:
+        schedule.check_values("k", lambda k: 0.0 < k <= 1.0, "(0, 1]")
 
 
 def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameConfig:

@@ -15,59 +15,15 @@ model price pumps and hash-war faction surges.
 
 from __future__ import annotations
 
-import bisect
-import csv
-import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import GameConfig, MiningState, Strategy, Zone, coexist_rb
+from .core import GameConfig, MiningState, Schedule, Strategy, Zone, check_k_schedule
 from .equilibrium import (
-    ZONE_TOL, DivergentState, finite_deviation, solve_alpha, solve_beta, zone_of,
+    ZONE_TOL, DivergentState, Segment, equilibria, finite_deviation, zone_at, zone_of,
 )
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Piecewise-constant values keyed by step index or P_ag time.
-
-    `value_at(x, default)` returns the value of the last entry at or
-    before x, or `default` before the first entry.  Linear interpolation
-    is deliberately not offered.
-    """
-
-    entries: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.entries))
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "_ats", tuple(at for at, _ in ordered))
-
-    def value_at(self, x: float, default: float) -> float:
-        i = bisect.bisect_right(self._ats, x)
-        if i == 0:
-            return default
-        return self.entries[i - 1][1]
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Schedule":
-        return cls(tuple((float(a), float(v)) for a, v in pairs))
-
-    @classmethod
-    def from_file(cls, path: str) -> "Schedule":
-        """Load from JSON ([[at, value], ...]) or two-column CSV."""
-        if path.endswith(".json"):
-            with open(path) as fh:
-                return cls.from_pairs(json.load(fh))
-        with open(path, newline="") as fh:
-            rows = []
-            for row in csv.reader(fh):
-                if not row or row[0].strip().lower() in ("at", "step", "time", "t"):
-                    continue
-                rows.append((float(row[0]), float(row[1])))
-        return cls.from_pairs(rows)
 
 
 @dataclass(frozen=True)
@@ -93,6 +49,9 @@ class FlowConfig:
                 f"convergence_eps must be finite and positive, got {self.convergence_eps}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        check_k_schedule(self.k_schedule)
+        if self.c_stick_schedule is not None:
+            self.c_stick_schedule.check_values("c_stick", lambda c: 0.0 <= c < 1.0, "[0, 1)")
 
 
 class Outcome(Enum):
@@ -128,14 +87,15 @@ def direction(state: MiningState, config: GameConfig, tol: float = ZONE_TOL):
     return _DIRECTIONS[zone_of(state, config, tol)]
 
 
-def _step(state: MiningState, zone: Zone, rate: float, c_stick: float) -> MiningState:
+def _step(r_f: float, r_b: float, zone: Zone, rate: float,
+          c_stick: float) -> tuple[float, float]:
     dx, dy = _DIRECTIONS[zone]
     active = abs(dx) + abs(dy)
     if active == 0:
-        return state
+        return r_f, r_b
     h = rate / active
-    r_f = state.r_f + dx * h
-    r_b = state.r_b + dy * h
+    r_f = r_f + dx * h
+    r_b = r_b + dy * h
     r_f = max(r_f, 0.0)
     r_b = max(r_b, c_stick)
     # Cap the sum by trimming whichever axis moved outward.
@@ -145,31 +105,13 @@ def _step(state: MiningState, zone: Zone, rate: float, c_stick: float) -> Mining
         else:
             r_b = max(c_stick, 1.0 - r_f)
             r_f = min(r_f, 1.0 - r_b)
-    return MiningState(r_f, r_b)
+    return r_f, r_b
 
 
 def step_flow(state: MiningState, flow: FlowConfig, config: GameConfig) -> MiningState:
     """One Euler step of the zone flow with clamping."""
-    return _step(state, zone_of(state, config), flow.migration_rate, config.c_stick)
-
-
-def _lack_target(config: GameConfig, cache: dict):
-    """Lack-of-loyal-miners target for the active (k, c_stick); cached."""
-    key = (config.k, config.n_in, config.n_de, config.c_stick)
-    if key not in cache:
-        c = config.c_stick
-        if c == 0.0:
-            cache[key] = ("segment", config.k)
-        else:
-            alpha = solve_alpha(config)
-            top = coexist_rb(config.k)
-            if c <= alpha:
-                cache[key] = ("point", MiningState(1.0 - c, c))
-            elif c <= top:
-                cache[key] = ("point", MiningState(solve_beta(config), c))
-            else:
-                cache[key] = ("point", MiningState(0.0, c))
-    return cache[key]
+    return MiningState(*_step(state.r_f, state.r_b, zone_of(state, config),
+                              flow.migration_rate, config.c_stick))
 
 
 def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) -> Trajectory:
@@ -185,68 +127,67 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
     zones: list[Zone] = []
     ks: list[float] = []
     c_sticks: list[float] = []
-    lack_cache: dict = {}
-    state = initial
-    eps = flow.convergence_eps
+    # (k, c_stick) -> (coexistence point or None, lack-of-loyal-miners set)
+    targets: dict[tuple[float, float], tuple] = {}
+    k_sched, c_sched = flow.k_schedule, flow.c_stick_schedule
+    scheduled = k_sched is not None or c_sched is not None
+    n_in, n_de = config.n_in, config.n_de
+    rate, eps = flow.migration_rate, flow.convergence_eps
+    r_f, r_b = initial.r_f, initial.r_b
+    prev = None  # the state before (r_f, r_b), for the period-2 stop
     outcome = Outcome.UNDECIDED
     steps = 0
 
     for t in range(flow.max_steps):
-        k_t = flow.k_schedule.value_at(t, config.k) if flow.k_schedule else config.k
-        c_t = (
-            flow.c_stick_schedule.value_at(t, config.c_stick)
-            if flow.c_stick_schedule
-            else config.c_stick
-        )
-        cfg = config if (k_t == config.k and c_t == config.c_stick) else replace(config, k=k_t, c_stick=c_t)
+        k_t = k_sched.value_at(t, config.k) if k_sched else config.k
+        c_t = c_sched.value_at(t, config.c_stick) if c_sched else config.c_stick
 
         # A c_stick surge lifts the floor under the current state.
-        if state.r_b < c_t:
+        if r_b < c_t:
             r_b = min(c_t, 1.0)
-            state = MiningState(min(state.r_f, 1.0 - r_b), r_b)
-            states[-1] = state
+            r_f = min(r_f, 1.0 - r_b)
+            states[-1] = MiningState(r_f, r_b)
 
-        zone = zone_of(state, cfg)
+        zone = zone_at(r_f, r_b, k_t, n_in, n_de)
         zones.append(zone)
         ks.append(k_t)
         c_sticks.append(c_t)
         steps = t
 
-        if cfg.c_stick <= coexist_rb(k_t):
-            top = coexist_rb(k_t)
-            if state.r_f <= eps and abs(state.r_b - top) <= eps:
-                outcome = Outcome.COEXISTENCE
-                break
-        kind, target = _lack_target(cfg, lack_cache)
-        if kind == "segment":
-            if state.r_b <= eps and state.r_f >= target - eps:
+        target = targets.get((k_t, c_t))
+        if target is None:
+            cfg = (config if (k_t == config.k and c_t == config.c_stick)
+                   else GameConfig(k_t, n_in, n_de, c_t, config.powers))
+            eq = equilibria(cfg)
+            target = targets[(k_t, c_t)] = (eq.coexist_point, eq.lack_points)
+        coexist, lack = target
+        if coexist is not None and r_f <= eps and abs(r_b - coexist.r_b) <= eps:
+            outcome = Outcome.COEXISTENCE
+            break
+        if isinstance(lack, Segment):
+            if r_b <= eps and r_f >= lack.start - eps:
                 outcome = Outcome.LOYAL_LACK
                 break
-        else:
-            if abs(state.r_f - target.r_f) <= eps and abs(state.r_b - target.r_b) <= eps:
-                outcome = Outcome.LOYAL_LACK
-                break
+        elif abs(r_f - lack.r_f) <= eps and abs(r_b - lack.r_b) <= eps:
+            outcome = Outcome.LOYAL_LACK
+            break
 
-        nxt = _step(state, zone, flow.migration_rate, c_t)
-        if nxt == state:
+        n_f, n_b = _step(r_f, r_b, zone, rate, c_t)
+        if n_f == r_f and n_b == r_b:
             # Pinned with nowhere to go and not near a target: give up early.
             break
-        if (
-            flow.k_schedule is None
-            and flow.c_stick_schedule is None
-            and len(states) >= 2
-            and nxt == states[-2]
-        ):
+        if not scheduled and prev is not None and n_f == prev[0] and n_b == prev[1]:
             # Exact period-2 oscillation across a boundary; with constant
             # parameters it would repeat until max_steps, so stop now.
             break
-        state = nxt
-        states.append(state)
+        prev = r_f, r_b
+        r_f, r_b = n_f, n_b
+        states.append(MiningState(r_f, r_b))
 
     if len(states) > len(zones):
         # Ran out of steps with one trailing state; keep the lists matched.
         try:
-            zones.append(zone_of(states[-1], config))
+            zones.append(zone_at(r_f, r_b, config.k, n_in, n_de))
         except DivergentState:
             zones.append(zones[-1])
         ks.append(ks[-1] if ks else config.k)

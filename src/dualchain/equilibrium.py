@@ -41,7 +41,7 @@ def check_tol(tol: float) -> None:
     """Raise ValueError unless `tol` is a finite tie tolerance >= 0.
 
     A NaN tolerance would make every tie test false.  Callers that
-    classify many states check once; zone_of itself does not check.
+    classify many states check once; zone_of and zone_at do not check.
     """
     if not (0.0 <= tol < math.inf):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -98,9 +98,18 @@ def zone_of(state: MiningState, config: GameConfig, tol: float = ZONE_TOL) -> Zo
     Raises DivergentState where a payoff component diverges (the corners
     (0, 0) and (0, 1)).
     """
-    u_f, u_a, u_b = payoff_values(state.r_f, state.r_b, config.k, config.n_in, config.n_de)
+    return zone_at(state.r_f, state.r_b, config.k, config.n_in, config.n_de, tol)
+
+
+def zone_at(r_f: float, r_b: float, k: float, n_in: int, n_de: int,
+            tol: float = ZONE_TOL) -> Zone:
+    """`zone_of` on plain floats, for callers that classify many points.
+
+    The point is not checked against the simplex; callers pass a valid one.
+    """
+    u_f, u_a, u_b = payoff_values(r_f, r_b, k, n_in, n_de)
     if math.isinf(u_f) or math.isinf(u_a) or math.isinf(u_b):
-        raise DivergentState(f"payoffs diverge at ({state.r_f}, {state.r_b})")
+        raise DivergentState(f"payoffs diverge at ({r_f}, {r_b})")
 
     tie_fa = abs(u_f - u_a) <= tol
     tie_fb = abs(u_f - u_b) <= tol

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import SERIES_COLUMNS, DualchainError, GameConfig, MiningState, Zone
-from .equilibrium import ZONE_TOL, check_tol, zone_of
+from .core import SERIES_COLUMNS, DualchainError, GameConfig, Zone
+from .equilibrium import ZONE_TOL, check_tol, zone_at
 
 
 class ParseError(DualchainError):
@@ -86,6 +86,8 @@ class FicklePeriod:
 class Basis(Enum):
     GRAY_PERIOD = "gray_period"
     NON_GRAY = "non_gray"
+
+    __hash__ = object.__hash__  # identity hash, as on core.Zone
 
 
 @dataclass(frozen=True)
@@ -306,7 +308,7 @@ def zone_path(
     zones: list[Zone] = []
     transitions: list[tuple[int, Zone, Zone]] = []
     carried_rf: float | None = None
-    n_in, n_de, c_stick, powers = config.n_in, config.n_de, config.c_stick, config.powers
+    n_in, n_de = config.n_in, config.n_de
     for i, est in enumerate(estimates):
         if est.basis is Basis.GRAY_PERIOD:
             if est.r_f is None:
@@ -326,9 +328,12 @@ def zone_path(
                 )
             r_b = est.r_b if est.r_b is not None else est.share
             r_f = min(carried_rf, max(0.0, 1.0 - r_b))
-        cfg = config if est.k == config.k else GameConfig(est.k, n_in, n_de, c_stick, powers)
         r_f = min(r_f, 1.0)
-        zone = zone_of(MiningState(r_f, min(r_b, 1.0 - r_f)), cfg, tol)
+        r_b = min(r_b, 1.0 - r_f)
+        # The clamps keep r_f + r_b <= 1; the signs come from the estimates.
+        if not (r_f >= 0.0 and r_b >= 0.0):
+            raise ValueError(f"power fractions must be >= 0: ({r_f}, {r_b})")
+        zone = zone_at(r_f, r_b, est.k, n_in, n_de, tol)
         if zones and zone is not zones[-1]:
             transitions.append((i, zones[-1], zone))
         zones.append(zone)

@@ -333,6 +333,12 @@ def test_chain_world_rejects_non_finite_difficulties(d_a, d_b):
         ChainWorld(d_a, d_b, 0.4)
 
 
+@pytest.mark.parametrize("k", [2.0, 0.0, -0.3])
+def test_chain_world_rejects_scheduled_k_out_of_range(k):
+    with pytest.raises(ValueError, match="k schedule value"):
+        ChainWorld(1.0, 0.4, 0.4, k_schedule=Schedule.from_pairs([(0.0, 0.4), (5.0, k)]))
+
+
 def test_roster_validation():
     world = ChainWorld(1.0, 0.5, 0.3)
     with pytest.raises(PowerSumMismatch):

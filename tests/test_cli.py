@@ -247,6 +247,73 @@ def sim_inputs(tmp_path):
             "--regime-a", "epoch:100", "--regime-b", "epoch:100", "--quiet"]
 
 
+@pytest.mark.parametrize("name,pairs", [
+    ("k.json", "[[0, NaN]]"),
+    ("k.json", "[[0, 0.3], [5, 2.0]]"),
+    ("k.json", "[[0, 0.0]]"),
+    ("k.json", "[[NaN, 0.3]]"),
+    ("k.csv", "at,value\n0,0.3\ninf,0.4\n"),
+])
+@pytest.mark.parametrize("command", ["simulate-csv", "simulate-json", "chain-sim"])
+def test_bad_k_schedule_exits_2_before_running(tmp_path, capsys, config_path, sim_inputs,
+                                               name, pairs, command):
+    # A NaN k used to run all 1,000,001 flow steps and print k=nan rows.
+    schedule = tmp_path / name
+    schedule.write_text(pairs)
+    if command == "chain-sim":
+        argv = [*sim_inputs, "--duration", "10"]
+    else:
+        argv = ["simulate", "--config", config_path, "--initial", "0.3,0.2", "--quiet",
+                "--format", command.split("-")[1]]
+    code, out, err = run_cli(capsys, *argv, "--k-schedule", str(schedule))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["code"] == "invalid_input" and "schedule" in error["message"]
+
+
+@pytest.mark.parametrize("pairs", ["[[0, 1.0]]", "[[0, -0.1]]", "[[3, NaN]]"])
+def test_bad_c_stick_schedule_exits_2(tmp_path, capsys, config_path, pairs):
+    schedule = tmp_path / "c.json"
+    schedule.write_text(pairs)
+    code, out, _ = run_cli(capsys, "simulate", "--config", config_path, "--initial", "0.3,0.2",
+                           "--quiet", "--c-stick-schedule", str(schedule))
+    assert code == 2
+    assert out == ""
+
+
+def help_text(only):
+    parser = cli.build_parser(only)
+    if only is not None:
+        parser = parser._subparsers._group_actions[0].choices[only]
+    return parser.format_help()
+
+
+HELP_ARGVS = [["-h"], ["--help"], ["zones", "-h"], ["chain-sim", "--help"]]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_returns_0_in_process(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out == help_text(argv[0] if argv[0] in cli._COMMANDS else None)
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_exits_0_from_main(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualchain.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "dualchain.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == help_text(argv[0] if argv[0] in cli._COMMANDS else None)
+
+
 @pytest.mark.parametrize("duration", ["nan", "inf"])
 def test_chain_sim_non_finite_duration_exits_2(sim_inputs, duration):
     # These horizons used to loop forever; run them in a child process so a
@@ -568,10 +635,7 @@ def parse_outcome(parser, argv):
 
 
 def dispatch_outcome(capsys, argv):
-    try:
-        code = dispatch(list(argv))
-    except SystemExit as exc:  # -h prints help and exits 0
-        code = ("exit", exc.code)
+    code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -599,8 +663,9 @@ def test_filtered_parser_matches_full_parser(monkeypatch, capsys, argv):
     assert built == [expected_only]
     monkeypatch.setattr(cli, "build_parser", lambda only=None: full())
     assert dispatch_outcome(capsys, argv) == filtered
-    assert filtered[0] in (2, ("exit", 0))
-    assert filtered[1] == "" or filtered[0] == ("exit", 0)
+    # -h prints the help on stdout and returns 0; every other argv here is refused.
+    assert filtered[0] == (0 if "-h" in argv else 2)
+    assert (filtered[1] != "") == ("-h" in argv)
 
 
 @pytest.mark.parametrize("name", sorted(VALID_ARGV))

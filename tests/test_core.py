@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +13,13 @@ from dualchain.core import (
     NegativePower,
     NonPositiveK,
     PowerSumMismatch,
+    Schedule,
+    Zone,
     ZeroBlockCount,
     c_max,
     validate_config,
 )
+from dualchain.ingest import Basis
 
 
 def test_validate_accepts_reference_parameters():
@@ -140,3 +145,20 @@ def test_validate_rejects_non_finite_powers(c_stick, powers, exc, normalize):
     with pytest.raises(exc):
         validate_config({"k": 0.3, "n_in": 10, "n_de": 10, "c_stick": c_stick,
                          "powers": powers}, normalize=normalize)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, math.nan)], [(math.nan, 0.3)], [(0, 0.3), (10, math.inf)], [(-math.inf, 0.3)],
+])
+def test_schedule_rejects_non_finite_entries(pairs):
+    with pytest.raises(ValueError, match="not finite"):
+        Schedule.from_pairs(pairs)
+
+
+@pytest.mark.parametrize("member", [*Zone, *Basis])
+def test_enum_members_keep_identity_and_value(member):
+    assert pickle.loads(pickle.dumps(member)) is member
+    assert copy.deepcopy(member) is member
+    assert copy.copy(member) is member
+    assert type(member)(member.value) is member
+    assert {m: m.value for m in type(member)}[member] == member.value

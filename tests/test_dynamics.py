@@ -3,6 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from dataclasses import replace
 
 from dualchain.core import MiningState, Strategy, Zone, coexist_rb, validate_config
 from dualchain import dynamics
@@ -18,7 +21,8 @@ from dualchain.dynamics import (
     step_flow,
 )
 from dualchain.equilibrium import (
-    DivergentState, Segment, equilibria, finite_deviation, zone_of,
+    DivergentState, Segment, equilibria, finite_deviation, solve_alpha, solve_beta, zone_at,
+    zone_of,
 )
 
 
@@ -279,19 +283,198 @@ def test_trailing_zone_keeps_last_zone_only_for_divergent_state(monkeypatch):
     calls = []
 
     def failing_second_call(error):
-        def fake(state, config, tol=1e-10):
-            calls.append(state)
+        def fake(r_f, r_b, k, n_in, n_de, tol=1e-10):
+            calls.append((r_f, r_b))
             if len(calls) == 2:
                 raise error
-            return zone_of(state, config, tol)
+            return zone_at(r_f, r_b, k, n_in, n_de, tol)
         return fake
 
-    monkeypatch.setattr(dynamics, "zone_of", failing_second_call(DivergentState("corner")))
+    monkeypatch.setattr(dynamics, "zone_at", failing_second_call(DivergentState("corner")))
     traj = simulate_flow(MiningState(0.01, 0.01), FlowConfig(max_steps=1), cfg)
     assert len(calls) == 2 and len(traj.states) == 2
     assert traj.zones == [traj.zones[0]] * 2
 
     calls.clear()
-    monkeypatch.setattr(dynamics, "zone_of", failing_second_call(RuntimeError("bug")))
+    monkeypatch.setattr(dynamics, "zone_at", failing_second_call(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         simulate_flow(MiningState(0.01, 0.01), FlowConfig(max_steps=1), cfg)
+
+
+def test_schedule_lives_in_core():
+    from dualchain import chainsim, core
+    assert dynamics.Schedule is core.Schedule is chainsim.Schedule
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"k_schedule": Schedule.from_pairs([(0, 2.0)])},
+    {"k_schedule": Schedule.from_pairs([(0, 0.3), (5, 0.0)])},
+    {"k_schedule": Schedule.from_pairs([(0, -0.1)])},
+    {"c_stick_schedule": Schedule.from_pairs([(0, 1.0)])},
+    {"c_stick_schedule": Schedule.from_pairs([(3, -0.01)])},
+])
+def test_flow_config_rejects_scheduled_values_out_of_range(kwargs):
+    with pytest.raises(ValueError, match="schedule value"):
+        FlowConfig(**kwargs)
+
+
+def test_flow_config_accepts_scheduled_values_at_closed_ends():
+    FlowConfig(k_schedule=Schedule.from_pairs([(0, 1.0)]),
+               c_stick_schedule=Schedule.from_pairs([(0, 0.0)]))
+
+
+# ---------------------------------------------------------------------------
+# simulate_flow against the MiningState / dataclasses.replace version it
+# replaced, kept here as the reference.
+
+
+def _reference_step(state, zone, rate, c_stick):
+    dx, dy = dynamics._DIRECTIONS[zone]
+    active = abs(dx) + abs(dy)
+    if active == 0:
+        return state
+    h = rate / active
+    r_f = state.r_f + dx * h
+    r_b = state.r_b + dy * h
+    r_f = max(r_f, 0.0)
+    r_b = max(r_b, c_stick)
+    if r_f + r_b > 1.0:
+        if dx > 0:
+            r_f = max(0.0, 1.0 - r_b)
+        else:
+            r_b = max(c_stick, 1.0 - r_f)
+            r_f = min(r_f, 1.0 - r_b)
+    return MiningState(r_f, r_b)
+
+
+def _reference_lack_target(config, cache):
+    key = (config.k, config.n_in, config.n_de, config.c_stick)
+    if key not in cache:
+        c = config.c_stick
+        if c == 0.0:
+            cache[key] = ("segment", config.k)
+        else:
+            alpha = solve_alpha(config)
+            top = coexist_rb(config.k)
+            if c <= alpha:
+                cache[key] = ("point", MiningState(1.0 - c, c))
+            elif c <= top:
+                cache[key] = ("point", MiningState(solve_beta(config), c))
+            else:
+                cache[key] = ("point", MiningState(0.0, c))
+    return cache[key]
+
+
+def reference_simulate_flow(initial, flow, config):
+    states = [initial]
+    zones, ks, c_sticks = [], [], []
+    lack_cache = {}
+    state = initial
+    eps = flow.convergence_eps
+    outcome = Outcome.UNDECIDED
+    steps = 0
+    for t in range(flow.max_steps):
+        k_t = flow.k_schedule.value_at(t, config.k) if flow.k_schedule else config.k
+        c_t = (flow.c_stick_schedule.value_at(t, config.c_stick)
+               if flow.c_stick_schedule else config.c_stick)
+        cfg = (config if (k_t == config.k and c_t == config.c_stick)
+               else replace(config, k=k_t, c_stick=c_t))
+        if state.r_b < c_t:
+            r_b = min(c_t, 1.0)
+            state = MiningState(min(state.r_f, 1.0 - r_b), r_b)
+            states[-1] = state
+        zone = zone_of(state, cfg)
+        zones.append(zone)
+        ks.append(k_t)
+        c_sticks.append(c_t)
+        steps = t
+        if cfg.c_stick <= coexist_rb(k_t):
+            top = coexist_rb(k_t)
+            if state.r_f <= eps and abs(state.r_b - top) <= eps:
+                outcome = Outcome.COEXISTENCE
+                break
+        kind, target = _reference_lack_target(cfg, lack_cache)
+        if kind == "segment":
+            if state.r_b <= eps and state.r_f >= target - eps:
+                outcome = Outcome.LOYAL_LACK
+                break
+        elif abs(state.r_f - target.r_f) <= eps and abs(state.r_b - target.r_b) <= eps:
+            outcome = Outcome.LOYAL_LACK
+            break
+        nxt = _reference_step(state, zone, flow.migration_rate, c_t)
+        if nxt == state:
+            break
+        if (flow.k_schedule is None and flow.c_stick_schedule is None
+                and len(states) >= 2 and nxt == states[-2]):
+            break
+        state = nxt
+        states.append(state)
+    if len(states) > len(zones):
+        try:
+            zones.append(zone_of(states[-1], config))
+        except DivergentState:
+            zones.append(zones[-1])
+        ks.append(ks[-1] if ks else config.k)
+        c_sticks.append(c_sticks[-1] if c_sticks else config.c_stick)
+    return dynamics.Trajectory(states, zones, ks, c_sticks, outcome, steps)
+
+
+def flow_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def schedule_of(values):
+    return st.none() | st.lists(
+        st.tuples(st.integers(0, 120), values), min_size=1, max_size=4,
+    ).map(Schedule.from_pairs)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    k=st.floats(0.02, 1.0),
+    c_stick=st.sampled_from([0.0, 0.05, 0.2, 0.2225, 0.228, 0.4]) | st.floats(0.0, 0.7),
+    r_f=st.floats(0.0, 1.0),
+    frac=st.floats(0.0, 1.0),
+    rate=st.sampled_from([0.001, 0.01, 0.05, 0.1]),
+    eps=st.sampled_from([1e-4, 0.005, 0.05]),
+    k_schedule=schedule_of(st.floats(0.02, 1.0)),
+    c_schedule=schedule_of(st.floats(0.0, 0.7)),
+)
+def test_simulate_flow_matches_reference(k, c_stick, r_f, frac, rate, eps,
+                                         k_schedule, c_schedule):
+    cfg = config(k, c_stick=c_stick, powers=[1.0 - c_stick])
+    initial = MiningState(r_f, frac * (1.0 - r_f))
+    flow = FlowConfig(migration_rate=rate, max_steps=150, convergence_eps=eps,
+                      k_schedule=k_schedule, c_stick_schedule=c_schedule)
+    assert (flow_outcome(simulate_flow, initial, flow, cfg)
+            == flow_outcome(reference_simulate_flow, initial, flow, cfg))
+
+
+@pytest.mark.parametrize("k,c_stick,start,schedules,eps,max_steps", [
+    (0.3, 0.0, (0.05, 0.4), {}, 0.004, 20_000),        # deep zone 2 to coexistence
+    (0.1, 0.0, (0.3, 0.08), {}, 0.004, 20_000),        # zone 3 down to the axis segment
+    (0.3, 0.10, (0.6, 0.1), {}, 0.004, 20_000),        # case 2 corner
+    (0.3, 0.2225, (0.6, 0.2225), {}, 0.004, 20_000),   # case 3 near alpha
+    (0.3, 0.40, (0.55, 0.4), {}, 0.004, 20_000),       # case 4
+    (0.3, 0.0, (0.05, 0.4), {}, 1e-9, 20_000),         # period-2 stop at coexistence
+    (0.3, 0.2225, (0.6, 0.2225), {}, 1e-9, 20_000),    # stops short of the case-3 point
+    (0.1, 0.0, (0.3, 0.2), {"k": [(i * 40, 0.9 if i % 2 else 0.1) for i in range(50)]},
+     1e-6, 1500),                                      # runs out: trailing zone
+    (0.3, 0.05, (0.2, 0.06), {"c": [(10, 0.5), (400, 0.1)]}, 0.004, 20_000),
+    (0.2, 0.0, (0.4, 0.3), {"k": [(0, 0.2), (300, 0.8)], "c": [(200, 0.15)]}, 0.004, 20_000),
+])
+def test_simulate_flow_matches_reference_on_long_runs(k, c_stick, start, schedules, eps,
+                                                      max_steps):
+    cfg = config(k, c_stick=c_stick, powers=[1.0 - c_stick])
+    flow = FlowConfig(
+        migration_rate=0.001, max_steps=max_steps, convergence_eps=eps,
+        k_schedule=Schedule.from_pairs(schedules["k"]) if "k" in schedules else None,
+        c_stick_schedule=Schedule.from_pairs(schedules["c"]) if "c" in schedules else None,
+    )
+    initial = MiningState(*start)
+    traj = simulate_flow(initial, flow, cfg)
+    assert traj == reference_simulate_flow(initial, flow, cfg)
+    assert len(traj.states) > 100

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualchain.core import MiningState, Strategy, Zone, coexist_rb, validate_config
 from dualchain.equilibrium import (
@@ -17,9 +18,10 @@ from dualchain.equilibrium import (
     solve_alpha,
     solve_beta,
     x_threshold,
+    zone_at,
     zone_of,
 )
-from dualchain.payoff import payoff_triple
+from dualchain.payoff import payoff_triple, payoff_values
 
 
 def config(k, n_in=2016, n_de=2016, c_stick=0.0, powers=None):
@@ -310,3 +312,101 @@ def test_x_threshold_uniform_powers_equal_single():
 def test_x_threshold_requires_small_players():
     with pytest.raises(PowerExceedsK):
         x_threshold(config(0.3, powers=[0.3, 0.7]))
+
+
+# ---------------------------------------------------------------------------
+# zone_at against the MiningState classifier it was split out of, kept here
+# as the reference.
+
+
+def reference_zone_of(state, config, tol=1e-10):
+    u_f, u_a, u_b = payoff_values(state.r_f, state.r_b, config.k, config.n_in, config.n_de)
+    if math.isinf(u_f) or math.isinf(u_a) or math.isinf(u_b):
+        raise DivergentState(f"payoffs diverge at ({state.r_f}, {state.r_b})")
+
+    tie_fa = abs(u_f - u_a) <= tol
+    tie_fb = abs(u_f - u_b) <= tol
+    if tie_fa and tie_fb:
+        return Zone.COEXIST
+    if tie_fa:
+        return Zone.BOUNDARY13 if u_f > u_b + tol else Zone.ZONE2
+    if tie_fb:
+        return Zone.BOUNDARY23 if u_f > u_a + tol else Zone.ZONE1
+    if abs(u_a - u_b) <= tol:
+        if u_f > u_a + tol:
+            return Zone.ZONE3
+        return Zone.ZONE1 if u_a >= u_b else Zone.ZONE2
+    best = max(u_f, u_a, u_b)
+    if best == u_a:
+        return Zone.ZONE1
+    if best == u_b:
+        return Zone.ZONE2
+    return Zone.ZONE3
+
+
+def classify_both_ways(r_f, r_b, cfg, tol):
+    """(reference outcome, zone_at outcome, zone_of outcome); errors as (type, message).
+
+    Any error counts, not only DivergentState: next to the corners r_b**2
+    can underflow and the payoff kernel divide by zero, and zone_at must
+    fail there exactly as the reference does.
+    """
+    def outcome(fn):
+        try:
+            return fn()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    return (
+        outcome(lambda: reference_zone_of(MiningState(r_f, r_b), cfg, tol)),
+        outcome(lambda: zone_at(r_f, r_b, cfg.k, cfg.n_in, cfg.n_de, tol)),
+        outcome(lambda: zone_of(MiningState(r_f, r_b), cfg, tol)),
+    )
+
+
+GAME = st.builds(
+    lambda k, n_in, n_de: config(k, n_in=n_in, n_de=n_de),
+    st.floats(0.01, 1.0), st.sampled_from([6, 144, 2016]), st.sampled_from([6, 144, 2016]),
+)
+TOLS = st.sampled_from([0.0, 1e-10, 1e-6])
+
+
+def assert_same_zone(r_f, r_b, cfg, tol):
+    ref, at, of = classify_both_ways(r_f, r_b, cfg, tol)
+    assert at == ref and of == ref
+
+
+@settings(max_examples=400, deadline=None)
+@given(GAME, st.floats(0.0, 1.0), st.floats(0.0, 1.0), TOLS)
+def test_zone_at_matches_reference_on_simplex(cfg, r_f, frac, tol):
+    assert_same_zone(r_f, frac * (1.0 - r_f), cfg, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GAME, st.floats(0.0, 1.0), st.booleans(), st.integers(-4, 4),
+       st.sampled_from([0.0, 1e-12, -1e-12, 1e-11, -1e-11, 5e-11, -5e-11]), TOLS)
+def test_zone_at_matches_reference_on_boundaries(cfg, r_f, curve13, ulps, offset, tol):
+    r_b = (boundary13_rb if curve13 else boundary23_rb)(r_f, cfg)
+    if r_b is None:
+        return
+    # Step off the curve by a few ulps or a tie-sized offset, inside the simplex.
+    for _ in range(abs(ulps)):
+        r_b = math.nextafter(r_b, math.inf if ulps > 0 else -math.inf)
+    r_b = min(max(r_b + offset, 0.0), 1.0 - r_f)
+    assert_same_zone(r_f, r_b, cfg, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GAME, st.floats(0.0, 1.0), TOLS)
+def test_zone_at_matches_reference_on_axis(cfg, r_f, tol):
+    assert_same_zone(r_f, 0.0, cfg, tol)
+    # The axis tie point r_f = k and its neighbours.
+    for x in (math.nextafter(cfg.k, 0.0), cfg.k, math.nextafter(cfg.k, 2.0)):
+        assert_same_zone(min(x, 1.0), 0.0, cfg, tol)
+
+
+@pytest.mark.parametrize("r_f,r_b", [(0.0, 0.0), (0.0, 1.0)])
+def test_zone_at_divergent_corners_raise_like_reference(r_f, r_b):
+    ref, at, of = classify_both_ways(r_f, r_b, config(0.3), 1e-10)
+    assert ref == (DivergentState, f"payoffs diverge at ({r_f}, {r_b})")
+    assert at == ref and of == ref

@@ -4,7 +4,7 @@ import statistics
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualchain.core import MiningState, Strategy, Zone, validate_config
+from dualchain.core import GameConfig, MiningState, Strategy, Zone, validate_config
 from dualchain.chainsim import ChainWorld, EpochFixed, MinerAgent, run, sample_series
 from dualchain.equilibrium import zone_of
 from dualchain.ingest import (
@@ -248,6 +248,80 @@ def test_zone_path_price_step_flips_zone(tmp_path):
     assert zones[24] is Zone.ZONE3
     assert zones[30] is Zone.ZONE2
     assert any(frm is Zone.ZONE3 and to is Zone.ZONE2 for _, frm, to in transitions)
+
+
+@pytest.mark.parametrize("estimate", [
+    StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, -0.01, 0.3),
+    StateEstimate(0, Basis.GRAY_PERIOD, 0.3, -0.2, 0.1, 0.3),
+    StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, float("nan"), 0.3),
+])
+def test_zone_path_rejects_hand_built_negative_fractions(estimate):
+    cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
+    with pytest.raises(ValueError, match="power fractions must be >= 0"):
+        zone_path([estimate], cfg)
+
+
+def reference_zone_path(estimates, config, tol=1e-10):
+    """zone_path as it stood when it classified through MiningState and zone_of."""
+    zones, transitions = [], []
+    carried_rf = None
+    n_in, n_de, c_stick, powers = config.n_in, config.n_de, config.c_stick, config.powers
+    for i, est in enumerate(estimates):
+        if est.basis is Basis.GRAY_PERIOD:
+            if est.r_f is None:
+                raise UnresolvableState(f"period record {i} lacks an r_f estimate")
+            carried_rf = est.r_f
+            r_f, r_b = est.r_f, est.r_b if est.r_b is not None else 0.0
+        else:
+            if est.share <= 0.0:
+                if zones and Zone.ZONE1 is not zones[-1]:
+                    transitions.append((i, zones[-1], Zone.ZONE1))
+                zones.append(Zone.ZONE1)
+                continue
+            if carried_rf is None:
+                raise UnresolvableState(
+                    f"record {i}: B mining observed before any fickle period "
+                    "provided an r_f estimate"
+                )
+            r_b = est.r_b if est.r_b is not None else est.share
+            r_f = min(carried_rf, max(0.0, 1.0 - r_b))
+        cfg = config if est.k == config.k else GameConfig(est.k, n_in, n_de, c_stick, powers)
+        r_f = min(r_f, 1.0)
+        zone = zone_of(MiningState(r_f, min(r_b, 1.0 - r_f)), cfg, tol)
+        if zones and zone is not zones[-1]:
+            transitions.append((i, zones[-1], zone))
+        zones.append(zone)
+    return zones, transitions
+
+
+@st.composite
+def estimate_paths(draw):
+    out = []
+    for t in range(draw(st.integers(1, 20))):
+        k = draw(st.sampled_from([0.3, 0.05, 1.0]) | st.floats(0.01, 1.0))
+        share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            r_f = draw(st.floats(0.0, 1.0))
+            out.append(StateEstimate(t, Basis.GRAY_PERIOD, share, r_f,
+                                     draw(st.none() | st.floats(0.0, 1.0)), k))
+        else:
+            out.append(StateEstimate(t, Basis.NON_GRAY, share, None,
+                                     draw(st.none() | st.floats(0.0, 1.0)), k))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(estimate_paths(), st.sampled_from([0.0, 1e-10, 1e-6]))
+def test_zone_path_matches_reference(estimates, tol):
+    cfg = validate_config({"k": 0.3, "n_in": 144, "n_de": 2016, "powers": [1.0]})
+
+    def outcome(fn):
+        try:
+            return fn(estimates, cfg, tol)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(zone_path) == outcome(reference_zone_path)
 
 
 def test_round_trip_recovers_simulated_state(tmp_path):
