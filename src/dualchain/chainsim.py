@@ -44,7 +44,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (SERIES_COLUMNS, DualchainError, GameConfig, MiningState, NegativePower,
                    PowerSumMismatch, Schedule, Strategy, check_k_schedule)
@@ -90,8 +90,9 @@ class EpochWithEda:
             raise ValueError("window lengths must be >= 1")
         if not (0.0 < self.eda_factor < 1.0):
             raise ValueError("eda_factor must be in (0, 1)")
-        if self.eda_threshold <= 0.0:
-            raise ValueError("eda_threshold must be positive")
+        if not (0.0 < self.eda_threshold < math.inf):
+            raise ValueError("eda_threshold must be positive and finite, got "
+                             f"{self.eda_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,6 @@ class SimReport:
     r_f_policy: float
     r_b_policy: float
     final_difficulty: dict[Coin, float]
-    events: list[tuple] | None = None
     # Reward snapshots at the first and last fickle cycle starts, for
     # whole-cycle payoff measurement: (time, {agent: reward}).
     cycle_mark_first: tuple[float, dict[str, float]] | None = None
@@ -326,7 +326,7 @@ def run(
     duration: float,
     seed: int,
     mode: str = "exponential",
-    record_events: bool = True,
+    on_event: Callable[[tuple], object] | None = None,
 ) -> SimReport:
     """Run the event loop until the horizon and aggregate a report.
 
@@ -336,6 +336,10 @@ def run(
     roster size: rewards accrue per chain and are split among agents only
     when one moves, at fickle cycle marks, every few thousand blocks and at
     the end.
+
+    on_event, when given, receives each event as it happens, as an
+    EVENT_FIELDS-ordered tuple.  Pass `list.append` to keep them, or the
+    callback write_events_csv returns to stream them to a file.
     """
     if not (0.0 < duration < _INF):
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
@@ -399,7 +403,6 @@ def run(
 
     k_history = [(0.0, k)]
     occupancy = [(0.0, A.alloc, B.alloc)]
-    events: list[tuple] | None = [] if record_events else None
     fickle_cycles = 0
     b_phase_durations: list[float] = []
     fickle_on_b = False
@@ -408,9 +411,8 @@ def run(
     cycle_mark_last = None
 
     def log(label: str, kind: str):
-        if events is not None:
-            events.append((t, label, kind, A.difficulty, B.difficulty,
-                           r_f_policy, r_b_policy))
+        if on_event is not None:
+            on_event((t, label, kind, A.difficulty, B.difficulty, r_f_policy, r_b_policy))
 
     def move(i: int, dest: _Chain):
         src = on[i]
@@ -527,7 +529,8 @@ def run(
         ch.last_ts = t
         ch.progress = 0.0
         ch.threshold = expovariate(1.0) if exponential else 1.0
-        log(ch.label, "block")
+        if on_event is not None:
+            on_event((t, ch.label, "block", A.difficulty, B.difficulty, r_f_policy, r_b_policy))
         if not ch.height % settle_every:
             settle()
         kind = ch.retarget(t)
@@ -564,7 +567,6 @@ def run(
         r_f_policy=r_f_policy,
         r_b_policy=r_b_policy,
         final_difficulty={Coin.A: A.difficulty, Coin.B: B.difficulty},
-        events=events,
         cycle_mark_first=cycle_mark_first,
         cycle_mark_last=cycle_mark_last,
     )
@@ -656,41 +658,59 @@ def sample_series(
     step: float = 1.0,
     pag_seconds: int = 600,
     t0_epoch: int = 0,
-) -> list[dict]:
+) -> Iterator[tuple]:
     """Sample a run into rows matching the analyzer's input schema.
 
-    Columns: timestamp (epoch seconds, strictly increasing), hashrate_a/b
-    (allocated power fractions), difficulty_a/b (normalized units),
-    price_ratio_k.  `step` is the sampling interval in P_ag.
+    Rows are SERIES_FIELDS-ordered tuples: timestamp (epoch seconds,
+    strictly increasing), hashrate_a/b (allocated power fractions),
+    difficulty_a/b (normalized units), price_ratio_k.  `step` is the
+    sampling interval in P_ag.  The step is checked when this is called;
+    the rows are produced as they are read.
     """
-    if step <= 0.0 or step * pag_seconds < 1.0:
-        raise ValueError("sampling step must map to at least one second")
-    rows = []
-    occ = report.occupancy
-    da = report.difficulty_history[Coin.A]
-    db = report.difficulty_history[Coin.B]
-    ks = report.k_history
-    i_occ = i_da = i_db = i_k = 0
+    if not (0.0 < step < _INF) or step * pag_seconds < 1.0:
+        raise ValueError("sampling step must be finite and map to at least one second, "
+                         f"got {step!r}")
+    return _series_rows(report, step, pag_seconds, t0_epoch)
+
+
+def _series_rows(report: SimReport, step: float, pag_seconds: int,
+                 t0_epoch: int) -> Iterator[tuple]:
+    # The grid is t = 0, then t += step while t < duration.  Each history
+    # is read through a cursor: its entry in effect at t and the next one.
+    # Until the earliest next entry every sampled value stays the same, so
+    # each such stretch is yielded from one tight loop.
+    last = (_INF, None, None)
+    occ = iter(report.occupancy)
+    da = iter(report.difficulty_history[Coin.A])
+    db = iter(report.difficulty_history[Coin.B])
+    ks = iter(report.k_history)
+    cur_occ, cur_da, cur_db, cur_k = next(occ), next(da), next(db), next(ks)
+    nxt_occ, nxt_da, nxt_db, nxt_k = next(occ, last), next(da, last), next(db, last), \
+        next(ks, last)
+    end = report.duration
     t = 0.0
-    while t < report.duration:
-        while i_occ + 1 < len(occ) and occ[i_occ + 1][0] <= t:
-            i_occ += 1
-        while i_da + 1 < len(da) and da[i_da + 1][0] <= t:
-            i_da += 1
-        while i_db + 1 < len(db) and db[i_db + 1][0] <= t:
-            i_db += 1
-        while i_k + 1 < len(ks) and ks[i_k + 1][0] <= t:
-            i_k += 1
-        rows.append({
-            "timestamp": t0_epoch + round(t * pag_seconds),
-            "hashrate_a": occ[i_occ][1],
-            "hashrate_b": occ[i_occ][2],
-            "difficulty_a": da[i_da][1],
-            "difficulty_b": db[i_db][1],
-            "price_ratio_k": ks[i_k][1],
-        })
-        t += step
-    return rows
+    while t < end:
+        while nxt_occ[0] <= t:
+            cur_occ, nxt_occ = nxt_occ, next(occ, last)
+        while nxt_da[0] <= t:
+            cur_da, nxt_da = nxt_da, next(da, last)
+        while nxt_db[0] <= t:
+            cur_db, nxt_db = nxt_db, next(db, last)
+        while nxt_k[0] <= t:
+            cur_k, nxt_k = nxt_k, next(ks, last)
+        stop = min(end, nxt_occ[0], nxt_da[0], nxt_db[0], nxt_k[0])
+        _, h_a, h_b = cur_occ
+        d_a = cur_da[1]
+        d_b = cur_db[1]
+        k = cur_k[1]
+        while t < stop:
+            yield t0_epoch + round(t * pag_seconds), h_a, h_b, d_a, d_b, k
+            t += step
+
+
+# Distinct values the series memo holds before it starts over, so its size
+# stays flat however many distinct values a run produces.
+_MEMO_CAP = 1024
 
 
 class _ReprMemo(dict):
@@ -708,36 +728,57 @@ class _ReprMemo(dict):
             return x
         text = repr(x)
         if x:
+            if len(self) >= _MEMO_CAP:
+                self.clear()
             self[x] = text
         return text
 
 
-def write_series_csv(rows: Iterable[dict], path: str):
-    """Write sample_series rows; each row must carry every SERIES_FIELDS key.
+_UNSET = object()
+
+
+def write_series_csv(rows: Iterable[tuple], path: str):
+    """Write SERIES_FIELDS-ordered rows, as sample_series yields them.
 
     Lines are formatted directly, in the bytes csv.writer writes for
     numbers: floats as repr, ints as str, CRLF line ends.  The float
     columns must hold floats, since the memo would print an int equal to an
-    earlier float as that float.
+    earlier float as that float.  The text after the timestamp is built
+    again only when one of the five values is a different object.
     """
     m = _ReprMemo()
+    h_a0 = h_b0 = d_a0 = d_b0 = k0 = _UNSET
+    tail = ""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SERIES_FIELDS) + "\r\n")
-        fh.writelines(
-            f"{r['timestamp']},{m[r['hashrate_a']]},{m[r['hashrate_b']]},"
-            f"{m[r['difficulty_a']]},{m[r['difficulty_b']]},{m[r['price_ratio_k']]}\r\n"
-            for r in rows
-        )
+        write = fh.write
+        write(",".join(SERIES_FIELDS) + "\r\n")
+        for ts, h_a, h_b, d_a, d_b, k in rows:
+            if h_a is not h_a0 or h_b is not h_b0 or d_a is not d_a0 or d_b is not d_b0 \
+                    or k is not k0:
+                h_a0, h_b0, d_a0, d_b0, k0 = h_a, h_b, d_a, d_b, k
+                tail = f",{m[h_a]},{m[h_b]},{m[d_a]},{m[d_b]},{m[k]}\r\n"
+            write(f"{ts}{tail}")
 
 
-def write_events_csv(report: SimReport, path: str):
-    """Write report.events, one line per event, formatted as write_series_csv does."""
-    if report.events is None:
-        raise ValueError("run() was called with record_events=False")
-    m = _ReprMemo()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(EVENT_FIELDS) + "\r\n")
-        fh.writelines(
-            f"{t},{chain},{kind},{m[d_a]},{m[d_b]},{m[r_f]},{m[r_b]}\r\n"
-            for t, chain, kind, d_a, d_b, r_f, r_b in report.events
-        )
+def write_events_csv(fh) -> Callable[[tuple], None]:
+    """Write the event-log header to fh; return the on_event callback for run.
+
+    The callback writes each event as one line, in the bytes csv.writer
+    writes for its numbers and labels.  The difficulty and power columns are formatted again
+    only when one of those values is a different object, so most events
+    cost the repr of their time.
+    """
+    d_a0 = d_b0 = r_f0 = r_b0 = _UNSET
+    tail = ""
+    write = fh.write
+    write(",".join(EVENT_FIELDS) + "\r\n")
+
+    def on_event(event: tuple):
+        nonlocal d_a0, d_b0, r_f0, r_b0, tail
+        t, chain, kind, d_a, d_b, r_f, r_b = event
+        if d_a is not d_a0 or d_b is not d_b0 or r_f is not r_f0 or r_b is not r_b0:
+            d_a0, d_b0, r_f0, r_b0 = d_a, d_b, r_f, r_b
+            tail = f"{d_a},{d_b},{r_f},{r_b}\r\n"
+        write(f"{t},{chain},{kind},{tail}")
+
+    return on_event

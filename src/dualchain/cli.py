@@ -14,8 +14,8 @@ import json
 import logging
 import os
 import random
+import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import chainsim, dynamics, equilibrium, ingest
 from .core import (DualchainError, GameConfig, MiningState, Schedule, Strategy, Zone,
@@ -300,6 +300,8 @@ def _cmd_chain_sim(args) -> int:
     if args.replicas > 1 and (args.events or args.series):
         raise _UsageError("--events and --series write one run; they cannot be "
                           "combined with --replicas > 1")
+    if args.series_step is not None and not args.series:
+        raise _UsageError("--series-step applies only with --series")
     with open(args.config) as fh:
         raw = json.load(fh)
     world = chainsim.ChainWorld(
@@ -318,13 +320,12 @@ def _cmd_chain_sim(args) -> int:
                  "replicas": args.replicas, "k": world.k,
                  "difficulty_a": world.difficulty_a, "difficulty_b": world.difficulty_b})
 
-    def one(seed: int) -> chainsim.SimReport:
+    def one(seed: int, on_event=None) -> chainsim.SimReport:
         return chainsim.run(world, agents, regime_a, regime_b, args.duration, seed,
-                            mode=args.mode, record_events=bool(args.events))
+                            mode=args.mode, on_event=on_event)
 
     if args.replicas > 1:
-        with ThreadPoolExecutor(max_workers=min(args.replicas, 8)) as pool:
-            reports = list(pool.map(one, range(args.seed, args.seed + args.replicas)))
+        reports = [one(seed) for seed in range(args.seed, args.seed + args.replicas)]
         merged = {
             "replicas": [_report_dict(r) for r in reports],
         }
@@ -337,14 +338,24 @@ def _cmd_chain_sim(args) -> int:
         _emit(_json(merged), args.out)
         return 0
 
-    report = one(args.seed)
-    if args.events:
-        chainsim.write_events_csv(report, args.events)
-    if args.series:
-        chainsim.write_series_csv(
-            chainsim.sample_series(report, step=args.series_step), args.series
-        )
-    _emit(_json(_report_dict(report)), args.out)
+    events_fh = open(args.events, "w", newline="") if args.events else None
+    try:
+        if events_fh is None:
+            report = one(args.seed)
+        else:
+            # The log streams to the file as the run goes.
+            with events_fh:
+                report = one(args.seed, chainsim.write_events_csv(events_fh))
+        if args.series:
+            step = 1.0 if args.series_step is None else args.series_step
+            chainsim.write_series_csv(chainsim.sample_series(report, step=step), args.series)
+        _emit(_json(_report_dict(report)), args.out)
+    except BaseException:
+        # A command that fails leaves no partial log.  Devices, pipes and
+        # symlinks given as --events are left alone.
+        if events_fh is not None and stat.S_ISREG(os.lstat(args.events).st_mode):
+            os.remove(args.events)
+        raise
     return 0
 
 
@@ -421,7 +432,7 @@ def _chain_sim_args(p):
                    default="exponential")
     p.add_argument("--events", help="write event log CSV here")
     p.add_argument("--series", help="write sampled series CSV here")
-    p.add_argument("--series-step", type=float, default=1.0)
+    p.add_argument("--series-step", type=float, default=None)
     p.add_argument("--k-schedule")
     p.add_argument("--replicas", type=int, default=1)
 

@@ -271,7 +271,7 @@ def test_criterion_07_chainsim_matches_analytic_payoffs():
         agents = loyal_roster(r_f, r_b)
 
         det = run(world, agents, EpochFixed(10**9), EpochFixed(n), 56 * cycle,
-                  seed=7, mode="deterministic", record_events=False)
+                  seed=7, mode="deterministic")
         det_density = empirical_payoffs(det)
         for policy, attr in by_policy.items():
             expected = getattr(analytic, attr)
@@ -279,7 +279,7 @@ def test_criterion_07_chainsim_matches_analytic_payoffs():
             assert rel <= 0.005, (r_f, r_b, k, policy.value, rel)
 
         exp = run(world, agents, EpochFixed(10**9), EpochFixed(n), 206 * cycle,
-                  seed=17, mode="exponential", record_events=False)
+                  seed=17, mode="exponential")
         assert exp.fickle_cycles >= 200
         exp_density = empirical_payoffs(exp)
         for policy, attr in by_policy.items():
@@ -355,15 +355,15 @@ def test_criterion_11_ingest_round_trip(tmp_path):
         difficulty_a=avg_coin_a_power(r_f, r_b, n, n), difficulty_b=r_b, k=k
     )
     cycle = n * r_b / s + n * s / r_b
+    events = []
     rep = run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
-              10 * cycle, seed=11, mode="exponential")
+              10 * cycle, seed=11, mode="exponential", on_event=events.append)
 
     path = tmp_path / "roundtrip.csv"
-    rows = sample_series(rep, step=1.0)
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in SERIES_HEADER) + "\n")
+        for row in sample_series(rep, step=1.0):
+            fh.write(",".join(str(v) for v in row) + "\n")
 
     loaded = load_series(str(path))
     periods = detect_fickle_periods(loaded.records, hysteresis=0.02, baseline=(0, 5))
@@ -379,7 +379,7 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     # Jaccard between detected periods and the true fickle-on-B spans.
     spans = []
     open_at = None
-    for ev in rep.events:
+    for ev in events:
         if ev[2] == "switch_fickle":
             if ev[1] == "b":
                 open_at = ev[0]

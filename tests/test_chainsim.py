@@ -1,5 +1,6 @@
 import csv
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,8 +99,10 @@ def test_fickle_switches_satisfy_switching_predicate():
     world = ChainWorld(
         difficulty_a=avg_coin_a_difficulty(r_f, r_b, n), difficulty_b=r_b, k=k
     )
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 4000.0, seed=5)
-    switches = [e for e in rep.events if e[2] == "switch_fickle"]
+    events = []
+    rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 4000.0, seed=5,
+              on_event=events.append)
+    switches = [e for e in events if e[2] == "switch_fickle"]
     assert switches
     for (t, chain, _, d_a, d_b, rf_active, rb_active) in switches:
         k_t = k
@@ -113,9 +116,12 @@ def test_fickle_switches_satisfy_switching_predicate():
 def test_event_log_deterministic_under_seed():
     agents = loyal_roster(0.3, 0.2)
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)
-    rep1 = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=77)
-    rep2 = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=77)
-    assert rep1.events == rep2.events
+    events1, events2 = [], []
+    rep1 = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=77,
+               on_event=events1.append)
+    rep2 = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=77,
+               on_event=events2.append)
+    assert events1 == events2
     assert rep1.agent_rewards == rep2.agent_rewards
 
 
@@ -125,10 +131,12 @@ def test_reward_conservation():
         difficulty_a=0.76, difficulty_b=0.2, k=0.378,
         k_schedule=Schedule.from_pairs([(900.0, 0.5)]),
     )
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=3)
+    events = []
+    rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=3,
+              on_event=events.append)
     expected = 0.0
     k_changes = rep.k_history
-    for (t, chain, kind, *_rest) in rep.events:
+    for (t, chain, kind, *_rest) in events:
         if kind != "block":
             continue
         if chain == "a":
@@ -219,15 +227,14 @@ def test_empirical_matches_analytic_for_random_states():
         )
         cycle = n * r_b / (r_f + r_b) + n * (r_f + r_b) / r_b
         rep = run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
-                  55 * cycle, seed=idx, mode="deterministic", record_events=False)
+                  55 * cycle, seed=idx, mode="deterministic")
         dens = empirical_payoffs(rep)
         for policy, attr in by_policy.items():
             expected = getattr(analytic, attr)
             assert abs(dens[policy] - expected) / expected <= 0.005, (r_f, r_b, k)
         if idx < 3:  # exponential spot checks; the full sweep lives in acceptance
             rep = run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
-                      206 * cycle, seed=100 + idx, mode="exponential",
-                      record_events=False)
+                      206 * cycle, seed=100 + idx, mode="exponential")
             dens = empirical_payoffs(rep)
             for policy, attr in by_policy.items():
                 expected = getattr(analytic, attr)
@@ -240,10 +247,17 @@ def test_eda_fires_on_slow_windows():
     agents = loyal_roster(0.6, 0.05)
     world = ChainWorld(difficulty_a=0.9, difficulty_b=0.05, k=0.3)
     regime = EpochWithEda(n=500, eda_window=6, eda_threshold=12.0, eda_factor=0.8)
-    rep = run(world, agents, EpochFixed(10**9), regime, 4000.0, seed=6)
-    kinds = {e[2] for e in rep.events}
+    events = []
+    rep = run(world, agents, EpochFixed(10**9), regime, 4000.0, seed=6, on_event=events.append)
+    kinds = {e[2] for e in events}
     assert "eda" in kinds
     assert rep.fickle_cycles > 0
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_eda_regime_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="eda_threshold"):
+        EpochWithEda(144, 6, threshold, 0.8)
 
 
 def test_eda_expected_nde_endpoints_and_interior():
@@ -354,13 +368,14 @@ def test_sample_series_schema_and_monotone_timestamps():
     agents = loyal_roster(0.3, 0.1)
     world = ChainWorld(difficulty_a=0.88, difficulty_b=0.1, k=0.3)
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(504), 3000.0, seed=2)
-    rows = sample_series(rep, step=1.0)
+    rows = list(sample_series(rep, step=1.0))
     assert rows
-    assert set(rows[0]) == {"timestamp", "hashrate_a", "hashrate_b",
-                            "difficulty_a", "difficulty_b", "price_ratio_k"}
-    ts = [r["timestamp"] for r in rows]
+    assert SERIES_FIELDS == ("timestamp", "hashrate_a", "hashrate_b",
+                             "difficulty_a", "difficulty_b", "price_ratio_k")
+    assert all(len(r) == len(SERIES_FIELDS) for r in rows)
+    ts = [r[0] for r in rows]
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    assert all(0.0 < r["price_ratio_k"] <= 1.0 for r in rows)
+    assert all(0.0 < r[5] <= 1.0 for r in rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,11 +407,11 @@ def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
         assert ch.difficulty == min(max(inferred, 0.5 * d), 2.0 * d)
 
 
-def _old_events_csv(report, path):
+def _old_events_csv(events, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_FIELDS)
-        writer.writerows(report.events)
+        writer.writerows(events)
 
 
 def _old_series_csv(rows, path):
@@ -406,34 +421,125 @@ def _old_series_csv(rows, path):
         writer.writerows(rows)
 
 
+def _old_sample_series(report, step=1.0, pag_seconds=600, t0_epoch=0):
+    """The per-row sampler sample_series replaced, kept as its reference."""
+    if step <= 0.0 or step * pag_seconds < 1.0:
+        raise ValueError("sampling step must map to at least one second")
+    rows = []
+    occ = report.occupancy
+    da = report.difficulty_history[Coin.A]
+    db = report.difficulty_history[Coin.B]
+    ks = report.k_history
+    i_occ = i_da = i_db = i_k = 0
+    t = 0.0
+    while t < report.duration:
+        while i_occ + 1 < len(occ) and occ[i_occ + 1][0] <= t:
+            i_occ += 1
+        while i_da + 1 < len(da) and da[i_da + 1][0] <= t:
+            i_da += 1
+        while i_db + 1 < len(db) and db[i_db + 1][0] <= t:
+            i_db += 1
+        while i_k + 1 < len(ks) and ks[i_k + 1][0] <= t:
+            i_k += 1
+        rows.append({
+            "timestamp": t0_epoch + round(t * pag_seconds),
+            "hashrate_a": occ[i_occ][1],
+            "hashrate_b": occ[i_occ][2],
+            "difficulty_a": da[i_da][1],
+            "difficulty_b": db[i_db][1],
+            "price_ratio_k": ks[i_k][1],
+        })
+        t += step
+    return rows
+
+
+@pytest.mark.parametrize("regime_b", [EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
+                                      PerBlockWindow(144)])
 @pytest.mark.parametrize("mode", ["exponential", "deterministic"])
-def test_csv_writers_match_plain_csv_output(tmp_path, mode):
+def test_csv_writers_match_plain_csv_output(tmp_path, mode, regime_b):
     agents = loyal_roster(0.3, 0.2)
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378,
                        k_schedule=Schedule.from_pairs([(0.0, 0.378), (400.0, 0.5)]))
-    rep = run(world, agents, EpochFixed(10**9), PerBlockWindow(144), 800.0, seed=11,
-              mode=mode)
-    rows = sample_series(rep, step=0.5)
-    for name, new, old in (
-        ("events", lambda p: write_events_csv(rep, p), lambda p: _old_events_csv(rep, p)),
-        ("series", lambda p: write_series_csv(rows, p), lambda p: _old_series_csv(rows, p)),
-    ):
-        new(tmp_path / f"{name}.new.csv")
-        old(tmp_path / f"{name}.old.csv")
+    events = []
+    with open(tmp_path / "events.new.csv", "w", newline="") as fh:
+        write = write_events_csv(fh)
+
+        def tee(event):
+            events.append(event)
+            write(event)
+
+        rep = run(world, agents, EpochFixed(10**9), regime_b, 800.0, seed=11, mode=mode,
+                  on_event=tee)
+    assert {e[2] for e in events} >= {"block", "switch_fickle", "price"}
+    _old_events_csv(events, tmp_path / "events.old.csv")
+    write_series_csv(sample_series(rep, step=0.5), tmp_path / "series.new.csv")
+    _old_series_csv(_old_sample_series(rep, step=0.5), tmp_path / "series.old.csv")
+    for name in ("events", "series"):
         assert (tmp_path / f"{name}.new.csv").read_bytes() == \
             (tmp_path / f"{name}.old.csv").read_bytes(), name
 
 
 def test_series_writer_formats_signed_zero_and_non_floats(tmp_path):
     rows = [
-        {"timestamp": 0, "hashrate_a": 0.0, "hashrate_b": -0.0, "difficulty_a": 0.25,
-         "difficulty_b": float("nan"), "price_ratio_k": 1},
-        {"timestamp": 600, "hashrate_a": -0.0, "hashrate_b": 0.0, "difficulty_a": 0.25,
-         "difficulty_b": 1e-320, "price_ratio_k": "0.5"},
+        (0, 0.0, -0.0, 0.25, float("nan"), 1),
+        (600, -0.0, 0.0, 0.25, 1e-320, "0.5"),
     ]
+    # More distinct floats than the writer's memo holds, each seen twice.
+    values = [i / 7.0 for i in range(1, 6000)]
+    rows += [(1200 + i, x, x, x / 3.0, -x, 0.5) for i, x in enumerate(values + values)]
     write_series_csv(rows, tmp_path / "new.csv")
-    _old_series_csv(rows, tmp_path / "old.csv")
+    _old_series_csv([dict(zip(SERIES_FIELDS, r)) for r in rows], tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_sample_series_checks_step_when_called():
+    agents = loyal_roster(0.3, 0.1)
+    world = ChainWorld(difficulty_a=0.88, difficulty_b=0.1, k=0.3)
+    rep = run(world, agents, EpochFixed(10**9), EpochFixed(504), 50.0, seed=2)
+    for step in (0.0, -1.0, 1e-4, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sampling step"):
+            sample_series(rep, step=step)
+
+
+def _history(draw, grid, duration):
+    """Sorted change times in [0, duration]: grid points, their neighbours
+    and free draws."""
+    times = draw(st.lists(st.one_of(
+        st.sampled_from(grid),
+        st.sampled_from(grid).map(lambda g: math.nextafter(g, math.inf)),
+        st.sampled_from(grid).map(lambda g: math.nextafter(g, -math.inf)),
+        st.floats(min_value=0.0, max_value=duration, allow_nan=False),
+    ), max_size=12))
+    return sorted(max(t, 0.0) for t in times)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), step=st.sampled_from([0.1, 0.7, 1.0, 0.25, 1 / 600, 2.5, 0.3]),
+       duration=st.floats(min_value=0.01, max_value=40.0), t0_epoch=st.integers(0, 10**9))
+def test_sample_series_matches_per_row_reference(data, step, duration, t0_epoch):
+    grid = [0.0]
+    while grid[-1] < duration:
+        grid.append(grid[-1] + step)
+    draw = data.draw
+    value = st.floats(min_value=1e-6, max_value=2.0)
+
+    def history(width):
+        rows = [(0.0, *(draw(value) for _ in range(width)))]
+        for t in _history(draw, grid, duration):
+            # Times may repeat, as when a switch follows a retarget at once.
+            rows.append((t, *(draw(value) for _ in range(width))))
+        return rows
+
+    report = SimpleNamespace(
+        duration=duration, occupancy=history(2), k_history=history(1),
+        difficulty_history={Coin.A: history(1), Coin.B: history(1)},
+    )
+    got = list(sample_series(report, step=step, t0_epoch=t0_epoch))
+    want = [tuple(r[f] for f in SERIES_FIELDS)
+            for r in _old_sample_series(report, step=step, t0_epoch=t0_epoch)]
+    assert got == want
+    # The same value objects, so the writer formats the same bytes.
+    assert all(a is b for g, w in zip(got, want) for a, b in zip(g[1:], w[1:]))
 
 
 def _split_roster(n):
@@ -454,7 +560,7 @@ def _split_roster(n):
 def test_splitting_agents_keeps_policy_rewards(regime_b, mode):
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
     reports = [run(world, _split_roster(n), EpochFixed(144), regime_b, 1500.0, seed=4,
-                   mode=mode, record_events=False) for n in (1, 7, 40)]
+                   mode=mode) for n in (1, 7, 40)]
     base = reports[0]
     for rep in reports[1:]:
         assert rep.blocks == base.blocks
@@ -472,9 +578,11 @@ def test_splitting_agents_keeps_policy_rewards(regime_b, mode):
 def test_rewards_sum_to_coins_minted(regime_b):
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3,
                        k_schedule=Schedule.from_pairs([(700.0, 0.45), (1400.0, 0.3)]))
-    rep = run(world, _split_roster(9), EpochFixed(144), regime_b, 2500.0, seed=8)
+    events = []
+    rep = run(world, _split_roster(9), EpochFixed(144), regime_b, 2500.0, seed=8,
+              on_event=events.append)
     minted = 0.0
-    for (t, chain, kind, *_rest) in rep.events:
+    for (t, chain, kind, *_rest) in events:
         if kind == "block":
             minted += 1.0 if chain == "a" else [k for at, k in rep.k_history if at <= t][-1]
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 1000
@@ -496,17 +604,18 @@ def test_fickle_cohort_starting_apart_moves_together():
         MinerAgent("a", 0.4, Strategy.A_ONLY),
     ]
     world = ChainWorld(difficulty_a=0.6, difficulty_b=0.1, k=0.4)
+    events = []
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 300.0, seed=1,
-              mode="deterministic")
+              mode="deterministic", on_event=events.append)
     assert rep.occupancy[0] == pytest.approx((0.0, 0.6, 0.4))
     assert rep.occupancy[1] == pytest.approx((0.0, 0.4, 0.6))
-    switches = [e for e in rep.events if e[2] == "switch_fickle"]
+    switches = [e for e in events if e[2] == "switch_fickle"]
     assert switches[0][:2] == (0.0, "b")
     assert rep.agent_rewards["f1"] == pytest.approx(rep.agent_rewards["f2"], rel=1e-12)
 
 
 
-def _per_block_policy_rewards(rep):
+def _per_block_policy_rewards(rep, events):
     # Rebuild each policy's reward from the event log, block by block: the
     # share of a block is power * (unit / chain allocation), summed exactly.
     power = {rep.agent_policy[aid]: p for aid, p in rep.agent_power.items()}
@@ -515,7 +624,7 @@ def _per_block_policy_rewards(rep):
     ks = iter(rep.k_history)
     k = next(ks)[1]
     terms = {policy: [] for policy in power}
-    for _t, chain, kind, *_rest in rep.events:
+    for _t, chain, kind, *_rest in events:
         if kind == "price":
             k = next(ks)[1]
         elif kind in mover:
@@ -533,11 +642,12 @@ def test_long_run_rewards_match_per_block_sum():
     # ~190k blocks and ~800 fickle cycles: the reward accumulators restart at
     # every settlement, so their rounding error does not grow with the run.
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
+    events = []
     rep = run(world, _split_roster(1), EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
-              60000.0, seed=5)
+              60000.0, seed=5, on_event=events.append)
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
     assert rep.fickle_cycles > 500
-    want = _per_block_policy_rewards(rep)
+    want = _per_block_policy_rewards(rep, events)
     for aid, got in rep.agent_rewards.items():
         policy = rep.agent_policy[aid]
         assert abs(got - want[policy]) <= 1e-12 * want[policy], policy

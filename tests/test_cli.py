@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -353,7 +354,7 @@ def test_chain_sim_records_events_only_when_written(sim_inputs, tmp_path, capsys
 
     def spy(*args, **kwargs):
         report = real_run(*args, **kwargs)
-        seen.append(report.events is not None)
+        seen.append(kwargs.get("on_event") is not None)
         return report
 
     monkeypatch.setattr(chainsim, "run", spy)
@@ -731,3 +732,102 @@ def test_zones_zero_tol_is_accepted(config_path, capsys):
                            "--tol", "0", "--quiet")
     assert code == 0
     assert len(out.splitlines()) == 17
+
+
+# ---------------------------------------------------------------------------
+# chain-sim's streamed event log and series.
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1e-4"])
+def test_chain_sim_bad_series_step_exits_2(sim_inputs, tmp_path, capsys, value):
+    events, series = tmp_path / "events.csv", tmp_path / "series.csv"
+    assert_exit_2(capsys, [*sim_inputs, "--duration", "50", "--events", str(events),
+                           "--series", str(series), f"--series-step={value}"],
+                  "invalid_input")
+    assert not events.exists() and not series.exists()
+
+
+def test_chain_sim_series_step_needs_series(sim_inputs, tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    assert_exit_2(capsys, [*sim_inputs, "--duration", "50", "--events", str(events),
+                           "--series-step", "2"], "usage")
+    assert not events.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])
+def test_chain_sim_non_finite_eda_threshold_exits_2(sim_inputs, capsys, threshold):
+    # A NaN or infinite threshold used to switch the emergency rule off silently.
+    assert_exit_2(capsys, [*sim_inputs, "--duration", "50",
+                           "--regime-b", f"eda:144:6:{threshold}:0.8"], "invalid_input")
+
+
+@pytest.fixture
+def stuck_fickle_inputs(tmp_path):
+    """A roster whose fickle power waits on a coin_B nobody mines."""
+    world = tmp_path / "stuck_world.json"
+    world.write_text(json.dumps({"k": 0.05, "difficulty_a": 1.0, "difficulty_b": 0.9}))
+    agents = tmp_path / "stuck_agents.json"
+    agents.write_text(json.dumps([
+        {"id": "f", "power": 0.5, "policy": "fickle"},
+        {"id": "a", "power": 0.5, "policy": "a_only"},
+    ]))
+    return ["chain-sim", "--config", str(world), "--agents", str(agents),
+            "--regime-a", "epoch:100", "--regime-b", "epoch:100", "--quiet"]
+
+
+@pytest.mark.parametrize("case", ["zero_power_chain", "nan_duration"])
+def test_failed_chain_sim_leaves_no_events_file(sim_inputs, stuck_fickle_inputs, tmp_path,
+                                                capsys, case):
+    events, series = tmp_path / "events.csv", tmp_path / "series.csv"
+    if case == "zero_power_chain":
+        argv, code_name = [*stuck_fickle_inputs, "--duration", "50"], "zero_power_chain"
+    else:
+        argv, code_name = [*sim_inputs, "--duration", "nan"], "invalid_input"
+    assert_exit_2(capsys, [*argv, "--events", str(events), "--series", str(series)],
+                  code_name)
+    assert not events.exists() and not series.exists()
+
+
+def test_failed_chain_sim_keeps_events_symlink(stuck_fickle_inputs, tmp_path, capsys):
+    # Only a regular file the command wrote is removed, never what a link names.
+    target = tmp_path / "target.csv"
+    target.write_text("")
+    link = tmp_path / "events.csv"
+    link.symlink_to(target)
+    assert_exit_2(capsys, [*stuck_fickle_inputs, "--duration", "50", "--events", str(link)],
+                  "zero_power_chain")
+    assert link.is_symlink() and target.exists()
+
+
+def _chain_sim_peak_bytes(tmp_path, duration):
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps({"k": 0.378, "difficulty_a": 0.76, "difficulty_b": 0.2}))
+    agents = tmp_path / "agents.json"
+    agents.write_text(json.dumps([
+        {"id": "f", "power": 0.3, "policy": "fickle"},
+        {"id": "b", "power": 0.2, "policy": "b_only"},
+        {"id": "a", "power": 0.5, "policy": "a_only"},
+    ]))
+    argv = ["chain-sim", "--config", str(world), "--agents", str(agents),
+            "--regime-a", "epoch:1000000000", "--regime-b", "epoch:144",
+            "--mode", "deterministic", "--duration", str(duration),
+            "--events", str(tmp_path / "events.csv"), "--series", str(tmp_path / "series.csv"),
+            "--out", str(tmp_path / "report.json"), "--quiet"]
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_sim_event_log_and_series_memory_is_flat_in_the_horizon(tmp_path):
+    # Events stream to the file as they happen and series rows are formatted
+    # as they are sampled, so an 8x longer run needs no more memory.  Only
+    # the epoch regime's short difficulty history grows with the run.
+    _chain_sim_peak_bytes(tmp_path, 100)
+    short = _chain_sim_peak_bytes(tmp_path, 1000)
+    long = _chain_sim_peak_bytes(tmp_path, 8000)
+    events = (tmp_path / "events.csv").read_text().count("\n")
+    assert events > 10_000
+    assert long < 1.5 * short, (short, long)

@@ -337,11 +337,10 @@ def test_round_trip_recovers_simulated_state(tmp_path):
     world = ChainWorld(difficulty_a=pbar, difficulty_b=r_b, k=k)
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 6 * (t_b + t_a), seed=21)
     path = tmp_path / "sim.csv"
-    rows = sample_series(rep, step=1.0)
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in SERIES_HEADER) + "\n")
+        for row in sample_series(rep, step=1.0):
+            fh.write(",".join(str(v) for v in row) + "\n")
     loaded = load_series(str(path))
     periods = detect_fickle_periods(loaded.records, hysteresis=0.02)
     assert periods
