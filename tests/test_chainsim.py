@@ -453,30 +453,29 @@ def _old_sample_series(report, step=1.0, pag_seconds=600, t0_epoch=0):
     return rows
 
 
-@pytest.mark.parametrize("regime_b", [EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
-                                      PerBlockWindow(144)])
 @pytest.mark.parametrize("mode", ["exponential", "deterministic"])
-def test_csv_writers_match_plain_csv_output(tmp_path, mode, regime_b):
+def test_csv_writers_match_plain_csv_output(tmp_path, mode):
     agents = loyal_roster(0.3, 0.2)
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378,
                        k_schedule=Schedule.from_pairs([(0.0, 0.378), (400.0, 0.5)]))
-    events = []
-    with open(tmp_path / "events.new.csv", "w", newline="") as fh:
-        write = write_events_csv(fh)
+    for regime_b in (EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8), PerBlockWindow(144)):
+        events = []
+        with open(tmp_path / "events.new.csv", "w", newline="") as fh:
+            write = write_events_csv(fh)
 
-        def tee(event):
-            events.append(event)
-            write(event)
+            def tee(event):
+                events.append(event)
+                write(event)
 
-        rep = run(world, agents, EpochFixed(10**9), regime_b, 800.0, seed=11, mode=mode,
-                  on_event=tee)
-    assert {e[2] for e in events} >= {"block", "switch_fickle", "price"}
-    _old_events_csv(events, tmp_path / "events.old.csv")
-    write_series_csv(sample_series(rep, step=0.5), tmp_path / "series.new.csv")
-    _old_series_csv(_old_sample_series(rep, step=0.5), tmp_path / "series.old.csv")
-    for name in ("events", "series"):
-        assert (tmp_path / f"{name}.new.csv").read_bytes() == \
-            (tmp_path / f"{name}.old.csv").read_bytes(), name
+            rep = run(world, agents, EpochFixed(10**9), regime_b, 800.0, seed=11, mode=mode,
+                      on_event=tee)
+        assert {e[2] for e in events} >= {"block", "switch_fickle", "price"}
+        _old_events_csv(events, tmp_path / "events.old.csv")
+        write_series_csv(sample_series(rep, step=0.5), tmp_path / "series.new.csv")
+        _old_series_csv(_old_sample_series(rep, step=0.5), tmp_path / "series.old.csv")
+        for name in ("events", "series"):
+            assert (tmp_path / f"{name}.new.csv").read_bytes() == \
+                (tmp_path / f"{name}.old.csv").read_bytes(), (name, regime_b)
 
 
 def test_series_writer_formats_signed_zero_and_non_floats(tmp_path):
