@@ -24,13 +24,16 @@ Difficulty regimes:
                        clamped to x[0.5, 2] per block.
 
 Every difficulty adjustment resets the measurement window, matching a
-model in which the adjustment count runs from the last update.
+model in which the adjustment count runs from the last update.  Each
+regime builds its chain's per-block hook (`_hook`), so a new rule needs no
+change to the event loop.
 
 Agents: coin-only loyalists never move; fickle agents re-evaluate the
 switching predicate (to B iff d_b < min(r_f + r_b, k*d_a) or d_b <= r_b,
 with r_f/r_b the roster's policy totals) on every difficulty update or
-price tick; automatic agents pick argmax(1/d_a, k/d_b) on every event,
-ties keeping the current coin.
+price tick; automatic agents pick argmax(1/d_a, k/d_b) at the same
+moments, ties keeping the current coin.  Nothing else moves d_a, d_b or
+k, so between those moments both choices stay where they are.
 
 Block rewards are apportioned among the agents mining the chain in
 proportion to power (expected-value crediting); coin_B rewards convert
@@ -75,6 +78,28 @@ class EpochFixed:
         if self.n < 1:
             raise ValueError("epoch length must be >= 1")
 
+    def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
+        """The chain's on_block(now): the event kind if difficulty changed."""
+        n = self.n
+        history = chain.history
+        since = 0
+        anchor = 0.0
+
+        def on_block(now: float) -> str | None:
+            nonlocal since, anchor
+            since += 1
+            if since < n:
+                return None
+            span = now - anchor
+            if span > 0.0:
+                chain.difficulty = since * chain.difficulty / span
+            since = 0
+            anchor = now
+            history.append((now, chain.difficulty))
+            return "difficulty"
+
+        return on_block
+
 
 @dataclass(frozen=True)
 class EpochWithEda:
@@ -94,6 +119,39 @@ class EpochWithEda:
             raise ValueError("eda_threshold must be positive and finite, got "
                              f"{self.eda_threshold!r}")
 
+    def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
+        """The chain's on_block(now): the event kind if difficulty changed."""
+        n = self.n
+        threshold = self.eda_threshold
+        factor = self.eda_factor
+        history = chain.history
+        # The times of the last eda_window + 1 blocks.
+        full = self.eda_window + 1
+        window = deque(maxlen=full)
+        since = 0
+        anchor = 0.0
+
+        def on_block(now: float) -> str | None:
+            nonlocal since, anchor
+            window.append(now)
+            since += 1
+            if since >= n:
+                span = now - anchor
+                if span > 0.0:
+                    chain.difficulty = since * chain.difficulty / span
+                kind = "difficulty"
+            elif len(window) == full and now - window[0] > threshold:
+                chain.difficulty *= factor
+                kind = "eda"
+            else:
+                return None
+            since = 0
+            anchor = now
+            history.append((now, chain.difficulty))
+            return kind
+
+        return on_block
+
 
 @dataclass(frozen=True)
 class PerBlockWindow:
@@ -104,6 +162,37 @@ class PerBlockWindow:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
+
+    def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
+        """The chain's on_block(now): the event kind if difficulty changed."""
+        history = chain.history
+        # (time, exact difficulty) of the last window + 1 blocks, with
+        # total the exact sum of their difficulties.
+        full = self.window + 1
+        window = deque(maxlen=full)
+        total = 0
+
+        def on_block(now: float) -> str | None:
+            nonlocal total
+            d = chain.difficulty
+            x = _exact(d)
+            if len(window) == full:
+                total -= window[0][1]
+            window.append((now, x))
+            total += x
+            if len(window) < 2:
+                return None
+            first_t, first_x = window[0]
+            span = now - first_t
+            if not span > 0.0:
+                return None
+            # The interval ending at the oldest block lies outside the span.
+            inferred = (total - first_x) / _ONE / span
+            chain.difficulty = d = min(max(inferred, 0.5 * d), 2.0 * d)
+            history.append((now, d))
+            return "difficulty"
+
+        return on_block
 
 
 DifficultyRegime = EpochFixed | EpochWithEda | PerBlockWindow
@@ -217,23 +306,17 @@ class _Chain:
     `alloc` its rounded value.  `acc` is the reward paid since the last
     settlement per unit of power mining the chain; an agent's share of a
     stretch of blocks is its power times the growth of `acc` while it mined
-    here.
+    here.  The chain's regime retargets it through the hook its `_hook`
+    returns; the hook refers to the chain, never the other way round, so a
+    finished run leaves no reference cycle behind.
     """
 
-    __slots__ = ("coin", "label", "perblock", "eda", "n", "eda_threshold", "eda_factor",
-                 "difficulty", "history", "power", "alloc", "acc", "height", "progress",
-                 "threshold", "anchor_height", "anchor_time", "window", "window_sum",
-                 "first_ts", "last_ts")
+    __slots__ = ("coin", "label", "difficulty", "history", "power", "alloc", "acc", "height",
+                 "progress", "threshold", "first_ts", "last_ts")
 
-    def __init__(self, coin: Coin, regime: DifficultyRegime, difficulty: float):
+    def __init__(self, coin: Coin, difficulty: float):
         self.coin = coin
         self.label = coin.value
-        self.perblock = isinstance(regime, PerBlockWindow)
-        self.eda = isinstance(regime, EpochWithEda)
-        self.n = None if self.perblock else regime.n
-        if self.eda:
-            self.eda_threshold = regime.eda_threshold
-            self.eda_factor = regime.eda_factor
         self.difficulty = difficulty
         self.history = [(0.0, difficulty)]
         self.power = 0
@@ -242,60 +325,8 @@ class _Chain:
         self.height = 0
         self.progress = 0.0
         self.threshold = 1.0
-        self.anchor_height = 0
-        self.anchor_time = 0.0
-        # PerBlockWindow: (time, exact difficulty) of the last window + 1
-        # blocks, with window_sum the exact sum of their difficulties.
-        # EpochWithEda: the times of the last eda_window + 1 blocks.
-        if self.perblock:
-            self.window = deque(maxlen=regime.window + 1)
-        elif self.eda:
-            self.window = deque(maxlen=regime.eda_window + 1)
-        else:
-            self.window = None
-        self.window_sum = 0
         self.first_ts: float | None = None
         self.last_ts: float | None = None
-
-    def retarget(self, now: float) -> str | None:
-        """Regime hook after a block at `now`; the event kind if difficulty changed."""
-        window = self.window
-        if self.perblock:
-            d = self.difficulty
-            x = _exact(d)
-            if len(window) == window.maxlen:
-                self.window_sum -= window[0][1]
-            window.append((now, x))
-            self.window_sum += x
-            if len(window) < 2:
-                return None
-            first_t, first_x = window[0]
-            span = now - first_t
-            if not span > 0.0:
-                return None
-            # The interval ending at the oldest block lies outside the span.
-            inferred = (self.window_sum - first_x) / _ONE / span
-            self.difficulty = min(max(inferred, 0.5 * d), 2.0 * d)
-            self.history.append((now, self.difficulty))
-            return "difficulty"
-        if window is not None:
-            window.append(now)
-        blocks_since = self.height - self.anchor_height
-        if blocks_since >= self.n:
-            span = now - self.anchor_time
-            if span > 0.0:
-                self.difficulty = blocks_since * self.difficulty / span
-            kind = "difficulty"
-        elif self.eda and len(window) == window.maxlen and \
-                window[-1] - window[0] > self.eda_threshold:
-            self.difficulty *= self.eda_factor
-            kind = "eda"
-        else:
-            return None
-        self.anchor_height = self.height
-        self.anchor_time = now
-        self.history.append((now, self.difficulty))
-        return kind
 
 
 def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
@@ -346,8 +377,10 @@ def run(
     if mode not in ("exponential", "deterministic"):
         raise ValueError(f"unknown mode {mode!r}")
     exponential = mode == "exponential"
-    rng = random.Random(seed)
-    expovariate = rng.expovariate
+    # Exp(1) thresholds are drawn as -log(1 - random()), the body of
+    # random.expovariate(1.0), so a seed draws the same thresholds.
+    rand = random.Random(seed).random
+    ln = math.log
     roster = _validate_agents(agents)
 
     r_f_policy = math.fsum(a.power for a in roster if a.policy is Strategy.FICKLE)
@@ -355,8 +388,11 @@ def run(
     r_fb_policy = r_f_policy + r_b_policy
 
     k = world.k
-    A = _Chain(Coin.A, regime_a, world.difficulty_a)
-    B = _Chain(Coin.B, regime_b, world.difficulty_b)
+    A = _Chain(Coin.A, world.difficulty_a)
+    B = _Chain(Coin.B, world.difficulty_b)
+    # The hooks live only in this frame (see _Chain).
+    on_block_a = regime_a._hook(A)
+    on_block_b = regime_b._hook(B)
 
     # Per-agent state, by roster index: the chain mined, the chain's acc
     # when the agent's unsettled stretch began, and the reward settled so
@@ -391,8 +427,8 @@ def run(
     B.alloc = B.power / _ONE
 
     if exponential:
-        A.threshold = expovariate(1.0)
-        B.threshold = expovariate(1.0)
+        A.threshold = -ln(1.0 - rand())
+        B.threshold = -ln(1.0 - rand())
 
     t = 0.0
     price_changes = list(world.k_schedule.entries) if world.k_schedule else []
@@ -407,6 +443,7 @@ def run(
     b_phase_durations: list[float] = []
     fickle_on_b = False
     b_phase_start = 0.0
+    # (time, earned) at the first and last fickle cycle starts.
     cycle_mark_first = None
     cycle_mark_last = None
 
@@ -414,13 +451,23 @@ def run(
         if on_event is not None:
             on_event((t, label, kind, A.difficulty, B.difficulty, r_f_policy, r_b_policy))
 
-    def move(i: int, dest: _Chain):
-        src = on[i]
-        earned[i] += powers[i] * (src.acc - marks[i])
-        src.power -= exact_powers[i]
-        dest.power += exact_powers[i]
-        on[i] = dest
-        marks[i] = dest.acc
+    def shift(group: list[int], dest: _Chain) -> int:
+        """Move the agents of `group` that are not on `dest` there; how many moved."""
+        src = B if dest is A else A
+        src_acc = src.acc
+        dest_acc = dest.acc
+        x = 0
+        moved = 0
+        for i in group:
+            if on[i] is src:
+                earned[i] += powers[i] * (src_acc - marks[i])
+                x += exact_powers[i]
+                on[i] = dest
+                marks[i] = dest_acc
+                moved += 1
+        src.power -= x
+        dest.power += x
+        return moved
 
     def settle():
         """Pay every agent up to now and restart both accumulators at 0, so
@@ -431,20 +478,19 @@ def run(
             marks[i] = 0.0
         A.acc = B.acc = 0.0
 
-    def reevaluate(fickle_due: bool):
-        """Apply agent policies after an event: fickle agents when a
-        difficulty or the price changed, automatic agents always."""
+    def reevaluate():
+        """Apply the fickle and automatic policies at the start, after a
+        difficulty change and after a price tick.  Both read only d_a, d_b
+        and k, so a second call before one of them changes moves nobody."""
         nonlocal fickle_on, fickle_on_b, b_phase_start, fickle_cycles, auto_on_b
         nonlocal cycle_mark_first, cycle_mark_last
         moved = False
         d_a = A.difficulty
         d_b = B.difficulty
-        if fickle_due and fickle:
+        if fickle:
             target = B if d_b < min(r_fb_policy, k * d_a) or d_b <= r_b_policy else A
             if fickle_on is not target:
-                for i in fickle:
-                    if on[i] is not target:
-                        move(i, target)
+                shift(fickle, target)
                 fickle_on = target
                 moved = True
                 log(target.label, "switch_fickle")
@@ -452,7 +498,7 @@ def run(
                     fickle_on_b = True
                     b_phase_start = t
                     settle()
-                    mark = (t, dict(zip(ids, earned)))
+                    mark = (t, earned[:])
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
@@ -471,10 +517,8 @@ def run(
             else:
                 target = None
             if target is not None:
-                for i in automatic:
-                    if on[i] is not target:
-                        move(i, target)
-                        log(target.label, "switch_auto")
+                for _ in range(shift(automatic, target)):
+                    log(target.label, "switch_auto")
                 auto_on_b = len(automatic) if target is B else 0
                 moved = True
         if moved:
@@ -482,7 +526,7 @@ def run(
             B.alloc = B.power / _ONE
             occupancy.append((t, A.alloc, B.alloc))
 
-    reevaluate(True)
+    reevaluate()
     if B.alloc == 0.0 and (fickle or automatic) and world.k_schedule is None:
         # Nobody mines coin_B and its difficulty can never decrease, so the
         # switchable power is permanently stuck waiting for a trigger.
@@ -514,35 +558,38 @@ def run(
             t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
             k_history.append((t, k))
             log("-", "price")
-            reevaluate(True)
+            reevaluate()
             continue
 
         if t_a <= t_b:
             ch = A
             ch.acc += 1.0 / alloc_a
+            on_block = on_block_a
         else:
             ch = B
             ch.acc += k / alloc_b
+            on_block = on_block_b
         ch.height += 1
         if ch.first_ts is None:
             ch.first_ts = t
         ch.last_ts = t
         ch.progress = 0.0
-        ch.threshold = expovariate(1.0) if exponential else 1.0
+        ch.threshold = -ln(1.0 - rand()) if exponential else 1.0
         if on_event is not None:
             on_event((t, ch.label, "block", A.difficulty, B.difficulty, r_f_policy, r_b_policy))
         if not ch.height % settle_every:
             settle()
-        kind = ch.retarget(t)
+        kind = on_block(t)
         if kind is not None:
             log(ch.label, kind)
-            reevaluate(True)
-        elif automatic:
-            reevaluate(False)
+            reevaluate()
 
     # An open fickle B-phase at the horizon is not a completed cycle.
     settle()
     rewards = dict(zip(ids, earned))
+
+    def by_id(mark):
+        return None if mark is None else (mark[0], dict(zip(ids, mark[1])))
     mean_interval = {}
     for ch in (A, B):
         if ch.height >= 2:
@@ -567,8 +614,8 @@ def run(
         r_f_policy=r_f_policy,
         r_b_policy=r_b_policy,
         final_difficulty={Coin.A: A.difficulty, Coin.B: B.difficulty},
-        cycle_mark_first=cycle_mark_first,
-        cycle_mark_last=cycle_mark_last,
+        cycle_mark_first=by_id(cycle_mark_first),
+        cycle_mark_last=by_id(cycle_mark_last),
     )
 
 

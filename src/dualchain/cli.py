@@ -64,8 +64,12 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool = True):
                      help="game config JSON {k, n_in, n_de, c_stick, powers}")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="output file (default stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
     sub.add_argument("--quiet", action="store_true")
+
+
+def _add_format(p: argparse.ArgumentParser):
+    """--format, for the commands that can write both JSON and CSV."""
+    p.add_argument("--format", choices=("json", "csv"), default=None)
 
 
 def _json(obj) -> str:
@@ -401,11 +405,13 @@ def _cmd_analyze(args) -> int:
 
 def _payoff_args(p):
     p.add_argument("--state", required=True, help="rF,rB")
+    _add_format(p)
 
 
 def _zones_args(p):
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--tol", type=float, default=equilibrium.ZONE_TOL)
+    _add_format(p)
 
 
 def _simulate_args(p):
@@ -415,6 +421,7 @@ def _simulate_args(p):
     p.add_argument("--eps", type=float, default=0.005)
     p.add_argument("--k-schedule")
     p.add_argument("--c-stick-schedule")
+    _add_format(p)
 
 
 def _best_response_args(p):

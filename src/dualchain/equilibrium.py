@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, coexist_rb
-from .payoff import payoff_values
+from .payoff import DivergentState, payoff_values
 
 #: Absolute tie tolerance on payoff differences for zone classification.
 ZONE_TOL = 1e-10
@@ -45,10 +45,6 @@ def check_tol(tol: float) -> None:
     """
     if not (0.0 <= tol < math.inf):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-
-
-class DivergentState(DualchainError):
-    code = "divergent_state"
 
 
 class NotCase3(DualchainError):

@@ -17,7 +17,9 @@ coin_A at difficulty 1) and u_b = k/r_f, the long-run value after the
 coin_B difficulty settles at r_f.  The corners (0, 0) and (0, 1) have
 payoffs that grow without bound for some strategies; those components
 are reported as math.inf by `payoff_triple` and raised as
-`DivergentPayoff` by `payoff`.
+`DivergentPayoff` by `payoff`.  Next to (0, 0), where r_b^2 and s^2
+underflow to zero, the forms cannot be evaluated in floats at all; there
+`payoff_values` and the functions built on it raise `DivergentState`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class AutomaticNotAnalytic(DualchainError):
     code = "automatic_not_analytic"
 
 
+class DivergentState(DualchainError):
+    code = "divergent_state"
+
+
 @dataclass(frozen=True)
 class PayoffTriple:
     """Profit densities of the three strategies at one state.
@@ -63,7 +69,8 @@ def payoff_values(r_f: float, r_b: float, k: float, n_in: int, n_de: int):
     """(u_f, u_a, u_b) as plain floats; divergent components are inf.
 
     Hot path shared by the equilibrium and dynamics modules; no
-    allocation beyond the returned tuple.
+    allocation beyond the returned tuple.  Raises DivergentState where
+    r_b^2 and s^2 underflow, as at (0, 1e-200).
     """
     if r_b <= 0.0:
         if r_f <= 0.0:
@@ -76,6 +83,9 @@ def payoff_values(r_f: float, r_b: float, k: float, n_in: int, n_de: int):
     s2 = s * s
     q = n_in * rb2 + n_de * s2
     d = (1.0 - s) * n_in * rb2 + (1.0 - r_b) * n_de * s2
+    if d == 0.0:
+        # Only when rb2 and s2 are both 0, so q is 0 as well.
+        raise DivergentState(f"payoffs diverge at ({r_f}, {r_b})")
     return (
         k * n_in * r_b / q + n_de * s2 / d,
         q / d,

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 from types import SimpleNamespace
 
@@ -387,16 +388,17 @@ def test_sample_series_schema_and_monotone_timestamps():
     ),
 )
 def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
-    # Drive the per-block regime with arbitrary difficulties and check each
+    # Drive the per-block hook with arbitrary difficulties and check each
     # retarget against the fsum of the window it replaced.
-    ch = _Chain(Coin.B, PerBlockWindow(window), difficulties[0])
+    ch = _Chain(Coin.B, difficulties[0])
+    on_block = PerBlockWindow(window)._hook(ch)
     seen = []
     for height, d in enumerate(difficulties, start=1):
         now = float(height)
         ch.difficulty = d
         ch.height = height
         seen.append(d)
-        kind = ch.retarget(now)
+        kind = on_block(now)
         if len(seen) < 2:
             assert kind is None
             continue
@@ -650,3 +652,92 @@ def test_long_run_rewards_match_per_block_sum():
     for aid, got in rep.agent_rewards.items():
         policy = rep.agent_policy[aid]
         assert abs(got - want[policy]) <= 1e-12 * want[policy], policy
+
+
+_REGIMES = st.one_of(
+    st.builds(EpochFixed, st.integers(1, 40)),
+    st.builds(EpochWithEda, st.integers(1, 40), st.integers(1, 6),
+              st.sampled_from([1.5, 4.0, 12.0]), st.sampled_from([0.5, 0.8])),
+    st.builds(PerBlockWindow, st.integers(1, 20)),
+)
+_POLICIES = [Strategy.FICKLE, Strategy.AUTOMATIC, Strategy.A_ONLY, Strategy.B_ONLY]
+
+
+@st.composite
+def _switching_rosters(draw):
+    n = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    agents = []
+    for i, w in enumerate(weights):
+        policy = draw(st.sampled_from(_POLICIES))
+        coin = draw(st.sampled_from([None, Coin.A, Coin.B]))
+        agents.append(MinerAgent(f"m{i}", w / total, policy, current_coin=coin))
+    # At least one agent that switches.
+    if not any(a.policy in (Strategy.FICKLE, Strategy.AUTOMATIC) for a in agents):
+        agents[0].policy = draw(st.sampled_from([Strategy.FICKLE, Strategy.AUTOMATIC]))
+    return agents
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    agents=_switching_rosters(),
+    d_a=st.floats(0.2, 1.5),
+    d_b=st.floats(0.05, 1.0),
+    k=st.floats(0.05, 1.0),
+    prices=st.one_of(st.none(), st.lists(
+        st.tuples(st.floats(1.0, 150.0), st.floats(0.05, 1.0)), min_size=1, max_size=4)),
+    regime_a=_REGIMES,
+    regime_b=_REGIMES,
+    mode=st.sampled_from(["exponential", "deterministic"]),
+    seed=st.integers(0, 2**16),
+)
+def test_switches_happen_only_at_start_retarget_or_price(agents, d_a, d_b, k, prices,
+                                                         regime_a, regime_b, mode, seed):
+    # Both policies read only d_a, d_b and k, so an agent can move only at
+    # t = 0 or right after the difficulty, eda or price event that changed
+    # one of them; the loop re-evaluates at exactly those events.
+    schedule = None
+    if prices is not None:
+        schedule = Schedule.from_pairs([(0.0, k)] + sorted(prices))
+    world = ChainWorld(difficulty_a=d_a, difficulty_b=d_b, k=k, k_schedule=schedule)
+    events = []
+    try:
+        run(world, agents, regime_a, regime_b, 150.0, seed=seed, mode=mode,
+            on_event=events.append)
+    except ZeroPowerChain:
+        return
+    prev = None
+    for t, _chain, kind, *_rest in events:
+        if kind in ("switch_auto", "switch_fickle"):
+            if prev is None:
+                assert t == 0.0
+            else:
+                assert prev[1] in ("difficulty", "eda", "price") and prev[0] == t, (prev, t)
+        else:
+            prev = (t, kind)
+
+
+@pytest.mark.parametrize("regime", [EpochFixed(36), EpochWithEda(36, 6, 4.0, 0.8),
+                                    PerBlockWindow(36)])
+def test_run_leaves_no_reference_cycles(regime):
+    # A cycle through a chain would keep each finished run alive until the
+    # cyclic collector runs, and peak memory would grow with it.
+    agents = [
+        MinerAgent("f", 0.3, Strategy.FICKLE),
+        MinerAgent("u", 0.1, Strategy.AUTOMATIC),
+        MinerAgent("b", 0.2, Strategy.B_ONLY),
+        MinerAgent("a", 0.4, Strategy.A_ONLY),
+    ]
+    world = ChainWorld(difficulty_a=0.7, difficulty_b=0.3, k=0.4,
+                       k_schedule=Schedule.from_pairs([(0.0, 0.4), (200.0, 0.6)]))
+    events = []
+    gc.collect()
+    gc.disable()
+    try:
+        rep = run(world, agents, EpochFixed(36), regime, 500.0, seed=2, on_event=events.append)
+        assert rep.blocks[Coin.B] > 0 and rep.fickle_cycles > 0
+        del rep
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -95,7 +95,8 @@ def test_simulate_writes_trajectory_csv(config_path, tmp_path, capsys):
     code, _, _ = run_cli(capsys, "simulate", "--config", config_path,
                          "--initial", "0.01,0.01", "--out", str(out_file), "--quiet")
     assert code == 0
-    rows = list(csv.DictReader(out_file.open()))
+    with out_file.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows
     assert list(rows[0]) == ["step", "r_f", "r_b", "zone", "k", "c_stick"]
 
@@ -143,7 +144,8 @@ def test_chain_sim_pipeline_and_reproducibility(tmp_path, capsys):
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
 
-    header = events.open().readline().strip().split(",")
+    with events.open() as fh:
+        header = fh.readline().strip().split(",")
     assert header == ["time", "chain", "event_type", "difficulty_a", "difficulty_b",
                       "r_f_active", "r_b_active"]
 
@@ -163,9 +165,11 @@ def test_chain_sim_pipeline_and_reproducibility(tmp_path, capsys):
     assert summary["periods"] >= 1
     periods = json.loads(out_periods.read_text())
     assert all(abs(p["r_f_estimate"] - 0.3) < 0.05 for p in periods)
-    est_rows = list(csv.DictReader(out_estimates.open()))
+    with out_estimates.open() as fh:
+        est_rows = list(csv.DictReader(fh))
     assert list(est_rows[0]) == ["timestamp", "basis", "share", "r_f_est", "r_b_est"]
-    zone_rows = list(csv.DictReader(out_zones.open()))
+    with out_zones.open() as fh:
+        zone_rows = list(csv.DictReader(fh))
     assert list(zone_rows[0]) == ["timestamp", "zone", "k"]
     assert len(zone_rows) == len(est_rows)
 
@@ -195,6 +199,36 @@ def test_payoff_csv_format(config_path, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert float(rows[0]["u_a"]) > 0
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("equilibria", []),
+    ("threshold", []),
+    ("best-response", ["--assignment", "assign.json"]),
+    ("chain-sim", ["--agents", "agents.json", "--duration", "10"]),
+    ("analyze", ["--input", "series.csv"]),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_is_refused_where_it_does_nothing(config_path, capsys, command, argv, fmt):
+    # These commands write JSON only; --format used to be accepted and ignored.
+    code, out, err = run_cli(capsys, command, "--config", config_path, *argv,
+                             "--format", fmt, "--quiet")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["code"] == "usage" and "--format" in error["message"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_payoff_underflow_next_to_corner_exits_2(config_path, capsys, fmt):
+    # r_b**2 and s**2 underflow to 0 here; this used to exit 1 with a
+    # ZeroDivisionError.
+    code, out, err = run_cli(capsys, "payoff", "--config", config_path,
+                             "--state", "0,1e-200", "--format", fmt, "--quiet")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error == {"code": "divergent_state", "message": "payoffs diverge at (0.0, 1e-200)"}
 
 
 def test_simulate_json_format(config_path, capsys):

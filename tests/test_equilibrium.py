@@ -348,8 +348,8 @@ def classify_both_ways(r_f, r_b, cfg, tol):
     """(reference outcome, zone_at outcome, zone_of outcome); errors as (type, message).
 
     Any error counts, not only DivergentState: next to the corners r_b**2
-    can underflow and the payoff kernel divide by zero, and zone_at must
-    fail there exactly as the reference does.
+    can underflow, and zone_at must fail there exactly as the reference
+    does.
     """
     def outcome(fn):
         try:
@@ -410,3 +410,14 @@ def test_zone_at_divergent_corners_raise_like_reference(r_f, r_b):
     ref, at, of = classify_both_ways(r_f, r_b, config(0.3), 1e-10)
     assert ref == (DivergentState, f"payoffs diverge at ({r_f}, {r_b})")
     assert at == ref and of == ref
+
+
+@pytest.mark.parametrize("r_f,r_b", [(0.0, 7e-264), (0.0, 1e-200), (1e-170, 3e-305),
+                                     (0.0, 5e-324)])
+def test_zone_at_raises_divergent_state_where_payoffs_underflow(r_f, r_b):
+    # r_b**2 and (r_f + r_b)**2 round to 0; this used to be ZeroDivisionError.
+    for n in (6, 2016):
+        with pytest.raises(DivergentState, match=r"payoffs diverge at \("):
+            zone_at(r_f, r_b, 0.3, n, n)
+        with pytest.raises(DivergentState):
+            zone_of(MiningState(r_f, r_b), config(0.3, n_in=n, n_de=n))

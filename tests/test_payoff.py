@@ -1,15 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualchain.core import MiningState, Strategy, validate_config
 from dualchain.payoff import (
     AutomaticNotAnalytic,
     DegenerateState,
     DivergentPayoff,
+    DivergentState,
     ap_fickle,
     payoff,
     payoff_triple,
+    payoff_values,
 )
 
 
@@ -185,3 +188,47 @@ def test_interior_payoffs_strictly_positive():
         t = payoff_triple(MiningState(r_f, r_b), cfg)
         assert t.u_f > 0.0 and t.u_a > 0.0 and t.u_b > 0.0
         assert not any(t.divergent)
+
+
+def previous_payoff_values(r_f, r_b, k, n_in, n_de):
+    """payoff_values before its underflow branch, kept as the reference."""
+    if r_b <= 0.0:
+        if r_f <= 0.0:
+            return (math.inf, 1.0, math.inf)
+        return (1.0, 1.0, k / r_f)
+    if r_b >= 1.0:
+        return (math.inf, math.inf, k)
+    s = r_f + r_b
+    rb2 = r_b * r_b
+    s2 = s * s
+    q = n_in * rb2 + n_de * s2
+    d = (1.0 - s) * n_in * rb2 + (1.0 - r_b) * n_de * s2
+    return (
+        k * n_in * r_b / q + n_de * s2 / d,
+        q / d,
+        k * (n_in * r_b + n_de * s) / q,
+    )
+
+
+TINY = st.one_of(st.just(0.0), st.floats(5e-324, 1e-140),
+                 st.builds(lambda e: 10.0 ** e, st.floats(-323.0, -140.0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(TINY, st.floats(0.0, 1.0)), st.one_of(TINY, st.floats(0.0, 1.0)),
+       st.floats(0.01, 1.0), st.sampled_from([1, 6, 2016]), st.sampled_from([1, 6, 2016]))
+def test_payoff_values_unchanged_except_where_the_kernel_divided_by_zero(r_f, r_b, k,
+                                                                          n_in, n_de):
+    r_b = min(r_b, 1.0 - r_f)
+    try:
+        want = previous_payoff_values(r_f, r_b, k, n_in, n_de)
+    except ZeroDivisionError:
+        with pytest.raises(DivergentState, match="payoffs diverge"):
+            payoff_values(r_f, r_b, k, n_in, n_de)
+    else:
+        assert payoff_values(r_f, r_b, k, n_in, n_de) == want
+
+
+def test_payoff_triple_raises_divergent_state_where_squares_underflow():
+    with pytest.raises(DivergentState, match=r"payoffs diverge at \(0.0, 1e-200\)"):
+        payoff_triple(MiningState(0.0, 1e-200), config(0.05))
