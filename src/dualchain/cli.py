@@ -16,6 +16,7 @@ import os
 import random
 import stat
 import sys
+import time
 
 from . import chainsim, dynamics, equilibrium, ingest
 from .core import (DualchainError, GameConfig, MiningState, Schedule, Strategy, Zone,
@@ -369,37 +370,56 @@ def _cmd_analyze(args) -> int:
                  "hysteresis": args.hysteresis,
                  "baseline": [args.baseline_start, args.baseline_end],
                  **_config_dict(config)})
-    loaded = ingest.load_series(args.input)
-    if loaded.out_of_order_count:
-        log.warning("sorted %d out-of-order records", loaded.out_of_order_count)
-    periods = ingest.detect_fickle_periods(
-        loaded.records, hysteresis=args.hysteresis,
-        baseline=(args.baseline_start, args.baseline_end),
-    )
-    estimates, period_rf = ingest.estimate_state_path(loaded.records, periods)
-    if args.out_periods:
-        with open(args.out_periods, "w") as fh:
-            json.dump([
-                {"start_index": p.start_index, "end_index": p.end_index,
-                 "trigger_ratio": p.trigger_ratio, "r_f_estimate": rf}
-                for p, rf in zip(periods, period_rf)
-            ], fh, allow_nan=False)
-    if args.out_estimates:
-        _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"), (
-            (e.timestamp, _LABELS[e.basis], e.share,
-             "" if e.r_f is None else e.r_f, "" if e.r_b is None else e.r_b)
-            for e in estimates
-        ), args.out_estimates)
-    if args.out_zones:
-        # zone_path runs to the end before the file opens, so a refusal
-        # leaves no zones file behind.
-        zones, _ = ingest.zone_path(estimates, config)
-        _emit_csv(("timestamp", "zone", "k"),
-                  ((e.timestamp, _LABELS[z], e.k) for e, z in zip(estimates, zones)),
-                  args.out_zones)
-    summary = {"records": len(loaded.records), "periods": len(periods),
-               "out_of_order": loaded.out_of_order_count}
-    _emit(_json(summary), args.out)
+    # For the debug line: what the run saw, and when each stage ended.
+    seen = {"rows": None, "out_of_order": None, "periods": None, "refused": None}
+    laps = [("start", time.perf_counter())]
+    try:
+        loaded = ingest.load_series(args.input)
+        seen.update(rows=len(loaded), out_of_order=loaded.out_of_order_count)
+        laps.append(("load", time.perf_counter()))
+        if loaded.out_of_order_count:
+            log.warning("sorted %d out-of-order records", loaded.out_of_order_count)
+        periods = ingest.detect_fickle_periods(
+            loaded, hysteresis=args.hysteresis,
+            baseline=(args.baseline_start, args.baseline_end),
+        )
+        seen["periods"] = len(periods)
+        laps.append(("detect", time.perf_counter()))
+        estimates, period_rf = ingest.estimate_state_path(loaded, periods)
+        ts, basis, share, r_f, r_b, k = estimates.columns.values()
+        laps.append(("estimate", time.perf_counter()))
+        if args.out_periods:
+            with open(args.out_periods, "w") as fh:
+                json.dump([
+                    {"start_index": p.start_index, "end_index": p.end_index,
+                     "trigger_ratio": p.trigger_ratio, "r_f_estimate": rf}
+                    for p, rf in zip(periods, period_rf)
+                ], fh, allow_nan=False)
+        if args.out_estimates:
+            _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"), zip(
+                ts, map(_LABELS.__getitem__, basis), share,
+                ["" if v is None else v for v in r_f], ["" if v is None else v for v in r_b],
+            ), args.out_estimates)
+        laps.append(("emit", time.perf_counter()))
+        if args.out_zones:
+            # zone_path runs to the end before the file opens, so a refusal
+            # leaves no zones file behind.
+            zones, _ = ingest.zone_path(estimates, config)
+            laps.append(("zones", time.perf_counter()))
+            _emit_csv(("timestamp", "zone", "k"),
+                      zip(ts, map(_LABELS.__getitem__, zones), k), args.out_zones)
+        _emit(_json({"records": len(loaded), "periods": len(periods),
+                     "out_of_order": loaded.out_of_order_count}), args.out)
+        laps.append(("emit", time.perf_counter()))
+    except DualchainError as exc:
+        seen["refused"] = exc.code
+        raise
+    finally:
+        if log.isEnabledFor(logging.DEBUG):
+            seconds: dict[str, float] = {}
+            for (_, begun), (stage, ended) in zip(laps, laps[1:]):
+                seconds[stage] = seconds.get(stage, 0.0) + ended - begun
+            log.debug("%s", json.dumps({"command": "analyze", **seen, "seconds": seconds}))
     return 0
 
 

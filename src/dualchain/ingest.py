@@ -20,6 +20,8 @@ import csv
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .core import SERIES_COLUMNS, DualchainError, GameConfig, Zone
@@ -108,28 +110,71 @@ class StateEstimate:
     k: float
 
 
-@dataclass
-class SeriesLoad:
-    """Loaded series plus a count of out-of-order rows that were sorted."""
+class _Columns:
+    """A sequence of `row` records (each with a timestamp) held as
+    `columns`, one sequence per field name in field order.  Iterating and
+    indexing build records as views; it equals the list of its records."""
 
-    records: list[SeriesRecord]
-    out_of_order_count: int = 0
+    row: type
 
-    def __iter__(self):
-        return iter(self.records)
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
 
     def __len__(self):
-        return len(self.records)
+        return len(self.columns["timestamp"])
+
+    def __iter__(self):
+        return map(self.row, *self.columns.values())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)({name: col[i] for name, col in self.columns.items()})
+        return self.row(*(col[i] for col in self.columns.values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Columns, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+class StatePath(_Columns):
+    """Per-record state estimates, one column per StateEstimate field."""
+
+    row = StateEstimate
+
+
+class SeriesLoad(_Columns):
+    """A loaded series, one column per SERIES_COLUMNS name, sorted by
+    timestamp, plus a count of out-of-order rows that were sorted."""
+
+    row = SeriesRecord
+
+    def __init__(self, columns: dict[str, Sequence], out_of_order_count: int = 0):
+        super().__init__(columns)
+        self.out_of_order_count = out_of_order_count
+
+    @property
+    def records(self) -> list[SeriesRecord]:
+        """The rows as SeriesRecord views, built on each access."""
+        return list(self)
+
+
+def _column(rows, name: str) -> Sequence:
+    """Column `name` of a SeriesLoad or StatePath, or of a record sequence."""
+    if isinstance(rows, _Columns):
+        return rows.columns[name]
+    return list(map(attrgetter(name), rows))
 
 
 def load_series(path: str) -> SeriesLoad:
     """Parse and validate a series CSV; rows are sorted by timestamp.
 
     Out-of-order rows are tolerated (the result reports how many);
-    duplicate timestamps are rejected, and so are non-finite values.
+    duplicate timestamps are rejected, and so are non-finite values and
+    hash rates whose sum overflows.
     """
-    records: list[SeriesRecord] = []
-    append = records.append
+    rows: list[tuple] = []
+    append = rows.append
     n_fields = len(SERIES_HEADER)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -157,9 +202,10 @@ def load_series(path: str) -> SeriesLoad:
                 # int(float("inf")) overflows; int(float("nan")) is a ValueError.
                 raise ParseError(str(exc), line=lineno) from exc
             # The chained tests are false for NaN as well as out of range.
-            if not (0.0 <= h_a < _INF and 0.0 <= h_b < _INF):
+            # Rates >= 0 with a finite sum are finite, and h_b / (h_a + h_b) is a share.
+            if not (0.0 <= h_a and 0.0 <= h_b and h_a + h_b < _INF):
                 raise InvariantViolation(
-                    f"hash rates ({row[1]}, {row[2]}) must be finite and >= 0",
+                    f"hash rates ({row[1]}, {row[2]}) and their sum must be finite and >= 0",
                     line=lineno, field="hashrate",
                 )
             if h_a == 0.0 and h_b == 0.0:
@@ -174,25 +220,23 @@ def load_series(path: str) -> SeriesLoad:
                     f"price ratio {k} outside (0, 1]",
                     line=lineno, field="price_ratio_k",
                 )
-            append(SeriesRecord(timestamp, h_a, h_b, d_a, d_b, k))
+            append((timestamp, h_a, h_b, d_a, d_b, k))
 
-    if not records:
+    if not rows:
         raise EmptySeries(f"{path} has no data rows")
-    out_of_order = sum(
-        1 for a, b in zip(records, records[1:]) if b.timestamp < a.timestamp
-    )
+    out_of_order = sum(1 for a, b in zip(rows, rows[1:]) if b[0] < a[0])
     if out_of_order:
-        records.sort(key=lambda r: r.timestamp)
-    for a, b in zip(records, records[1:]):
-        if a.timestamp == b.timestamp:
-            raise InvariantViolation(
-                f"duplicate timestamp {a.timestamp}", field="timestamp"
-            )
-    return SeriesLoad(records, out_of_order)
+        rows.sort(key=itemgetter(0))
+    columns = dict(zip(SERIES_HEADER, zip(*rows)))
+    ts = columns["timestamp"]
+    for a, b in zip(ts, ts[1:]):
+        if a == b:
+            raise InvariantViolation(f"duplicate timestamp {a}", field="timestamp")
+    return SeriesLoad(columns, out_of_order)
 
 
 def detect_fickle_periods(
-    series: Sequence[SeriesRecord],
+    series: SeriesLoad | Sequence[SeriesRecord],
     hysteresis: float = 0.02,
     baseline: tuple[int, int] = (0, 1),
 ) -> list[FicklePeriod]:
@@ -206,12 +250,14 @@ def detect_fickle_periods(
     that single scale, which requires them to share units (true for
     PoW-compatible chains).
     """
-    if len(series) < 2:
+    n = len(series)
+    if n < 2:
         raise EmptySeries("need at least 2 records to detect periods")
     if not (0.0 <= hysteresis < _INF):
         raise ValueError(f"hysteresis must be finite and >= 0, got {hysteresis}")
+    d_a = _column(series, "difficulty_a")
     lo, hi = baseline
-    base = [series[i].difficulty_a for i in range(max(lo, 0), min(hi, len(series)))]
+    base = d_a[max(lo, 0):min(hi, n)]
     if not base:
         raise NoBaseline(f"baseline window {baseline} selects no records")
     scale = statistics.fmean(base)
@@ -219,9 +265,9 @@ def detect_fickle_periods(
     periods: list[FicklePeriod] = []
     open_start: int | None = None
     open_ratio = 0.0
-    for i, rec in enumerate(series):
-        ratio = (rec.difficulty_b / scale) / (rec.difficulty_a / scale)
-        k = rec.price_ratio_k
+    for i, (a, b, k) in enumerate(zip(d_a, _column(series, "difficulty_b"),
+                                      _column(series, "price_ratio_k"))):
+        ratio = (b / scale) / (a / scale)
         if open_start is None:
             if ratio < k * (1.0 - hysteresis):
                 open_start = i
@@ -230,16 +276,16 @@ def detect_fickle_periods(
             if ratio > k * (1.0 + hysteresis):
                 periods.append(FicklePeriod(open_start, i, open_ratio))
                 open_start = None
-    if open_start is not None and open_start < len(series) - 1:
-        periods.append(FicklePeriod(open_start, len(series) - 1, open_ratio))
+    if open_start is not None and open_start < n - 1:
+        periods.append(FicklePeriod(open_start, n - 1, open_ratio))
     return periods
 
 
 def estimate_state_path(
-    series: Sequence[SeriesRecord],
+    series: SeriesLoad | Sequence[SeriesRecord],
     periods: Sequence[FicklePeriod],
     flank: int = 24,
-) -> tuple[list[StateEstimate], list[float]]:
+) -> tuple[StatePath, list[float]]:
     """Per-record state estimates plus one r_f estimate per period.
 
     A period's r_f is the median in-period share minus the median share
@@ -253,7 +299,8 @@ def estimate_state_path(
     for p in periods:
         if not (0 <= p.start_index <= p.end_index < n):
             raise ValueError(f"{p} does not fit a series of {n} records")
-    shares = [rec.hashrate_b / (rec.hashrate_a + rec.hashrate_b) for rec in series]
+    shares = [b / (a + b) for a, b in zip(_column(series, "hashrate_a"),
+                                          _column(series, "hashrate_b"))]
     # Each record's period r_f, or None outside every period.  The first
     # pass marks period records with 0.0, so the flanks can skip them.
     rf_at: list[float | None] = [None] * n
@@ -262,19 +309,9 @@ def estimate_state_path(
 
     period_rf: list[float] = []
     for p in periods:
-        flanking: list[float] = []
-        i = p.start_index - 1
-        while i >= 0 and len(flanking) < flank:
-            if rf_at[i] is None:
-                flanking.append(shares[i])
-            i -= 1
-        after: list[float] = []
-        i = p.end_index + 1
-        while i < n and len(after) < flank:
-            if rf_at[i] is None:
-                after.append(shares[i])
-            i += 1
-        flanking.extend(after)
+        before = (i for i in range(p.start_index - 1, -1, -1) if rf_at[i] is None)
+        after = (i for i in range(p.end_index + 1, n) if rf_at[i] is None)
+        flanking = [shares[i] for side in (before, after) for i in islice(side, max(flank, 0))]
         base = statistics.median(flanking) if flanking else 0.0
         inside = statistics.median(shares[p.start_index:p.end_index + 1])
         period_rf.append(max(0.0, inside - base))
@@ -282,16 +319,19 @@ def estimate_state_path(
         rf_at[p.start_index:p.end_index + 1] = [rf] * (p.end_index + 1 - p.start_index)
 
     gray, non_gray = Basis.GRAY_PERIOD, Basis.NON_GRAY
-    return [
-        StateEstimate(rec.timestamp, non_gray, share, None, share, rec.price_ratio_k)
-        if rf is None else
-        StateEstimate(rec.timestamp, gray, share, rf, max(0.0, share - rf), rec.price_ratio_k)
-        for rec, share, rf in zip(series, shares, rf_at)
-    ], period_rf
+    return StatePath({
+        "timestamp": _column(series, "timestamp"),
+        "basis": [non_gray if rf is None else gray for rf in rf_at],
+        "share": shares,
+        "r_f": rf_at,
+        "r_b": [share if rf is None else max(0.0, share - rf)
+                for share, rf in zip(shares, rf_at)],
+        "k": _column(series, "price_ratio_k"),
+    }), period_rf
 
 
 def zone_path(
-    estimates: Sequence[StateEstimate],
+    estimates: StatePath | Sequence[StateEstimate],
     config: GameConfig,
     tol: float = ZONE_TOL,
 ) -> tuple[list[Zone], list[tuple[int, Zone, Zone]]]:
@@ -309,31 +349,35 @@ def zone_path(
     transitions: list[tuple[int, Zone, Zone]] = []
     carried_rf: float | None = None
     n_in, n_de = config.n_in, config.n_de
-    for i, est in enumerate(estimates):
-        if est.basis is Basis.GRAY_PERIOD:
-            if est.r_f is None:
+    gray, zone1 = Basis.GRAY_PERIOD, Zone.ZONE1
+    if not isinstance(estimates, StatePath):
+        estimates = list(estimates)  # an iterator is read once, not once per column
+    columns = (_column(estimates, c) for c in ("basis", "share", "r_f", "r_b", "k"))
+    for i, (basis, share, r_f, r_b, k) in enumerate(zip(*columns)):
+        if basis is gray:
+            if r_f is None:
                 raise UnresolvableState(f"period record {i} lacks an r_f estimate")
-            carried_rf = est.r_f
-            r_f, r_b = est.r_f, est.r_b if est.r_b is not None else 0.0
+            carried_rf = r_f
+            r_b = 0.0 if r_b is None else r_b
         else:
-            if est.share <= 0.0:
-                if zones and Zone.ZONE1 is not zones[-1]:
-                    transitions.append((i, zones[-1], Zone.ZONE1))
-                zones.append(Zone.ZONE1)
+            if share <= 0.0:
+                if zones and zone1 is not zones[-1]:
+                    transitions.append((i, zones[-1], zone1))
+                zones.append(zone1)
                 continue
             if carried_rf is None:
                 raise UnresolvableState(
                     f"record {i}: B mining observed before any fickle period "
                     "provided an r_f estimate"
                 )
-            r_b = est.r_b if est.r_b is not None else est.share
+            r_b = share if r_b is None else r_b
             r_f = min(carried_rf, max(0.0, 1.0 - r_b))
         r_f = min(r_f, 1.0)
         r_b = min(r_b, 1.0 - r_f)
         # The clamps keep r_f + r_b <= 1; the signs come from the estimates.
         if not (r_f >= 0.0 and r_b >= 0.0):
             raise ValueError(f"power fractions must be >= 0: ({r_f}, {r_b})")
-        zone = zone_at(r_f, r_b, est.k, n_in, n_de, tol)
+        zone = zone_at(r_f, r_b, k, n_in, n_de, tol)
         if zones and zone is not zones[-1]:
             transitions.append((i, zones[-1], zone))
         zones.append(zone)

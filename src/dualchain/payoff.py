@@ -123,18 +123,14 @@ def payoff(strategy: Strategy, state: MiningState, config: GameConfig) -> float:
 def ap_fickle(state: MiningState, config: GameConfig, c_i: float) -> float:
     """Reward per P_ag of a fickle player during its coin_A phase.
 
-    This is the raw form with the player's power c_i kept explicit (the
-    second factor is the inverse of the average coin_A difficulty);
-    linear in c_i.
+    The raw form with the player's power c_i kept explicit: c_i times
+    u_a, the inverse of the average coin_A difficulty; linear in c_i.
     """
-    if c_i <= 0.0:
-        raise ValueError(f"c_i must be positive, got {c_i}")
-    r_f, r_b = state.r_f, state.r_b
-    if r_b <= 0.0:
+    if not 0.0 < c_i < _INF:
+        raise ValueError(f"c_i must be finite and positive, got {c_i}")
+    if state.r_b <= 0.0:
         raise DegenerateState("ap_fickle requires r_b > 0")
-    s = r_f + r_b
-    rb2 = r_b * r_b
-    s2 = s * s
-    q = config.n_in * rb2 + config.n_de * s2
-    d = (1.0 - s) * config.n_in * rb2 + (1.0 - r_b) * config.n_de * s2
-    return c_i * q / d
+    u_a = payoff_values(state.r_f, state.r_b, config.k, config.n_in, config.n_de)[1]
+    if math.isinf(u_a):
+        raise DivergentPayoff(f"ap_fickle diverges at ({state.r_f}, {state.r_b})")
+    return c_i * u_a

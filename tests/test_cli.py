@@ -569,6 +569,41 @@ def test_analyze_refusal_writes_estimates_but_no_zones(tmp_path, capsys):
     assert not zone_out.exists()
 
 
+def test_analyze_debug_line_reports_counts_and_stage_seconds(analyze_inputs, tmp_path,
+                                                             capsys, monkeypatch):
+    config_path, series_path = analyze_inputs
+    argv = ["analyze", "--config", config_path, "--input", series_path,
+            "--out-estimates", str(tmp_path / "est.csv"), "--out-zones", str(tmp_path / "z.csv"),
+            "--quiet"]
+
+    def debug_lines(err):
+        prefix = "DEBUG dualchain: "
+        return [json.loads(line[len(prefix):]) for line in err.splitlines()
+                if line.startswith(prefix)]
+
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and debug_lines(err) == []
+    monkeypatch.setenv("DUALCHAIN_LOG", "debug")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    [line] = debug_lines(err)
+    summary = json.loads(out)
+    assert line["command"] == "analyze"
+    assert (line["rows"], line["out_of_order"], line["periods"], line["refused"]) == (
+        summary["records"], summary["out_of_order"], summary["periods"], None)
+    assert set(line["seconds"]) == {"load", "detect", "estimate", "zones", "emit"}
+    assert all(s >= 0.0 for s in line["seconds"].values())
+
+    refusal = write_series(tmp_path / "refusal.csv",
+                           [series_row(i * 600, 0.25, 0.5, 0.3) for i in range(10)])
+    code, _, err = run_cli(capsys, *argv[:4], refusal, *argv[5:])
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["code"] == "unresolvable_state"
+    [line] = debug_lines(err)
+    assert (line["rows"], line["periods"], line["refused"]) == (10, 0, "unresolvable_state")
+    assert "zones" not in line["seconds"]
+
+
 # ---------------------------------------------------------------------------
 # Non-finite input exits 2 with nothing on stdout.
 
@@ -598,6 +633,17 @@ def test_analyze_non_finite_series_exits_2(analyze_inputs, tmp_path, capsys,
                            "--out-estimates", str(tmp_path / "est.csv"), "--quiet"],
                   code_name)
     assert not (tmp_path / "est.csv").exists()
+
+
+def test_analyze_overflowing_hashrate_sum_exits_2(analyze_inputs, tmp_path, capsys):
+    # The sum is inf, so the B share read 0.0 and the run exited 0 in zone 1.
+    config_path, _ = analyze_inputs
+    series = write_series(tmp_path / "big.csv", [series_row(0, 0.1, 0.5, 0.3),
+                                                 (600, 1e308, 1e308, 1.0, 0.5, 0.3)])
+    assert_exit_2(capsys, ["analyze", "--config", config_path, "--input", series,
+                           "--out-zones", str(tmp_path / "zones.csv"), "--quiet"],
+                  "invariant_violation")
+    assert not (tmp_path / "zones.csv").exists()
 
 
 @pytest.mark.parametrize("state", ["nan,0.1", "0.1,nan", "inf,0", "0,-inf"])

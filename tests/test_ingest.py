@@ -2,7 +2,7 @@ import re
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualchain.core import GameConfig, MiningState, Strategy, Zone, validate_config
 from dualchain.chainsim import ChainWorld, EpochFixed, MinerAgent, run, sample_series
@@ -17,6 +17,7 @@ from dualchain.ingest import (
     NoBaseline,
     ParseError,
     SERIES_HEADER,
+    StatePath,
     UnresolvableState,
     detect_fickle_periods,
     estimate_state_path,
@@ -91,13 +92,18 @@ def test_load_series_rejects_duplicates_and_bad_shapes(tmp_path):
         load_series(zero)
 
 
-@pytest.mark.parametrize("column,field", [
-    (1, "hashrate"), (2, "hashrate"), (3, "difficulty"), (4, "difficulty"),
+@pytest.mark.parametrize("cells,field", [
+    pytest.param({column: value}, field, id=f"{value}-{column}-{field}")
+    for value in ("nan", "inf", "-inf")
+    for column, field in ((1, "hashrate"), (2, "hashrate"), (3, "difficulty"), (4, "difficulty"))
+] + [
+    # Each rate is finite, but h_a + h_b overflows and the B share would be 0.
+    pytest.param({1: "1e308", 2: "1e308"}, "hashrate", id="overflowing-sum-hashrate"),
 ])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_load_series_rejects_non_finite_values(tmp_path, column, field, value):
+def test_load_series_rejects_non_finite_values(tmp_path, cells, field):
     row = list(synthetic_row(600, 0.1, 0.5))
-    row[column] = value
+    for column, value in cells.items():
+        row[column] = value
     path = write_csv(tmp_path / "s.csv", [synthetic_row(0, 0.1, 0.5), row])
     with pytest.raises(InvariantViolation) as err:
         load_series(path)
@@ -448,3 +454,61 @@ def test_estimate_state_path_equals_reference(case):
     series, periods, flank = case
     assert (estimate_state_path(series, periods, flank)
             == reference_estimate_state_path(series, periods, flank))
+
+
+@st.composite
+def series_rows(draw):
+    """Rows of a series file in some written order, and the config to classify them.
+
+    Fickle stretches (difficulty ratio well below k) alternate with
+    quiet ones; the first and the last stretch may be fickle, some quiet
+    rows carry no B mining, k moves between a few values, and a few
+    adjacent rows are swapped so the loader has to sort them.
+    """
+    rows = []
+    fickle = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(1, 12))):
+            k = draw(st.sampled_from([0.1, 0.3, 1.0]))
+            if fickle:
+                share, ratio = draw(st.floats(0.2, 0.9)), 0.5 * k
+            else:
+                share, ratio = draw(st.sampled_from([0.0]) | st.floats(0.0, 0.3)), 1.5 * k
+            rows.append(synthetic_row(len(rows) * 600, share, ratio, k=k,
+                                      d_a=draw(st.floats(0.5, 2.0))))
+        fickle = not fickle
+    for i in draw(st.lists(st.integers(0, max(len(rows) - 2, 0)), max_size=6)):
+        if i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return rows, draw(st.sampled_from([(144, 2016), (2016, 6)]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(series_rows())
+def test_columnar_path_equals_record_path(tmp_path, case):
+    rows, (n_in, n_de) = case
+    cfg = validate_config({"k": 0.3, "n_in": n_in, "n_de": n_de, "powers": [1.0]})
+    loaded = load_series(write_csv(tmp_path / "s.csv", rows))
+    records = loaded.records
+    assert len(loaded) == len(records) == len(rows)
+    assert [r.timestamp for r in records] == sorted(r[0] for r in rows)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    periods = outcome(detect_fickle_periods, loaded)
+    assert periods == outcome(detect_fickle_periods, records)
+    if not isinstance(periods, list):
+        return  # a one-row series: both refuse alike
+    estimates, period_rf = estimate_state_path(loaded, periods)
+    assert isinstance(estimates, StatePath)
+    assert (estimates, period_rf) == estimate_state_path(records, periods)
+    assert (estimates, period_rf) == reference_estimate_state_path(records, periods)
+    assert list(estimates) == [estimates[i] for i in range(len(estimates))]
+    zones = outcome(zone_path, estimates, cfg)
+    assert zones == outcome(zone_path, list(estimates), cfg)
+    assert zones == outcome(reference_zone_path, list(estimates), cfg)

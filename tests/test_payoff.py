@@ -153,6 +153,18 @@ def test_ap_fickle_degenerate_without_b_miners():
         ap_fickle(MiningState(0.3, 0.0), config(0.3), 0.1)
 
 
+def test_ap_fickle_raises_typed_errors_at_the_corners():
+    cfg = config(0.3)
+    # Both divided by zero before ap_fickle went through payoff_values.
+    with pytest.raises(DivergentState, match=r"payoffs diverge at \(0.0, 1e-200\)"):
+        ap_fickle(MiningState(0.0, 1e-200), cfg, 0.1)
+    with pytest.raises(DivergentPayoff, match=r"ap_fickle diverges at \(0.0, 1.0\)"):
+        ap_fickle(MiningState(0.0, 1.0), cfg, 0.1)
+    for c_i in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_i must be finite and positive"):
+            ap_fickle(MiningState(0.3, 0.2), cfg, c_i)
+
+
 @pytest.mark.parametrize("k,n_in,n_de", [(0.05, 2016, 2016), (0.3, 144, 2016), (1.0, 10, 10)])
 def test_boundary_separations_single_crossing_in_r_b(k, n_in, n_de):
     # What the boundary solvers rely on: for fixed r_f, u_f - u_b is
