@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import stat
@@ -299,6 +300,36 @@ def _report_dict(report: chainsim.SimReport) -> dict:
     }
 
 
+def _log_stages(fields: dict, laps: list[tuple[str, float]]):
+    """Log one debug line: `fields` plus `seconds`, the time from each lap to
+    the next summed per stage name (the later lap's)."""
+    seconds: dict[str, float] = {}
+    for (_, begun), (stage, ended) in zip(laps, laps[1:]):
+        seconds[stage] = seconds.get(stage, 0.0) + ended - begun
+    log.debug("%s", json.dumps({**fields, "seconds": seconds}))
+
+
+def _merge_replicas(reports: list[dict]) -> dict:
+    """The --replicas JSON: every report, then each policy's mean density and
+    its sample stdev over the replicas that have a density (stdev null when
+    fewer than two do)."""
+    merged: dict = {"replicas": reports}
+    densities = [r["policy_density"] for r in reports if r["policy_density"]]
+    n = len(densities)
+    if densities:
+        means = {k: sum(d[k] for d in densities) / n for k in densities[0]}
+        merged["mean_policy_density"] = means
+    merged["stdev_policy_density"] = None
+    if n > 1:
+        # Plain float arithmetic: a non-finite density gives NaN here and
+        # exit 2 at the JSON emit, as it does for the mean.
+        merged["stdev_policy_density"] = {
+            k: math.sqrt(sum((d[k] - m) * (d[k] - m) for d in densities) / (n - 1))
+            for k, m in means.items()
+        }
+    return merged
+
+
 def _cmd_chain_sim(args) -> int:
     if args.replicas < 1:
         raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
@@ -329,38 +360,53 @@ def _cmd_chain_sim(args) -> int:
         return chainsim.run(world, agents, regime_a, regime_b, args.duration, seed,
                             mode=args.mode, on_event=on_event)
 
-    if args.replicas > 1:
-        reports = [one(seed) for seed in range(args.seed, args.seed + args.replicas)]
-        merged = {
-            "replicas": [_report_dict(r) for r in reports],
-        }
-        densities = [r["policy_density"] for r in merged["replicas"] if r["policy_density"]]
-        if densities:
-            keys = densities[0].keys()
-            merged["mean_policy_density"] = {
-                k: sum(d[k] for d in densities) / len(densities) for k in keys
-            }
-        _emit(_json(merged), args.out)
-        return 0
-
+    workers = 1
+    # For the debug line: [report dict, seconds] per run, and when each stage ended.
+    runs: list = []
+    refused = None
     events_fh = open(args.events, "w", newline="") if args.events else None
+    laps = [("start", time.perf_counter())]
     try:
-        if events_fh is None:
-            report = one(args.seed)
+        if args.replicas > 1:
+            from . import replicas  # loaded only for runs with more than one replica
+
+            workers = replicas.workers(args.replicas)
+            runs = replicas.run(lambda seed: _report_dict(one(seed)),
+                                list(range(args.seed, args.seed + args.replicas)), workers)
+            laps.append(("run", time.perf_counter()))
+            _emit(_json(_merge_replicas([report for report, _ in runs])), args.out)
         else:
-            # The log streams to the file as the run goes.
-            with events_fh:
-                report = one(args.seed, chainsim.write_events_csv(events_fh))
-        if args.series:
-            step = 1.0 if args.series_step is None else args.series_step
-            chainsim.write_series_csv(chainsim.sample_series(report, step=step), args.series)
-        _emit(_json(_report_dict(report)), args.out)
-    except BaseException:
+            if events_fh is None:
+                report = one(args.seed)
+            else:
+                # The log streams to the file as the run goes.
+                with events_fh:
+                    report = one(args.seed, chainsim.write_events_csv(events_fh))
+            result = _report_dict(report)
+            laps.append(("run", time.perf_counter()))
+            runs = [(result, laps[1][1] - laps[0][1])]
+            if args.series:
+                step = 1.0 if args.series_step is None else args.series_step
+                chainsim.write_series_csv(chainsim.sample_series(report, step=step),
+                                          args.series)
+            _emit(_json(result), args.out)
+        laps.append(("emit", time.perf_counter()))
+    except BaseException as exc:
+        if isinstance(exc, DualchainError):
+            refused = exc.code
         # A command that fails leaves no partial log.  Devices, pipes and
         # symlinks given as --events are left alone.
         if events_fh is not None and stat.S_ISREG(os.lstat(args.events).st_mode):
             os.remove(args.events)
         raise
+    finally:
+        if log.isEnabledFor(logging.DEBUG):
+            _log_stages({
+                "command": "chain-sim", "replicas": args.replicas, "workers": workers,
+                "runs": [{"seed": r["seed"], "blocks": r["blocks"], "seconds": s}
+                         for r, s in runs],
+                "refused": refused,
+            }, laps)
     return 0
 
 
@@ -416,10 +462,7 @@ def _cmd_analyze(args) -> int:
         raise
     finally:
         if log.isEnabledFor(logging.DEBUG):
-            seconds: dict[str, float] = {}
-            for (_, begun), (stage, ended) in zip(laps, laps[1:]):
-                seconds[stage] = seconds.get(stage, 0.0) + ended - begun
-            log.debug("%s", json.dumps({"command": "analyze", **seen, "seconds": seconds}))
+            _log_stages({"command": "analyze", **seen}, laps)
     return 0
 
 

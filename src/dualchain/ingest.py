@@ -192,7 +192,8 @@ def load_series(path: str) -> SeriesLoad:
             if len(row) != n_fields:
                 raise ParseError(f"expected {n_fields} fields", line=lineno)
             try:
-                timestamp = int(float(row[0]))
+                t = float(row[0])
+                timestamp = int(t)
                 h_a = float(row[1])
                 h_b = float(row[2])
                 d_a = float(row[3])
@@ -201,6 +202,9 @@ def load_series(path: str) -> SeriesLoad:
             except (ValueError, OverflowError) as exc:
                 # int(float("inf")) overflows; int(float("nan")) is a ValueError.
                 raise ParseError(str(exc), line=lineno) from exc
+            if timestamp != t:
+                raise ParseError(f"line {lineno}: timestamp {row[0]} is not a whole number",
+                                 line=lineno)
             # The chained tests are false for NaN as well as out of range.
             # Rates >= 0 with a finite sum are finite, and h_b / (h_a + h_b) is a share.
             if not (0.0 <= h_a and 0.0 <= h_b and h_a + h_b < _INF):
@@ -260,7 +264,13 @@ def detect_fickle_periods(
     base = d_a[max(lo, 0):min(hi, n)]
     if not base:
         raise NoBaseline(f"baseline window {baseline} selects no records")
-    scale = statistics.fmean(base)
+    try:
+        scale = statistics.fmean(base)
+    except OverflowError:
+        # The window sums past the float range; its mean, taken relative
+        # to its largest value, does not.
+        top = max(base)
+        scale = top * statistics.fmean([a / top for a in base])
 
     periods: list[FicklePeriod] = []
     open_start: int | None = None

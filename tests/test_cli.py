@@ -1,19 +1,24 @@
+import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
+import signal
+import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 import dualchain
-from dualchain import chainsim, cli, dynamics, ingest
+from dualchain import chainsim, cli, dynamics, ingest, replicas
 from dualchain.cli import dispatch
-from dualchain.core import MiningState, Zone, config_from_json
+from dualchain.core import DualchainError, MiningState, Zone, config_from_json
 from dualchain.equilibrium import zone_of
 from dualchain.payoff import payoff_triple
 
@@ -399,6 +404,248 @@ def test_chain_sim_records_events_only_when_written(sim_inputs, tmp_path, capsys
 
 
 # ---------------------------------------------------------------------------
+# --replicas over forked workers: the same bytes, errors and exit codes as a
+# plain loop, and no child left behind.
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds, message):
+    """Fail with `message` instead of hanging past `seconds`."""
+    def expire(*_):
+        pytest.fail(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def replicas_outcome(capsys, monkeypatch, argv, cpus):
+    monkeypatch.setattr(replicas, "cpus", lambda: cpus)
+    with deadline(60, "the --replicas dispatch did not finish"):
+        outcome = run_cli(capsys, *argv)
+    assert_no_child_left()
+    return outcome
+
+
+@pytest.fixture
+def replica_argv(sim_inputs, tmp_path):
+    return [*sim_inputs, "--duration", "500", "--seed", "3", "--replicas", "5",
+            "--out", str(tmp_path / "merged.json")]
+
+
+# A fork that fails (the process limit) leaves the rest to this process.
+@pytest.mark.parametrize("cpus,fork_fails", [(2, False), (3, False), (3, True)])
+def test_replica_workers_write_the_loop_bytes(capsys, monkeypatch, tmp_path, replica_argv,
+                                              cpus, fork_fails):
+    out = tmp_path / "merged.json"
+    assert replicas_outcome(capsys, monkeypatch, replica_argv, 1) == (0, "", "")
+    serial = out.read_bytes()
+    out.unlink()
+    if fork_fails:
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert replicas_outcome(capsys, monkeypatch, replica_argv, cpus) == (0, "", "")
+    assert out.read_bytes() == serial
+    assert [r["seed"] for r in json.loads(serial)["replicas"]] == [3, 4, 5, 6, 7]
+
+
+class _Boom(DualchainError):
+    code = "boom"
+
+
+# Seeds 3..7 over two processes: this one runs 3, 5, 7 and the worker 4, 6.
+@pytest.mark.parametrize("failing", [{6}, {4, 5}, {5, 6}, {4, 6}])
+def test_replica_failure_exits_like_the_loop(capsys, monkeypatch, replica_argv, failing):
+    real_run = chainsim.run
+
+    def spy(world, agents, regime_a, regime_b, duration, seed, **kwargs):
+        if seed in failing:
+            raise _Boom(f"seed {seed} failed")
+        return real_run(world, agents, regime_a, regime_b, duration, seed, **kwargs)
+
+    monkeypatch.setattr(chainsim, "run", spy)
+    serial = replicas_outcome(capsys, monkeypatch, replica_argv, 1)
+    assert serial == (2, "", json.dumps({"code": "boom",
+                                         "message": f"seed {min(failing)} failed"}) + "\n")
+    assert replicas_outcome(capsys, monkeypatch, replica_argv, 2) == serial
+
+
+@pytest.mark.parametrize("count,cpus,forks", [
+    (5, 2, 1), (5, 3, 2), (3, 8, 2), (2, 1, 0), (1, 4, 0),
+])
+def test_replicas_fork_one_worker_per_spare_cpu(capsys, monkeypatch, sim_inputs, count,
+                                                cpus, forks):
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    argv = [*sim_inputs, "--duration", "50", "--replicas", str(count)]
+    code, out, _ = replicas_outcome(capsys, monkeypatch, argv, cpus)
+    assert code == 0
+    reports = json.loads(out)["replicas"] if count > 1 else [json.loads(out)]
+    assert [r["seed"] for r in reports] == list(range(count))
+    assert len(calls) == forks
+
+
+# A worker blocked on its full pipe: each report outgrows a pipe's buffer.
+# Even without the kill it must exit, since it holds no read end of its own
+# pipe and its write fails once the parent closes the last one.  A busy
+# worker, in a run that would take minutes, needs the kill.
+@pytest.mark.parametrize("worker,kill", [("blocked", True), ("blocked", False),
+                                         ("busy", True)])
+def test_replica_interrupt_leaves_no_worker_behind(capsys, monkeypatch, replica_argv,
+                                                   worker, kill):
+    # The interrupt comes while the worker runs; the parent must not wait on it.
+    parent = os.getpid()
+    real_report_dict, real_run, real_fork, real_kill = (cli._report_dict, chainsim.run,
+                                                        os.fork, os.kill)
+    forked = []
+
+    def recording_fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    def bulky(report):
+        return {**real_report_dict(report), "padding": "x" * 200_000}
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        if worker == "busy":
+            time.sleep(300)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_report_dict", bulky)
+    monkeypatch.setattr(chainsim, "run", interrupted)
+    monkeypatch.setattr(replicas, "cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    if not kill:
+        monkeypatch.setattr(os, "kill", lambda pid, sig: None)
+    try:
+        with deadline(30, "the parent waited on its worker"), \
+                pytest.raises(KeyboardInterrupt):
+            dispatch(replica_argv)
+        assert_no_child_left()
+    finally:
+        # On a failure, end any worker still running, so it cannot hold the
+        # suite's output open.  An unreaped child's pid is never reused.
+        for pid in forked:
+            with contextlib.suppress(ChildProcessError):
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    real_kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+
+
+def test_only_replica_runs_load_the_fork_machinery(sim_inputs):
+    # A fresh interpreter: which modules a dispatch loads sets its peak RSS.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dualchain.__file__)))
+    probe = ("import sys\n"
+             "from dualchain.cli import dispatch\n"
+             "assert dispatch(sys.argv[1:]) == 0\n"
+             "print(sorted({'dualchain.replicas', 'pickle', 'multiprocessing'}"
+             " & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    loaded = []
+    for extra in ([], ["--replicas", "2"]):
+        proc = subprocess.run([sys.executable, "-c", probe, *sim_inputs, "--duration", "50",
+                               "--out", os.devnull, *extra],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(proc.stdout.strip())
+    assert loaded == ["[]", "['dualchain.replicas']"]
+
+
+def test_merge_replicas_gives_mean_and_sample_stdev():
+    densities = [{"fickle": 1.0, "a_only": 0.5}, None, {"fickle": 1.5, "a_only": 0.25},
+                 {"fickle": 2.5, "a_only": 0.25}]
+    reports = [{"seed": i, "policy_density": d} for i, d in enumerate(densities)]
+    merged = cli._merge_replicas(reports)
+    assert list(merged) == ["replicas", "mean_policy_density", "stdev_policy_density"]
+    assert merged["replicas"] is reports
+    assert merged["mean_policy_density"] == {"fickle": 5.0 / 3, "a_only": 1.0 / 3}
+    for policy, stdev in merged["stdev_policy_density"].items():
+        want = statistics.stdev(d[policy] for d in densities if d)
+        assert stdev == pytest.approx(want, rel=1e-15)
+    # Fewer than two densities: no spread to report.
+    assert cli._merge_replicas(reports[:2])["stdev_policy_density"] is None
+    assert cli._merge_replicas(reports[1:2]) == {"replicas": reports[1:2],
+                                                 "stdev_policy_density": None}
+
+
+def test_merge_replicas_non_finite_density_exits_2_at_the_emit():
+    reports = [{"policy_density": {"fickle": d}} for d in (math.inf, 1.0)]
+    with pytest.raises(ValueError):
+        cli._json(cli._merge_replicas(reports))
+
+
+def test_chain_sim_replicas_report_density_stdev(capsys, monkeypatch, replica_argv,
+                                                 tmp_path):
+    assert replicas_outcome(capsys, monkeypatch, replica_argv, 2)[0] == 0
+    merged = json.loads((tmp_path / "merged.json").read_text())
+    densities = [r["policy_density"] for r in merged["replicas"] if r["policy_density"]]
+    assert len(densities) > 1
+    for policy, stdev in merged["stdev_policy_density"].items():
+        assert stdev == pytest.approx(statistics.stdev(d[policy] for d in densities),
+                                      rel=1e-12)
+
+
+def chain_sim_debug_lines(err):
+    prefix = "DEBUG dualchain: "
+    return [json.loads(line[len(prefix):]) for line in err.splitlines()
+            if line.startswith(prefix)]
+
+
+def test_chain_sim_debug_line_reports_runs_and_stage_seconds(capsys, monkeypatch,
+                                                             replica_argv, tmp_path):
+    _, _, err = replicas_outcome(capsys, monkeypatch, replica_argv, 2)
+    assert chain_sim_debug_lines(err) == []
+    monkeypatch.setenv("DUALCHAIN_LOG", "debug")
+    code, _, err = replicas_outcome(capsys, monkeypatch, replica_argv, 2)
+    assert code == 0
+    [line] = chain_sim_debug_lines(err)
+    merged = json.loads((tmp_path / "merged.json").read_text())
+    assert (line["command"], line["replicas"], line["workers"], line["refused"]) == (
+        "chain-sim", 5, 2, None)
+    assert [(r["seed"], r["blocks"]) for r in line["runs"]] == [
+        (r["seed"], r["blocks"]) for r in merged["replicas"]]
+    assert all(r["seconds"] > 0.0 for r in line["runs"])
+    assert set(line["seconds"]) == {"run", "emit"}
+
+    code, out, err = run_cli(capsys, *replica_argv[:-4])
+    assert code == 0
+    [line] = chain_sim_debug_lines(err)
+    assert (line["replicas"], line["workers"]) == (1, 1)
+    assert [(r["seed"], r["blocks"]) for r in line["runs"]] == [
+        (3, json.loads(out)["blocks"])]
+
+
+def test_chain_sim_debug_line_names_the_refusal(capsys, monkeypatch, stuck_fickle_inputs):
+    monkeypatch.setenv("DUALCHAIN_LOG", "debug")
+    argv = [*stuck_fickle_inputs, "--duration", "50", "--replicas", "3"]
+    code, _, err = replicas_outcome(capsys, monkeypatch, argv, 2)
+    assert code == 2
+    [line] = chain_sim_debug_lines(err)
+    assert (line["refused"], line["runs"], line["workers"]) == ("zero_power_chain", [], 2)
+    assert "emit" not in line["seconds"]
+
+
+# ---------------------------------------------------------------------------
 # CSV tables: the streamed lines must be the bytes csv.DictWriter wrote.
 
 
@@ -644,6 +891,27 @@ def test_analyze_overflowing_hashrate_sum_exits_2(analyze_inputs, tmp_path, caps
                            "--out-zones", str(tmp_path / "zones.csv"), "--quiet"],
                   "invariant_violation")
     assert not (tmp_path / "zones.csv").exists()
+
+
+def test_analyze_baseline_whose_sum_overflows_exits_0(analyze_inputs, tmp_path, capsys):
+    # The baseline mean overflowed fsum, and the run exited 1 as an internal error.
+    config_path, _ = analyze_inputs
+    series = write_series(tmp_path / "big.csv", [(0, 0.9, 0.1, 1e308, 5e307, 0.3),
+                                                 (600, 0.9, 0.1, 1e308, 5e307, 0.3),
+                                                 (1200, 0.9, 0.1, 1e308, 1e307, 0.3)])
+    code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series,
+                             "--baseline-end", "2", "--quiet")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"records": 3, "periods": 0, "out_of_order": 0}
+
+
+def test_analyze_fractional_timestamp_exits_2_naming_its_line(analyze_inputs, tmp_path,
+                                                             capsys):
+    config_path, _ = analyze_inputs
+    series = write_series(tmp_path / "frac.csv", [series_row(0.4, 0.1, 0.5, 0.3),
+                                                  series_row(0.6, 0.1, 0.5, 0.3)])
+    assert_exit_2(capsys, ["analyze", "--config", config_path, "--input", series, "--quiet"],
+                  "parse_error")
 
 
 @pytest.mark.parametrize("state", ["nan,0.1", "0.1,nan", "inf,0", "0,-inf"])

@@ -119,6 +119,41 @@ def test_load_series_rejects_non_finite_timestamp(tmp_path, value):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("first,second,bad_line", [
+    # 600.9 used to load as 600 without notice.
+    ("0", "600.9", 3),
+    # Both truncated to 0 and were refused as a duplicate timestamp.
+    ("0.4", "0.6", 2),
+])
+def test_load_series_rejects_fractional_timestamp(tmp_path, first, second, bad_line):
+    path = write_csv(tmp_path / "s.csv", [(first, *synthetic_row(0, 0.1, 0.5)[1:]),
+                                          (second, *synthetic_row(600, 0.1, 0.5)[1:])])
+    with pytest.raises(ParseError) as err:
+        load_series(path)
+    assert err.value.line == bad_line
+    assert f"line {bad_line}: timestamp " in str(err.value)
+
+
+def test_load_series_reads_whole_float_timestamps_as_before(tmp_path):
+    path = write_csv(tmp_path / "s.csv", [("0", *synthetic_row(0, 0.1, 0.5)[1:]),
+                                          ("600.0", *synthetic_row(600, 0.1, 0.5)[1:]),
+                                          ("1.2e3", *synthetic_row(1200, 0.1, 0.5)[1:])])
+    timestamps = load_series(path).columns["timestamp"]
+    assert timestamps == (0, 600, 1200)
+    assert all(type(t) is int for t in timestamps)
+
+
+def test_baseline_mean_that_overflows_the_sum_is_still_the_mean():
+    # fmean raised OverflowError: the window sums past the float range.
+    records = [SeriesRecord(i, 0.9, 0.1, 1e308, d_b, 0.3)
+               for i, d_b in enumerate((5e307, 5e307, 1e307, 5e307))]
+    with pytest.raises(OverflowError):
+        statistics.fmean([1e308, 1e308])
+    [period] = detect_fickle_periods(records, hysteresis=0.0, baseline=(0, 2))
+    assert (period.start_index, period.end_index) == (2, 3)
+    assert period.trigger_ratio == pytest.approx(0.1, rel=1e-15)
+
+
 def square_wave_series(k=0.3, low=0.1, high=0.5, period=20, n=100):
     """Difficulty ratio alternating below and above k."""
     rows = []
