@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -68,6 +69,12 @@ class Coin(Enum):
     B = "b"
 
 
+def _check_length(name: str, value) -> None:
+    """A regime length counts blocks, so it is an int >= 1 (a bool is not)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EpochFixed:
     """Difficulty recomputed every n blocks from the observed power."""
@@ -75,8 +82,7 @@ class EpochFixed:
     n: int = 2016
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("epoch length must be >= 1")
+        _check_length("epoch length", self.n)
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
@@ -111,8 +117,8 @@ class EpochWithEda:
     eda_factor: float = 0.8
 
     def __post_init__(self):
-        if self.n < 1 or self.eda_window < 1:
-            raise ValueError("window lengths must be >= 1")
+        _check_length("epoch length", self.n)
+        _check_length("eda_window", self.eda_window)
         if not (0.0 < self.eda_factor < 1.0):
             raise ValueError("eda_factor must be in (0, 1)")
         if not (0.0 < self.eda_threshold < math.inf):
@@ -125,8 +131,9 @@ class EpochWithEda:
         threshold = self.eda_threshold
         factor = self.eda_factor
         history = chain.history
-        # The times of the last eda_window + 1 blocks.
-        full = self.eda_window + 1
+        # The times of the last eda_window + 1 blocks.  A window longer than
+        # a deque can hold never fills, as no run makes that many blocks.
+        full = min(self.eda_window + 1, sys.maxsize)
         window = deque(maxlen=full)
         since = 0
         anchor = 0.0
@@ -160,15 +167,14 @@ class PerBlockWindow:
     window: int = 144
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        _check_length("window", self.window)
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
         history = chain.history
         # (time, exact difficulty) of the last window + 1 blocks, with
         # total the exact sum of their difficulties.
-        full = self.window + 1
+        full = min(self.window + 1, sys.maxsize)
         window = deque(maxlen=full)
         total = 0
 
@@ -329,6 +335,26 @@ class _Chain:
         self.last_ts: float | None = None
 
 
+class _Crew:
+    """The agents of one policy that start on one chain.
+
+    A policy moves all its agents to one chain at once, so a crew never
+    splits and its agents share one reward per unit of power: `unit`, paid
+    up to the last settlement, plus the growth of its chain's `acc` since
+    `mark`.  `power` is the crew's exact power sum (2**-1074 units).
+    """
+
+    __slots__ = ("policy", "chain", "power", "size", "mark", "unit")
+
+    def __init__(self, policy: Strategy, chain: _Chain):
+        self.policy = policy
+        self.chain = chain
+        self.power = 0
+        self.size = 0
+        self.mark = 0.0
+        self.unit = 0.0
+
+
 def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
     if not agents:
         raise PowerSumMismatch("empty roster")
@@ -342,7 +368,7 @@ def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
             raise NegativePower(f"agent {a.id!r} power must be > 0", field="power")
         if not isinstance(a.policy, Strategy):
             raise ValueError(f"agent {a.id!r} has no policy")
-        roster.append(MinerAgent(a.id, a.power, a.policy, a.current_coin))
+        roster.append(a)
     total = math.fsum(a.power for a in roster)
     if abs(total - 1.0) > 1e-9:
         raise PowerSumMismatch(f"roster power sums to {total!r}, expected 1")
@@ -363,10 +389,11 @@ def run(
 
     mode "exponential" draws Exp(1) work thresholds per block;
     "deterministic" uses expected intervals exactly.  Identical inputs
-    produce identical reports.  Each block costs the same whatever the
-    roster size: rewards accrue per chain and are split among agents only
-    when one moves, at fickle cycle marks, every few thousand blocks and at
-    the end.
+    produce identical reports.  Rewards accrue per chain and are credited
+    per crew, the agents of one policy that start on one chain, so blocks,
+    switches, settlements and fickle cycle marks cost the same whatever the
+    roster size; only set-up and the final split, each agent's power times
+    its crew's reward per unit, grow with it.
 
     on_event, when given, receives each event as it happens, as an
     EVENT_FIELDS-ordered tuple.  Pass `list.append` to keep them, or the
@@ -383,10 +410,6 @@ def run(
     ln = math.log
     roster = _validate_agents(agents)
 
-    r_f_policy = math.fsum(a.power for a in roster if a.policy is Strategy.FICKLE)
-    r_b_policy = math.fsum(a.power for a in roster if a.policy is Strategy.B_ONLY)
-    r_fb_policy = r_f_policy + r_b_policy
-
     k = world.k
     A = _Chain(Coin.A, world.difficulty_a)
     B = _Chain(Coin.B, world.difficulty_b)
@@ -394,35 +417,43 @@ def run(
     on_block_a = regime_a._hook(A)
     on_block_b = regime_b._hook(B)
 
-    # Per-agent state, by roster index: the chain mined, the chain's acc
-    # when the agent's unsettled stretch began, and the reward settled so
-    # far.  Loyalists take their coin; switchers start on A (or the coin
-    # preset on the agent) and make their first decision through the
-    # regular re-evaluation below, so an opening move shows up in the event
-    # log like any other switch.
+    # Rewards are kept per crew (see _Crew); `member` holds each agent's
+    # crew by roster index.  Loyalists take their coin; switchers start on
+    # A (or the coin preset on the agent) and make their first decision
+    # through the regular re-evaluation below, so an opening move shows up
+    # in the event log like any other switch.  Crews never merge: two crews
+    # on one chain hold different unsettled stretches.
     ids = [a.id for a in roster]
     powers = [a.power for a in roster]
-    exact_powers = [_exact(p) for p in powers]
-    on: list[_Chain] = []
-    for a, x in zip(roster, exact_powers):
+    crews: list[_Crew] = []
+    crew_index: dict[tuple, int] = {}
+    member = []
+    for a in roster:
         if a.policy is Strategy.B_ONLY or (
                 a.policy is not Strategy.A_ONLY and a.current_coin is Coin.B):
             ch = B
         else:
             ch = A
-        ch.power += x
-        on.append(ch)
-    marks = [0.0] * len(roster)
-    earned = [0.0] * len(roster)
-    # A settlement costs O(roster); one per settle_every blocks keeps the
-    # amortized cost of a block constant.
-    settle_every = max(4096, len(roster))
-    fickle = [i for i, a in enumerate(roster) if a.policy is Strategy.FICKLE]
-    automatic = [i for i, a in enumerate(roster) if a.policy is Strategy.AUTOMATIC]
+        j = crew_index.setdefault((a.policy, ch), len(crews))
+        if j == len(crews):
+            crews.append(_Crew(a.policy, ch))
+        crews[j].power += _exact(a.power)
+        crews[j].size += 1
+        member.append(j)
+    for c in crews:
+        c.chain.power += c.power
+    settle_every = 4096
+    fickle = [c for c in crews if c.policy is Strategy.FICKLE]
+    automatic = [c for c in crews if c.policy is Strategy.AUTOMATIC]
+    # Exact sums rounded once: what math.fsum over the agents returns.
+    r_f_policy = sum(c.power for c in fickle) / _ONE
+    r_b_policy = sum(c.power for c in crews if c.policy is Strategy.B_ONLY) / _ONE
+    r_fb_policy = r_f_policy + r_b_policy
+    n_automatic = sum(c.size for c in automatic)
     # The fickle cohort's common chain, None while it is split.
-    fickle_on = on[fickle[0]] if fickle and all(on[i] is on[fickle[0]] for i in fickle) \
+    fickle_on = fickle[0].chain if fickle and all(c.chain is fickle[0].chain for c in fickle) \
         else None
-    auto_on_b = sum(1 for i in automatic if on[i] is B)
+    auto_on_b = sum(c.size for c in automatic if c.chain is B)
     A.alloc = A.power / _ONE
     B.alloc = B.power / _ONE
 
@@ -443,7 +474,7 @@ def run(
     b_phase_durations: list[float] = []
     fickle_on_b = False
     b_phase_start = 0.0
-    # (time, earned) at the first and last fickle cycle starts.
+    # (time, each crew's unit) at the first and last fickle cycle starts.
     cycle_mark_first = None
     cycle_mark_last = None
 
@@ -451,31 +482,27 @@ def run(
         if on_event is not None:
             on_event((t, label, kind, A.difficulty, B.difficulty, r_f_policy, r_b_policy))
 
-    def shift(group: list[int], dest: _Chain) -> int:
-        """Move the agents of `group` that are not on `dest` there; how many moved."""
+    def shift(group: list[_Crew], dest: _Chain) -> int:
+        """Move the crews of `group` not on `dest` there; how many agents moved."""
         src = B if dest is A else A
-        src_acc = src.acc
-        dest_acc = dest.acc
-        x = 0
         moved = 0
-        for i in group:
-            if on[i] is src:
-                earned[i] += powers[i] * (src_acc - marks[i])
-                x += exact_powers[i]
-                on[i] = dest
-                marks[i] = dest_acc
-                moved += 1
-        src.power -= x
-        dest.power += x
+        for c in group:
+            if c.chain is src:
+                c.unit += src.acc - c.mark
+                src.power -= c.power
+                dest.power += c.power
+                c.chain = dest
+                c.mark = dest.acc
+                moved += c.size
         return moved
 
     def settle():
-        """Pay every agent up to now and restart both accumulators at 0, so
+        """Pay every crew up to now and restart both accumulators at 0, so
         the rounding error of `acc` never spans more than settle_every
         blocks of its chain, however long the run."""
-        for i, ch in enumerate(on):
-            earned[i] += powers[i] * (ch.acc - marks[i])
-            marks[i] = 0.0
+        for c in crews:
+            c.unit += c.chain.acc - c.mark
+            c.mark = 0.0
         A.acc = B.acc = 0.0
 
     def reevaluate():
@@ -498,7 +525,7 @@ def run(
                     fickle_on_b = True
                     b_phase_start = t
                     settle()
-                    mark = (t, earned[:])
+                    mark = (t, [c.unit for c in crews])
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
@@ -510,16 +537,19 @@ def run(
             gain_a = 1.0 / d_a
             gain_b = k / d_b
             # Ties keep every automatic agent where it is.
-            if gain_b > gain_a and auto_on_b < len(automatic):
+            if gain_b > gain_a and auto_on_b < n_automatic:
                 target = B
             elif gain_a > gain_b and auto_on_b:
                 target = A
             else:
                 target = None
             if target is not None:
-                for _ in range(shift(automatic, target)):
-                    log(target.label, "switch_auto")
-                auto_on_b = len(automatic) if target is B else 0
+                # One event per agent moved; without a log nothing counts them.
+                moved_agents = shift(automatic, target)
+                if on_event is not None:
+                    for _ in range(moved_agents):
+                        log(target.label, "switch_auto")
+                auto_on_b = n_automatic if target is B else 0
                 moved = True
         if moved:
             A.alloc = A.power / _ONE
@@ -586,10 +616,13 @@ def run(
 
     # An open fickle B-phase at the horizon is not a completed cycle.
     settle()
-    rewards = dict(zip(ids, earned))
+
+    def credit(units: list[float]) -> dict[str, float]:
+        # The only per-agent pass after set-up: power times its crew's unit.
+        return dict(zip(ids, [p * units[j] for p, j in zip(powers, member)]))
 
     def by_id(mark):
-        return None if mark is None else (mark[0], dict(zip(ids, mark[1])))
+        return None if mark is None else (mark[0], credit(mark[1]))
     mean_interval = {}
     for ch in (A, B):
         if ch.height >= 2:
@@ -603,7 +636,7 @@ def run(
         seed=seed,
         agent_power={a.id: a.power for a in roster},
         agent_policy={a.id: a.policy for a in roster},
-        agent_rewards=rewards,
+        agent_rewards=credit([c.unit for c in crews]),
         blocks={Coin.A: A.height, Coin.B: B.height},
         mean_interval=mean_interval,
         difficulty_history={Coin.A: A.history, Coin.B: B.history},

@@ -277,7 +277,13 @@ def detect_fickle_periods(
     open_ratio = 0.0
     for i, (a, b, k) in enumerate(zip(d_a, _column(series, "difficulty_b"),
                                       _column(series, "price_ratio_k"))):
-        ratio = (b / scale) / (a / scale)
+        try:
+            ratio = (b / scale) / (a / scale)
+        except ZeroDivisionError:
+            ratio = 0.0
+        if not 0.0 < ratio < _INF:
+            # The scale cancels; here it only under- or overflowed.
+            ratio = b / a
         if open_start is None:
             if ratio < k * (1.0 - hysteresis):
                 open_start = i

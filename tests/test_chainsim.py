@@ -261,6 +261,39 @@ def test_eda_regime_rejects_bad_threshold(threshold):
         EpochWithEda(144, 6, threshold, 0.8)
 
 
+@pytest.mark.parametrize("regime,fields", [
+    (EpochFixed, {"n": math.nan}),
+    (EpochFixed, {"n": 2.5}),
+    (EpochFixed, {"n": 144.0}),
+    (EpochFixed, {"n": 0}),
+    (EpochFixed, {"n": True}),
+    (EpochWithEda, {"n": math.nan}),
+    (EpochWithEda, {"n": math.inf}),
+    (EpochWithEda, {"eda_window": 2.5}),
+    (EpochWithEda, {"eda_window": -1}),
+    (PerBlockWindow, {"window": 2.5}),
+    (PerBlockWindow, {"window": math.nan}),
+    (PerBlockWindow, {"window": 0}),
+])
+def test_regimes_reject_lengths_that_are_not_whole_block_counts(regime, fields):
+    # NaN retargeted every block or never, 2.5 rounded up, and fractional
+    # windows failed later inside run with a TypeError.
+    with pytest.raises(ValueError, match="must be an int >= 1"):
+        regime(**fields)
+
+
+def test_windows_longer_than_a_deque_holds_never_fill():
+    # A window of 2**64 blocks overflowed deque(maxlen=...) and exited 1;
+    # like any window longer than the run, it must simply never fill.
+    world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
+    for long, huge in ((PerBlockWindow(10**6), PerBlockWindow(2**64)),
+                       (EpochWithEda(144, 10**6, 1.0, 0.8), EpochWithEda(144, 2**64, 1.0, 0.8))):
+        want, got = (run(world, _split_roster(1), EpochFixed(144), regime, 500.0, seed=3)
+                     for regime in (long, huge))
+        assert got.difficulty_history == want.difficulty_history
+        assert got.agent_rewards == want.agent_rewards
+
+
 def test_eda_expected_nde_endpoints_and_interior():
     cfg = config(0.05)
     regime = EpochWithEda()
@@ -616,27 +649,60 @@ def test_fickle_cohort_starting_apart_moves_together():
 
 
 
-def _per_block_policy_rewards(rep, events):
-    # Rebuild each policy's reward from the event log, block by block: the
+def _per_block_rewards(rep, events, agents):
+    # Rebuild each agent's reward from the event log, block by block: the
     # share of a block is power * (unit / chain allocation), summed exactly.
-    power = {rep.agent_policy[aid]: p for aid, p in rep.agent_power.items()}
-    where = {policy: "b" if policy is Strategy.B_ONLY else "a" for policy in power}
+    # Agents start where run places them; a switch event moves every agent
+    # of its policy to its chain.  Also returns the rewards at the first and
+    # last fickle switches to b, the cycle marks, as (time, rewards) or None.
+    power = rep.agent_power
+    policy = rep.agent_policy
+    where = {a.id: "b" if a.policy is Strategy.B_ONLY or (
+        a.policy is not Strategy.A_ONLY and a.current_coin is Coin.B) else "a" for a in agents}
     mover = {"switch_fickle": Strategy.FICKLE, "switch_auto": Strategy.AUTOMATIC}
     ks = iter(rep.k_history)
     k = next(ks)[1]
-    terms = {policy: [] for policy in power}
-    for _t, chain, kind, *_rest in events:
+    terms = {aid: [] for aid in power}
+    marks = []
+    for t, chain, kind, *_rest in events:
         if kind == "price":
             k = next(ks)[1]
         elif kind in mover:
-            where[mover[kind]] = chain
+            for aid in where:
+                if policy[aid] is mover[kind]:
+                    where[aid] = chain
+            if kind == "switch_fickle" and chain == "b":
+                marks.append((t, {aid: len(v) for aid, v in terms.items()}))
         elif kind == "block":
-            mining = [policy for policy in power if where[policy] == chain]
-            alloc = math.fsum(power[policy] for policy in mining)
+            mining = [aid for aid in where if where[aid] == chain]
+            alloc = math.fsum(power[aid] for aid in mining)
             unit = 1.0 if chain == "a" else k
-            for policy in mining:
-                terms[policy].append(power[policy] * (unit / alloc))
-    return {policy: math.fsum(v) for policy, v in terms.items()}
+            for aid in mining:
+                terms[aid].append(power[aid] * (unit / alloc))
+
+    def upto(mark):
+        t, lengths = mark
+        return t, {aid: math.fsum(v[:lengths[aid]]) for aid, v in terms.items()}
+
+    rewards = {aid: math.fsum(v) for aid, v in terms.items()}
+    if not marks:
+        return rewards, None, None
+    return rewards, upto(marks[0]), upto(marks[-1])
+
+
+def _assert_rewards_match(rep, events, agents):
+    # Every agent's reward and both cycle marks, against the per-block sums.
+    want, first, last = _per_block_rewards(rep, events, agents)
+    for got, expected in ((rep.agent_rewards, want), (rep.cycle_mark_first, first),
+                          (rep.cycle_mark_last, last)):
+        if expected is None:
+            assert got is None
+            continue
+        if isinstance(expected, tuple):
+            assert got[0] == expected[0]
+            got, expected = got[1], expected[1]
+        for aid, value in expected.items():
+            assert abs(got[aid] - value) <= 1e-12 * value, (aid, got[aid], value)
 
 
 def test_long_run_rewards_match_per_block_sum():
@@ -644,14 +710,36 @@ def test_long_run_rewards_match_per_block_sum():
     # every settlement, so their rounding error does not grow with the run.
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
     events = []
-    rep = run(world, _split_roster(1), EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
+    agents = _split_roster(1)
+    rep = run(world, agents, EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
               60000.0, seed=5, on_event=events.append)
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
     assert rep.fickle_cycles > 500
-    want = _per_block_policy_rewards(rep, events)
-    for aid, got in rep.agent_rewards.items():
-        policy = rep.agent_policy[aid]
-        assert abs(got - want[policy]) <= 1e-12 * want[policy], policy
+    _assert_rewards_match(rep, events, agents)
+
+
+def test_automatic_crews_split_by_a_tie_keep_their_own_rewards():
+    # 1/d_a == k/d_b, so the automatic agents preset on different coins stay
+    # where they are until the first retarget, then both move to one chain.
+    # Each keeps the reward of the chain it mined before.
+    k = 0.4
+    agents = [
+        MinerAgent("a", 0.4, Strategy.A_ONLY),
+        MinerAgent("b", 0.2, Strategy.B_ONLY),
+        MinerAgent("f", 0.2, Strategy.FICKLE),
+        MinerAgent("u_a", 0.1, Strategy.AUTOMATIC, current_coin=Coin.A),
+        MinerAgent("u_b", 0.1, Strategy.AUTOMATIC, current_coin=Coin.B),
+    ]
+    world = ChainWorld(difficulty_a=1.0, difficulty_b=k, k=k)
+    events = []
+    rep = run(world, agents, EpochFixed(20), EpochFixed(20), 400.0, seed=1,
+              mode="deterministic", on_event=events.append)
+    assert rep.occupancy[0] == pytest.approx((0.0, 0.7, 0.3))
+    # The first retarget moves only the agent that was not there yet.
+    moves = [e[:2] for e in events if e[2] == "switch_auto"]
+    assert moves[0][0] > 0.0 and moves[1][0] > moves[0][0]
+    assert rep.fickle_cycles >= 2
+    _assert_rewards_match(rep, events, agents)
 
 
 _REGIMES = st.one_of(
@@ -679,8 +767,7 @@ def _switching_rosters(draw):
     return agents
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+_switching_runs = given(
     agents=_switching_rosters(),
     d_a=st.floats(0.2, 1.5),
     d_b=st.floats(0.05, 1.0),
@@ -692,23 +779,34 @@ def _switching_rosters(draw):
     mode=st.sampled_from(["exponential", "deterministic"]),
     seed=st.integers(0, 2**16),
 )
-def test_switches_happen_only_at_start_retarget_or_price(agents, d_a, d_b, k, prices,
-                                                         regime_a, regime_b, mode, seed):
-    # Both policies read only d_a, d_b and k, so an agent can move only at
-    # t = 0 or right after the difficulty, eda or price event that changed
-    # one of them; the loop re-evaluates at exactly those events.
+
+
+def _switching_run(agents, d_a, d_b, k, prices, regime_a, regime_b, mode, seed):
+    # A 150 P_ag run with its event log, or None where coin_B can never be mined.
     schedule = None
     if prices is not None:
         schedule = Schedule.from_pairs([(0.0, k)] + sorted(prices))
     world = ChainWorld(difficulty_a=d_a, difficulty_b=d_b, k=k, k_schedule=schedule)
     events = []
     try:
-        run(world, agents, regime_a, regime_b, 150.0, seed=seed, mode=mode,
-            on_event=events.append)
+        rep = run(world, agents, regime_a, regime_b, 150.0, seed=seed, mode=mode,
+                  on_event=events.append)
     except ZeroPowerChain:
+        return None
+    return rep, events
+
+
+@settings(max_examples=150, deadline=None)
+@_switching_runs
+def test_switches_happen_only_at_start_retarget_or_price(agents, **world):
+    # Both policies read only d_a, d_b and k, so an agent can move only at
+    # t = 0 or right after the difficulty, eda or price event that changed
+    # one of them; the loop re-evaluates at exactly those events.
+    result = _switching_run(agents, **world)
+    if result is None:
         return
     prev = None
-    for t, _chain, kind, *_rest in events:
+    for t, _chain, kind, *_rest in result[1]:
         if kind in ("switch_auto", "switch_fickle"):
             if prev is None:
                 assert t == 0.0
@@ -716,6 +814,17 @@ def test_switches_happen_only_at_start_retarget_or_price(agents, d_a, d_b, k, pr
                 assert prev[1] in ("difficulty", "eda", "price") and prev[0] == t, (prev, t)
         else:
             prev = (t, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@_switching_runs
+def test_crew_rewards_match_per_block_sums(agents, **world):
+    # Rewards are credited per crew, not per agent; each agent's reward and
+    # both cycle marks must still be the exact per-block sums, whichever
+    # coins the switchers were preset on.
+    result = _switching_run(agents, **world)
+    if result is not None:
+        _assert_rewards_match(*result, agents)
 
 
 @pytest.mark.parametrize("regime", [EpochFixed(36), EpochWithEda(36, 6, 4.0, 0.8),

@@ -905,6 +905,38 @@ def test_analyze_baseline_whose_sum_overflows_exits_0(analyze_inputs, tmp_path, 
     assert json.loads(out) == {"records": 3, "periods": 0, "out_of_order": 0}
 
 
+def test_analyze_scaled_difficulty_that_underflows_exits_0(analyze_inputs, tmp_path, capsys):
+    # difficulty_a / scale underflowed to 0, and the run exited 1 dividing by it.
+    config_path, _ = analyze_inputs
+    series = write_series(tmp_path / "tiny.csv", [(0, 0.9, 0.1, 1e300, 1e300, 0.3),
+                                                  (600, 0.9, 0.1, 1e-30, 1e-31, 0.3),
+                                                  (1200, 0.9, 0.1, 1e-30, 1e-30, 0.3)])
+    periods = tmp_path / "periods.json"
+    code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series,
+                             "--out-periods", str(periods), "--quiet")
+    assert (code, err) == (0, "")
+    [period] = json.loads(periods.read_text())
+    assert (period["start_index"], period["end_index"]) == (1, 2)
+    assert period["trigger_ratio"] == 1e-31 / 1e-30
+
+
+def test_analyze_scaled_difficulties_that_overflow_keep_their_ratio(analyze_inputs, tmp_path,
+                                                                    capsys):
+    # Both scaled difficulties overflowed to inf, so the ratio read NaN and
+    # the period the true ratio 0.1 opens at row 1 went missing.
+    config_path, _ = analyze_inputs
+    series = write_series(tmp_path / "huge.csv", [(0, 0.9, 0.1, 1e-300, 1e-300, 0.3),
+                                                  (600, 0.9, 0.1, 1e10, 1e9, 0.3),
+                                                  (1200, 0.9, 0.1, 1e10, 2e10, 0.3)])
+    periods = tmp_path / "periods.json"
+    code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series,
+                             "--out-periods", str(periods), "--quiet")
+    assert (code, err) == (0, "")
+    [period] = json.loads(periods.read_text())
+    assert (period["start_index"], period["end_index"]) == (1, 2)
+    assert period["trigger_ratio"] == 0.1
+
+
 def test_analyze_fractional_timestamp_exits_2_naming_its_line(analyze_inputs, tmp_path,
                                                              capsys):
     config_path, _ = analyze_inputs
