@@ -242,6 +242,8 @@ def _cmd_best_response(args) -> int:
     config = config_from_json(args.config)
     with open(args.assignment) as fh:
         names = json.load(fh)
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise _UsageError("--assignment must be a JSON list of strategy names")
     try:
         assignment = [_POLICIES[n] for n in names]
     except KeyError as exc:
@@ -270,15 +272,29 @@ def _cmd_best_response(args) -> int:
     return 0
 
 
+def _number(raw: dict, key: str, what: str | None = None) -> float:
+    """float(raw[key]) of a decoded JSON object; a list, object or null there
+    is a usage error."""
+    value = raw[key]
+    if value is None or isinstance(value, (list, dict)):
+        raise _UsageError(f"{what or key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_agents(path: str) -> list[chainsim.MinerAgent]:
     with open(path) as fh:
         raw = json.load(fh)
+    if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
+        raise _UsageError("--agents must be a JSON list of {id, power, policy} objects")
     agents = []
     for entry in raw:
-        policy = _POLICIES.get(entry.get("policy"))
-        if policy is None:
-            raise _UsageError(f"agent {entry.get('id')!r}: unknown policy {entry.get('policy')!r}")
-        agents.append(chainsim.MinerAgent(str(entry["id"]), float(entry["power"]), policy))
+        name = entry.get("id")
+        policy = entry.get("policy")
+        if not (isinstance(policy, str) and policy in _POLICIES):
+            raise _UsageError(f"agent {name!r}: unknown policy {policy!r}")
+        agents.append(chainsim.MinerAgent(str(entry["id"]),
+                                          _number(entry, "power", f"agent {name!r}: power"),
+                                          _POLICIES[policy]))
     return agents
 
 
@@ -340,10 +356,12 @@ def _cmd_chain_sim(args) -> int:
         raise _UsageError("--series-step applies only with --series")
     with open(args.config) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise _UsageError("--config must be a JSON object {k, difficulty_a?, difficulty_b?}")
     world = chainsim.ChainWorld(
-        difficulty_a=float(raw["difficulty_a"]) if "difficulty_a" in raw else 1.0,
-        difficulty_b=float(raw["difficulty_b"]) if "difficulty_b" in raw else float(raw["k"]),
-        k=float(raw["k"]),
+        difficulty_a=_number(raw, "difficulty_a") if "difficulty_a" in raw else 1.0,
+        difficulty_b=_number(raw, "difficulty_b" if "difficulty_b" in raw else "k"),
+        k=_number(raw, "k"),
         k_schedule=(
             Schedule.from_file(args.k_schedule) if args.k_schedule else None
         ),
@@ -413,9 +431,7 @@ def _cmd_chain_sim(args) -> int:
 def _cmd_analyze(args) -> int:
     config = config_from_json(args.config)
     _echo(args, {"command": "analyze", "input": args.input,
-                 "hysteresis": args.hysteresis,
-                 "baseline": [args.baseline_start, args.baseline_end],
-                 **_config_dict(config)})
+                 "hysteresis": args.hysteresis, **_config_dict(config)})
     # For the debug line: what the run saw, and when each stage ended.
     seen = {"rows": None, "out_of_order": None, "periods": None, "refused": None}
     laps = [("start", time.perf_counter())]
@@ -425,10 +441,7 @@ def _cmd_analyze(args) -> int:
         laps.append(("load", time.perf_counter()))
         if loaded.out_of_order_count:
             log.warning("sorted %d out-of-order records", loaded.out_of_order_count)
-        periods = ingest.detect_fickle_periods(
-            loaded, hysteresis=args.hysteresis,
-            baseline=(args.baseline_start, args.baseline_end),
-        )
+        periods = ingest.detect_fickle_periods(loaded, hysteresis=args.hysteresis)
         seen["periods"] = len(periods)
         laps.append(("detect", time.perf_counter()))
         estimates, period_rf = ingest.estimate_state_path(loaded, periods)
@@ -510,8 +523,6 @@ def _chain_sim_args(p):
 def _analyze_args(p):
     p.add_argument("--input", required=True, help="series CSV")
     p.add_argument("--hysteresis", type=float, default=0.02)
-    p.add_argument("--baseline-start", type=int, default=0)
-    p.add_argument("--baseline-end", type=int, default=1)
     p.add_argument("--out-periods")
     p.add_argument("--out-estimates")
     p.add_argument("--out-zones")

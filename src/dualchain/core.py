@@ -174,7 +174,12 @@ class Schedule:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Schedule":
-        return cls(tuple((float(a), float(v)) for a, v in pairs))
+        try:
+            entries = tuple((float(a), float(v)) for a, v in pairs)
+        except TypeError as exc:
+            # A number, a bare value or a list where a pair or a number belongs.
+            raise ValueError(f"schedule must hold [at, value] number pairs: {exc}") from exc
+        return cls(entries)
 
     @classmethod
     def from_file(cls, path: str) -> "Schedule":
@@ -205,7 +210,8 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
     (c_stick included) are divided by their observed sum instead of
     requiring the sum to be exactly 1; real hash-rate data never sums
     exactly.  Idempotent: validating a validated config returns an
-    equal value.
+    equal value.  A k, c_stick or power that is not a number, or powers
+    that are not a list, raise ValueError.
     """
     if isinstance(raw, GameConfig):
         k, n_in, n_de = raw.k, raw.n_in, raw.n_de
@@ -214,7 +220,13 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
         k = raw["k"]
         n_in, n_de = raw["n_in"], raw["n_de"]
         c_stick = raw.get("c_stick", 0.0)
-        powers = list(raw.get("powers", ()))
+        powers = raw.get("powers", ())
+        if not isinstance(powers, (list, tuple)):
+            raise ValueError(f"powers must be a list of numbers, got {powers!r}")
+        powers = list(powers)
+    for name, value in (("k", k), ("c_stick", c_stick), *(("powers", p) for p in powers)):
+        if not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
     if not (k > 0.0):
         raise NonPositiveK(f"k must be positive, got {k}", field="k")
@@ -272,7 +284,7 @@ def config_from_json(path: str) -> GameConfig:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise PowerSumMismatch("config file must contain a JSON object")
+        raise ValueError("config file must contain a JSON object")
     return validate_config(data)
 
 

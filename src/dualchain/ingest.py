@@ -21,7 +21,7 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Sequence
 
 from .core import SERIES_COLUMNS, DualchainError, GameConfig, Zone
@@ -46,10 +46,6 @@ class InvariantViolation(DualchainError):
 
 class EmptySeries(DualchainError):
     code = "empty_series"
-
-
-class NoBaseline(DualchainError):
-    code = "no_baseline"
 
 
 class UnresolvableState(DualchainError):
@@ -77,7 +73,7 @@ class SeriesRecord:
 class FicklePeriod:
     """Index span [start_index, end_index] of one fickle episode.
 
-    trigger_ratio is the normalized D_B/D_A at entry.
+    trigger_ratio is D_B/D_A at entry.
     """
 
     start_index: int
@@ -159,13 +155,6 @@ class SeriesLoad(_Columns):
         return list(self)
 
 
-def _column(rows, name: str) -> Sequence:
-    """Column `name` of a SeriesLoad or StatePath, or of a record sequence."""
-    if isinstance(rows, _Columns):
-        return rows.columns[name]
-    return list(map(attrgetter(name), rows))
-
-
 def load_series(path: str) -> SeriesLoad:
     """Parse and validate a series CSV; rows are sorted by timestamp.
 
@@ -239,51 +228,27 @@ def load_series(path: str) -> SeriesLoad:
     return SeriesLoad(columns, out_of_order)
 
 
-def detect_fickle_periods(
-    series: SeriesLoad | Sequence[SeriesRecord],
-    hysteresis: float = 0.02,
-    baseline: tuple[int, int] = (0, 1),
-) -> list[FicklePeriod]:
+def detect_fickle_periods(series: SeriesLoad, hysteresis: float = 0.02) -> list[FicklePeriod]:
     """Find spans where the difficulty ratio sits below the price ratio.
 
-    A period opens when normalized D_B/D_A falls below k*(1 - hysteresis)
-    and closes when it rises above k*(1 + hysteresis); a period still
-    open at the series end closes there.  `baseline` is the [start, end)
-    index window over which the chain_A difficulty is taken as the
-    all-power-on-A reference; both difficulty columns are divided by
-    that single scale, which requires them to share units (true for
-    PoW-compatible chains).
+    A period opens when D_B/D_A falls below k*(1 - hysteresis) and closes
+    when it rises above k*(1 + hysteresis); a period still open at the
+    series end closes there.  The ratio is taken as is, which requires
+    both difficulty columns to share units (true for PoW-compatible
+    chains).
     """
     n = len(series)
     if n < 2:
         raise EmptySeries("need at least 2 records to detect periods")
     if not (0.0 <= hysteresis < _INF):
         raise ValueError(f"hysteresis must be finite and >= 0, got {hysteresis}")
-    d_a = _column(series, "difficulty_a")
-    lo, hi = baseline
-    base = d_a[max(lo, 0):min(hi, n)]
-    if not base:
-        raise NoBaseline(f"baseline window {baseline} selects no records")
-    try:
-        scale = statistics.fmean(base)
-    except OverflowError:
-        # The window sums past the float range; its mean, taken relative
-        # to its largest value, does not.
-        top = max(base)
-        scale = top * statistics.fmean([a / top for a in base])
-
+    columns = series.columns
     periods: list[FicklePeriod] = []
     open_start: int | None = None
     open_ratio = 0.0
-    for i, (a, b, k) in enumerate(zip(d_a, _column(series, "difficulty_b"),
-                                      _column(series, "price_ratio_k"))):
-        try:
-            ratio = (b / scale) / (a / scale)
-        except ZeroDivisionError:
-            ratio = 0.0
-        if not 0.0 < ratio < _INF:
-            # The scale cancels; here it only under- or overflowed.
-            ratio = b / a
+    for i, (a, b, k) in enumerate(zip(columns["difficulty_a"], columns["difficulty_b"],
+                                      columns["price_ratio_k"])):
+        ratio = b / a
         if open_start is None:
             if ratio < k * (1.0 - hysteresis):
                 open_start = i
@@ -298,7 +263,7 @@ def detect_fickle_periods(
 
 
 def estimate_state_path(
-    series: SeriesLoad | Sequence[SeriesRecord],
+    series: SeriesLoad,
     periods: Sequence[FicklePeriod],
     flank: int = 24,
 ) -> tuple[StatePath, list[float]]:
@@ -315,8 +280,8 @@ def estimate_state_path(
     for p in periods:
         if not (0 <= p.start_index <= p.end_index < n):
             raise ValueError(f"{p} does not fit a series of {n} records")
-    shares = [b / (a + b) for a, b in zip(_column(series, "hashrate_a"),
-                                          _column(series, "hashrate_b"))]
+    columns = series.columns
+    shares = [b / (a + b) for a, b in zip(columns["hashrate_a"], columns["hashrate_b"])]
     # Each record's period r_f, or None outside every period.  The first
     # pass marks period records with 0.0, so the flanks can skip them.
     rf_at: list[float | None] = [None] * n
@@ -336,18 +301,18 @@ def estimate_state_path(
 
     gray, non_gray = Basis.GRAY_PERIOD, Basis.NON_GRAY
     return StatePath({
-        "timestamp": _column(series, "timestamp"),
+        "timestamp": columns["timestamp"],
         "basis": [non_gray if rf is None else gray for rf in rf_at],
         "share": shares,
         "r_f": rf_at,
         "r_b": [share if rf is None else max(0.0, share - rf)
                 for share, rf in zip(shares, rf_at)],
-        "k": _column(series, "price_ratio_k"),
+        "k": columns["price_ratio_k"],
     }), period_rf
 
 
 def zone_path(
-    estimates: StatePath | Sequence[StateEstimate],
+    estimates: StatePath,
     config: GameConfig,
     tol: float = ZONE_TOL,
 ) -> tuple[list[Zone], list[tuple[int, Zone, Zone]]]:
@@ -366,9 +331,7 @@ def zone_path(
     carried_rf: float | None = None
     n_in, n_de = config.n_in, config.n_de
     gray, zone1 = Basis.GRAY_PERIOD, Zone.ZONE1
-    if not isinstance(estimates, StatePath):
-        estimates = list(estimates)  # an iterator is read once, not once per column
-    columns = (_column(estimates, c) for c in ("basis", "share", "r_f", "r_b", "k"))
+    columns = (estimates.columns[c] for c in ("basis", "share", "r_f", "r_b", "k"))
     for i, (basis, share, r_f, r_b, k) in enumerate(zip(*columns)):
         if basis is gray:
             if r_f is None:

@@ -366,9 +366,9 @@ def test_criterion_11_ingest_round_trip(tmp_path):
             fh.write(",".join(str(v) for v in row) + "\n")
 
     loaded = load_series(str(path))
-    periods = detect_fickle_periods(loaded.records, hysteresis=0.02, baseline=(0, 5))
+    periods = detect_fickle_periods(loaded, hysteresis=0.02)
     assert periods
-    estimates, period_rf = estimate_state_path(loaded.records, periods)
+    estimates, period_rf = estimate_state_path(loaded, periods)
     rf_est = statistics.median(period_rf)
     rb_est = statistics.median(
         e.r_b for e in estimates if e.basis is Basis.NON_GRAY

@@ -322,6 +322,56 @@ def test_bad_c_stick_schedule_exits_2(tmp_path, capsys, config_path, pairs):
     assert out == ""
 
 
+# Each command's JSON input files, well formed; one case swaps one file's content.
+SHAPE_GAME = {"k": 0.3, "n_in": 2016, "n_de": 2016, "c_stick": 0.94,
+              "powers": [0.02, 0.02, 0.02]}
+SHAPE_AGENT = {"id": "a", "power": 1.0, "policy": "a_only"}
+SHAPE_FILES = {"game.json": SHAPE_GAME, "assignment.json": ["fickle", "b_only", "a_only"],
+               "world.json": {"k": 0.4}, "agents.json": [SHAPE_AGENT],
+               "k.json": [[0, 0.3]]}
+SHAPE_ARGVS = {
+    "best-response": ["best-response", "--config", "game.json",
+                      "--assignment", "assignment.json"],
+    "chain-sim": ["chain-sim", "--config", "world.json", "--agents", "agents.json",
+                  "--duration", "10"],
+    "equilibria": ["equilibria", "--config", "game.json"],
+    "simulate": ["simulate", "--config", "game.json", "--initial", "0.3,0.2",
+                 "--k-schedule", "k.json"],
+}
+
+
+@pytest.mark.parametrize("command,name,content,code_name", [
+    # Each of these exited 1 as an internal error.
+    ("best-response", "assignment.json", 5, "usage"),
+    ("best-response", "assignment.json", [["fickle"]], "usage"),
+    ("chain-sim", "agents.json", 5, "usage"),
+    ("chain-sim", "agents.json", [5], "usage"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": [1]}], "usage"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": None}], "usage"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "policy": ["a_only"]}], "usage"),
+    ("chain-sim", "world.json", [1, 2], "usage"),
+    ("chain-sim", "world.json", {"k": [0.3]}, "usage"),
+    ("equilibria", "game.json", {**SHAPE_GAME, "k": [0.3]}, "invalid_input"),
+    ("equilibria", "game.json", {**SHAPE_GAME, "powers": 5}, "invalid_input"),
+    ("equilibria", "game.json", {**SHAPE_GAME, "powers": [[1]]}, "invalid_input"),
+    ("simulate", "k.json", 5, "invalid_input"),
+    ("simulate", "k.json", [5], "invalid_input"),
+    ("simulate", "k.json", [[0, [1]]], "invalid_input"),
+    ("simulate", "k.json", [[None, 0.2]], "invalid_input"),
+    # This one exited 2, but as power_sum_mismatch.
+    ("equilibria", "game.json", [1], "invalid_input"),
+])
+def test_wrongly_shaped_json_input_exits_2(tmp_path, capsys, command, name, content,
+                                           code_name):
+    for file, value in {**SHAPE_FILES, name: content}.items():
+        (tmp_path / file).write_text(json.dumps(value))
+    argv = [str(tmp_path / a) if a in SHAPE_FILES else a for a in SHAPE_ARGVS[command]]
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["code"] == code_name
+
+
 def help_text(only):
     parser = cli.build_parser(only)
     if only is not None:
@@ -764,9 +814,9 @@ def analyze_inputs(tmp_path):
 
 
 def expected_analyze_tables(config_path, series_path):
-    records = ingest.load_series(series_path).records
-    periods = ingest.detect_fickle_periods(records)
-    estimates, _ = ingest.estimate_state_path(records, periods)
+    loaded = ingest.load_series(series_path)
+    periods = ingest.detect_fickle_periods(loaded)
+    estimates, _ = ingest.estimate_state_path(loaded, periods)
     est_text = dictwriter_text(("timestamp", "basis", "share", "r_f_est", "r_b_est"), [{
         "timestamp": e.timestamp, "basis": e.basis.value, "share": e.share,
         "r_f_est": "" if e.r_f is None else e.r_f,
@@ -893,20 +943,25 @@ def test_analyze_overflowing_hashrate_sum_exits_2(analyze_inputs, tmp_path, caps
     assert not (tmp_path / "zones.csv").exists()
 
 
-def test_analyze_baseline_whose_sum_overflows_exits_0(analyze_inputs, tmp_path, capsys):
-    # The baseline mean overflowed fsum, and the run exited 1 as an internal error.
+def test_analyze_difficulties_whose_sum_overflows_exit_0(analyze_inputs, tmp_path, capsys):
+    # Near the float maximum any sum of difficulties overflows; their ratio does not.
     config_path, _ = analyze_inputs
     series = write_series(tmp_path / "big.csv", [(0, 0.9, 0.1, 1e308, 5e307, 0.3),
                                                  (600, 0.9, 0.1, 1e308, 5e307, 0.3),
-                                                 (1200, 0.9, 0.1, 1e308, 1e307, 0.3)])
+                                                 (1200, 0.9, 0.1, 1e308, 1e307, 0.3),
+                                                 (1800, 0.9, 0.1, 1e308, 5e307, 0.3)])
+    periods = tmp_path / "periods.json"
     code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series,
-                             "--baseline-end", "2", "--quiet")
+                             "--out-periods", str(periods), "--quiet")
     assert (code, err) == (0, "")
-    assert json.loads(out) == {"records": 3, "periods": 0, "out_of_order": 0}
+    assert json.loads(out) == {"records": 4, "periods": 1, "out_of_order": 0}
+    [period] = json.loads(periods.read_text())
+    assert (period["start_index"], period["end_index"]) == (2, 3)
+    assert period["trigger_ratio"] == 1e307 / 1e308
 
 
 def test_analyze_scaled_difficulty_that_underflows_exits_0(analyze_inputs, tmp_path, capsys):
-    # difficulty_a / scale underflowed to 0, and the run exited 1 dividing by it.
+    # Rows 330 orders of magnitude apart: each row's ratio is still exact.
     config_path, _ = analyze_inputs
     series = write_series(tmp_path / "tiny.csv", [(0, 0.9, 0.1, 1e300, 1e300, 0.3),
                                                   (600, 0.9, 0.1, 1e-30, 1e-31, 0.3),
@@ -922,8 +977,8 @@ def test_analyze_scaled_difficulty_that_underflows_exits_0(analyze_inputs, tmp_p
 
 def test_analyze_scaled_difficulties_that_overflow_keep_their_ratio(analyze_inputs, tmp_path,
                                                                     capsys):
-    # Both scaled difficulties overflowed to inf, so the ratio read NaN and
-    # the period the true ratio 0.1 opens at row 1 went missing.
+    # Rows 310 orders of magnitude apart: the period the ratio 0.1 opens at
+    # row 1 is found.
     config_path, _ = analyze_inputs
     series = write_series(tmp_path / "huge.csv", [(0, 0.9, 0.1, 1e-300, 1e-300, 0.3),
                                                   (600, 0.9, 0.1, 1e10, 1e9, 0.3),
@@ -934,7 +989,7 @@ def test_analyze_scaled_difficulties_that_overflow_keep_their_ratio(analyze_inpu
     assert (code, err) == (0, "")
     [period] = json.loads(periods.read_text())
     assert (period["start_index"], period["end_index"]) == (1, 2)
-    assert period["trigger_ratio"] == 0.1
+    assert period["trigger_ratio"] == 1e9 / 1e10
 
 
 def test_analyze_fractional_timestamp_exits_2_naming_its_line(analyze_inputs, tmp_path,

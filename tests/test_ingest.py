@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import statistics
 
@@ -14,9 +15,9 @@ from dualchain.ingest import (
     EmptySeries,
     FicklePeriod,
     InvariantViolation,
-    NoBaseline,
     ParseError,
     SERIES_HEADER,
+    SeriesLoad,
     StatePath,
     UnresolvableState,
     detect_fickle_periods,
@@ -32,6 +33,12 @@ def write_csv(path, rows, header=SERIES_HEADER):
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
     return str(path)
+
+
+def with_columns(cls, records):
+    """The SeriesLoad or StatePath (`cls`) that holds `records` as its columns."""
+    return cls({f.name: [getattr(r, f.name) for r in records]
+                for f in dataclasses.fields(cls.row)})
 
 
 def synthetic_row(ts, share, d_b_over_d_a, k=0.3, total=1.0, d_a=1.0):
@@ -143,15 +150,13 @@ def test_load_series_reads_whole_float_timestamps_as_before(tmp_path):
     assert all(type(t) is int for t in timestamps)
 
 
-def test_baseline_mean_that_overflows_the_sum_is_still_the_mean():
-    # fmean raised OverflowError: the window sums past the float range.
-    records = [SeriesRecord(i, 0.9, 0.1, 1e308, d_b, 0.3)
-               for i, d_b in enumerate((5e307, 5e307, 1e307, 5e307))]
-    with pytest.raises(OverflowError):
-        statistics.fmean([1e308, 1e308])
-    [period] = detect_fickle_periods(records, hysteresis=0.0, baseline=(0, 2))
+def test_detect_reads_difficulties_whose_sum_overflows():
+    # Near the float maximum any sum of difficulties overflows; their ratio does not.
+    series = with_columns(SeriesLoad, [SeriesRecord(i, 0.9, 0.1, 1e308, d_b, 0.3)
+                                       for i, d_b in enumerate((5e307, 5e307, 1e307, 5e307))])
+    [period] = detect_fickle_periods(series, hysteresis=0.0)
     assert (period.start_index, period.end_index) == (2, 3)
-    assert period.trigger_ratio == pytest.approx(0.1, rel=1e-15)
+    assert period.trigger_ratio == 1e307 / 1e308
 
 
 def square_wave_series(k=0.3, low=0.1, high=0.5, period=20, n=100):
@@ -167,7 +172,7 @@ def square_wave_series(k=0.3, low=0.1, high=0.5, period=20, n=100):
 def test_detect_fickle_periods_square_wave(tmp_path):
     path = write_csv(tmp_path / "sq.csv", square_wave_series())
     loaded = load_series(path)
-    periods = detect_fickle_periods(loaded.records, hysteresis=0.02)
+    periods = detect_fickle_periods(loaded, hysteresis=0.02)
     assert len(periods) == 2
     for p in periods:
         assert p.start_index < p.end_index
@@ -180,32 +185,30 @@ def test_detect_fickle_periods_square_wave(tmp_path):
 def test_detect_no_crossings(tmp_path):
     rows = [synthetic_row(i * 600, 0.1, 0.5) for i in range(30)]
     loaded = load_series(write_csv(tmp_path / "flat.csv", rows))
-    assert detect_fickle_periods(loaded.records) == []
+    assert detect_fickle_periods(loaded) == []
 
 
 def test_detect_unclosed_period_runs_to_end(tmp_path):
     rows = [synthetic_row(i * 600, 0.4, 0.1) for i in range(30)]
     loaded = load_series(write_csv(tmp_path / "low.csv", rows))
-    periods = detect_fickle_periods(loaded.records)
+    periods = detect_fickle_periods(loaded)
     assert len(periods) == 1
     assert periods[0].start_index == 0
     assert periods[0].end_index == 29
 
 
-def test_detect_requires_baseline_and_minimum_length(tmp_path):
+def test_detect_requires_minimum_length(tmp_path):
     rows = [synthetic_row(i * 600, 0.1, 0.5) for i in range(5)]
     loaded = load_series(write_csv(tmp_path / "s.csv", rows))
-    with pytest.raises(NoBaseline):
-        detect_fickle_periods(loaded.records, baseline=(4, 4))
     with pytest.raises(EmptySeries):
-        detect_fickle_periods(loaded.records[:1])
+        detect_fickle_periods(loaded[:1])
 
 
 def test_hysteresis_monotone_in_period_count(tmp_path):
     rows = square_wave_series(period=7, n=200)
     loaded = load_series(write_csv(tmp_path / "sq.csv", rows))
     counts = [
-        len(detect_fickle_periods(loaded.records, hysteresis=h))
+        len(detect_fickle_periods(loaded, hysteresis=h))
         for h in (0.0, 0.02, 0.1, 0.5, 2.0)
     ]
     assert counts == sorted(counts, reverse=True)
@@ -214,9 +217,9 @@ def test_hysteresis_monotone_in_period_count(tmp_path):
 def test_estimate_state_path_square_wave(tmp_path):
     rows = square_wave_series()
     loaded = load_series(write_csv(tmp_path / "sq.csv", rows))
-    periods = detect_fickle_periods(loaded.records)
-    estimates, period_rf = estimate_state_path(loaded.records, periods)
-    assert len(estimates) == len(loaded.records)
+    periods = detect_fickle_periods(loaded)
+    estimates, period_rf = estimate_state_path(loaded, periods)
+    assert len(estimates) == len(loaded)
     for rf in period_rf:
         assert rf == pytest.approx(0.3, abs=0.02)
     for e in estimates:
@@ -230,7 +233,7 @@ def test_estimate_state_path_square_wave(tmp_path):
 def test_estimate_constant_series_no_periods(tmp_path):
     rows = [synthetic_row(i * 600, 0.25, 0.5) for i in range(40)]
     loaded = load_series(write_csv(tmp_path / "c.csv", rows))
-    estimates, period_rf = estimate_state_path(loaded.records, [])
+    estimates, period_rf = estimate_state_path(loaded, [])
     assert period_rf == []
     assert all(e.basis is Basis.NON_GRAY and e.r_b == pytest.approx(0.25) for e in estimates)
 
@@ -239,7 +242,7 @@ def test_estimate_whole_series_period(tmp_path):
     rows = [synthetic_row(i * 600, 0.4, 0.1) for i in range(40)]
     loaded = load_series(write_csv(tmp_path / "g.csv", rows))
     periods = [FicklePeriod(0, 39, 0.1)]
-    estimates, _ = estimate_state_path(loaded.records, periods)
+    estimates, _ = estimate_state_path(loaded, periods)
     assert all(e.basis is Basis.GRAY_PERIOD for e in estimates)
 
 
@@ -247,7 +250,7 @@ def test_zone_path_all_a_series(tmp_path):
     cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
     rows = [(i * 600, 1.0, 0.0, 1.0, 0.5, 0.3) for i in range(20)]
     loaded = load_series(write_csv(tmp_path / "a.csv", rows))
-    estimates, _ = estimate_state_path(loaded.records, [])
+    estimates, _ = estimate_state_path(loaded, [])
     zones, transitions = zone_path(estimates, cfg)
     assert zones == [Zone.ZONE1] * 20
     assert transitions == []
@@ -258,7 +261,7 @@ def test_zone_path_rejects_bad_tol(tmp_path, tol):
     cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
     rows = [(i * 600, 1.0, 0.0, 1.0, 0.5, 0.3) for i in range(5)]
     loaded = load_series(write_csv(tmp_path / "a.csv", rows))
-    estimates, _ = estimate_state_path(loaded.records, [])
+    estimates, _ = estimate_state_path(loaded, [])
     with pytest.raises(ValueError, match="tol must be finite"):
         zone_path(estimates, cfg, tol)
 
@@ -267,7 +270,7 @@ def test_zone_path_unresolvable_before_first_period(tmp_path):
     cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
     rows = [synthetic_row(i * 600, 0.25, 0.5) for i in range(10)]
     loaded = load_series(write_csv(tmp_path / "u.csv", rows))
-    estimates, _ = estimate_state_path(loaded.records, [])
+    estimates, _ = estimate_state_path(loaded, [])
     with pytest.raises(UnresolvableState):
         zone_path(estimates, cfg)
 
@@ -283,8 +286,8 @@ def test_zone_path_price_step_flips_zone(tmp_path):
         k = 0.1 if i < 25 else 0.9
         rows.append(synthetic_row(i * 600, 0.055, 0.5, k=k))
     loaded = load_series(write_csv(tmp_path / "k.csv", rows))
-    periods = detect_fickle_periods(loaded.records, baseline=(10, 20))
-    estimates, _ = estimate_state_path(loaded.records, periods)
+    periods = detect_fickle_periods(loaded)
+    estimates, _ = estimate_state_path(loaded, periods)
     zones, transitions = zone_path(estimates, cfg)
     assert zones[24] is Zone.ZONE3
     assert zones[30] is Zone.ZONE2
@@ -299,7 +302,7 @@ def test_zone_path_price_step_flips_zone(tmp_path):
 def test_zone_path_rejects_hand_built_negative_fractions(estimate):
     cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
     with pytest.raises(ValueError, match="power fractions must be >= 0"):
-        zone_path([estimate], cfg)
+        zone_path(with_columns(StatePath, [estimate]), cfg)
 
 
 def reference_zone_path(estimates, config, tol=1e-10):
@@ -356,13 +359,14 @@ def estimate_paths(draw):
 def test_zone_path_matches_reference(estimates, tol):
     cfg = validate_config({"k": 0.3, "n_in": 144, "n_de": 2016, "powers": [1.0]})
 
-    def outcome(fn):
+    def outcome(fn, path):
         try:
-            return fn(estimates, cfg, tol)
+            return fn(path, cfg, tol)
         except Exception as exc:
             return type(exc), str(exc)
 
-    assert outcome(zone_path) == outcome(reference_zone_path)
+    assert (outcome(zone_path, with_columns(StatePath, estimates))
+            == outcome(reference_zone_path, estimates))
 
 
 def test_round_trip_recovers_simulated_state(tmp_path):
@@ -383,9 +387,9 @@ def test_round_trip_recovers_simulated_state(tmp_path):
         for row in sample_series(rep, step=1.0):
             fh.write(",".join(str(v) for v in row) + "\n")
     loaded = load_series(str(path))
-    periods = detect_fickle_periods(loaded.records, hysteresis=0.02)
+    periods = detect_fickle_periods(loaded, hysteresis=0.02)
     assert periods
-    estimates, period_rf = estimate_state_path(loaded.records, periods)
+    estimates, period_rf = estimate_state_path(loaded, periods)
     assert statistics.median(period_rf) == pytest.approx(r_f, abs=0.05)
     non_gray = [e.r_b for e in estimates if e.basis is Basis.NON_GRAY]
     assert statistics.median(non_gray) == pytest.approx(r_b, abs=0.05)
@@ -404,7 +408,7 @@ def test_estimate_rejects_periods_outside_the_series(tmp_path, start, end):
     loaded = load_series(write_csv(tmp_path / "sq.csv", square_wave_series(n=40)))
     period = FicklePeriod(start, end, 0.1)
     with pytest.raises(ValueError, match=re.escape(repr(period))):
-        estimate_state_path(loaded.records, [FicklePeriod(2, 4, 0.1), period])
+        estimate_state_path(loaded, [FicklePeriod(2, 4, 0.1), period])
 
 
 def reference_estimate_state_path(series, periods, flank=24):
@@ -455,8 +459,8 @@ def reference_estimate_state_path(series, periods, flank=24):
 def test_estimate_adjacent_and_end_periods_equal_reference(tmp_path):
     loaded = load_series(write_csv(tmp_path / "sq.csv", square_wave_series(n=40)))
     periods = [FicklePeriod(0, 3, 0.1), FicklePeriod(4, 9, 0.1), FicklePeriod(15, 39, 0.1)]
-    assert (estimate_state_path(loaded.records, periods)
-            == reference_estimate_state_path(loaded.records, periods))
+    assert (estimate_state_path(loaded, periods)
+            == reference_estimate_state_path(list(loaded), periods))
 
 
 @st.composite
@@ -487,7 +491,7 @@ def series_and_periods(draw):
 @given(series_and_periods())
 def test_estimate_state_path_equals_reference(case):
     series, periods, flank = case
-    assert (estimate_state_path(series, periods, flank)
+    assert (estimate_state_path(with_columns(SeriesLoad, series), periods, flank)
             == reference_estimate_state_path(series, periods, flank))
 
 
@@ -536,14 +540,32 @@ def test_columnar_path_equals_record_path(tmp_path, case):
             return type(exc), str(exc)
 
     periods = outcome(detect_fickle_periods, loaded)
-    assert periods == outcome(detect_fickle_periods, records)
     if not isinstance(periods, list):
-        return  # a one-row series: both refuse alike
+        assert periods == (EmptySeries, "need at least 2 records to detect periods")
+        return
     estimates, period_rf = estimate_state_path(loaded, periods)
     assert isinstance(estimates, StatePath)
-    assert (estimates, period_rf) == estimate_state_path(records, periods)
-    assert (estimates, period_rf) == reference_estimate_state_path(records, periods)
+    assert (estimates, period_rf) == reference_estimate_state_path(list(loaded), periods)
     assert list(estimates) == [estimates[i] for i in range(len(estimates))]
     zones = outcome(zone_path, estimates, cfg)
-    assert zones == outcome(zone_path, list(estimates), cfg)
     assert zones == outcome(reference_zone_path, list(estimates), cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.2, 5.0),
+                          st.sampled_from([0.1, 0.3, 1.0])), min_size=2, max_size=40),
+       st.integers(-60, 60), st.sampled_from([0.0, 0.02, 0.5]))
+def test_detect_depends_only_on_the_difficulty_ratio(rows, m, hysteresis):
+    # d_b is drawn as a multiple of k * d_a, so the ratio crosses k often.
+    rows = [(d_a, d_a * k * f, k) for d_a, f, k in rows]
+
+    def series(scale):
+        # Every difficulty stays a normal float, so the scaling by 2**m is exact.
+        return with_columns(SeriesLoad, [SeriesRecord(i, 0.9, 0.1, d_a * scale, d_b * scale, k)
+                                         for i, (d_a, d_b, k) in enumerate(rows)])
+
+    periods = detect_fickle_periods(series(1.0), hysteresis)
+    assert detect_fickle_periods(series(2.0 ** m), hysteresis) == periods
+    for p in periods:
+        d_a, d_b, _ = rows[p.start_index]
+        assert p.trigger_ratio == d_b / d_a
