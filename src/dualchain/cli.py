@@ -18,18 +18,21 @@ import random
 import stat
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import chainsim, dynamics, equilibrium, ingest
 from .core import (DualchainError, GameConfig, MiningState, Schedule, Strategy, Zone,
                    config_from_json)
-from .payoff import payoff_triple
+
+if TYPE_CHECKING:
+    # Annotations only: each command imports the modules it runs.
+    from . import chainsim
 
 log = logging.getLogger("dualchain")
 
 _POLICIES = {s.value: s for s in Strategy}
 # CSV cells of the enum columns.  Enum.value is a Python-level property;
 # this lookup measured ~1.4x faster per cell.
-_LABELS = {m: m.value for enum in (Zone, ingest.Basis) for m in enum}
+_LABELS = {m: m.value for m in Zone}
 
 
 class _UsageError(Exception):
@@ -125,6 +128,8 @@ def _parse_state(text: str) -> MiningState:
 
 
 def _regime(spec: str) -> chainsim.DifficultyRegime:
+    from . import chainsim
+
     parts = spec.split(":")
     kind = parts[0]
     if kind == "epoch":
@@ -147,6 +152,8 @@ def _regime(spec: str) -> chainsim.DifficultyRegime:
 
 
 def _cmd_payoff(args) -> int:
+    from .payoff import payoff_triple
+
     config = config_from_json(args.config)
     state = _parse_state(args.state)
     triple = payoff_triple(state, config)
@@ -166,6 +173,8 @@ def _cmd_payoff(args) -> int:
 
 
 def _cmd_zones(args) -> int:
+    from . import equilibrium
+
     config = config_from_json(args.config)
     n = args.grid
     if n < 1:
@@ -191,6 +200,8 @@ def _cmd_zones(args) -> int:
 
 
 def _cmd_equilibria(args) -> int:
+    from . import equilibrium
+
     config = config_from_json(args.config)
     _echo(args, {"command": "equilibria", **_config_dict(config)})
     result = equilibrium.equilibria(config)
@@ -199,6 +210,8 @@ def _cmd_equilibria(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from . import dynamics
+
     config = config_from_json(args.config)
     _echo(args, {"command": "threshold", **_config_dict(config)})
     _emit(_json({"automatic_threshold": dynamics.automatic_threshold(config)}), args.out)
@@ -206,6 +219,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import dynamics
+
     config = config_from_json(args.config)
     initial = _parse_state(args.initial)
     flow = dynamics.FlowConfig(
@@ -239,6 +254,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_best_response(args) -> int:
+    from . import dynamics, equilibrium
+
     config = config_from_json(args.config)
     with open(args.assignment) as fh:
         names = json.load(fh)
@@ -274,14 +291,18 @@ def _cmd_best_response(args) -> int:
 
 def _number(raw: dict, key: str, what: str | None = None) -> float:
     """float(raw[key]) of a decoded JSON object; a list, object or null there
-    is a usage error."""
+    is a usage error, and true or false is invalid input, as a string is."""
     value = raw[key]
     if value is None or isinstance(value, (list, dict)):
         raise _UsageError(f"{what or key} must be a number, got {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"{what or key} must be a number, got {value!r}")
     return float(value)
 
 
 def _load_agents(path: str) -> list[chainsim.MinerAgent]:
+    from . import chainsim
+
     with open(path) as fh:
         raw = json.load(fh)
     if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
@@ -299,6 +320,8 @@ def _load_agents(path: str) -> list[chainsim.MinerAgent]:
 
 
 def _report_dict(report: chainsim.SimReport) -> dict:
+    from . import chainsim
+
     try:
         densities = {s.value: d for s, d in chainsim.empirical_payoffs(report).items()}
     except chainsim.InsufficientCycles:
@@ -347,6 +370,8 @@ def _merge_replicas(reports: list[dict]) -> dict:
 
 
 def _cmd_chain_sim(args) -> int:
+    from . import chainsim
+
     if args.replicas < 1:
         raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
     if args.replicas > 1 and (args.events or args.series):
@@ -429,6 +454,8 @@ def _cmd_chain_sim(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import ingest
+
     config = config_from_json(args.config)
     _echo(args, {"command": "analyze", "input": args.input,
                  "hysteresis": args.hysteresis, **_config_dict(config)})
@@ -446,6 +473,7 @@ def _cmd_analyze(args) -> int:
         laps.append(("detect", time.perf_counter()))
         estimates, period_rf = ingest.estimate_state_path(loaded, periods)
         ts, basis, share, r_f, r_b, k = estimates.columns.values()
+        basis_labels = {m: m.value for m in ingest.Basis}
         laps.append(("estimate", time.perf_counter()))
         if args.out_periods:
             with open(args.out_periods, "w") as fh:
@@ -456,7 +484,7 @@ def _cmd_analyze(args) -> int:
                 ], fh, allow_nan=False)
         if args.out_estimates:
             _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"), zip(
-                ts, map(_LABELS.__getitem__, basis), share,
+                ts, map(basis_labels.__getitem__, basis), share,
                 ["" if v is None else v for v in r_f], ["" if v is None else v for v in r_b],
             ), args.out_estimates)
         laps.append(("emit", time.perf_counter()))
@@ -485,8 +513,10 @@ def _payoff_args(p):
 
 
 def _zones_args(p):
+    from .equilibrium import ZONE_TOL
+
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--tol", type=float, default=equilibrium.ZONE_TOL)
+    p.add_argument("--tol", type=float, default=ZONE_TOL)
     _add_format(p)
 
 

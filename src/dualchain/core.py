@@ -12,7 +12,6 @@ and safe to share across threads.
 from __future__ import annotations
 
 import bisect
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -175,7 +174,7 @@ class Schedule:
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Schedule":
         try:
-            entries = tuple((float(a), float(v)) for a, v in pairs)
+            entries = tuple((_pair_number(a), _pair_number(v)) for a, v in pairs)
         except TypeError as exc:
             # A number, a bare value or a list where a pair or a number belongs.
             raise ValueError(f"schedule must hold [at, value] number pairs: {exc}") from exc
@@ -187,13 +186,25 @@ class Schedule:
         if path.endswith(".json"):
             with open(path) as fh:
                 return cls.from_pairs(json.load(fh))
+        import csv  # only CSV schedules need it
+
         with open(path, newline="") as fh:
             rows = []
-            for row in csv.reader(fh):
+            for n, row in enumerate(csv.reader(fh), 1):
                 if not row or row[0].strip().lower() in ("at", "step", "time", "t"):
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"schedule row {n} needs two cells (at, value), "
+                                     f"got {row!r}")
                 rows.append((float(row[0]), float(row[1])))
         return cls.from_pairs(rows)
+
+
+def _pair_number(value) -> float:
+    """float(value) for a schedule pair; JSON true/false are not numbers."""
+    if isinstance(value, bool):
+        raise ValueError(f"schedule must hold [at, value] number pairs, got {value!r}")
+    return float(value)
 
 
 def check_k_schedule(schedule: Schedule | None) -> None:
@@ -225,7 +236,8 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
             raise ValueError(f"powers must be a list of numbers, got {powers!r}")
         powers = list(powers)
     for name, value in (("k", k), ("c_stick", c_stick), *(("powers", p) for p in powers)):
-        if not isinstance(value, (int, float)):
+        # bool is an int, but JSON true/false are not numbers.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{name} must be a number, got {value!r}")
 
     if not (k > 0.0):
@@ -239,7 +251,7 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
             if not value.is_integer():
                 raise ZeroBlockCount(f"{name} must be an integer, got {value}", field=name)
             value = int(value)
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ZeroBlockCount(f"{name} must be a positive integer, got {value}", field=name)
         counts[name] = value
 

@@ -25,6 +25,7 @@ closed form, so none is computed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,9 +78,14 @@ def solve_alpha(config: GameConfig) -> float:
 
     The cubic is strictly increasing on [0, 1] (all derivative terms
     positive), negative at 0 and positive at k/(1+k), so plain bisection
-    converges; iterated to float resolution.
+    converges; iterated to float resolution.  Solved once per
+    (k, n_in, n_de): a sweep over c_stick reuses the root.
     """
-    k, n_in, n_de = config.k, config.n_in, config.n_de
+    return _alpha(config.k, config.n_in, config.n_de)
+
+
+@functools.lru_cache(maxsize=1024)
+def _alpha(k: float, n_in: int, n_de: int) -> float:
     one_plus_k = 1.0 + k
 
     def f(r: float) -> float:

@@ -293,6 +293,8 @@ def sim_inputs(tmp_path):
     ("k.json", "[[0, 0.0]]"),
     ("k.json", "[[NaN, 0.3]]"),
     ("k.csv", "at,value\n0,0.3\ninf,0.4\n"),
+    # A row with one cell used to exit 1 with IndexError.
+    ("k.csv", "at,value\n0\n"),
 ])
 @pytest.mark.parametrize("command", ["simulate-csv", "simulate-json", "chain-sim"])
 def test_bad_k_schedule_exits_2_before_running(tmp_path, capsys, config_path, sim_inputs,
@@ -360,6 +362,21 @@ SHAPE_ARGVS = {
     ("simulate", "k.json", [[None, 0.2]], "invalid_input"),
     # This one exited 2, but as power_sum_mismatch.
     ("equilibria", "game.json", [1], "invalid_input"),
+    # JSON true/false used to pass as the numbers 1 and 0.  Each gets the
+    # code a string in the same place gets.
+    ("equilibria", "game.json", {**SHAPE_GAME, "k": True}, "invalid_input"),
+    ("equilibria", "game.json", {**SHAPE_GAME, "c_stick": False}, "invalid_input"),
+    ("equilibria", "game.json", {**SHAPE_GAME, "powers": [True, 0.02, 0.02]},
+     "invalid_input"),
+    ("equilibria", "game.json", {**SHAPE_GAME, "n_in": True}, "zero_block_count"),
+    ("equilibria", "game.json", {**SHAPE_GAME, "n_in": "2016"}, "zero_block_count"),
+    ("chain-sim", "world.json", {"k": True}, "invalid_input"),
+    ("chain-sim", "world.json", {"k": "x"}, "invalid_input"),
+    ("chain-sim", "world.json", {"k": 0.4, "difficulty_a": False}, "invalid_input"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": True}], "invalid_input"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": "x"}], "invalid_input"),
+    ("simulate", "k.json", [[0, True]], "invalid_input"),
+    ("simulate", "k.json", [[0, "x"]], "invalid_input"),
 ])
 def test_wrongly_shaped_json_input_exits_2(tmp_path, capsys, command, name, content,
                                            code_name):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dualchain.core import MiningState, Strategy, Zone, coexist_rb, validate_config
 from dualchain.equilibrium import (
     DivergentState,
+    _alpha,
     NotCase3,
     PowerExceedsK,
     PowerNotInGroup,
@@ -65,6 +66,18 @@ def test_alpha_residual_small_for_random_configs():
 def test_alpha_bracket_for_small_k():
     a = solve_alpha(config(0.05))
     assert 0.0 < a < 0.05 / 1.05
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 4032), st.integers(1, 4032),
+       st.floats(0.0, 0.99))
+def test_cached_alpha_is_bit_identical_to_a_fresh_solve(k, n_in, n_de, c_stick):
+    cfg = config(k, n_in, n_de, c_stick=c_stick)
+    fresh = _alpha.__wrapped__(k, n_in, n_de).hex()
+    # The first call may solve and cache, the second reads the cache; equilibria
+    # (and solve_beta in case 3) read alpha through the same cache.
+    assert solve_alpha(cfg).hex() == solve_alpha(cfg).hex() == fresh
+    assert equilibria(cfg).alpha.hex() == fresh
 
 
 def test_zone_of_coexistence_point():
