@@ -1,0 +1,177 @@
+"""Success-path output of every subcommand, pinned byte for byte.
+
+Each case runs one command in process at toy size and is compared with
+`golden.json`: a SHA-256 of stdout and of every file the command wrote.
+Chain-sim's agent rewards and policy densities may move by float
+reordering, so they are taken out of its stdout digest and compared within
+1e-12 relative instead.
+
+Re-record with `python tests/record_golden.py`, and say in CHANGES.md which
+outputs changed and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+
+import pytest
+
+from dualchain.cli import dispatch
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+
+# Chain-sim report keys compared as floats, not as bytes.
+FLOAT_KEYS = ("agent_rewards", "policy_density")
+REL_TOL = 1e-12
+
+GAME = {"k": 0.3, "n_in": 20, "n_de": 10, "c_stick": 0.1, "powers": [0.3, 0.2, 0.4]}
+WORLD = {"k": 0.378, "difficulty_a": 0.76, "difficulty_b": 0.2}
+AGENTS = [
+    {"id": "f1", "power": 0.2, "policy": "fickle"},
+    {"id": "f2", "power": 0.1, "policy": "fickle"},
+    {"id": "b", "power": 0.2, "policy": "b_only"},
+    {"id": "auto", "power": 0.05, "policy": "automatic"},
+    {"id": "a", "power": 0.45, "policy": "a_only"},
+]
+REGIMES_B = {"epoch": "epoch:4", "eda": "eda:6:3:4:0.8", "perblock": "perblock:10"}
+MODES = ("exponential", "deterministic")
+
+
+def _series_rows():
+    """A square wave of fickle episodes: 60 rows, one every 600 s."""
+    rows = []
+    for i in range(60):
+        inside = (i // 10) % 2 == 0
+        h_b = 0.45 if inside else 0.15
+        d_b = 0.2 if inside else 0.35
+        rows.append(f"{i * 600},{1.0 - h_b},{h_b},1.0,{d_b},0.3")
+    return "timestamp,hashrate_a,hashrate_b,difficulty_a,difficulty_b,price_ratio_k\n" \
+        + "\n".join(rows) + "\n"
+
+
+def write_inputs(root):
+    """Write every input file under `root`."""
+    files = {
+        "game.json": json.dumps(GAME),
+        "game_case1.json": json.dumps({"k": 0.05, "n_in": 2016, "n_de": 2016,
+                                       "powers": [1.0]}),
+        "world.json": json.dumps(WORLD),
+        "agents.json": json.dumps(AGENTS),
+        "assignment.json": json.dumps(["fickle", "a_only", "b_only"]),
+        "k_steps.json": json.dumps([[0, 0.3], [40, 0.6], [90, 0.2]]),
+        "k_times.csv": "at,value\n0,0.378\n150,0.2\n300,0.5\n",
+        "series.csv": _series_rows(),
+    }
+    for name, text in files.items():
+        with open(os.path.join(root, name), "w") as fh:
+            fh.write(text)
+
+
+def cases():
+    """name -> (argv, files written), with paths relative to the input root."""
+    out = {}
+    for regime, spec in REGIMES_B.items():
+        for mode in MODES:
+            argv = ["chain-sim", "--config", "world.json", "--agents", "agents.json",
+                    "--regime-a", "epoch:40", "--regime-b", spec, "--mode", mode,
+                    "--duration", "1800", "--seed", "7", "--events", "events.csv",
+                    "--series", "series_out.csv", "--series-step", "5"]
+            if regime == "epoch" and mode == "deterministic":
+                argv += ["--k-schedule", "k_times.csv"]
+            out[f"chain-sim {regime} {mode}"] = (argv, ("events.csv", "series_out.csv"))
+    out.update({
+        "zones csv": (["zones", "--config", "game.json", "--grid", "12"], ()),
+        "zones json": (["zones", "--config", "game.json", "--grid", "9",
+                        "--format", "json"], ()),
+        "simulate csv": (["simulate", "--config", "game.json", "--initial", "0.5,0.3",
+                          "--rate", "0.01", "--max-steps", "150",
+                          "--k-schedule", "k_steps.json"], ()),
+        "simulate json": (["simulate", "--config", "game.json", "--initial", "0.1,0.15",
+                           "--rate", "0.02", "--max-steps", "80", "--format", "json",
+                           "--k-schedule", "k_steps.json"], ()),
+        "analyze": (["analyze", "--config", "game.json", "--input", "series.csv",
+                     "--hysteresis", "0.05", "--out-periods", "periods.json",
+                     "--out-estimates", "estimates.csv", "--out-zones", "zones.csv"],
+                    ("periods.json", "estimates.csv", "zones.csv")),
+        "payoff json": (["payoff", "--config", "game.json", "--state", "0.2,0.3"], ()),
+        "payoff csv": (["payoff", "--config", "game.json", "--state", "0,1",
+                        "--format", "csv"], ()),
+        "equilibria case 3": (["equilibria", "--config", "game.json"], ()),
+        "equilibria case 1": (["equilibria", "--config", "game_case1.json"], ()),
+        "threshold": (["threshold", "--config", "game.json"], ()),
+        "best-response": (["best-response", "--config", "game.json",
+                           "--assignment", "assignment.json", "--steps", "40",
+                           "--seed", "3"], ()),
+    })
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(root, argv, written):
+    """Run one case in `root`; its digests and compared floats."""
+    argv = [os.path.join(root, a) if a.endswith((".json", ".csv")) else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = dispatch([*argv, "--quiet"])
+    assert code == 0, stderr.getvalue()
+    text = stdout.getvalue()
+    floats = {}
+    if argv[0] == "chain-sim":
+        report = json.loads(text)
+        floats = {key: report.pop(key) for key in FLOAT_KEYS}
+        text = json.dumps(report, sort_keys=True)
+    files = {}
+    for name in written:
+        with open(os.path.join(root, name), "rb") as fh:
+            files[name] = _sha(fh.read())
+    return {"stdout": _sha(text.encode()), "files": files, "floats": floats}
+
+
+def record(root):
+    write_inputs(root)
+    return {name: run_case(root, argv, written) for name, (argv, written) in cases().items()}
+
+
+def _close(actual, expected, where):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), where
+        for key in expected:
+            _close(actual[key], expected[key], f"{where}.{key}")
+    elif expected is None:
+        assert actual is None, where
+    else:
+        assert math.isclose(actual, expected, rel_tol=REL_TOL, abs_tol=0.0), \
+            (where, actual, expected)
+
+
+@pytest.fixture(scope="module")
+def expected():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("golden"))
+    write_inputs(root)
+    return root
+
+
+def test_golden_covers_every_case(expected):
+    assert sorted(expected) == sorted(cases())
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_output_matches_golden(inputs, expected, name):
+    argv, written = cases()[name]
+    got = run_case(inputs, argv, written)
+    want = expected[name]
+    assert got["stdout"] == want["stdout"]
+    assert got["files"] == want["files"]
+    _close(got["floats"], want["floats"], name)
