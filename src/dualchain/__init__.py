@@ -20,8 +20,7 @@ _EXPORTS = {
                      "boundary23_rb", "equilibria", "finite_deviation", "solve_alpha",
                      "solve_beta", "x_threshold", "zone_of"), "equilibrium"),
     **dict.fromkeys(("FlowConfig", "Outcome", "Trajectory", "automatic_threshold",
-                     "direction", "simulate_flow", "step_best_response", "step_flow"),
-                    "dynamics"),
+                     "simulate_flow", "step_best_response"), "dynamics"),
     **dict.fromkeys(("ChainWorld", "Coin", "EpochFixed", "EpochWithEda", "MinerAgent",
                      "PerBlockWindow", "SimReport", "eda_expected_nde", "empirical_payoffs",
                      "run", "sample_series"), "chainsim"),

@@ -50,8 +50,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (SERIES_COLUMNS, DualchainError, GameConfig, MiningState, NegativePower,
-                   PowerSumMismatch, Schedule, Strategy, check_k_schedule)
+from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, GameConfig,
+                   MiningState, NegativePower, PowerSumMismatch, Schedule, Strategy, check_count,
+                   check_k_schedule, check_range, power_sum)
 
 _INF = math.inf
 
@@ -64,15 +65,27 @@ class InsufficientCycles(DualchainError):
     code = "insufficient_cycles"
 
 
+class DifficultyCollapse(DualchainError):
+    """A retarget left a difficulty below the clock's resolution."""
+
+    code = "difficulty_collapse"
+
+
+def _check_retarget(chain: _Chain, now: float) -> None:
+    """Refuse a difficulty below one ulp of `now`.
+
+    A chain's mean block interval is at least its difficulty (no chain holds
+    more than all the power).  Below one ulp of the clock, `now` plus the
+    interval is `now` again: blocks would pile up at one instant and the
+    run would never reach its horizon.
+    """
+    check_range(chain.difficulty, "difficulty", math.ulp(now), error=DifficultyCollapse,
+                name=f"coin_{chain.label} difficulty at t={now!r}")
+
+
 class Coin(Enum):
     A = "a"
     B = "b"
-
-
-def _check_length(name: str, value) -> None:
-    """A regime length counts blocks, so it is an int >= 1 (a bool is not)."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,7 @@ class EpochFixed:
     n: int = 2016
 
     def __post_init__(self):
-        _check_length("epoch length", self.n)
+        check_count(self.n, "n", name="epoch length")
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
@@ -99,6 +112,7 @@ class EpochFixed:
             span = now - anchor
             if span > 0.0:
                 chain.difficulty = since * chain.difficulty / span
+            _check_retarget(chain, now)
             since = 0
             anchor = now
             history.append((now, chain.difficulty))
@@ -117,13 +131,10 @@ class EpochWithEda:
     eda_factor: float = 0.8
 
     def __post_init__(self):
-        _check_length("epoch length", self.n)
-        _check_length("eda_window", self.eda_window)
-        if not (0.0 < self.eda_factor < 1.0):
-            raise ValueError("eda_factor must be in (0, 1)")
-        if not (0.0 < self.eda_threshold < math.inf):
-            raise ValueError("eda_threshold must be positive and finite, got "
-                             f"{self.eda_threshold!r}")
+        check_count(self.n, "n", name="epoch length")
+        check_count(self.eda_window, "eda_window")
+        check_range(self.eda_factor, "eda_factor", 0.0, 1.0, lo_open=True, hi_open=True)
+        check_range(self.eda_threshold, "eda_threshold", 0.0, lo_open=True, hi_open=True)
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
@@ -152,6 +163,7 @@ class EpochWithEda:
                 kind = "eda"
             else:
                 return None
+            _check_retarget(chain, now)
             since = 0
             anchor = now
             history.append((now, chain.difficulty))
@@ -167,7 +179,7 @@ class PerBlockWindow:
     window: int = 144
 
     def __post_init__(self):
-        _check_length("window", self.window)
+        check_count(self.window, "window")
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
@@ -231,11 +243,9 @@ class ChainWorld:
     k_schedule: Schedule | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.difficulty_a < math.inf and 0.0 < self.difficulty_b < math.inf):
-            raise ValueError("difficulties must be positive and finite, got "
-                             f"({self.difficulty_a}, {self.difficulty_b})")
-        if not (0.0 < self.k <= 1.0):
-            raise ValueError(f"k must be in (0, 1], got {self.k}")
+        check_range(self.k, "k", **K_RANGE)
+        check_range(self.difficulty_a, "difficulty_a", 0.0, lo_open=True, hi_open=True)
+        check_range(self.difficulty_b, "difficulty_b", 0.0, lo_open=True, hi_open=True)
         check_k_schedule(self.k_schedule)
 
 
@@ -263,13 +273,6 @@ class SimReport:
     # whole-cycle payoff measurement: (time, {agent: reward}).
     cycle_mark_first: tuple[float, dict[str, float]] | None = None
     cycle_mark_last: tuple[float, dict[str, float]] | None = None
-
-    def policy_power(self) -> dict[Strategy, float]:
-        totals: dict[Strategy, float] = {}
-        for aid, p in self.agent_power.items():
-            pol = self.agent_policy[aid]
-            totals[pol] = totals.get(pol, 0.0) + p
-        return totals
 
     def avg_b_occupancy(self, t_from: float, t_to: float) -> float:
         """Time-weighted average power allocated to coin_B on [t_from, t_to]."""
@@ -369,9 +372,8 @@ def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
         if not isinstance(a.policy, Strategy):
             raise ValueError(f"agent {a.id!r} has no policy")
         roster.append(a)
-    total = math.fsum(a.power for a in roster)
-    if abs(total - 1.0) > 1e-9:
-        raise PowerSumMismatch(f"roster power sums to {total!r}, expected 1")
+    check_range(power_sum(a.power for a in roster) - 1.0, "power", -POWER_SUM_TOL,
+                POWER_SUM_TOL, error=PowerSumMismatch, name="roster power sum - 1")
     return roster
 
 
@@ -399,8 +401,7 @@ def run(
     EVENT_FIELDS-ordered tuple.  Pass `list.append` to keep them, or the
     callback write_events_csv returns to stream them to a file.
     """
-    if not (0.0 < duration < _INF):
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    check_range(duration, "duration", 0.0, lo_open=True, hi_open=True)
     if mode not in ("exponential", "deterministic"):
         raise ValueError(f"unknown mode {mode!r}")
     exponential = mode == "exponential"
@@ -652,20 +653,26 @@ def run(
     )
 
 
-def empirical_payoffs(report: SimReport, min_cycles: int = 50) -> dict[Strategy, float]:
+# Completed fickle cycles a density needs.
+MIN_CYCLES = 50
+
+
+def empirical_payoffs(report: SimReport) -> dict[Strategy, float]:
     """Per-policy profit density: reward per P_ag per unit power.
 
     Rosters containing fickle agents are measured between the first and
     last fickle cycle starts (whole cycles only) and require at least
-    `min_cycles` completed cycles; loyal-only rosters use the full
-    horizon.
+    MIN_CYCLES completed cycles; loyal-only rosters use the full horizon.
     """
-    powers = report.policy_power()
+    powers: dict[Strategy, float] = {}
+    for aid, p in report.agent_power.items():
+        policy = report.agent_policy[aid]
+        powers[policy] = powers.get(policy, 0.0) + p
     has_fickle = Strategy.FICKLE in powers
     if has_fickle:
-        if report.fickle_cycles < min_cycles or report.cycle_mark_first is None:
+        if report.fickle_cycles < MIN_CYCLES or report.cycle_mark_first is None:
             raise InsufficientCycles(
-                f"{report.fickle_cycles} fickle cycles < required {min_cycles}"
+                f"{report.fickle_cycles} fickle cycles < required {MIN_CYCLES}"
             )
         t0, rew0 = report.cycle_mark_first
         t1, rew1 = report.cycle_mark_last
@@ -705,8 +712,7 @@ def eda_expected_nde(
     r_f = 0 no emergency decrease occurs (the difficulty matches the
     power) and the epoch length is returned exactly.
     """
-    if state.r_b <= 0.0:
-        raise ValueError("eda_expected_nde requires r_b > 0")
+    check_range(state.r_b, "r_b", 0.0, lo_open=True, name="eda_expected_nde r_b")
     if state.r_f == 0.0:
         return float(regime.n)
     rng = random.Random(seed)
@@ -744,13 +750,18 @@ def sample_series(
     Rows are SERIES_FIELDS-ordered tuples: timestamp (epoch seconds,
     strictly increasing), hashrate_a/b (allocated power fractions),
     difficulty_a/b (normalized units), price_ratio_k.  `step` is the
-    sampling interval in P_ag.  The step is checked when this is called;
-    the rows are produced as they are read.
+    sampling interval in P_ag.  The step is checked (`check_series_step`)
+    when this is called; the rows are produced as they are read.
     """
-    if not (0.0 < step < _INF) or step * pag_seconds < 1.0:
-        raise ValueError("sampling step must be finite and map to at least one second, "
-                         f"got {step!r}")
+    check_series_step(step, pag_seconds)
     return _series_rows(report, step, pag_seconds, t0_epoch)
+
+
+def check_series_step(step: float, pag_seconds: int = 600) -> None:
+    """Refuse a sampling step that is not finite and positive, or that maps
+    to less than one second of series time."""
+    check_range(step, "series_step", 0.0, lo_open=True, hi_open=True, name="sampling step")
+    check_range(step * pag_seconds, "series_step", 1.0, name="sampling step in seconds")
 
 
 def _series_rows(report: SimReport, step: float, pag_seconds: int,

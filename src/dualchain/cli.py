@@ -10,18 +10,18 @@ reproducibility; stdout carries data only.  DUALCHAIN_LOG
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
-import random
 import stat
 import sys
 import time
 from typing import TYPE_CHECKING
 
-from .core import (DualchainError, GameConfig, MiningState, Schedule, Strategy, Zone,
-                   config_from_json)
+from .core import (DualchainError, GameConfig, InvalidValue, MiningState, Schedule, Strategy,
+                   Zone, check_count, check_range, config_from_json, number)
 
 if TYPE_CHECKING:
     # Annotations only: each command imports the modules it runs.
@@ -120,31 +120,34 @@ def _config_dict(config: GameConfig) -> dict:
             "c_stick": config.c_stick, "powers": list(config.powers)}
 
 
-def _parse_state(text: str) -> MiningState:
+def _parse_state(text: str, field: str) -> MiningState:
     parts = text.split(",")
     if len(parts) != 2:
         raise _UsageError(f"state must be 'rF,rB', got {text!r}")
-    return MiningState(float(parts[0]), float(parts[1]))
+    try:
+        return MiningState(float(parts[0]), float(parts[1]))
+    except ValueError as exc:  # not two numbers, or not a point of the simplex
+        raise InvalidValue(str(exc), field=field) from None
 
 
 def _regime(spec: str) -> chainsim.DifficultyRegime:
+    """A regime from its spec; each given number fills the regime's next field."""
     from . import chainsim
 
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "epoch":
-        return chainsim.EpochFixed(int(parts[1]) if len(parts) > 1 else 2016)
-    if kind == "eda":
-        vals = parts[1:]
-        return chainsim.EpochWithEda(
-            n=int(vals[0]) if len(vals) > 0 else 2016,
-            eda_window=int(vals[1]) if len(vals) > 1 else 6,
-            eda_threshold=float(vals[2]) if len(vals) > 2 else 12.0,
-            eda_factor=float(vals[3]) if len(vals) > 3 else 0.8,
-        )
-    if kind == "perblock":
-        return chainsim.PerBlockWindow(int(parts[1]) if len(parts) > 1 else 144)
-    raise _UsageError(f"unknown regime {spec!r} (epoch:N | eda:N:W:T:F | perblock:W)")
+    kind, *values = spec.split(":")
+    regime = {"epoch": chainsim.EpochFixed, "eda": chainsim.EpochWithEda,
+              "perblock": chainsim.PerBlockWindow}.get(kind)
+    if regime is None:
+        raise _UsageError(f"unknown regime {spec!r} (epoch:N | eda:N:W:T:F | perblock:W)")
+    knobs = {}
+    for knob, text in zip(dataclasses.fields(regime), values):
+        convert = type(knob.default)  # int or float
+        try:
+            knobs[knob.name] = convert(text)
+        except ValueError:
+            raise InvalidValue(f"{knob.name} must be {'an int' if convert is int else 'a number'}"
+                               f", got {text!r}", field=knob.name) from None
+    return regime(**knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,7 @@ def _cmd_payoff(args) -> int:
     from .payoff import payoff_triple
 
     config = config_from_json(args.config)
-    state = _parse_state(args.state)
+    state = _parse_state(args.state, "state")
     triple = payoff_triple(state, config)
     _echo(args, {"command": "payoff", "state": [state.r_f, state.r_b],
                  **_config_dict(config)})
@@ -176,10 +179,8 @@ def _cmd_zones(args) -> int:
     from . import equilibrium
 
     config = config_from_json(args.config)
-    n = args.grid
-    if n < 1:
-        raise _UsageError("--grid must be >= 1")
-    equilibrium.check_tol(args.tol)
+    n = check_count(args.grid, "grid")
+    check_range(args.tol, "tol", 0.0, hi_open=True)
     _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **_config_dict(config)})
     zone_at, tol, labels = equilibrium.zone_at, args.tol, _LABELS
     k, n_in, n_de = config.k, config.n_in, config.n_de
@@ -222,7 +223,7 @@ def _cmd_simulate(args) -> int:
     from . import dynamics
 
     config = config_from_json(args.config)
-    initial = _parse_state(args.initial)
+    initial = _parse_state(args.initial, "initial")
     flow = dynamics.FlowConfig(
         migration_rate=args.rate,
         max_steps=args.max_steps,
@@ -254,6 +255,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_best_response(args) -> int:
+    import random  # only this command draws
+
     from . import dynamics, equilibrium
 
     config = config_from_json(args.config)
@@ -289,17 +292,6 @@ def _cmd_best_response(args) -> int:
     return 0
 
 
-def _number(raw: dict, key: str, what: str | None = None) -> float:
-    """float(raw[key]) of a decoded JSON object; a list, object or null there
-    is a usage error, and true or false is invalid input, as a string is."""
-    value = raw[key]
-    if value is None or isinstance(value, (list, dict)):
-        raise _UsageError(f"{what or key} must be a number, got {value!r}")
-    if isinstance(value, bool):
-        raise ValueError(f"{what or key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _load_agents(path: str) -> list[chainsim.MinerAgent]:
     from . import chainsim
 
@@ -314,7 +306,8 @@ def _load_agents(path: str) -> list[chainsim.MinerAgent]:
         if not (isinstance(policy, str) and policy in _POLICIES):
             raise _UsageError(f"agent {name!r}: unknown policy {policy!r}")
         agents.append(chainsim.MinerAgent(str(entry["id"]),
-                                          _number(entry, "power", f"agent {name!r}: power"),
+                                          number(entry["power"], "power",
+                                                 f"agent {name!r}: power"),
                                           _POLICIES[policy]))
     return agents
 
@@ -372,8 +365,7 @@ def _merge_replicas(reports: list[dict]) -> dict:
 def _cmd_chain_sim(args) -> int:
     from . import chainsim
 
-    if args.replicas < 1:
-        raise _UsageError(f"--replicas must be >= 1, got {args.replicas}")
+    check_count(args.replicas, "replicas")
     if args.replicas > 1 and (args.events or args.series):
         raise _UsageError("--events and --series write one run; they cannot be "
                           "combined with --replicas > 1")
@@ -383,10 +375,11 @@ def _cmd_chain_sim(args) -> int:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise _UsageError("--config must be a JSON object {k, difficulty_a?, difficulty_b?}")
+    d_b = "difficulty_b" if "difficulty_b" in raw else "k"  # coin_B's difficulty defaults to k
     world = chainsim.ChainWorld(
-        difficulty_a=_number(raw, "difficulty_a") if "difficulty_a" in raw else 1.0,
-        difficulty_b=_number(raw, "difficulty_b" if "difficulty_b" in raw else "k"),
-        k=_number(raw, "k"),
+        difficulty_a=number(raw["difficulty_a"], "difficulty_a") if "difficulty_a" in raw else 1.0,
+        difficulty_b=number(raw[d_b], d_b),
+        k=number(raw["k"], "k"),
         k_schedule=(
             Schedule.from_file(args.k_schedule) if args.k_schedule else None
         ),
@@ -394,6 +387,9 @@ def _cmd_chain_sim(args) -> int:
     agents = _load_agents(args.agents)
     regime_a = _regime(args.regime_a)
     regime_b = _regime(args.regime_b)
+    step = 1.0 if args.series_step is None else args.series_step
+    if args.series:
+        chainsim.check_series_step(step)  # before the run, not after it
     _echo(args, {"command": "chain-sim", "duration": args.duration, "seed": args.seed,
                  "mode": args.mode, "regime_a": args.regime_a, "regime_b": args.regime_b,
                  "replicas": args.replicas, "k": world.k,
@@ -429,7 +425,6 @@ def _cmd_chain_sim(args) -> int:
             laps.append(("run", time.perf_counter()))
             runs = [(result, laps[1][1] - laps[0][1])]
             if args.series:
-                step = 1.0 if args.series_step is None else args.series_step
                 chainsim.write_series_csv(chainsim.sample_series(report, step=step),
                                           args.series)
             _emit(_json(result), args.out)

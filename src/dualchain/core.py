@@ -14,9 +14,10 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 POWER_SUM_TOL = 1e-9
 
@@ -39,28 +40,88 @@ class DualchainError(Exception):
         self.field = field
 
 
-class NonPositiveK(DualchainError):
+class InvalidValue(DualchainError, ValueError):
+    """An input number that breaks its rule; `field` names the input.
+
+    A ValueError too, so callers that catch ValueError still catch it.
+    """
+
+    code = "invalid_input"
+
+
+class NonPositiveK(InvalidValue):
     code = "non_positive_k"
 
 
-class KAboveOne(DualchainError):
+class KAboveOne(InvalidValue):
     code = "k_above_one"
 
 
-class ZeroBlockCount(DualchainError):
+class ZeroBlockCount(InvalidValue):
     code = "zero_block_count"
 
 
-class PowerSumMismatch(DualchainError):
+class PowerSumMismatch(InvalidValue):
     code = "power_sum_mismatch"
 
 
-class NegativePower(DualchainError):
+class NegativePower(InvalidValue):
     code = "negative_power"
 
 
 class EmptyPowers(DualchainError):
     code = "empty_powers"
+
+
+def number(value, field: str, name: str | None = None) -> float:
+    """A decoded JSON number as a float: an int or a float, never a bool,
+    str, null, list or object (InvalidValue).  An int past the float range
+    reads as an infinity of its sign, which no rule accepts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidValue(f"{name or field} must be a number, got {value!r}", field=field)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def check_range(value, field: str, lo: float = -math.inf, hi: float = math.inf, *,
+                lo_open: bool = False, hi_open: bool = False, error=InvalidValue,
+                error_above=None, name: str | None = None):
+    """`value` if it lies between lo and hi, else raise `error` with `field`.
+
+    The bounds are closed unless `lo_open`/`hi_open`.  A value above the
+    interval raises `error_above` when one is given.  NaN fails the lower
+    test, so it raises `error`.  `name` replaces `field` in the message.
+    """
+    if lo < value if lo_open else lo <= value:
+        if value < hi if hi_open else value <= hi:
+            return value
+        error = error_above or error
+    interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+    raise error(f"{name or field} must be in {interval}, got {value!r}", field=field)
+
+
+def check_count(value, field: str, error=InvalidValue, name: str | None = None,
+                hi: float = math.inf) -> int:
+    """`value` if it is an int from 1 to `hi` (a bool is not), else raise `error`."""
+    if type(value) is not int or not 1 <= value <= hi:
+        raise error(f"{name or field} must be an int in [1, {hi:g}], got {value!r}",
+                    field=field)
+    return value
+
+
+# The price ratio's rule wherever a k enters: 0 < k <= 1.
+K_RANGE = {"lo": 0.0, "hi": 1.0, "lo_open": True, "error": NonPositiveK,
+           "error_above": KAboveOne}
+
+
+def power_sum(powers) -> float:
+    """math.fsum of power fractions, or inf where it overflows."""
+    try:
+        return math.fsum(powers)
+    except OverflowError:  # finite powers whose sum passes the float range
+        return math.inf
 
 
 class Strategy(Enum):
@@ -152,8 +213,8 @@ class Schedule:
 
     def __post_init__(self):
         for at, value in self.entries:
-            if not (math.isfinite(at) and math.isfinite(value)):
-                raise ValueError(f"schedule entry ({at}, {value}) is not finite")
+            check_range(at, "schedule", lo_open=True, hi_open=True, name="schedule time")
+            check_range(value, "schedule", lo_open=True, hi_open=True, name="schedule value")
         ordered = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", ordered)
         object.__setattr__(self, "_ats", tuple(at for at, _ in ordered))
@@ -164,19 +225,17 @@ class Schedule:
             return default
         return self.entries[i - 1][1]
 
-    def check_values(self, name: str, accept: Callable[[float], bool], interval: str) -> None:
-        """Raise ValueError at the first value `accept` refuses."""
+    def check_values(self, field: str, *bounds, **rule) -> None:
+        """check_range(value, field, *bounds, **rule) on every value."""
         for at, value in self.entries:
-            if not accept(value):
-                raise ValueError(f"{name} schedule value at {at} must be in {interval}, "
-                                 f"got {value}")
+            check_range(value, field, *bounds, name=f"{field} schedule value at {at}", **rule)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Schedule":
         try:
-            entries = tuple((_pair_number(a), _pair_number(v)) for a, v in pairs)
+            entries = tuple((number(a, "schedule"), number(v, "schedule")) for a, v in pairs)
         except TypeError as exc:
-            # A number, a bare value or a list where a pair or a number belongs.
+            # A number or a bare value where a pair belongs.
             raise ValueError(f"schedule must hold [at, value] number pairs: {exc}") from exc
         return cls(entries)
 
@@ -200,17 +259,10 @@ class Schedule:
         return cls.from_pairs(rows)
 
 
-def _pair_number(value) -> float:
-    """float(value) for a schedule pair; JSON true/false are not numbers."""
-    if isinstance(value, bool):
-        raise ValueError(f"schedule must hold [at, value] number pairs, got {value!r}")
-    return float(value)
-
-
 def check_k_schedule(schedule: Schedule | None) -> None:
-    """Raise ValueError unless every scheduled k lies in (0, 1], like `GameConfig.k`."""
+    """Hold every scheduled k to the rule of `GameConfig.k`."""
     if schedule is not None:
-        schedule.check_values("k", lambda k: 0.0 < k <= 1.0, "(0, 1]")
+        schedule.check_values("k", **K_RANGE)
 
 
 def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameConfig:
@@ -222,7 +274,7 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
     requiring the sum to be exactly 1; real hash-rate data never sums
     exactly.  Idempotent: validating a validated config returns an
     equal value.  A k, c_stick or power that is not a number, or powers
-    that are not a list, raise ValueError.
+    that are not a list, raise InvalidValue.
     """
     if isinstance(raw, GameConfig):
         k, n_in, n_de = raw.k, raw.n_in, raw.n_de
@@ -233,58 +285,35 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
         c_stick = raw.get("c_stick", 0.0)
         powers = raw.get("powers", ())
         if not isinstance(powers, (list, tuple)):
-            raise ValueError(f"powers must be a list of numbers, got {powers!r}")
-        powers = list(powers)
-    for name, value in (("k", k), ("c_stick", c_stick), *(("powers", p) for p in powers)):
-        # bool is an int, but JSON true/false are not numbers.
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+            raise InvalidValue(f"powers must be a list of numbers, got {powers!r}",
+                               field="powers")
+    k, c_stick = number(k, "k"), number(c_stick, "c_stick")
+    powers = [number(p, "powers") for p in powers]
 
-    if not (k > 0.0):
-        raise NonPositiveK(f"k must be positive, got {k}", field="k")
-    if k > 1.0:
-        raise KAboveOne(f"k must not exceed 1 (relabel the coins), got {k}", field="k")
-
+    check_range(k, "k", **K_RANGE)
     counts = {}
     for name, value in (("n_in", n_in), ("n_de", n_de)):
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ZeroBlockCount(f"{name} must be an integer, got {value}", field=name)
+        if type(value) is float and value.is_integer():
             value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ZeroBlockCount(f"{name} must be a positive integer, got {value}", field=name)
-        counts[name] = value
-
-    if not (c_stick >= 0.0):
-        raise NegativePower(f"c_stick must be >= 0, got {c_stick}", field="c_stick")
+        # The payoff forms take the counts as floats.
+        counts[name] = check_count(value, name, error=ZeroBlockCount, hi=sys.float_info.max)
+    check_range(c_stick, "c_stick", 0.0, error=NegativePower)
     for i, p in enumerate(powers):
-        if not (p > 0.0):
-            raise NegativePower(f"powers[{i}] must be > 0, got {p}", field="powers")
+        check_range(p, "powers", 0.0, lo_open=True, error=NegativePower, name=f"powers[{i}]")
 
-    total = c_stick + math.fsum(powers)
-    if not math.isfinite(total):
-        raise PowerSumMismatch(f"c_stick + sum(powers) = {total!r} is not finite",
-                               field="powers")
-    if abs(total - 1.0) > POWER_SUM_TOL:
-        if not normalize:
-            raise PowerSumMismatch(
-                f"c_stick + sum(powers) = {total!r}, expected 1", field="powers"
-            )
-        if total <= 0.0:
-            raise PowerSumMismatch("total power is not positive", field="powers")
-        c_stick = c_stick / total
-        powers = [p / total for p in powers]
+    total = c_stick + power_sum(powers)
+    if normalize:
+        check_range(total, "powers", 0.0, lo_open=True, hi_open=True, error=PowerSumMismatch,
+                    name="c_stick + sum(powers)")
+        if abs(total - 1.0) > POWER_SUM_TOL:
+            c_stick = c_stick / total
+            powers = [p / total for p in powers]
+    else:
+        check_range(total - 1.0, "powers", -POWER_SUM_TOL, POWER_SUM_TOL,
+                    error=PowerSumMismatch, name="c_stick + sum(powers) - 1")
+    check_range(c_stick, "c_stick", hi=1.0, hi_open=True, error=PowerSumMismatch)
 
-    if c_stick >= 1.0:
-        raise PowerSumMismatch(f"c_stick must be < 1, got {c_stick}", field="c_stick")
-
-    return GameConfig(
-        k=float(k),
-        n_in=counts["n_in"],
-        n_de=counts["n_de"],
-        c_stick=float(c_stick),
-        powers=tuple(float(p) for p in powers),
-    )
+    return GameConfig(k, counts["n_in"], counts["n_de"], c_stick, tuple(powers))
 
 
 def config_from_json(path: str) -> GameConfig:

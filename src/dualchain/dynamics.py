@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import GameConfig, MiningState, Schedule, Strategy, Zone, check_k_schedule
-from .equilibrium import (
-    ZONE_TOL, DivergentState, Segment, equilibria, finite_deviation, zone_at, zone_of,
-)
+from .core import (GameConfig, MiningState, Schedule, Strategy, Zone, check_count,
+                   check_k_schedule, check_range)
+from .equilibrium import DivergentState, Segment, equilibria, finite_deviation, zone_at
 
 
 @dataclass(frozen=True)
@@ -42,16 +41,12 @@ class FlowConfig:
     c_stick_schedule: Schedule | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.migration_rate <= 0.1):
-            raise ValueError(f"migration_rate must be in (0, 0.1], got {self.migration_rate}")
-        if not (0.0 < self.convergence_eps < float("inf")):
-            raise ValueError(
-                f"convergence_eps must be finite and positive, got {self.convergence_eps}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        check_range(self.migration_rate, "migration_rate", 0.0, 0.1, lo_open=True)
+        check_range(self.convergence_eps, "convergence_eps", 0.0, lo_open=True, hi_open=True)
+        check_count(self.max_steps, "max_steps")
         check_k_schedule(self.k_schedule)
         if self.c_stick_schedule is not None:
-            self.c_stick_schedule.check_values("c_stick", lambda c: 0.0 <= c < 1.0, "[0, 1)")
+            self.c_stick_schedule.check_values("c_stick", 0.0, 1.0, hi_open=True)
 
 
 class Outcome(Enum):
@@ -82,11 +77,6 @@ _DIRECTIONS = {
 }
 
 
-def direction(state: MiningState, config: GameConfig, tol: float = ZONE_TOL):
-    """Signed movement pair in {-1, 0, +1}^2 for the state's zone."""
-    return _DIRECTIONS[zone_of(state, config, tol)]
-
-
 def _step(r_f: float, r_b: float, zone: Zone, rate: float,
           c_stick: float) -> tuple[float, float]:
     dx, dy = _DIRECTIONS[zone]
@@ -106,12 +96,6 @@ def _step(r_f: float, r_b: float, zone: Zone, rate: float,
             r_b = max(c_stick, 1.0 - r_f)
             r_f = min(r_f, 1.0 - r_b)
     return r_f, r_b
-
-
-def step_flow(state: MiningState, flow: FlowConfig, config: GameConfig) -> MiningState:
-    """One Euler step of the zone flow with clamping."""
-    return MiningState(*_step(state.r_f, state.r_b, zone_of(state, config),
-                              flow.migration_rate, config.c_stick))
 
 
 def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) -> Trajectory:

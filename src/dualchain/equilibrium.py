@@ -29,23 +29,13 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, coexist_rb
+from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, check_range, coexist_rb
 from .payoff import DivergentState, payoff_values
 
 #: Absolute tie tolerance on payoff differences for zone classification.
 ZONE_TOL = 1e-10
 
 _BISECT_MAX_ITER = 200
-
-
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless `tol` is a finite tie tolerance >= 0.
-
-    A NaN tolerance would make every tie test false.  Callers that
-    classify many states check once; zone_of and zone_at do not check.
-    """
-    if not (0.0 <= tol < math.inf):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 class NotCase3(DualchainError):
@@ -107,7 +97,8 @@ def zone_at(r_f: float, r_b: float, k: float, n_in: int, n_de: int,
             tol: float = ZONE_TOL) -> Zone:
     """`zone_of` on plain floats, for callers that classify many points.
 
-    The point is not checked against the simplex; callers pass a valid one.
+    Neither the point nor `tol` is checked: callers that classify many
+    points pass a simplex point and check `tol` (finite, >= 0) once.
     """
     u_f, u_a, u_b = payoff_values(r_f, r_b, k, n_in, n_de)
     if math.isinf(u_f) or math.isinf(u_a) or math.isinf(u_b):
@@ -200,12 +191,8 @@ def solve_beta(config: GameConfig) -> float:
     """
     alpha = solve_alpha(config)
     top = coexist_rb(config.k)
-    c = config.c_stick
-    if c < alpha or c > top:
-        raise NotCase3(
-            f"beta needs alpha <= c_stick <= k/(1+k); got c_stick={c}, "
-            f"alpha={alpha}, k/(1+k)={top}"
-        )
+    c = check_range(config.c_stick, "c_stick", alpha, top, error=NotCase3,
+                    name="c_stick (beta needs alpha <= c_stick <= k/(1+k))")
     if c == alpha:
         # Seam with the corner equilibrium (1 - c_stick, c_stick).
         return 1.0 - alpha
@@ -314,8 +301,7 @@ def finite_deviation(
     target's) against the current payoff.  Ties keep the current
     strategy; payoff_gain is 0 exactly when no deviation profits.
     """
-    if c_i <= 0.0:
-        raise ValueError(f"c_i must be positive, got {c_i}")
+    check_range(c_i, "c_i", 0.0, lo_open=True, hi_open=True)
     r_f, r_b = state.r_f, state.r_b
     k, n_in, n_de = config.k, config.n_in, config.n_de
 
@@ -371,8 +357,7 @@ def x_threshold(config: GameConfig) -> float:
         raise PowerExceedsK("config has no non-faction players")
     best = 0.0
     for c_i in config.powers:
-        if c_i >= k:
-            raise PowerExceedsK(f"player power {c_i} >= k = {k}")
+        check_range(c_i, "powers", hi=k, hi_open=True, error=PowerExceedsK, name="player power")
         disc = n_de * n_de * k * k + 4.0 * n_de * n_in * (k * c_i - c_i * c_i)
         best = max(best, 0.5 * k + math.sqrt(disc) / (2.0 * n_de))
     return best

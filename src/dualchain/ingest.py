@@ -24,8 +24,8 @@ from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
-from .core import SERIES_COLUMNS, DualchainError, GameConfig, Zone
-from .equilibrium import ZONE_TOL, check_tol, zone_at
+from .core import SERIES_COLUMNS, DualchainError, GameConfig, Zone, check_range
+from .equilibrium import ZONE_TOL, zone_at
 
 
 class ParseError(DualchainError):
@@ -51,8 +51,6 @@ class EmptySeries(DualchainError):
 class UnresolvableState(DualchainError):
     code = "unresolvable_state"
 
-
-SERIES_HEADER = SERIES_COLUMNS
 
 _INF = float("inf")
 
@@ -164,15 +162,15 @@ def load_series(path: str) -> SeriesLoad:
     """
     rows: list[tuple] = []
     append = rows.append
-    n_fields = len(SERIES_HEADER)
+    n_fields = len(SERIES_COLUMNS)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise EmptySeries(f"{path} is empty")
-        if tuple(h.strip() for h in header) != SERIES_HEADER:
+        if tuple(h.strip() for h in header) != SERIES_COLUMNS:
             raise ParseError(
-                f"expected header {','.join(SERIES_HEADER)}, got {','.join(header)}",
+                f"expected header {','.join(SERIES_COLUMNS)}, got {','.join(header)}",
                 line=1,
             )
         for lineno, row in enumerate(reader, start=2):
@@ -220,7 +218,7 @@ def load_series(path: str) -> SeriesLoad:
     out_of_order = sum(1 for a, b in zip(rows, rows[1:]) if b[0] < a[0])
     if out_of_order:
         rows.sort(key=itemgetter(0))
-    columns = dict(zip(SERIES_HEADER, zip(*rows)))
+    columns = dict(zip(SERIES_COLUMNS, zip(*rows)))
     ts = columns["timestamp"]
     for a, b in zip(ts, ts[1:]):
         if a == b:
@@ -240,8 +238,7 @@ def detect_fickle_periods(series: SeriesLoad, hysteresis: float = 0.02) -> list[
     n = len(series)
     if n < 2:
         raise EmptySeries("need at least 2 records to detect periods")
-    if not (0.0 <= hysteresis < _INF):
-        raise ValueError(f"hysteresis must be finite and >= 0, got {hysteresis}")
+    check_range(hysteresis, "hysteresis", 0.0, hi_open=True)
     columns = series.columns
     periods: list[FicklePeriod] = []
     open_start: int | None = None
@@ -325,7 +322,7 @@ def zone_path(
     bonanza.  A record that does carry B mining before any period has
     provided an r_f estimate is unresolvable.
     """
-    check_tol(tol)
+    check_range(tol, "tol", 0.0, hi_open=True)
     zones: list[Zone] = []
     transitions: list[tuple[int, Zone, Zone]] = []
     carried_rf: float | None = None

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DualchainError, GameConfig, MiningState, Strategy
+from .core import DualchainError, GameConfig, MiningState, Strategy, check_range
 
 _INF = math.inf
 
@@ -126,10 +126,8 @@ def ap_fickle(state: MiningState, config: GameConfig, c_i: float) -> float:
     The raw form with the player's power c_i kept explicit: c_i times
     u_a, the inverse of the average coin_A difficulty; linear in c_i.
     """
-    if not 0.0 < c_i < _INF:
-        raise ValueError(f"c_i must be finite and positive, got {c_i}")
-    if state.r_b <= 0.0:
-        raise DegenerateState("ap_fickle requires r_b > 0")
+    check_range(c_i, "c_i", 0.0, lo_open=True, hi_open=True)
+    check_range(state.r_b, "r_b", 0.0, lo_open=True, error=DegenerateState, name="ap_fickle r_b")
     u_a = payoff_values(state.r_f, state.r_b, config.k, config.n_in, config.n_de)[1]
     if math.isinf(u_a):
         raise DivergentPayoff(f"ap_fickle diverges at ({state.r_f}, {state.r_b})")

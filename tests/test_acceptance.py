@@ -35,7 +35,7 @@ from dualchain.equilibrium import (
 )
 from dualchain.ingest import (
     Basis,
-    SERIES_HEADER,
+    SERIES_COLUMNS,
     detect_fickle_periods,
     estimate_state_path,
     load_series,
@@ -361,7 +361,7 @@ def test_criterion_11_ingest_round_trip(tmp_path):
 
     path = tmp_path / "roundtrip.csv"
     with open(path, "w") as fh:
-        fh.write(",".join(SERIES_HEADER) + "\n")
+        fh.write(",".join(SERIES_COLUMNS) + "\n")
         for row in sample_series(rep, step=1.0):
             fh.write(",".join(str(v) for v in row) + "\n")
 

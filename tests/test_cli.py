@@ -287,13 +287,25 @@ def sim_inputs(tmp_path):
             "--regime-a", "epoch:100", "--regime-b", "epoch:100", "--quiet"]
 
 
+# schedule -> (code, field) of its refusal.  A scheduled k keeps the rule of
+# the config's k.
+BAD_K_SCHEDULES = {
+    "[[0, NaN]]": ("invalid_input", "schedule"),
+    "[[0, 0.3], [5, 2.0]]": ("k_above_one", "k"),
+    "[[0, 0.0]]": ("non_positive_k", "k"),
+    "[[NaN, 0.3]]": ("invalid_input", "schedule"),
+    "at,value\n0,0.3\ninf,0.4\n": ("invalid_input", "schedule"),
+    # A row with one cell used to exit 1 with IndexError.
+    "at,value\n0\n": ("invalid_input", None),
+}
+
+
 @pytest.mark.parametrize("name,pairs", [
     ("k.json", "[[0, NaN]]"),
     ("k.json", "[[0, 0.3], [5, 2.0]]"),
     ("k.json", "[[0, 0.0]]"),
     ("k.json", "[[NaN, 0.3]]"),
     ("k.csv", "at,value\n0,0.3\ninf,0.4\n"),
-    # A row with one cell used to exit 1 with IndexError.
     ("k.csv", "at,value\n0\n"),
 ])
 @pytest.mark.parametrize("command", ["simulate-csv", "simulate-json", "chain-sim"])
@@ -311,7 +323,9 @@ def test_bad_k_schedule_exits_2_before_running(tmp_path, capsys, config_path, si
     assert code == 2
     assert out == ""
     error = json.loads(err.strip().splitlines()[-1])
-    assert error["code"] == "invalid_input" and "schedule" in error["message"]
+    code_name, field = BAD_K_SCHEDULES[pairs]
+    assert error["code"] == code_name and "schedule" in error["message"]
+    assert error.get("field") == field
 
 
 @pytest.mark.parametrize("pairs", ["[[0, 1.0]]", "[[0, -0.1]]", "[[3, NaN]]"])
@@ -348,11 +362,11 @@ SHAPE_ARGVS = {
     ("best-response", "assignment.json", [["fickle"]], "usage"),
     ("chain-sim", "agents.json", 5, "usage"),
     ("chain-sim", "agents.json", [5], "usage"),
-    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": [1]}], "usage"),
-    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": None}], "usage"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": [1]}], "invalid_input"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": None}], "invalid_input"),
     ("chain-sim", "agents.json", [{**SHAPE_AGENT, "policy": ["a_only"]}], "usage"),
     ("chain-sim", "world.json", [1, 2], "usage"),
-    ("chain-sim", "world.json", {"k": [0.3]}, "usage"),
+    ("chain-sim", "world.json", {"k": [0.3]}, "invalid_input"),
     ("equilibria", "game.json", {**SHAPE_GAME, "k": [0.3]}, "invalid_input"),
     ("equilibria", "game.json", {**SHAPE_GAME, "powers": 5}, "invalid_input"),
     ("equilibria", "game.json", {**SHAPE_GAME, "powers": [[1]]}, "invalid_input"),
@@ -444,11 +458,14 @@ def test_chain_sim_non_finite_duration_exits_2(sim_inputs, duration):
     ["--replicas", "2", "--series", "series.csv"],
 ])
 def test_chain_sim_rejects_unusable_replica_flags(sim_inputs, tmp_path, capsys, extra):
+    # A replica count below 1 is a refused number; a second replica with a
+    # single-run output is a usage error.
+    code_name = "invalid_input" if int(extra[1]) < 1 else "usage"
     extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
     code, out, err = run_cli(capsys, *sim_inputs, "--duration", "50", *extra)
     assert code == 2
     assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["code"] == "usage"
+    assert json.loads(err.strip().splitlines()[-1])["code"] == code_name
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -810,7 +827,7 @@ def test_payoff_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_fil
 
 def write_series(path, rows):
     with open(path, "w") as fh:
-        fh.write(",".join(ingest.SERIES_HEADER) + "\n")
+        fh.write(",".join(ingest.SERIES_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
     return str(path)

@@ -151,7 +151,7 @@ def test_validate_rejects_non_finite_powers(c_stick, powers, exc, normalize):
     [(0, math.nan)], [(math.nan, 0.3)], [(0, 0.3), (10, math.inf)], [(-math.inf, 0.3)],
 ])
 def test_schedule_rejects_non_finite_entries(pairs):
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match=r"schedule \w+ must be in \(-inf, inf\)"):
         Schedule.from_pairs(pairs)
 
 

@@ -15,10 +15,8 @@ from dualchain.dynamics import (
     Schedule,
     assignment_state,
     automatic_threshold,
-    direction,
     simulate_flow,
     step_best_response,
-    step_flow,
 )
 from dualchain.equilibrium import (
     DivergentState, Segment, equilibria, finite_deviation, solve_alpha, solve_beta, zone_at,
@@ -33,35 +31,54 @@ def config(k, n_in=2016, n_de=2016, c_stick=0.0, powers=None):
     })
 
 
+def one_step(state, cfg, rate=0.01, eps=1e-9):
+    """The flow's first step from `state`: its zone and the state it reaches."""
+    traj = simulate_flow(state, FlowConfig(migration_rate=rate, max_steps=1,
+                                           convergence_eps=eps), cfg)
+    assert traj.outcome is Outcome.UNDECIDED
+    return traj.zones[0], traj.states[-1]
+
+
 def test_direction_by_zone():
     cfg = config(0.3)
-    assert direction(MiningState(0.0, 0.5), cfg) == (-1, -1)      # zone 1
-    assert direction(MiningState(0.0, 0.1), cfg) == (-1, 1)       # zone 2
-    assert direction(MiningState(0.5, 0.15), cfg) == (1, -1)      # zone 3
-    assert direction(MiningState(0.0, coexist_rb(0.3)), cfg) == (0, 0)
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    for state, zone, move in [
+        (MiningState(0.1, 0.5), Zone.ZONE1, (-1, -1)),
+        (MiningState(0.1, 0.1), Zone.ZONE2, (-1, 1)),
+        (MiningState(0.5, 0.15), Zone.ZONE3, (1, -1)),
+    ]:
+        got_zone, nxt = one_step(state, cfg)
+        assert got_zone is zone
+        assert (sign(nxt.r_f - state.r_f), sign(nxt.r_b - state.r_b)) == move
 
 
 def test_step_flow_pins_r_b_on_faction_floor():
     cfg = config(0.3, c_stick=0.15, powers=[0.85])
-    flow = FlowConfig(migration_rate=0.01)
     state = MiningState(0.4, 0.15)
-    assert zone_of(state, cfg) is Zone.ZONE3
-    nxt = step_flow(state, flow, cfg)
+    zone, nxt = one_step(state, cfg)
+    assert zone is Zone.ZONE3
     assert nxt.r_b == 0.15
     assert nxt.r_f > state.r_f
 
 
 def test_step_flow_fixed_at_coexistence():
+    # A three-way tie just off the coexistence point, outside eps of it.
     cfg = config(0.3)
-    state = MiningState(0.0, coexist_rb(0.3))
-    assert step_flow(state, FlowConfig(), cfg) == state
+    state = MiningState(0.0, coexist_rb(0.3) + 1e-13)
+    traj = simulate_flow(state, FlowConfig(max_steps=5, convergence_eps=1e-300), cfg)
+    assert traj.zones[0] is Zone.COEXIST
+    assert traj.states == [state]
+    assert (traj.outcome, traj.steps_used) == (Outcome.UNDECIDED, 0)
 
 
 def test_step_flow_moves_both_axes_in_zone2():
     cfg = config(0.3)
-    flow = FlowConfig(migration_rate=0.01)
     state = MiningState(0.1, 0.02)
-    nxt = step_flow(state, flow, cfg)
+    zone, nxt = one_step(state, cfg)
+    assert zone is Zone.ZONE2
     assert nxt.r_f == pytest.approx(state.r_f - 0.005)
     assert nxt.r_b == pytest.approx(state.r_b + 0.005)
 

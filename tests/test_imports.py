@@ -23,8 +23,8 @@ PUBLIC = {
     "equilibrium": ["DeviationReport", "EquilibriumSet", "Segment", "boundary13_rb",
                     "boundary23_rb", "equilibria", "finite_deviation", "solve_alpha",
                     "solve_beta", "x_threshold", "zone_of"],
-    "dynamics": ["FlowConfig", "Outcome", "Trajectory", "automatic_threshold", "direction",
-                 "simulate_flow", "step_best_response", "step_flow"],
+    "dynamics": ["FlowConfig", "Outcome", "Trajectory", "automatic_threshold",
+                 "simulate_flow", "step_best_response"],
     "chainsim": ["ChainWorld", "Coin", "EpochFixed", "EpochWithEda", "MinerAgent",
                  "PerBlockWindow", "SimReport", "eda_expected_nde", "empirical_payoffs",
                  "run", "sample_series"],

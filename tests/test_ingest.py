@@ -16,7 +16,7 @@ from dualchain.ingest import (
     FicklePeriod,
     InvariantViolation,
     ParseError,
-    SERIES_HEADER,
+    SERIES_COLUMNS,
     SeriesLoad,
     StatePath,
     UnresolvableState,
@@ -27,7 +27,7 @@ from dualchain.ingest import (
 )
 
 
-def write_csv(path, rows, header=SERIES_HEADER):
+def write_csv(path, rows, header=SERIES_COLUMNS):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -262,7 +262,7 @@ def test_zone_path_rejects_bad_tol(tmp_path, tol):
     rows = [(i * 600, 1.0, 0.0, 1.0, 0.5, 0.3) for i in range(5)]
     loaded = load_series(write_csv(tmp_path / "a.csv", rows))
     estimates, _ = estimate_state_path(loaded, [])
-    with pytest.raises(ValueError, match="tol must be finite"):
+    with pytest.raises(ValueError, match=r"tol must be in \[0, inf\)"):
         zone_path(estimates, cfg, tol)
 
 
@@ -383,7 +383,7 @@ def test_round_trip_recovers_simulated_state(tmp_path):
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 6 * (t_b + t_a), seed=21)
     path = tmp_path / "sim.csv"
     with open(path, "w") as fh:
-        fh.write(",".join(SERIES_HEADER) + "\n")
+        fh.write(",".join(SERIES_COLUMNS) + "\n")
         for row in sample_series(rep, step=1.0):
             fh.write(",".join(str(v) for v in row) + "\n")
     loaded = load_series(str(path))
