@@ -72,13 +72,9 @@ class DifficultyCollapse(DualchainError):
 
 
 def _check_retarget(chain: _Chain, now: float) -> None:
-    """Refuse a difficulty below one ulp of `now`.
-
-    A chain's mean block interval is at least its difficulty (no chain holds
-    more than all the power).  Below one ulp of the clock, `now` plus the
-    interval is `now` again: blocks would pile up at one instant and the
-    run would never reach its horizon.
-    """
+    """Refuse a difficulty below one ulp of `now`.  A mean block interval (at
+    least the difficulty) that the clock cannot add would pile blocks up at
+    one instant, and the run would never reach its horizon."""
     check_range(chain.difficulty, "difficulty", math.ulp(now), error=DifficultyCollapse,
                 name=f"coin_{chain.label} difficulty at t={now!r}")
 
@@ -276,8 +272,7 @@ class SimReport:
 
     def avg_b_occupancy(self, t_from: float, t_to: float) -> float:
         """Time-weighted average power allocated to coin_B on [t_from, t_to]."""
-        if t_to <= t_from:
-            raise ValueError("empty interval")
+        check_range(t_to, "t_to", t_from, lo_open=True, name="t_to (after t_from)")
         total = 0.0
         steps = self.occupancy
         for i, (t, _, alloc_b) in enumerate(steps):

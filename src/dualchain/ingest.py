@@ -275,8 +275,8 @@ def estimate_state_path(
     """
     n = len(series)
     for p in periods:
-        if not (0 <= p.start_index <= p.end_index < n):
-            raise ValueError(f"{p} does not fit a series of {n} records")
+        check_range(p.start_index, "periods", 0, p.end_index, name=f"start_index of {p}")
+        check_range(p.end_index, "periods", hi=n - 1, name=f"end_index of {p} in {n} records")
     columns = series.columns
     shares = [b / (a + b) for a, b in zip(columns["hashrate_a"], columns["hashrate_b"])]
     # Each record's period r_f, or None outside every period.  The first

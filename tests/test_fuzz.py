@@ -169,7 +169,8 @@ STEPS = ints_text(-2, 30)
 def best_response_case(draw):
     n = draw(PLAYERS)
     return (["best-response", "--config", "game.json", "--assignment", "assignment.json",
-             f"--steps={text_value(draw, STEPS, BAD_CAPPED_TEXT)}", f"--seed={draw(SEED)}"],
+             f"--steps={text_value(draw, STEPS, BAD_CAPPED_TEXT)}",
+             f"--seed={text_value(draw, SEED)}"],
             {"game.json": game_config(draw, n),
              "assignment.json": [draw(STRATEGY_NAME) for _ in range(n)]})
 
@@ -205,7 +206,7 @@ def chain_sim_case(draw):
     argv = ["chain-sim", "--config", "world.json", "--agents", "agents.json",
             f"--regime-a={regime(draw)}", f"--regime-b={regime(draw)}",
             f"--duration={text_value(draw, DURATION, BAD_CAPPED_TEXT)}",
-            f"--mode={draw(MODE)}", f"--seed={draw(SEED)}"]
+            f"--mode={draw(MODE)}", f"--seed={text_value(draw, SEED)}"]
     files = {"world.json": world, "agents.json": agents}
     if draw(st.booleans()):
         argv += ["--events", "events.csv", "--series", "series.csv"]
