@@ -40,7 +40,7 @@ EDGE_TEXTS = ["nan", "inf", "-inf", "0", "-0", "0.0", "-0.0", "5e-324", "-5e-324
               "2.2250738585072014e-308", "0.9999999999999999", "1.0000000000000002",
               "1e308", "-1e308", "-1", "1.5", "true", "false", "null", "[1]", "x", ""]
 BAD_TEXT = st.sampled_from(EDGE_TEXTS)
-# Flags whose size is the work a run does take no large finite value.
+# A flag that sizes a run (grid, steps, duration) gets no large finite value.
 BAD_CAPPED_TEXT = st.sampled_from([t for t in EDGE_TEXTS if t not in ("1e308",)])
 
 # Error codes of a refused input number; each carries `field`.
