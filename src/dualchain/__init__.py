@@ -24,8 +24,8 @@ _EXPORTS = {
     **dict.fromkeys(("ChainWorld", "Coin", "EpochFixed", "EpochWithEda", "MinerAgent",
                      "PerBlockWindow", "SimReport", "eda_expected_nde", "empirical_payoffs",
                      "run", "sample_series"), "chainsim"),
-    **dict.fromkeys(("FicklePeriod", "SeriesRecord", "StateEstimate", "detect_fickle_periods",
-                     "estimate_state_path", "load_series", "zone_path"), "ingest"),
+    **dict.fromkeys(("FicklePeriod", "detect_fickle_periods", "estimate_state_path",
+                     "load_series", "zone_path"), "ingest"),
 }
 
 __all__ = list(_EXPORTS)

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, GameConfig,
-                   MiningState, NegativePower, PowerSumMismatch, Schedule, Strategy, check_count,
+from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, MiningState,
+                   NegativePower, PowerSumMismatch, Schedule, Strategy, check_count,
                    check_k_schedule, check_range, power_sum)
 
 _INF = math.inf
@@ -262,8 +262,6 @@ class SimReport:
     occupancy: list[tuple[float, float, float]]
     fickle_cycles: int
     b_phase_durations: list[float]
-    r_f_policy: float
-    r_b_policy: float
     final_difficulty: dict[Coin, float]
     # Reward snapshots at the first and last fickle cycle starts, for
     # whole-cycle payoff measurement: (time, {agent: reward}).
@@ -640,8 +638,6 @@ def run(
         occupancy=occupancy,
         fickle_cycles=fickle_cycles,
         b_phase_durations=b_phase_durations,
-        r_f_policy=r_f_policy,
-        r_b_policy=r_b_policy,
         final_difficulty={Coin.A: A.difficulty, Coin.B: B.difficulty},
         cycle_mark_first=by_id(cycle_mark_first),
         cycle_mark_last=by_id(cycle_mark_last),
@@ -695,7 +691,6 @@ def empirical_payoffs(report: SimReport) -> dict[Strategy, float]:
 def eda_expected_nde(
     state: MiningState,
     regime: EpochWithEda,
-    config: GameConfig,
     seed: int,
     trials: int = 10_000,
 ) -> float:

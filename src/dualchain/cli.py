@@ -268,6 +268,7 @@ def _cmd_best_response(args) -> int:
         assignment = [_POLICIES[n] for n in names]
     except KeyError as exc:
         raise _UsageError(f"unknown strategy {exc.args[0]!r}") from exc
+    check_range(args.steps, "steps", 0)
     _echo(args, {"command": "best-response", "steps": args.steps, "seed": args.seed,
                  **_config_dict(config)})
     rng = random.Random(args.seed)

@@ -136,6 +136,8 @@ class Strategy(Enum):
     B_ONLY = "b_only"
     AUTOMATIC = "automatic"
 
+    __hash__ = object.__hash__  # identity hash, as on Zone
+
 
 class Zone(Enum):
     """Region of the (r_f, r_b) simplex by which strategy pays best.
@@ -252,10 +254,11 @@ class Schedule:
             for n, row in enumerate(csv.reader(fh), 1):
                 if not row or row[0].strip().lower() in ("at", "step", "time", "t"):
                     continue
-                if len(row) < 2:
-                    raise ValueError(f"schedule row {n} needs two cells (at, value), "
-                                     f"got {row!r}")
-                rows.append((float(row[0]), float(row[1])))
+                try:
+                    rows.append((float(row[0]), float(row[1])))
+                except (IndexError, ValueError):  # fewer than two cells, or not numbers
+                    raise InvalidValue(f"schedule row {n} needs two numbers (at, value), "
+                                       f"got {row!r}", field="schedule") from None
         return cls.from_pairs(rows)
 
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, check_range, coexist_rb
-from .payoff import DivergentState, payoff_values
+from .payoff import _STRATEGY_INDEX, DivergentState, payoff_values
 
 #: Absolute tie tolerance on payoff differences for zone classification.
 ZONE_TOL = 1e-10
@@ -304,44 +304,30 @@ def finite_deviation(
     check_range(c_i, "c_i", 0.0, lo_open=True, hi_open=True)
     r_f, r_b = state.r_f, state.r_b
     k, n_in, n_de = config.k, config.n_in, config.n_de
-
-    if current is Strategy.FICKLE:
-        if c_i > r_f + _GROUP_SLACK:
-            raise PowerNotInGroup(f"fickle group holds {r_f}, player has {c_i}")
-        u_cur = payoff_values(r_f, r_b, k, n_in, n_de)[0]
-        moves = (
-            (Strategy.A_ONLY, payoff_values(r_f - c_i, r_b, k, n_in, n_de)[1]),
-            (Strategy.B_ONLY, payoff_values(r_f - c_i, r_b + c_i, k, n_in, n_de)[2]),
-        )
-    elif current is Strategy.A_ONLY:
-        if c_i > 1.0 - r_f - r_b + _GROUP_SLACK:
-            raise PowerNotInGroup(f"coin_A group holds {1.0 - r_f - r_b}, player has {c_i}")
-        u_cur = payoff_values(r_f, r_b, k, n_in, n_de)[1]
-        moves = (
-            (Strategy.FICKLE, payoff_values(r_f + c_i, r_b, k, n_in, n_de)[0]),
-            (Strategy.B_ONLY, payoff_values(r_f, r_b + c_i, k, n_in, n_de)[2]),
-        )
-    elif current is Strategy.B_ONLY:
-        if c_i > r_b - config.c_stick + _GROUP_SLACK:
-            raise PowerNotInGroup(
-                f"non-faction coin_B power is {r_b - config.c_stick}, player has {c_i}"
-            )
-        u_cur = payoff_values(r_f, r_b, k, n_in, n_de)[2]
-        moves = (
-            (Strategy.FICKLE, payoff_values(r_f + c_i, r_b - c_i, k, n_in, n_de)[0]),
-            (Strategy.A_ONLY, payoff_values(r_f, r_b - c_i, k, n_in, n_de)[1]),
-        )
-    else:
-        raise PowerNotInGroup("automatic agents are not part of the analytic game")
-
+    fickle, b_only = Strategy.FICKLE, Strategy.B_ONLY
+    try:
+        own = _STRATEGY_INDEX[current]
+    except KeyError:
+        raise PowerNotInGroup("automatic agents are not part of the analytic game") from None
+    # The power the mover's group holds; coin_B's factions never move.
+    held = (r_f, 1.0 - r_f - r_b, r_b - config.c_stick)[own]
+    if c_i > held + _GROUP_SLACK:
+        raise PowerNotInGroup(f"{current.value} group holds {held}, player has {c_i}")
+    u_cur = payoff_values(r_f, r_b, k, n_in, n_de)[own]
+    # The mover's power leaves its group ...
+    rf_out = r_f - c_i if current is fickle else r_f
+    rb_out = r_b - c_i if current is b_only else r_b
     best_strategy, best_gain = current, 0.0
-    for target, value in moves:
-        gain = value - u_cur
-        if gain > best_gain:
-            best_strategy, best_gain = target, gain
-    binding = None
-    if best_gain > 0.0:
-        binding = f"{current.value}->{best_strategy.value}"
+    for target, index in _STRATEGY_INDEX.items():
+        if target is not current:
+            # ... and joins the target's.
+            value = payoff_values(rf_out + c_i if target is fickle else rf_out,
+                                  rb_out + c_i if target is b_only else rb_out,
+                                  k, n_in, n_de)[index]
+            gain = value - u_cur
+            if gain > best_gain:
+                best_strategy, best_gain = target, gain
+    binding = f"{current.value}->{best_strategy.value}" if best_gain > 0.0 else None
     return DeviationReport(current, best_strategy, best_gain, binding)
 
 

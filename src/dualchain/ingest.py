@@ -28,20 +28,20 @@ from .core import SERIES_COLUMNS, DualchainError, GameConfig, Zone, check_range
 from .equilibrium import ZONE_TOL, zone_at
 
 
-class ParseError(DualchainError):
-    code = "parse_error"
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
-
-class InvariantViolation(DualchainError):
-    code = "invariant_violation"
+class _RowError(DualchainError):
+    """A refusal of one series row: its message starts with the row's line."""
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
-        super().__init__(message, field=field)
+        super().__init__(message if line is None else f"line {line}: {message}", field=field)
         self.line = line
+
+
+class ParseError(_RowError):
+    code = "parse_error"
+
+
+class InvariantViolation(_RowError):
+    code = "invariant_violation"
 
 
 class EmptySeries(DualchainError):
@@ -53,18 +53,6 @@ class UnresolvableState(DualchainError):
 
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class SeriesRecord:
-    """One observation: hash rates, difficulties, and the price ratio."""
-
-    timestamp: int
-    hashrate_a: float
-    hashrate_b: float
-    difficulty_a: float
-    difficulty_b: float
-    price_ratio_k: float
 
 
 @dataclass(frozen=True)
@@ -86,30 +74,8 @@ class Basis(Enum):
     __hash__ = object.__hash__  # identity hash, as on core.Zone
 
 
-@dataclass(frozen=True)
-class StateEstimate:
-    """Per-record power estimate.
-
-    `share` is the observed B fraction of the total hash rate: inside a
-    period it measures r_f + r_b, outside it measures r_b.  r_f / r_b
-    are filled where the period estimates resolve them; k is copied from
-    the record for zone classification.
-    """
-
-    timestamp: int
-    basis: Basis
-    share: float
-    r_f: float | None
-    r_b: float | None
-    k: float
-
-
 class _Columns:
-    """A sequence of `row` records (each with a timestamp) held as
-    `columns`, one sequence per field name in field order.  Iterating and
-    indexing build records as views; it equals the list of its records."""
-
-    row: type
+    """Rows held as `columns`, one sequence per field name; len() counts the rows."""
 
     def __init__(self, columns: dict[str, Sequence]):
         self.columns = columns
@@ -117,40 +83,36 @@ class _Columns:
     def __len__(self):
         return len(self.columns["timestamp"])
 
-    def __iter__(self):
-        return map(self.row, *self.columns.values())
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return type(self)({name: col[i] for name, col in self.columns.items()})
-        return self.row(*(col[i] for col in self.columns.values()))
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Columns, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 class StatePath(_Columns):
-    """Per-record state estimates, one column per StateEstimate field."""
+    """Per-record state estimates, in the columns timestamp, basis, share,
+    r_f, r_b and k.
 
-    row = StateEstimate
+    `share` is the observed B fraction of the total hash rate: inside a
+    period it measures r_f + r_b, outside it measures r_b.  r_f / r_b
+    are filled where the period estimates resolve them (None elsewhere);
+    k is copied from the series for zone classification.
+    """
 
 
 class SeriesLoad(_Columns):
     """A loaded series, one column per SERIES_COLUMNS name, sorted by
     timestamp, plus a count of out-of-order rows that were sorted."""
 
-    row = SeriesRecord
-
     def __init__(self, columns: dict[str, Sequence], out_of_order_count: int = 0):
         super().__init__(columns)
         self.out_of_order_count = out_of_order_count
 
-    @property
-    def records(self) -> list[SeriesRecord]:
-        """The rows as SeriesRecord views, built on each access."""
-        return list(self)
+
+def _unread_column(row: list[str]) -> str:
+    """The column of the first cell in `row` that float() refuses, or the
+    timestamp when every cell reads (an infinite or NaN timestamp)."""
+    for name, cell in zip(SERIES_COLUMNS, row):
+        try:
+            float(cell)
+        except ValueError:
+            return name
+    return "timestamp"
 
 
 def load_series(path: str) -> SeriesLoad:
@@ -188,10 +150,10 @@ def load_series(path: str) -> SeriesLoad:
                 k = float(row[5])
             except (ValueError, OverflowError) as exc:
                 # int(float("inf")) overflows; int(float("nan")) is a ValueError.
-                raise ParseError(str(exc), line=lineno) from exc
+                raise ParseError(str(exc), line=lineno, field=_unread_column(row)) from exc
             if timestamp != t:
-                raise ParseError(f"line {lineno}: timestamp {row[0]} is not a whole number",
-                                 line=lineno)
+                raise ParseError(f"timestamp {row[0]} is not a whole number", line=lineno,
+                                 field="timestamp")
             # The chained tests are false for NaN as well as out of range.
             # Rates >= 0 with a finite sum are finite, and h_b / (h_a + h_b) is a share.
             if not (0.0 <= h_a and 0.0 <= h_b and h_a + h_b < _INF):

@@ -307,16 +307,15 @@ def test_criterion_08_fickle_cycle_timing():
 
 
 def test_criterion_09_eda_expected_block_counts():
-    cfg = config(0.05)
     regime = EpochWithEda(n=2016, eda_window=6, eda_threshold=12.0, eda_factor=0.8)
-    at_zero_fickle = eda_expected_nde(MiningState(0.0, 0.3), regime, cfg, seed=1,
+    at_zero_fickle = eda_expected_nde(MiningState(0.0, 0.3), regime, seed=1,
                                       trials=10_000)
     assert at_zero_fickle == 2016.0
-    near_axis = eda_expected_nde(MiningState(0.5, 1e-9), regime, cfg, seed=2,
+    near_axis = eda_expected_nde(MiningState(0.5, 1e-9), regime, seed=2,
                                  trials=10_000)
     assert abs(near_axis - 6.0) <= 1.0
     for state in (MiningState(0.2, 0.2), MiningState(0.05, 0.5), MiningState(0.5, 0.1)):
-        value = eda_expected_nde(state, regime, cfg, seed=3, trials=10_000)
+        value = eda_expected_nde(state, regime, seed=3, trials=10_000)
         assert 6.0 <= value <= 2016.0
     report(f"criterion 9 PASS: E[N_de] endpoints {at_zero_fickle:.0f} / {near_axis:.2f}")
 
@@ -371,7 +370,8 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     estimates, period_rf = estimate_state_path(loaded, periods)
     rf_est = statistics.median(period_rf)
     rb_est = statistics.median(
-        e.r_b for e in estimates if e.basis is Basis.NON_GRAY
+        r_b for basis, r_b in zip(estimates.columns["basis"], estimates.columns["r_b"])
+        if basis is Basis.NON_GRAY
     )
     assert abs(rf_est - r_f) <= 0.05
     assert abs(rb_est - r_b) <= 0.05
@@ -389,8 +389,8 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     if open_at is not None:
         spans.append((open_at, rep.duration))
     true_idx = {
-        i for i, rec in enumerate(loaded.records)
-        if any(a * 600 <= rec.timestamp < b * 600 for a, b in spans)
+        i for i, timestamp in enumerate(loaded.columns["timestamp"])
+        if any(a * 600 <= timestamp < b * 600 for a, b in spans)
     }
     detected_idx = set()
     for p in periods:

@@ -295,15 +295,14 @@ def test_windows_longer_than_a_deque_holds_never_fill():
 
 
 def test_eda_expected_nde_endpoints_and_interior():
-    cfg = config(0.05)
     regime = EpochWithEda()
-    assert eda_expected_nde(MiningState(0.0, 0.3), regime, cfg, seed=1, trials=50) == 2016.0
-    near_axis = eda_expected_nde(MiningState(0.5, 1e-6), regime, cfg, seed=2, trials=2000)
+    assert eda_expected_nde(MiningState(0.0, 0.3), regime, seed=1, trials=50) == 2016.0
+    near_axis = eda_expected_nde(MiningState(0.5, 1e-6), regime, seed=2, trials=2000)
     assert abs(near_axis - 6.0) <= 1.0
-    mid = eda_expected_nde(MiningState(0.2, 0.2), regime, cfg, seed=3, trials=2000)
+    mid = eda_expected_nde(MiningState(0.2, 0.2), regime, seed=3, trials=2000)
     assert 6.0 <= mid <= 2016.0
     with pytest.raises(ValueError):
-        eda_expected_nde(MiningState(0.2, 0.0), regime, cfg, seed=4)
+        eda_expected_nde(MiningState(0.2, 0.0), regime, seed=4)
 
 
 def test_per_block_window_tracks_power_and_keeps_zone_ordering():

@@ -295,8 +295,8 @@ BAD_K_SCHEDULES = {
     "[[0, 0.0]]": ("non_positive_k", "k"),
     "[[NaN, 0.3]]": ("invalid_input", "schedule"),
     "at,value\n0,0.3\ninf,0.4\n": ("invalid_input", "schedule"),
-    # A row with one cell used to exit 1 with IndexError.
-    "at,value\n0\n": ("invalid_input", None),
+    # A row with one cell used to exit 1 with IndexError, then 2 with no field.
+    "at,value\n0\n": ("invalid_input", "schedule"),
 }
 
 
@@ -851,18 +851,19 @@ def expected_analyze_tables(config_path, series_path):
     loaded = ingest.load_series(series_path)
     periods = ingest.detect_fickle_periods(loaded)
     estimates, _ = ingest.estimate_state_path(loaded, periods)
+    ts, basis, share, r_f, r_b, k = estimates.columns.values()
     est_text = dictwriter_text(("timestamp", "basis", "share", "r_f_est", "r_b_est"), [{
-        "timestamp": e.timestamp, "basis": e.basis.value, "share": e.share,
-        "r_f_est": "" if e.r_f is None else e.r_f,
-        "r_b_est": "" if e.r_b is None else e.r_b,
-    } for e in estimates])
+        "timestamp": t, "basis": b.value, "share": s,
+        "r_f_est": "" if f is None else f,
+        "r_b_est": "" if rb is None else rb,
+    } for t, b, s, f, rb in zip(ts, basis, share, r_f, r_b)])
     try:
         zones, _ = ingest.zone_path(estimates, config_from_json(config_path))
     except ingest.UnresolvableState:
         return est_text, None
     zone_text = dictwriter_text(("timestamp", "zone", "k"), [
-        {"timestamp": e.timestamp, "zone": z.value, "k": e.k}
-        for e, z in zip(estimates, zones)
+        {"timestamp": t, "zone": z.value, "k": k_t}
+        for t, z, k_t in zip(ts, zones, k)
     ])
     return est_text, zone_text
 

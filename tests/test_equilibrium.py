@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualchain.core import MiningState, Strategy, Zone, coexist_rb, validate_config
+from dualchain.core import (MiningState, Strategy, Zone, check_range, coexist_rb,
+                            validate_config)
 from dualchain.equilibrium import (
     DivergentState,
     _alpha,
@@ -274,6 +275,91 @@ def test_finite_deviation_group_membership_checked():
         finite_deviation(MiningState(0.5, 0.1), 0.05, Strategy.B_ONLY, cfg)
     with pytest.raises(PowerNotInGroup):
         finite_deviation(MiningState(0.7, 0.25), 0.1, Strategy.A_ONLY, cfg)
+
+
+def reference_finite_deviation(state, c_i, current, config):
+    """finite_deviation as it stood with one branch per current strategy."""
+    check_range(c_i, "c_i", 0.0, lo_open=True, hi_open=True)
+    r_f, r_b = state.r_f, state.r_b
+    k, n_in, n_de = config.k, config.n_in, config.n_de
+    slack = 1e-15
+    if current is Strategy.FICKLE:
+        if c_i > r_f + slack:
+            raise PowerNotInGroup(f"fickle group holds {r_f}, player has {c_i}")
+        u_cur = payoff_values(r_f, r_b, k, n_in, n_de)[0]
+        moves = (
+            (Strategy.A_ONLY, payoff_values(r_f - c_i, r_b, k, n_in, n_de)[1]),
+            (Strategy.B_ONLY, payoff_values(r_f - c_i, r_b + c_i, k, n_in, n_de)[2]),
+        )
+    elif current is Strategy.A_ONLY:
+        if c_i > 1.0 - r_f - r_b + slack:
+            raise PowerNotInGroup(f"coin_A group holds {1.0 - r_f - r_b}, player has {c_i}")
+        u_cur = payoff_values(r_f, r_b, k, n_in, n_de)[1]
+        moves = (
+            (Strategy.FICKLE, payoff_values(r_f + c_i, r_b, k, n_in, n_de)[0]),
+            (Strategy.B_ONLY, payoff_values(r_f, r_b + c_i, k, n_in, n_de)[2]),
+        )
+    elif current is Strategy.B_ONLY:
+        if c_i > r_b - config.c_stick + slack:
+            raise PowerNotInGroup(
+                f"non-faction coin_B power is {r_b - config.c_stick}, player has {c_i}"
+            )
+        u_cur = payoff_values(r_f, r_b, k, n_in, n_de)[2]
+        moves = (
+            (Strategy.FICKLE, payoff_values(r_f + c_i, r_b - c_i, k, n_in, n_de)[0]),
+            (Strategy.A_ONLY, payoff_values(r_f, r_b - c_i, k, n_in, n_de)[1]),
+        )
+    else:
+        raise PowerNotInGroup("automatic agents are not part of the analytic game")
+    best_strategy, best_gain = current, 0.0
+    for target, value in moves:
+        gain = value - u_cur
+        if gain > best_gain:
+            best_strategy, best_gain = target, gain
+    binding = None
+    if best_gain > 0.0:
+        binding = f"{current.value}->{best_strategy.value}"
+    return best_strategy, best_gain, binding
+
+
+@st.composite
+def deviation_cases(draw):
+    """A state on the simplex with its faction power, a mover's strategy,
+    and a power up to or just past what the mover's group holds."""
+    c_stick = draw(st.sampled_from([0.0]) | st.floats(0.0, 0.5, exclude_max=True))
+    r_b = draw(st.sampled_from([c_stick, 1.0]) | st.floats(c_stick, 1.0))
+    r_f = draw(st.sampled_from([0.0, 1.0 - r_b]) | st.floats(0.0, 1.0 - r_b))
+    cfg = config(draw(st.sampled_from([0.05, 0.3, 1.0]) | st.floats(0.01, 1.0)),
+                 draw(st.sampled_from([6, 144, 2016])), draw(st.sampled_from([6, 144, 2016])),
+                 c_stick=c_stick)
+    current = draw(st.sampled_from([Strategy.FICKLE, Strategy.A_ONLY, Strategy.B_ONLY]))
+    held = {Strategy.FICKLE: r_f, Strategy.A_ONLY: 1.0 - r_f - r_b,
+            Strategy.B_ONLY: r_b - c_stick}[current]
+    c_i = draw(st.sampled_from([held, held + 5e-16, held + 1e-15, held + 2e-15, held + 1e-9])
+               | st.floats(0.0, 1.0).map(lambda f: f * held))
+    return MiningState(r_f, r_b), c_i, current, cfg
+
+
+def deviation_outcome(fn, *args):
+    """(best strategy, float.hex of the gain, binding inequality), or the
+    refusal: the type of a PowerNotInGroup (its messages were reworded),
+    the type and message of any other."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__ if isinstance(exc, PowerNotInGroup) else (type(exc), str(exc))
+    if not isinstance(result, tuple):
+        assert result.current_strategy is args[2]
+        result = result.best_strategy, result.payoff_gain, result.binding_inequality
+    best, gain, binding = result
+    return best, gain.hex(), binding
+
+
+@settings(max_examples=500, deadline=None)
+@given(deviation_cases())
+def test_finite_deviation_equals_the_three_branch_rule(case):
+    assert (deviation_outcome(finite_deviation, *case)
+            == deviation_outcome(reference_finite_deviation, *case))
 
 
 def test_equilibria_immune_to_infinitesimal_deviation():

@@ -28,8 +28,8 @@ PUBLIC = {
     "chainsim": ["ChainWorld", "Coin", "EpochFixed", "EpochWithEda", "MinerAgent",
                  "PerBlockWindow", "SimReport", "eda_expected_nde", "empirical_payoffs",
                  "run", "sample_series"],
-    "ingest": ["FicklePeriod", "SeriesRecord", "StateEstimate", "detect_fickle_periods",
-               "estimate_state_path", "load_series", "zone_path"],
+    "ingest": ["FicklePeriod", "detect_fickle_periods", "estimate_state_path", "load_series",
+               "zone_path"],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 

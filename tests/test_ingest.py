@@ -1,6 +1,6 @@
-import dataclasses
 import re
 import statistics
+from collections import namedtuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,8 +10,6 @@ from dualchain.chainsim import ChainWorld, EpochFixed, MinerAgent, run, sample_s
 from dualchain.equilibrium import zone_of
 from dualchain.ingest import (
     Basis,
-    SeriesRecord,
-    StateEstimate,
     EmptySeries,
     FicklePeriod,
     InvariantViolation,
@@ -35,10 +33,20 @@ def write_csv(path, rows, header=SERIES_COLUMNS):
     return str(path)
 
 
+# Rows of a SeriesLoad and of a StatePath, for the record-based references below.
+SeriesRecord = namedtuple("SeriesRecord", SERIES_COLUMNS)
+StateEstimate = namedtuple("StateEstimate", ("timestamp", "basis", "share", "r_f", "r_b", "k"))
+ROW = {SeriesLoad: SeriesRecord, StatePath: StateEstimate}
+
+
 def with_columns(cls, records):
     """The SeriesLoad or StatePath (`cls`) that holds `records` as its columns."""
-    return cls({f.name: [getattr(r, f.name) for r in records]
-                for f in dataclasses.fields(cls.row)})
+    return cls({name: [getattr(r, name) for r in records] for name in ROW[cls]._fields})
+
+
+def rows_of(loaded):
+    """The rows of a SeriesLoad or StatePath, as records."""
+    return list(map(ROW[type(loaded)], *loaded.columns.values()))
 
 
 def synthetic_row(ts, share, d_b_over_d_a, k=0.3, total=1.0, d_a=1.0):
@@ -54,7 +62,7 @@ def test_load_series_happy_path(tmp_path):
     loaded = load_series(path)
     assert len(loaded) == 3
     assert loaded.out_of_order_count == 0
-    assert loaded.records[0].hashrate_b == pytest.approx(0.1)
+    assert loaded.columns["hashrate_b"][0] == pytest.approx(0.1)
 
 
 def test_load_series_rejects_bad_k(tmp_path):
@@ -73,7 +81,7 @@ def test_load_series_sorts_and_counts_out_of_order(tmp_path):
         synthetic_row(600, 0.1, 0.5),
     ])
     loaded = load_series(path)
-    assert [r.timestamp for r in loaded.records] == [0, 600, 1200]
+    assert list(loaded.columns["timestamp"]) == [0, 600, 1200]
     assert loaded.out_of_order_count > 0
 
 
@@ -201,7 +209,7 @@ def test_detect_requires_minimum_length(tmp_path):
     rows = [synthetic_row(i * 600, 0.1, 0.5) for i in range(5)]
     loaded = load_series(write_csv(tmp_path / "s.csv", rows))
     with pytest.raises(EmptySeries):
-        detect_fickle_periods(loaded[:1])
+        detect_fickle_periods(with_columns(SeriesLoad, rows_of(loaded)[:1]))
 
 
 def test_hysteresis_monotone_in_period_count(tmp_path):
@@ -222,7 +230,7 @@ def test_estimate_state_path_square_wave(tmp_path):
     assert len(estimates) == len(loaded)
     for rf in period_rf:
         assert rf == pytest.approx(0.3, abs=0.02)
-    for e in estimates:
+    for e in rows_of(estimates):
         assert 0.0 <= e.share <= 1.0
         if e.basis is Basis.NON_GRAY:
             assert e.r_b == e.share
@@ -235,7 +243,8 @@ def test_estimate_constant_series_no_periods(tmp_path):
     loaded = load_series(write_csv(tmp_path / "c.csv", rows))
     estimates, period_rf = estimate_state_path(loaded, [])
     assert period_rf == []
-    assert all(e.basis is Basis.NON_GRAY and e.r_b == pytest.approx(0.25) for e in estimates)
+    assert all(e.basis is Basis.NON_GRAY and e.r_b == pytest.approx(0.25)
+               for e in rows_of(estimates))
 
 
 def test_estimate_whole_series_period(tmp_path):
@@ -243,7 +252,7 @@ def test_estimate_whole_series_period(tmp_path):
     loaded = load_series(write_csv(tmp_path / "g.csv", rows))
     periods = [FicklePeriod(0, 39, 0.1)]
     estimates, _ = estimate_state_path(loaded, periods)
-    assert all(e.basis is Basis.GRAY_PERIOD for e in estimates)
+    assert all(basis is Basis.GRAY_PERIOD for basis in estimates.columns["basis"])
 
 
 def test_zone_path_all_a_series(tmp_path):
@@ -391,7 +400,7 @@ def test_round_trip_recovers_simulated_state(tmp_path):
     assert periods
     estimates, period_rf = estimate_state_path(loaded, periods)
     assert statistics.median(period_rf) == pytest.approx(r_f, abs=0.05)
-    non_gray = [e.r_b for e in estimates if e.basis is Basis.NON_GRAY]
+    non_gray = [e.r_b for e in rows_of(estimates) if e.basis is Basis.NON_GRAY]
     assert statistics.median(non_gray) == pytest.approx(r_b, abs=0.05)
 
     # Reconstructed zone path agrees with the generating game state on
@@ -459,8 +468,9 @@ def reference_estimate_state_path(series, periods, flank=24):
 def test_estimate_adjacent_and_end_periods_equal_reference(tmp_path):
     loaded = load_series(write_csv(tmp_path / "sq.csv", square_wave_series(n=40)))
     periods = [FicklePeriod(0, 3, 0.1), FicklePeriod(4, 9, 0.1), FicklePeriod(15, 39, 0.1)]
-    assert (estimate_state_path(loaded, periods)
-            == reference_estimate_state_path(list(loaded), periods))
+    estimates, period_rf = estimate_state_path(loaded, periods)
+    assert (rows_of(estimates), period_rf) == reference_estimate_state_path(rows_of(loaded),
+                                                                           periods)
 
 
 @st.composite
@@ -491,8 +501,9 @@ def series_and_periods(draw):
 @given(series_and_periods())
 def test_estimate_state_path_equals_reference(case):
     series, periods, flank = case
-    assert (estimate_state_path(with_columns(SeriesLoad, series), periods, flank)
-            == reference_estimate_state_path(series, periods, flank))
+    estimates, period_rf = estimate_state_path(with_columns(SeriesLoad, series), periods, flank)
+    assert (rows_of(estimates), period_rf) == reference_estimate_state_path(series, periods,
+                                                                           flank)
 
 
 @st.composite
@@ -529,7 +540,7 @@ def test_columnar_path_equals_record_path(tmp_path, case):
     rows, (n_in, n_de) = case
     cfg = validate_config({"k": 0.3, "n_in": n_in, "n_de": n_de, "powers": [1.0]})
     loaded = load_series(write_csv(tmp_path / "s.csv", rows))
-    records = loaded.records
+    records = rows_of(loaded)
     assert len(loaded) == len(records) == len(rows)
     assert [r.timestamp for r in records] == sorted(r[0] for r in rows)
 
@@ -545,10 +556,9 @@ def test_columnar_path_equals_record_path(tmp_path, case):
         return
     estimates, period_rf = estimate_state_path(loaded, periods)
     assert isinstance(estimates, StatePath)
-    assert (estimates, period_rf) == reference_estimate_state_path(list(loaded), periods)
-    assert list(estimates) == [estimates[i] for i in range(len(estimates))]
+    assert (rows_of(estimates), period_rf) == reference_estimate_state_path(records, periods)
     zones = outcome(zone_path, estimates, cfg)
-    assert zones == outcome(reference_zone_path, list(estimates), cfg)
+    assert zones == outcome(reference_zone_path, rows_of(estimates), cfg)
 
 
 @settings(max_examples=200, deadline=None)

@@ -151,12 +151,13 @@ WORLD = {"k": 0.4, "difficulty_a": 1.0, "difficulty_b": 0.4}
 AGENTS = [{"id": "a", "power": 0.6, "policy": "a_only"},
           {"id": "b", "power": 0.4, "policy": "b_only"}]
 FILES = {"game.json": GAME, "world.json": WORLD, "agents.json": AGENTS,
-         "k.json": [[0, 0.3]], "c.json": [[0, 0.1]]}
+         "k.json": [[0, 0.3]], "c.json": [[0, 0.1]], "assignment.json": ["fickle"]}
 
 SIM = ["chain-sim", "--config", "world.json", "--agents", "agents.json", "--duration", "5"]
 SIMULATE = ["simulate", "--config", "game.json", "--initial", "0.3,0.2", "--max-steps", "5"]
 ZONES = ["zones", "--config", "game.json", "--grid", "2"]
 ANALYZE = ["analyze", "--config", "game.json", "--input", "series.csv"]
+BEST_RESPONSE = ["best-response", "--config", "game.json", "--assignment", "assignment.json"]
 SERIES = ("timestamp,hashrate_a,hashrate_b,difficulty_a,difficulty_b,price_ratio_k\n"
           "0,0.9,0.1,1.0,0.2,0.3\n600,0.9,0.1,1.0,0.5,0.3\n")
 
@@ -246,6 +247,11 @@ REFUSED = {
                      "invalid_input", "schedule"),
     "c_stick schedule 1": (SIMULATE + ["--c-stick-schedule", "c.json"], {"c.json": [[0, 1.0]]},
                            "invalid_input", "c_stick"),
+    # best-response ran no step and reported a converged run.
+    "steps -5": (BEST_RESPONSE + ["--steps", "-5"], {}, "invalid_input", "steps"),
+    # float() refused the cell, and the payload named no field.
+    "k schedule csv cell": (SIMULATE + ["--k-schedule", "k.csv"], {"k.csv": "at,value\n0,abc\n"},
+                            "invalid_input", "schedule"),
 }
 
 
@@ -258,6 +264,41 @@ def test_a_refused_number_exits_2_naming_its_field(tmp_path, capsys, case):
     payload = json.loads(line)
     assert (payload["code"], payload.get("field")) == (code_name, field), payload
     assert payload["message"]
+
+
+def test_zero_best_response_steps_report_the_assignment_as_given(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, [*BEST_RESPONSE, "--steps", "0"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["assignment"], report["changes"]) == (["fickle"], 0)
+
+
+# (row written as line 3 of the series, code, field)
+BAD_ROWS = {
+    "text hash rate": ("600,abc,0.1,1.0,0.5,0.3", "parse_error", "hashrate_a"),
+    "text difficulty": ("600,0.9,0.1,1.0,x,0.3", "parse_error", "difficulty_b"),
+    "text k": ("600,0.9,0.1,1.0,0.5,", "parse_error", "price_ratio_k"),
+    "text timestamp": ("t,0.9,0.1,1.0,0.5,0.3", "parse_error", "timestamp"),
+    "infinite timestamp": ("inf,0.9,0.1,1.0,0.5,0.3", "parse_error", "timestamp"),
+    "fractional timestamp": ("600.5,0.9,0.1,1.0,0.5,0.3", "parse_error", "timestamp"),
+    "five cells": ("600,0.9,0.1,1.0,0.5", "parse_error", None),
+    "negative hash rate": ("600,-1,0.1,1.0,0.5,0.3", "invariant_violation", "hashrate"),
+    "zero difficulty": ("600,0.9,0.1,0,0.5,0.3", "invariant_violation", "difficulty"),
+    "k 2": ("600,0.9,0.1,1.0,0.5,2", "invariant_violation", "price_ratio_k"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_a_refused_series_row_names_its_line_once_and_its_field(tmp_path, capsys, case):
+    row, code_name, field = BAD_ROWS[case]
+    series = SERIES.splitlines()[:2] + [row]
+    argv = ["analyze", "--config", "game.json", "--input", "bad.csv"]
+    code, out, err = run(tmp_path, capsys, argv, **{"bad.csv": "\n".join(series) + "\n"})
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert (payload["code"], payload.get("field")) == (code_name, field), payload
+    assert payload["message"].startswith("line 3: ")
+    assert payload["message"].count("line ") == 1
 
 
 def test_a_bad_series_step_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
