@@ -48,7 +48,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, MiningState,
                    NegativePower, PowerSumMismatch, Schedule, Strategy, check_count,
@@ -96,7 +96,6 @@ class EpochFixed:
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
         n = self.n
-        history = chain.history
         since = 0
         anchor = 0.0
 
@@ -111,7 +110,6 @@ class EpochFixed:
             _check_retarget(chain, now)
             since = 0
             anchor = now
-            history.append((now, chain.difficulty))
             return "difficulty"
 
         return on_block
@@ -137,7 +135,6 @@ class EpochWithEda:
         n = self.n
         threshold = self.eda_threshold
         factor = self.eda_factor
-        history = chain.history
         # The times of the last eda_window + 1 blocks.  A window longer than
         # a deque can hold never fills, as no run makes that many blocks.
         full = min(self.eda_window + 1, sys.maxsize)
@@ -162,7 +159,6 @@ class EpochWithEda:
             _check_retarget(chain, now)
             since = 0
             anchor = now
-            history.append((now, chain.difficulty))
             return kind
 
         return on_block
@@ -179,7 +175,6 @@ class PerBlockWindow:
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
-        history = chain.history
         # (time, exact difficulty) of the last window + 1 blocks, with
         # total the exact sum of their difficulties.
         full = min(self.window + 1, sys.maxsize)
@@ -202,8 +197,7 @@ class PerBlockWindow:
                 return None
             # The interval ending at the oldest block lies outside the span.
             inferred = (total - first_x) / _ONE / span
-            chain.difficulty = d = min(max(inferred, 0.5 * d), 2.0 * d)
-            history.append((now, d))
+            chain.difficulty = min(max(inferred, 0.5 * d), 2.0 * d)
             return "difficulty"
 
         return on_block
@@ -247,7 +241,12 @@ class ChainWorld:
 
 @dataclass
 class SimReport:
-    """Aggregates of one simulation run."""
+    """Aggregates of one simulation run; none grows with the horizon.
+
+    `stats` counts "blocks", regular "retargets" and "eda_triggers" per
+    chain label, "fickle_switches", "auto_switches" (agents moved) and
+    "reevaluations" of the switching policies.
+    """
 
     duration: float
     mode: str
@@ -257,29 +256,13 @@ class SimReport:
     agent_rewards: dict[str, float]
     blocks: dict[Coin, int]
     mean_interval: dict[Coin, float | None]
-    difficulty_history: dict[Coin, list[tuple[float, float]]]
-    k_history: list[tuple[float, float]]
-    occupancy: list[tuple[float, float, float]]
     fickle_cycles: int
-    b_phase_durations: list[float]
     final_difficulty: dict[Coin, float]
+    stats: dict[str, int | dict[str, int]]
     # Reward snapshots at the first and last fickle cycle starts, for
     # whole-cycle payoff measurement: (time, {agent: reward}).
     cycle_mark_first: tuple[float, dict[str, float]] | None = None
     cycle_mark_last: tuple[float, dict[str, float]] | None = None
-
-    def avg_b_occupancy(self, t_from: float, t_to: float) -> float:
-        """Time-weighted average power allocated to coin_B on [t_from, t_to]."""
-        check_range(t_to, "t_to", t_from, lo_open=True, name="t_to (after t_from)")
-        total = 0.0
-        steps = self.occupancy
-        for i, (t, _, alloc_b) in enumerate(steps):
-            t_next = steps[i + 1][0] if i + 1 < len(steps) else self.duration
-            lo = max(t, t_from)
-            hi = min(t_next, t_to)
-            if hi > lo:
-                total += alloc_b * (hi - lo)
-        return total / (t_to - t_from)
 
 
 EVENT_FIELDS = ("time", "chain", "event_type", "difficulty_a", "difficulty_b",
@@ -313,14 +296,13 @@ class _Chain:
     finished run leaves no reference cycle behind.
     """
 
-    __slots__ = ("coin", "label", "difficulty", "history", "power", "alloc", "acc", "height",
-                 "progress", "threshold", "first_ts", "last_ts")
+    __slots__ = ("coin", "label", "difficulty", "power", "alloc", "acc", "height", "progress",
+                 "threshold", "first_ts", "last_ts")
 
     def __init__(self, coin: Coin, difficulty: float):
         self.coin = coin
         self.label = coin.value
         self.difficulty = difficulty
-        self.history = [(0.0, difficulty)]
         self.power = 0
         self.alloc = 0.0
         self.acc = 0.0
@@ -379,6 +361,7 @@ def run(
     seed: int,
     mode: str = "exponential",
     on_event: Callable[[tuple], object] | None = None,
+    sinks: Sequence[Callable[[tuple], object]] = (),
 ) -> SimReport:
     """Run the event loop until the horizon and aggregate a report.
 
@@ -390,9 +373,18 @@ def run(
     roster size; only set-up and the final split, each agent's power times
     its crew's reward per unit, grow with it.
 
-    on_event, when given, receives each event as it happens, as an
-    EVENT_FIELDS-ordered tuple.  Pass `list.append` to keep them, or the
-    callback write_events_csv returns to stream them to a file.
+    on_event, when given, receives each block and state change as it
+    happens, as an EVENT_FIELDS-ordered tuple (a switch once per agent
+    moved).  Pass `list.append` to keep them, or the callback
+    write_events_csv returns to stream them to a file.
+
+    Each of `sinks` receives every state change once, as a tuple (t, chain,
+    kind, d_a, d_b, k, alloc_a, alloc_b) holding the state from t on; chain
+    is the one retargeted or switched to, else "-".  The kinds: "start" at
+    t = 0, "difficulty" and "eda" retargets, "price" ticks, "switch_fickle",
+    "switch_auto", and "end" at the horizon.  Collect them with
+    `list.append` for avg_b_occupancy or b_phase_durations, or sample a
+    series as they come with sample_series.
     """
     check_range(duration, "duration", 0.0, lo_open=True, hi_open=True)
     if mode not in ("exponential", "deterministic"):
@@ -462,22 +454,30 @@ def run(
         k = price_changes[price_idx][1]
         price_idx += 1
 
-    k_history = [(0.0, k)]
-    occupancy = [(0.0, A.alloc, B.alloc)]
+    # Event-log lines by (chain label, event kind), for `stats`.
+    counts: dict[tuple[str, str], int] = {}
+    reevaluations = 0
     fickle_cycles = 0
-    b_phase_durations: list[float] = []
-    fickle_on_b = False
-    b_phase_start = 0.0
     # (time, each crew's unit) at the first and last fickle cycle starts.
     cycle_mark_first = None
     cycle_mark_last = None
 
-    def log(label: str, kind: str):
+    def emit(label: str, kind: str, lines: int = 1):
+        """The one place a state change leaves run: as `lines` event-log
+        lines (a switch one per agent moved, "start" and "end" none), which
+        are counted, and as one change tuple to each sink, if any."""
+        counts[label, kind] = counts.get((label, kind), 0) + lines
         if on_event is not None:
-            on_event((t, label, kind, A.difficulty, B.difficulty, r_f_policy, r_b_policy))
+            for _ in range(lines):
+                on_event((t, label, kind, A.difficulty, B.difficulty, r_f_policy, r_b_policy))
+        if sinks:
+            change = (t, label, kind, A.difficulty, B.difficulty, k, A.alloc, B.alloc)
+            for sink in sinks:
+                sink(change)
 
     def shift(group: list[_Crew], dest: _Chain) -> int:
-        """Move the crews of `group` not on `dest` there; how many agents moved."""
+        """Move the crews of `group` not on `dest` there; how many agents
+        moved.  Both allocations are rounded again from the exact powers."""
         src = B if dest is A else A
         moved = 0
         for c in group:
@@ -488,6 +488,8 @@ def run(
                 c.chain = dest
                 c.mark = dest.acc
                 moved += c.size
+        A.alloc = A.power / _ONE
+        B.alloc = B.power / _ONE
         return moved
 
     def settle():
@@ -503,9 +505,9 @@ def run(
         """Apply the fickle and automatic policies at the start, after a
         difficulty change and after a price tick.  Both read only d_a, d_b
         and k, so a second call before one of them changes moves nobody."""
-        nonlocal fickle_on, fickle_on_b, b_phase_start, fickle_cycles, auto_on_b
+        nonlocal fickle_on, fickle_cycles, auto_on_b, reevaluations
         nonlocal cycle_mark_first, cycle_mark_last
-        moved = False
+        reevaluations += 1
         d_a = A.difficulty
         d_b = B.difficulty
         if fickle:
@@ -513,19 +515,15 @@ def run(
             if fickle_on is not target:
                 shift(fickle, target)
                 fickle_on = target
-                moved = True
-                log(target.label, "switch_fickle")
+                emit(target.label, "switch_fickle")
                 if target is B:
-                    fickle_on_b = True
-                    b_phase_start = t
                     settle()
                     mark = (t, [c.unit for c in crews])
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
-                elif fickle_on_b:
-                    fickle_on_b = False
-                    b_phase_durations.append(t - b_phase_start)
+                elif cycle_mark_last is not None:
+                    # Switches alternate: each back to A after one to B ends a cycle.
                     fickle_cycles += 1
         if automatic:
             gain_a = 1.0 / d_a
@@ -538,18 +536,10 @@ def run(
             else:
                 target = None
             if target is not None:
-                # One event per agent moved; without a log nothing counts them.
-                moved_agents = shift(automatic, target)
-                if on_event is not None:
-                    for _ in range(moved_agents):
-                        log(target.label, "switch_auto")
+                emit(target.label, "switch_auto", shift(automatic, target))
                 auto_on_b = n_automatic if target is B else 0
-                moved = True
-        if moved:
-            A.alloc = A.power / _ONE
-            B.alloc = B.power / _ONE
-            occupancy.append((t, A.alloc, B.alloc))
 
+    emit("-", "start", 0)
     reevaluate()
     if B.alloc == 0.0 and (fickle or automatic) and world.k_schedule is None:
         # Nobody mines coin_B and its difficulty can never decrease, so the
@@ -580,8 +570,7 @@ def run(
             k = price_changes[price_idx][1]
             price_idx += 1
             t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
-            k_history.append((t, k))
-            log("-", "price")
+            emit("-", "price")
             reevaluate()
             continue
 
@@ -605,9 +594,11 @@ def run(
             settle()
         kind = on_block(t)
         if kind is not None:
-            log(ch.label, kind)
+            emit(ch.label, kind)
             reevaluate()
 
+    t = duration
+    emit("-", "end", 0)
     # An open fickle B-phase at the horizon is not a completed cycle.
     settle()
 
@@ -617,12 +608,9 @@ def run(
 
     def by_id(mark):
         return None if mark is None else (mark[0], credit(mark[1]))
-    mean_interval = {}
-    for ch in (A, B):
-        if ch.height >= 2:
-            mean_interval[ch.coin] = (ch.last_ts - ch.first_ts) / (ch.height - 1)
-        else:
-            mean_interval[ch.coin] = None
+
+    def per_chain(kind: str) -> dict[str, int]:
+        return {ch.label: counts.get((ch.label, kind), 0) for ch in (A, B)}
 
     return SimReport(
         duration=duration,
@@ -632,13 +620,15 @@ def run(
         agent_policy={a.id: a.policy for a in roster},
         agent_rewards=credit([c.unit for c in crews]),
         blocks={Coin.A: A.height, Coin.B: B.height},
-        mean_interval=mean_interval,
-        difficulty_history={Coin.A: A.history, Coin.B: B.history},
-        k_history=k_history,
-        occupancy=occupancy,
+        mean_interval={ch.coin: (ch.last_ts - ch.first_ts) / (ch.height - 1)
+                       if ch.height >= 2 else None for ch in (A, B)},
         fickle_cycles=fickle_cycles,
-        b_phase_durations=b_phase_durations,
         final_difficulty={Coin.A: A.difficulty, Coin.B: B.difficulty},
+        stats={"blocks": {A.label: A.height, B.label: B.height},
+               "retargets": per_chain("difficulty"), "eda_triggers": per_chain("eda"),
+               "fickle_switches": sum(per_chain("switch_fickle").values()),
+               "auto_switches": sum(per_chain("switch_auto").values()),
+               "reevaluations": reevaluations},
         cycle_mark_first=by_id(cycle_mark_first),
         cycle_mark_last=by_id(cycle_mark_last),
     )
@@ -730,21 +720,36 @@ def eda_expected_nde(
 
 
 def sample_series(
-    report: SimReport,
+    emit: Callable[[tuple], object],
     step: float = 1.0,
     pag_seconds: int = 600,
     t0_epoch: int = 0,
-) -> Iterator[tuple]:
-    """Sample a run into rows matching the analyzer's input schema.
+) -> Callable[[tuple], None]:
+    """A sink for run that samples its changes into rows of the analyzer's
+    input schema, handed to `emit` as the run goes.
 
-    Rows are SERIES_FIELDS-ordered tuples: timestamp (epoch seconds,
-    strictly increasing), hashrate_a/b (allocated power fractions),
-    difficulty_a/b (normalized units), price_ratio_k.  `step` is the
-    sampling interval in P_ag.  The step is checked (`check_series_step`)
-    when this is called; the rows are produced as they are read.
+    Rows are SERIES_FIELDS-ordered tuples: timestamp (epoch seconds),
+    hashrate_a/b (allocated power fractions), difficulty_a/b (normalized
+    units), price_ratio_k.  The grid is t = 0, then t += step (P_ag) while
+    t is before the horizon; a row holds the state of the last change at or
+    before its t, so each change emits the rows before it and "end" the
+    rest.  The step is checked (`check_series_step`) when this is called.
     """
     check_series_step(step, pag_seconds)
-    return _series_rows(report, step, pag_seconds, t0_epoch)
+    t = 0.0
+    last = None  # the change in effect
+
+    def on_change(change: tuple):
+        nonlocal t, last
+        t_change = change[0]
+        if t < t_change and last is not None:
+            _, _, _, d_a, d_b, k, h_a, h_b = last
+            while t < t_change:
+                emit((t0_epoch + round(t * pag_seconds), h_a, h_b, d_a, d_b, k))
+                t += step
+        last = change
+
+    return on_change
 
 
 def check_series_step(step: float, pag_seconds: int = 600) -> None:
@@ -754,112 +759,99 @@ def check_series_step(step: float, pag_seconds: int = 600) -> None:
     check_range(step * pag_seconds, "series_step", 1.0, name="sampling step in seconds")
 
 
-def _series_rows(report: SimReport, step: float, pag_seconds: int,
-                 t0_epoch: int) -> Iterator[tuple]:
-    # The grid is t = 0, then t += step while t < duration.  Each history
-    # is read through a cursor: its entry in effect at t and the next one.
-    # Until the earliest next entry every sampled value stays the same, so
-    # each such stretch is yielded from one tight loop.
-    last = (_INF, None, None)
-    occ = iter(report.occupancy)
-    da = iter(report.difficulty_history[Coin.A])
-    db = iter(report.difficulty_history[Coin.B])
-    ks = iter(report.k_history)
-    cur_occ, cur_da, cur_db, cur_k = next(occ), next(da), next(db), next(ks)
-    nxt_occ, nxt_da, nxt_db, nxt_k = next(occ, last), next(da, last), next(db, last), \
-        next(ks, last)
-    end = report.duration
-    t = 0.0
-    while t < end:
-        while nxt_occ[0] <= t:
-            cur_occ, nxt_occ = nxt_occ, next(occ, last)
-        while nxt_da[0] <= t:
-            cur_da, nxt_da = nxt_da, next(da, last)
-        while nxt_db[0] <= t:
-            cur_db, nxt_db = nxt_db, next(db, last)
-        while nxt_k[0] <= t:
-            cur_k, nxt_k = nxt_k, next(ks, last)
-        stop = min(end, nxt_occ[0], nxt_da[0], nxt_db[0], nxt_k[0])
-        _, h_a, h_b = cur_occ
-        d_a = cur_da[1]
-        d_b = cur_db[1]
-        k = cur_k[1]
-        while t < stop:
-            yield t0_epoch + round(t * pag_seconds), h_a, h_b, d_a, d_b, k
-            t += step
+def avg_b_occupancy(changes: Iterable[tuple], t_from: float, t_to: float) -> float:
+    """Time-weighted average power allocated to coin_B on [t_from, t_to], from
+    the changes a run gave its sinks (the last change, "end", closes the run)."""
+    check_range(t_to, "t_to", t_from, lo_open=True, name="t_to (after t_from)")
+    total = 0.0
+    prev = None
+    for change in changes:
+        if prev is not None:
+            span = min(change[0], t_to) - max(prev[0], t_from)
+            if span > 0.0:
+                total += prev[7] * span
+        prev = change
+    return total / (t_to - t_from)
 
 
-# Distinct values the series memo holds before it starts over, so its size
-# stays flat however many distinct values a run produces.
-_MEMO_CAP = 1024
-
-
-class _ReprMemo(dict):
-    """Float -> repr text, formatted once per distinct value.
-
-    A float's repr is what csv writes for it.  Other values pass through
-    unchanged.  Zeros are not stored, since 0.0 and -0.0 are equal keys
-    with different reprs.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, x):
-        if type(x) is not float:
-            return x
-        text = repr(x)
-        if x:
-            if len(self) >= _MEMO_CAP:
-                self.clear()
-            self[x] = text
-        return text
+def b_phase_durations(changes: Iterable[tuple]) -> list[float]:
+    """How long each completed fickle B-phase lasted, from the changes a run
+    gave its sinks: each fickle switch to coin_B up to the one back."""
+    durations = []
+    start = None
+    for t, chain, kind, *_ in changes:
+        if kind == "switch_fickle":
+            if chain == Coin.B.value:
+                start = t
+            elif start is not None:
+                durations.append(t - start)
+                start = None
+    return durations
 
 
 _UNSET = object()
 
 
-def write_series_csv(rows: Iterable[tuple], path: str):
-    """Write SERIES_FIELDS-ordered rows, as sample_series yields them.
+def write_series_csv(fh) -> Callable[[tuple], None]:
+    """Write the series header to fh; return a callback that writes one
+    SERIES_FIELDS-ordered row, as sample_series emits them.
 
     Lines are formatted directly, in the bytes csv.writer writes for
-    numbers: floats as repr, ints as str, CRLF line ends.  The float
-    columns must hold floats, since the memo would print an int equal to an
-    earlier float as that float.  The text after the timestamp is built
-    again only when one of the five values is a different object.
+    numbers: floats as repr, ints as str, CRLF line ends.  A column is
+    formatted again only when its value is a different object, so a row
+    inside a stretch of unchanged state costs the str of its timestamp.
     """
-    m = _ReprMemo()
     h_a0 = h_b0 = d_a0 = d_b0 = k0 = _UNSET
-    tail = ""
-    with open(path, "w", newline="") as fh:
-        write = fh.write
-        write(",".join(SERIES_FIELDS) + "\r\n")
-        for ts, h_a, h_b, d_a, d_b, k in rows:
-            if h_a is not h_a0 or h_b is not h_b0 or d_a is not d_a0 or d_b is not d_b0 \
-                    or k is not k0:
-                h_a0, h_b0, d_a0, d_b0, k0 = h_a, h_b, d_a, d_b, k
-                tail = f",{m[h_a]},{m[h_b]},{m[d_a]},{m[d_b]},{m[k]}\r\n"
-            write(f"{ts}{tail}")
+    s_ha = s_hb = s_da = s_db = s_k = tail = ""
+    write = fh.write
+    write(",".join(SERIES_FIELDS) + "\r\n")
+
+    def on_row(row: tuple):
+        nonlocal h_a0, h_b0, d_a0, d_b0, k0, s_ha, s_hb, s_da, s_db, s_k, tail
+        ts, h_a, h_b, d_a, d_b, k = row
+        if h_a is not h_a0 or h_b is not h_b0 or d_a is not d_a0 or d_b is not d_b0 \
+                or k is not k0:
+            if h_a is not h_a0:
+                h_a0, s_ha = h_a, f"{h_a}"
+            if h_b is not h_b0:
+                h_b0, s_hb = h_b, f"{h_b}"
+            if d_a is not d_a0:
+                d_a0, s_da = d_a, f"{d_a}"
+            if d_b is not d_b0:
+                d_b0, s_db = d_b, f"{d_b}"
+            if k is not k0:
+                k0, s_k = k, f"{k}"
+            tail = f",{s_ha},{s_hb},{s_da},{s_db},{s_k}\r\n"
+        write(f"{ts}{tail}")
+
+    return on_row
 
 
 def write_events_csv(fh) -> Callable[[tuple], None]:
     """Write the event-log header to fh; return the on_event callback for run.
 
     The callback writes each event as one line, in the bytes csv.writer
-    writes for its numbers and labels.  The difficulty and power columns are formatted again
-    only when one of those values is a different object, so most events
-    cost the repr of their time.
+    writes for its numbers and labels.  A field is formatted again only
+    when its value is a different object, so an event costs at most the
+    repr of its time and of the difficulty that changed, and events at one
+    time share the text of that time.
     """
-    d_a0 = d_b0 = r_f0 = r_b0 = _UNSET
-    tail = ""
+    t0 = d_a0 = d_b0 = r_f0 = r_b0 = _UNSET
+    s_t = s_da = s_db = s_r = ""
     write = fh.write
     write(",".join(EVENT_FIELDS) + "\r\n")
 
     def on_event(event: tuple):
-        nonlocal d_a0, d_b0, r_f0, r_b0, tail
+        nonlocal t0, d_a0, d_b0, r_f0, r_b0, s_t, s_da, s_db, s_r
         t, chain, kind, d_a, d_b, r_f, r_b = event
-        if d_a is not d_a0 or d_b is not d_b0 or r_f is not r_f0 or r_b is not r_b0:
-            d_a0, d_b0, r_f0, r_b0 = d_a, d_b, r_f, r_b
-            tail = f"{d_a},{d_b},{r_f},{r_b}\r\n"
-        write(f"{t},{chain},{kind},{tail}")
+        if t is not t0:
+            t0, s_t = t, f"{t},"
+        if d_a is not d_a0:
+            d_a0, s_da = d_a, f"{d_a},"
+        if d_b is not d_b0:
+            d_b0, s_db = d_b, f"{d_b},"
+        if r_f is not r_f0 or r_b is not r_b0:
+            r_f0, r_b0, s_r = r_f, r_b, f"{r_f},{r_b}\r\n"
+        write(f"{s_t}{chain},{kind},{s_da}{s_db}{s_r}")
 
     return on_event

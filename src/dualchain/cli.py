@@ -10,6 +10,7 @@ reproducibility; stdout carries data only.  DUALCHAIN_LOG
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -390,60 +391,64 @@ def _cmd_chain_sim(args) -> int:
     regime_b = _regime(args.regime_b)
     step = 1.0 if args.series_step is None else args.series_step
     if args.series:
-        chainsim.check_series_step(step)  # before the run, not after it
+        chainsim.check_series_step(step)  # before any output file is opened
     _echo(args, {"command": "chain-sim", "duration": args.duration, "seed": args.seed,
                  "mode": args.mode, "regime_a": args.regime_a, "regime_b": args.regime_b,
                  "replicas": args.replicas, "k": world.k,
                  "difficulty_a": world.difficulty_a, "difficulty_b": world.difficulty_b})
 
-    def one(seed: int, on_event=None) -> chainsim.SimReport:
-        return chainsim.run(world, agents, regime_a, regime_b, args.duration, seed,
-                            mode=args.mode, on_event=on_event)
+    def one(seed: int, on_event=None, sinks=()) -> tuple[dict, dict]:
+        report = chainsim.run(world, agents, regime_a, regime_b, args.duration, seed,
+                              mode=args.mode, on_event=on_event, sinks=sinks)
+        return _report_dict(report), report.stats
 
     workers = 1
-    # For the debug line: [report dict, seconds] per run, and when each stage ended.
+    # For the debug line: [(report dict, stats), seconds] per run, and when
+    # each stage ended.
     runs: list = []
     refused = None
-    events_fh = open(args.events, "w", newline="") if args.events else None
+    opened = []  # the files this run writes, which a refused run removes
     laps = [("start", time.perf_counter())]
     try:
         if args.replicas > 1:
             from . import replicas  # loaded only for runs with more than one replica
 
             workers = replicas.workers(args.replicas)
-            runs = replicas.run(lambda seed: _report_dict(one(seed)),
-                                list(range(args.seed, args.seed + args.replicas)), workers)
+            runs = replicas.run(one, list(range(args.seed, args.seed + args.replicas)), workers)
             laps.append(("run", time.perf_counter()))
-            _emit(_json(_merge_replicas([report for report, _ in runs])), args.out)
+            _emit(_json(_merge_replicas([report for (report, _), _ in runs])), args.out)
         else:
-            if events_fh is None:
-                report = one(args.seed)
-            else:
-                # The log streams to the file as the run goes.
-                with events_fh:
-                    report = one(args.seed, chainsim.write_events_csv(events_fh))
-            result = _report_dict(report)
+            # The event log and the series stream to their files as the run goes.
+            with contextlib.ExitStack() as files:
+                def create(path):
+                    fh = files.enter_context(open(path, "w", newline=""))
+                    opened.append(path)
+                    return fh
+
+                on_event = chainsim.write_events_csv(create(args.events)) if args.events \
+                    else None
+                sinks = [chainsim.sample_series(chainsim.write_series_csv(create(args.series)),
+                                                step=step)] if args.series else []
+                result = one(args.seed, on_event, sinks)
             laps.append(("run", time.perf_counter()))
             runs = [(result, laps[1][1] - laps[0][1])]
-            if args.series:
-                chainsim.write_series_csv(chainsim.sample_series(report, step=step),
-                                          args.series)
-            _emit(_json(result), args.out)
+            _emit(_json(result[0]), args.out)
         laps.append(("emit", time.perf_counter()))
     except BaseException as exc:
         if isinstance(exc, DualchainError):
             refused = exc.code
-        # A command that fails leaves no partial log.  Devices, pipes and
-        # symlinks given as --events are left alone.
-        if events_fh is not None and stat.S_ISREG(os.lstat(args.events).st_mode):
-            os.remove(args.events)
+        # A command that fails leaves no partial output file.  Devices, pipes
+        # and symlinks given as --events or --series are left alone.
+        for path in opened:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
         raise
     finally:
         if log.isEnabledFor(logging.DEBUG):
             _log_stages({
                 "command": "chain-sim", "replicas": args.replicas, "workers": workers,
-                "runs": [{"seed": r["seed"], "blocks": r["blocks"], "seconds": s}
-                         for r, s in runs],
+                "runs": [{"seed": r["seed"], "blocks": r["blocks"], "stats": stats,
+                          "seconds": s} for (r, stats), s in runs],
                 "refused": refused,
             }, laps)
     return 0

@@ -252,7 +252,8 @@ class Schedule:
         with open(path, newline="") as fh:
             rows = []
             for n, row in enumerate(csv.reader(fh), 1):
-                if not row or row[0].strip().lower() in ("at", "step", "time", "t"):
+                # Only the first row may be a header.
+                if not row or n == 1 and row[0].strip().lower() in ("at", "step", "time", "t"):
                     continue
                 try:
                     rows.append((float(row[0]), float(row[1])))

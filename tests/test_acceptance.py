@@ -18,6 +18,8 @@ from dualchain.chainsim import (
     EpochFixed,
     EpochWithEda,
     MinerAgent,
+    avg_b_occupancy,
+    b_phase_durations,
     eda_expected_nde,
     empirical_payoffs,
     run,
@@ -297,11 +299,13 @@ def test_criterion_08_fickle_cycle_timing():
         difficulty_a=avg_coin_a_power(r_f, r_b, n, n), difficulty_b=r_b, k=k
     )
     cycle = n * r_b / (r_f + r_b) + n * (r_f + r_b) / r_b
-    rep = run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
-              3.5 * cycle, seed=8, mode="deterministic")
+    changes = []
+    run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
+        3.5 * cycle, seed=8, mode="deterministic", sinks=[changes.append])
     expected = n * r_b / (r_f + r_b)
-    assert rep.b_phase_durations
-    mean = statistics.fmean(rep.b_phase_durations)
+    durations = b_phase_durations(changes)
+    assert durations
+    mean = statistics.fmean(durations)
     assert abs(mean - expected) / expected <= 0.03
     report(f"criterion 8 PASS: B-phase {mean:.2f} P_ag vs {expected:.2f} expected")
 
@@ -331,8 +335,10 @@ def test_criterion_10_automatic_mining_threshold():
             MinerAgent("loyal_a", loyal_a, Strategy.A_ONLY),
         ]
         world = ChainWorld(difficulty_a=loyal_a, difficulty_b=c_stick + auto_power, k=k)
-        rep = run(world, agents, EpochFixed(2016), EpochFixed(72), 4000.0, seed=seed)
-        return rep.avg_b_occupancy(2000.0, 4000.0)
+        changes = []
+        run(world, agents, EpochFixed(2016), EpochFixed(72), 4000.0, seed=seed,
+            sinks=[changes.append])
+        return avg_b_occupancy(changes, 2000.0, 4000.0)
 
     for seed in range(5):
         drained = occupancy(0.05, seed)
@@ -355,14 +361,13 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     )
     cycle = n * r_b / s + n * s / r_b
     events = []
-    rep = run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
-              10 * cycle, seed=11, mode="exponential", on_event=events.append)
-
     path = tmp_path / "roundtrip.csv"
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for row in sample_series(rep, step=1.0):
-            fh.write(",".join(str(v) for v in row) + "\n")
+        rep = run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
+                  10 * cycle, seed=11, mode="exponential", on_event=events.append,
+                  sinks=[sample_series(lambda row: fh.write(",".join(map(str, row)) + "\n"),
+                                       step=1.0)])
 
     loaded = load_series(str(path))
     periods = detect_fickle_periods(loaded, hysteresis=0.02)

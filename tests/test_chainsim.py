@@ -1,6 +1,7 @@
 import csv
 import gc
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,8 @@ from dualchain.chainsim import (
     PerBlockWindow,
     ZeroPowerChain,
     _Chain,
+    avg_b_occupancy,
+    b_phase_durations,
     eda_expected_nde,
     empirical_payoffs,
     run,
@@ -85,11 +88,13 @@ def test_fickle_phase_duration_matches_cycle_formula():
         difficulty_a=avg_coin_a_difficulty(r_f, r_b, n), difficulty_b=r_b, k=0.378
     )
     cycle = n * r_b / (r_f + r_b) + n * (r_f + r_b) / r_b
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 10 * cycle, seed=1,
-              mode="deterministic")
-    assert rep.b_phase_durations, "no fickle cycles observed"
+    changes = []
+    run(world, agents, EpochFixed(10**9), EpochFixed(n), 10 * cycle, seed=1,
+        mode="deterministic", sinks=[changes.append])
+    durations = b_phase_durations(changes)
+    assert durations, "no fickle cycles observed"
     expected = n * r_b / (r_f + r_b)
-    for duration in rep.b_phase_durations:
+    for duration in durations:
         assert duration == pytest.approx(expected, rel=1e-6)
 
 
@@ -100,14 +105,14 @@ def test_fickle_switches_satisfy_switching_predicate():
     world = ChainWorld(
         difficulty_a=avg_coin_a_difficulty(r_f, r_b, n), difficulty_b=r_b, k=k
     )
-    events = []
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 4000.0, seed=5,
-              on_event=events.append)
+    events, changes = [], []
+    run(world, agents, EpochFixed(10**9), EpochFixed(n), 4000.0, seed=5,
+        on_event=events.append, sinks=[changes.append])
     switches = [e for e in events if e[2] == "switch_fickle"]
     assert switches
     for (t, chain, _, d_a, d_b, rf_active, rb_active) in switches:
         k_t = k
-        for at, value in rep.k_history:
+        for at, value in _histories(changes).k_history:
             if at <= t:
                 k_t = value
         to_b = d_b < min(rf_active + rb_active, k_t * d_a) or d_b <= rb_active
@@ -132,11 +137,11 @@ def test_reward_conservation():
         difficulty_a=0.76, difficulty_b=0.2, k=0.378,
         k_schedule=Schedule.from_pairs([(900.0, 0.5)]),
     )
-    events = []
+    events, changes = [], []
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=3,
-              on_event=events.append)
+              on_event=events.append, sinks=[changes.append])
     expected = 0.0
-    k_changes = rep.k_history
+    k_changes = _histories(changes).k_history
     for (t, chain, kind, *_rest) in events:
         if kind != "block":
             continue
@@ -288,10 +293,13 @@ def test_windows_longer_than_a_deque_holds_never_fill():
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
     for long, huge in ((PerBlockWindow(10**6), PerBlockWindow(2**64)),
                        (EpochWithEda(144, 10**6, 1.0, 0.8), EpochWithEda(144, 2**64, 1.0, 0.8))):
-        want, got = (run(world, _split_roster(1), EpochFixed(144), regime, 500.0, seed=3)
-                     for regime in (long, huge))
-        assert got.difficulty_history == want.difficulty_history
-        assert got.agent_rewards == want.agent_rewards
+        runs = []
+        for regime in (long, huge):
+            changes = []
+            rep = run(world, _split_roster(1), EpochFixed(144), regime, 500.0, seed=3,
+                      sinks=[changes.append])
+            runs.append((changes, rep.agent_rewards))
+        assert runs[1] == runs[0]
 
 
 def test_eda_expected_nde_endpoints_and_interior():
@@ -351,8 +359,10 @@ def test_automatic_agents_respect_price_threshold():
             MinerAgent("la", loyal_a, Strategy.A_ONLY),
         ]
         world = ChainWorld(difficulty_a=loyal_a, difficulty_b=c_stick + auto_power, k=k)
-        rep = run(world, agents, EpochFixed(2016), EpochFixed(72), 4000.0, seed=seed)
-        return rep.avg_b_occupancy(2000.0, 4000.0)
+        changes = []
+        run(world, agents, EpochFixed(2016), EpochFixed(72), 4000.0, seed=seed,
+            sinks=[changes.append])
+        return avg_b_occupancy(changes, 2000.0, 4000.0)
 
     drained = occupancy(0.05, seed=0)
     settled = occupancy(0.02, seed=100)
@@ -400,9 +410,10 @@ def test_roster_validation():
 def test_sample_series_schema_and_monotone_timestamps():
     agents = loyal_roster(0.3, 0.1)
     world = ChainWorld(difficulty_a=0.88, difficulty_b=0.1, k=0.3)
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(504), 3000.0, seed=2)
-    rows = list(sample_series(rep, step=1.0))
-    assert rows
+    rows = []
+    run(world, agents, EpochFixed(10**9), EpochFixed(504), 3000.0, seed=2,
+        sinks=[sample_series(rows.append, step=1.0)])
+    assert len(rows) == 3000
     assert SERIES_FIELDS == ("timestamp", "hashrate_a", "hashrate_b",
                              "difficulty_a", "difficulty_b", "price_ratio_k")
     assert all(len(r) == len(SERIES_FIELDS) for r in rows)
@@ -455,8 +466,50 @@ def _old_series_csv(rows, path):
         writer.writerows(rows)
 
 
+def _histories(changes):
+    """The four per-quantity histories a report used to keep, rebuilt from a
+    change stream: (time, value...) at the start and after each change of
+    that quantity."""
+    def history(kinds, *columns, chain=None):
+        return [(c[0], *(c[i] for i in columns)) for c in changes
+                if c[2] == "start" or (c[2] in kinds and chain in (None, c[1]))]
+
+    return SimpleNamespace(
+        duration=changes[-1][0],
+        occupancy=history(("switch_fickle", "switch_auto"), 6, 7),
+        k_history=history(("price",), 5),
+        difficulty_history={Coin.A: history(("difficulty", "eda"), 3, chain="a"),
+                            Coin.B: history(("difficulty", "eda"), 4, chain="b")},
+    )
+
+
+def _change_stream(report):
+    """The four histories of `report` as one change stream: "start" from
+    their first entries, a change per later entry up to the horizon in time
+    order, each carrying the state then in effect, and "end"."""
+    state = {"occupancy": report.occupancy[0][1:], "a": report.difficulty_history[Coin.A][0][1],
+             "b": report.difficulty_history[Coin.B][0][1], "k": report.k_history[0][1]}
+    entries = [(e[0], "occupancy", e[1:]) for e in report.occupancy[1:]]
+    entries += [(e[0], "k", e[1]) for e in report.k_history[1:]]
+    for coin in (Coin.A, Coin.B):
+        entries += [(e[0], coin.value, e[1]) for e in report.difficulty_history[coin][1:]]
+
+    def change(t, kind):
+        return (t, "-", kind, state["a"], state["b"], state["k"], *state["occupancy"])
+
+    stream = [change(0.0, "start")]
+    # A stable sort keeps the order of one history's entries at one time.
+    for t, name, value in sorted(entries, key=lambda e: e[0]):
+        if t <= report.duration:
+            state[name] = value
+            stream.append(change(t, name))
+    stream.append(change(report.duration, "end"))
+    return stream
+
+
 def _old_sample_series(report, step=1.0, pag_seconds=600, t0_epoch=0):
-    """The per-row sampler sample_series replaced, kept as its reference."""
+    """The per-row sampler over the four histories, kept as the reference
+    for sample_series."""
     if step <= 0.0 or step * pag_seconds < 1.0:
         raise ValueError("sampling step must map to at least one second")
     rows = []
@@ -493,20 +546,22 @@ def test_csv_writers_match_plain_csv_output(tmp_path, mode):
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378,
                        k_schedule=Schedule.from_pairs([(0.0, 0.378), (400.0, 0.5)]))
     for regime_b in (EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8), PerBlockWindow(144)):
-        events = []
-        with open(tmp_path / "events.new.csv", "w", newline="") as fh:
+        events, changes = [], []
+        with open(tmp_path / "events.new.csv", "w", newline="") as fh, \
+                open(tmp_path / "series.new.csv", "w", newline="") as series:
             write = write_events_csv(fh)
 
             def tee(event):
                 events.append(event)
                 write(event)
 
-            rep = run(world, agents, EpochFixed(10**9), regime_b, 800.0, seed=11, mode=mode,
-                      on_event=tee)
+            run(world, agents, EpochFixed(10**9), regime_b, 800.0, seed=11, mode=mode,
+                on_event=tee,
+                sinks=[changes.append, sample_series(write_series_csv(series), step=0.5)])
         assert {e[2] for e in events} >= {"block", "switch_fickle", "price"}
         _old_events_csv(events, tmp_path / "events.old.csv")
-        write_series_csv(sample_series(rep, step=0.5), tmp_path / "series.new.csv")
-        _old_series_csv(_old_sample_series(rep, step=0.5), tmp_path / "series.old.csv")
+        _old_series_csv(_old_sample_series(_histories(changes), step=0.5),
+                        tmp_path / "series.old.csv")
         for name in ("events", "series"):
             assert (tmp_path / f"{name}.new.csv").read_bytes() == \
                 (tmp_path / f"{name}.old.csv").read_bytes(), (name, regime_b)
@@ -517,21 +572,21 @@ def test_series_writer_formats_signed_zero_and_non_floats(tmp_path):
         (0, 0.0, -0.0, 0.25, float("nan"), 1),
         (600, -0.0, 0.0, 0.25, 1e-320, "0.5"),
     ]
-    # More distinct floats than the writer's memo holds, each seen twice.
+    # Many distinct floats, each seen twice.
     values = [i / 7.0 for i in range(1, 6000)]
     rows += [(1200 + i, x, x, x / 3.0, -x, 0.5) for i, x in enumerate(values + values)]
-    write_series_csv(rows, tmp_path / "new.csv")
+    with open(tmp_path / "new.csv", "w", newline="") as fh:
+        write = write_series_csv(fh)
+        for row in rows:
+            write(row)
     _old_series_csv([dict(zip(SERIES_FIELDS, r)) for r in rows], tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_sample_series_checks_step_when_called():
-    agents = loyal_roster(0.3, 0.1)
-    world = ChainWorld(difficulty_a=0.88, difficulty_b=0.1, k=0.3)
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(504), 50.0, seed=2)
     for step in (0.0, -1.0, 1e-4, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="sampling step"):
-            sample_series(rep, step=step)
+            sample_series([].append, step=step)
 
 
 def _history(draw, grid, duration):
@@ -567,7 +622,10 @@ def test_sample_series_matches_per_row_reference(data, step, duration, t0_epoch)
         duration=duration, occupancy=history(2), k_history=history(1),
         difficulty_history={Coin.A: history(1), Coin.B: history(1)},
     )
-    got = list(sample_series(report, step=step, t0_epoch=t0_epoch))
+    got = []
+    sink = sample_series(got.append, step=step, t0_epoch=t0_epoch)
+    for change in _change_stream(report):
+        sink(change)
     want = [tuple(r[f] for f in SERIES_FIELDS)
             for r in _old_sample_series(report, step=step, t0_epoch=t0_epoch)]
     assert got == want
@@ -592,12 +650,13 @@ def _split_roster(n):
 @pytest.mark.parametrize("mode", ["exponential", "deterministic"])
 def test_splitting_agents_keeps_policy_rewards(regime_b, mode):
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
+    streams = [[] for _ in range(3)]
     reports = [run(world, _split_roster(n), EpochFixed(144), regime_b, 1500.0, seed=4,
-                   mode=mode) for n in (1, 7, 40)]
+                   mode=mode, sinks=[changes.append]) for n, changes in zip((1, 7, 40), streams)]
     base = reports[0]
-    for rep in reports[1:]:
+    for rep, changes in zip(reports[1:], streams[1:]):
         assert rep.blocks == base.blocks
-        assert rep.occupancy == base.occupancy
+        assert changes == streams[0]
         for policy in Strategy:
             want = math.fsum(r for aid, r in base.agent_rewards.items()
                              if base.agent_policy[aid] is policy)
@@ -611,13 +670,14 @@ def test_splitting_agents_keeps_policy_rewards(regime_b, mode):
 def test_rewards_sum_to_coins_minted(regime_b):
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3,
                        k_schedule=Schedule.from_pairs([(700.0, 0.45), (1400.0, 0.3)]))
-    events = []
+    events, changes = [], []
     rep = run(world, _split_roster(9), EpochFixed(144), regime_b, 2500.0, seed=8,
-              on_event=events.append)
+              on_event=events.append, sinks=[changes.append])
+    k_history = _histories(changes).k_history
     minted = 0.0
     for (t, chain, kind, *_rest) in events:
         if kind == "block":
-            minted += 1.0 if chain == "a" else [k for at, k in rep.k_history if at <= t][-1]
+            minted += 1.0 if chain == "a" else [k for at, k in k_history if at <= t][-1]
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 1000
     assert math.fsum(rep.agent_rewards.values()) == pytest.approx(minted, rel=1e-9)
     # Power-proportional crediting: one reward rate per policy.
@@ -637,18 +697,19 @@ def test_fickle_cohort_starting_apart_moves_together():
         MinerAgent("a", 0.4, Strategy.A_ONLY),
     ]
     world = ChainWorld(difficulty_a=0.6, difficulty_b=0.1, k=0.4)
-    events = []
+    events, changes = [], []
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 300.0, seed=1,
-              mode="deterministic", on_event=events.append)
-    assert rep.occupancy[0] == pytest.approx((0.0, 0.6, 0.4))
-    assert rep.occupancy[1] == pytest.approx((0.0, 0.4, 0.6))
+              mode="deterministic", on_event=events.append, sinks=[changes.append])
+    occupancy = _histories(changes).occupancy
+    assert occupancy[0] == pytest.approx((0.0, 0.6, 0.4))
+    assert occupancy[1] == pytest.approx((0.0, 0.4, 0.6))
     switches = [e for e in events if e[2] == "switch_fickle"]
     assert switches[0][:2] == (0.0, "b")
     assert rep.agent_rewards["f1"] == pytest.approx(rep.agent_rewards["f2"], rel=1e-12)
 
 
 
-def _per_block_rewards(rep, events, agents):
+def _per_block_rewards(rep, events, changes, agents):
     # Rebuild each agent's reward from the event log, block by block: the
     # share of a block is power * (unit / chain allocation), summed exactly.
     # Agents start where run places them; a switch event moves every agent
@@ -659,7 +720,7 @@ def _per_block_rewards(rep, events, agents):
     where = {a.id: "b" if a.policy is Strategy.B_ONLY or (
         a.policy is not Strategy.A_ONLY and a.current_coin is Coin.B) else "a" for a in agents}
     mover = {"switch_fickle": Strategy.FICKLE, "switch_auto": Strategy.AUTOMATIC}
-    ks = iter(rep.k_history)
+    ks = iter(_histories(changes).k_history)
     k = next(ks)[1]
     terms = {aid: [] for aid in power}
     marks = []
@@ -689,9 +750,9 @@ def _per_block_rewards(rep, events, agents):
     return rewards, upto(marks[0]), upto(marks[-1])
 
 
-def _assert_rewards_match(rep, events, agents):
+def _assert_rewards_match(rep, events, changes, agents):
     # Every agent's reward and both cycle marks, against the per-block sums.
-    want, first, last = _per_block_rewards(rep, events, agents)
+    want, first, last = _per_block_rewards(rep, events, changes, agents)
     for got, expected in ((rep.agent_rewards, want), (rep.cycle_mark_first, first),
                           (rep.cycle_mark_last, last)):
         if expected is None:
@@ -708,13 +769,13 @@ def test_long_run_rewards_match_per_block_sum():
     # ~190k blocks and ~800 fickle cycles: the reward accumulators restart at
     # every settlement, so their rounding error does not grow with the run.
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
-    events = []
+    events, changes = [], []
     agents = _split_roster(1)
     rep = run(world, agents, EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
-              60000.0, seed=5, on_event=events.append)
+              60000.0, seed=5, on_event=events.append, sinks=[changes.append])
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
     assert rep.fickle_cycles > 500
-    _assert_rewards_match(rep, events, agents)
+    _assert_rewards_match(rep, events, changes, agents)
 
 
 def test_automatic_crews_split_by_a_tie_keep_their_own_rewards():
@@ -730,15 +791,15 @@ def test_automatic_crews_split_by_a_tie_keep_their_own_rewards():
         MinerAgent("u_b", 0.1, Strategy.AUTOMATIC, current_coin=Coin.B),
     ]
     world = ChainWorld(difficulty_a=1.0, difficulty_b=k, k=k)
-    events = []
+    events, changes = [], []
     rep = run(world, agents, EpochFixed(20), EpochFixed(20), 400.0, seed=1,
-              mode="deterministic", on_event=events.append)
-    assert rep.occupancy[0] == pytest.approx((0.0, 0.7, 0.3))
+              mode="deterministic", on_event=events.append, sinks=[changes.append])
+    assert _histories(changes).occupancy[0] == pytest.approx((0.0, 0.7, 0.3))
     # The first retarget moves only the agent that was not there yet.
     moves = [e[:2] for e in events if e[2] == "switch_auto"]
     assert moves[0][0] > 0.0 and moves[1][0] > moves[0][0]
     assert rep.fickle_cycles >= 2
-    _assert_rewards_match(rep, events, agents)
+    _assert_rewards_match(rep, events, changes, agents)
 
 
 _REGIMES = st.one_of(
@@ -781,18 +842,19 @@ _switching_runs = given(
 
 
 def _switching_run(agents, d_a, d_b, k, prices, regime_a, regime_b, mode, seed):
-    # A 150 P_ag run with its event log, or None where coin_B can never be mined.
+    # A 150 P_ag run with its event log and change stream, or None where coin_B
+    # can never be mined.
     schedule = None
     if prices is not None:
         schedule = Schedule.from_pairs([(0.0, k)] + sorted(prices))
     world = ChainWorld(difficulty_a=d_a, difficulty_b=d_b, k=k, k_schedule=schedule)
-    events = []
+    events, changes = [], []
     try:
         rep = run(world, agents, regime_a, regime_b, 150.0, seed=seed, mode=mode,
-                  on_event=events.append)
+                  on_event=events.append, sinks=[changes.append])
     except ZeroPowerChain:
         return None
-    return rep, events
+    return rep, events, changes
 
 
 @settings(max_examples=150, deadline=None)
@@ -849,3 +911,64 @@ def test_run_leaves_no_reference_cycles(regime):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("regime_b", [EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
+                                      PerBlockWindow(36)])
+def test_stats_count_the_event_log_and_repeat(tmp_path, regime_b):
+    world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3,
+                       k_schedule=Schedule.from_pairs([(700.0, 0.45), (1400.0, 0.3)]))
+    stats = []
+    for _ in range(2):
+        with open(tmp_path / "events.csv", "w", newline="") as fh:
+            rep = run(world, _split_roster(3), EpochWithEda(144, 6, 12.0, 0.8), regime_b,
+                      2500.0, seed=8, on_event=write_events_csv(fh))
+        stats.append(rep.stats)
+    assert stats[0] == stats[1]
+    with open(tmp_path / "events.csv", newline="") as fh:
+        lines = [(row["chain"], row["event_type"]) for row in csv.DictReader(fh)]
+
+    def per_chain(kind):
+        return {chain: lines.count((chain, kind)) for chain in ("a", "b")}
+
+    switches = {kind: sum(per_chain(kind).values()) for kind in ("switch_fickle", "switch_auto")}
+    assert rep.stats == {
+        "blocks": per_chain("block"),
+        "retargets": per_chain("difficulty"),
+        "eda_triggers": per_chain("eda"),
+        "fickle_switches": switches["switch_fickle"],
+        "auto_switches": switches["switch_auto"],
+        # At the start, after each difficulty change and after each price tick.
+        "reevaluations": 1 + sum(1 for _, kind in lines if kind in ("difficulty", "eda", "price")),
+    }
+    assert rep.stats["blocks"] == {coin.value: n for coin, n in rep.blocks.items()}
+    assert min(rep.stats["retargets"]["b"], rep.stats["fickle_switches"],
+               rep.stats["auto_switches"]) > 0
+
+
+def _peak_bytes(tmp_path, duration):
+    """tracemalloc's peak over one run that streams its event log and series
+    to files: 3 agents, perblock:144, deterministic."""
+    world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)
+    with open(tmp_path / "events.csv", "w", newline="") as events, \
+            open(tmp_path / "series.csv", "w", newline="") as series:
+        on_event = write_events_csv(events)
+        sinks = [sample_series(write_series_csv(series))]
+        tracemalloc.start()
+        try:
+            rep = run(world, loyal_roster(0.3, 0.2), EpochFixed(10**9), PerBlockWindow(144),
+                      duration, seed=1, mode="deterministic", on_event=on_event, sinks=sinks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak, rep
+
+
+def test_run_memory_is_flat_in_the_horizon(tmp_path):
+    # Nothing a run keeps grows with the horizon: every change goes out to
+    # the sinks as it happens, even when difficulty moves every block.
+    short, _ = _peak_bytes(tmp_path, 500.0)
+    long, rep = _peak_bytes(tmp_path, 8000.0)
+    assert rep.stats["retargets"]["b"] > 5000 and rep.fickle_cycles > 1000
+    assert (tmp_path / "series.csv").read_text().count("\n") == 8001
+    assert long <= 1.25 * short, (short, long)

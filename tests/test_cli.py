@@ -708,6 +708,8 @@ def test_chain_sim_debug_line_reports_runs_and_stage_seconds(capsys, monkeypatch
         "chain-sim", 5, 2, None)
     assert [(r["seed"], r["blocks"]) for r in line["runs"]] == [
         (r["seed"], r["blocks"]) for r in merged["replicas"]]
+    # Forked runs deliver their counters too.
+    assert [r["stats"]["blocks"] for r in line["runs"]] == [r["blocks"] for r in line["runs"]]
     assert all(r["seconds"] > 0.0 for r in line["runs"])
     assert set(line["seconds"]) == {"run", "emit"}
 
@@ -1258,6 +1260,33 @@ def test_failed_chain_sim_leaves_no_events_file(sim_inputs, stuck_fickle_inputs,
     assert not events.exists() and not series.exists()
 
 
+def test_a_run_refused_midway_leaves_no_partial_series(tmp_path, capsys, monkeypatch):
+    # The event log and the series stream to their files as the run goes, so
+    # a run that stops at a retarget has begun both; it must remove both.
+    world, agents = tmp_path / "world.json", tmp_path / "agents.json"
+    world.write_text(json.dumps({"k": 0.866, "difficulty_a": 1.08, "difficulty_b": 0.866}))
+    agents.write_text(json.dumps([{"id": "b", "power": 1.0, "policy": "b_only"}]))
+    events, series = tmp_path / "events.csv", tmp_path / "series.csv"
+    begun = []
+    real_run = chainsim.run
+
+    def spy(*args, **kwargs):
+        try:
+            return real_run(*args, **kwargs)
+        finally:
+            begun.append((events.exists(), series.exists()))
+
+    monkeypatch.setattr(chainsim, "run", spy)
+    with deadline(60, "the refused chain-sim did not finish"):
+        assert_exit_2(capsys, ["chain-sim", "--config", str(world), "--agents", str(agents),
+                               "--regime-b", "eda:9:16:0.1:0.06564761225295633",
+                               "--mode", "deterministic", "--duration", "24", "--quiet",
+                               "--events", str(events), "--series", str(series)],
+                      "difficulty_collapse")
+    assert begun == [(True, True)]
+    assert not events.exists() and not series.exists()
+
+
 def test_failed_chain_sim_keeps_events_symlink(stuck_fickle_inputs, tmp_path, capsys):
     # Only a regular file the command wrote is removed, never what a link names.
     target = tmp_path / "target.csv"
@@ -1292,9 +1321,8 @@ def _chain_sim_peak_bytes(tmp_path, duration):
 
 
 def test_chain_sim_event_log_and_series_memory_is_flat_in_the_horizon(tmp_path):
-    # Events stream to the file as they happen and series rows are formatted
-    # as they are sampled, so an 8x longer run needs no more memory.  Only
-    # the epoch regime's short difficulty history grows with the run.
+    # Events and series rows stream to their files as the run makes them,
+    # so an 8x longer run needs no more memory.
     _chain_sim_peak_bytes(tmp_path, 100)
     short = _chain_sim_peak_bytes(tmp_path, 1000)
     long = _chain_sim_peak_bytes(tmp_path, 8000)

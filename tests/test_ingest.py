@@ -389,12 +389,12 @@ def test_round_trip_recovers_simulated_state(tmp_path):
         MinerAgent("a", 1 - s, Strategy.A_ONLY),
     ]
     world = ChainWorld(difficulty_a=pbar, difficulty_b=r_b, k=k)
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 6 * (t_b + t_a), seed=21)
     path = tmp_path / "sim.csv"
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for row in sample_series(rep, step=1.0):
-            fh.write(",".join(str(v) for v in row) + "\n")
+        run(world, agents, EpochFixed(10**9), EpochFixed(n), 6 * (t_b + t_a), seed=21,
+            sinks=[sample_series(lambda row: fh.write(",".join(map(str, row)) + "\n"),
+                                 step=1.0)])
     loaded = load_series(str(path))
     periods = detect_fickle_periods(loaded, hysteresis=0.02)
     assert periods

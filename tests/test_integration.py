@@ -10,6 +10,7 @@ from dualchain.chainsim import (
     EpochWithEda,
     MinerAgent,
     PerBlockWindow,
+    b_phase_durations,
     run,
 )
 from dualchain.dynamics import FlowConfig, Outcome, Schedule, simulate_flow
@@ -47,14 +48,15 @@ def test_per_block_adjustment_shortens_fickle_phases():
     # coin_B is much shorter than under a 504-block epoch.
     r_f, r_b, k = 0.3, 0.15, 0.35
     world = ChainWorld(difficulty_a=0.8, difficulty_b=r_b, k=k)
+    slow_changes, fast_changes = [], []
     slow = run(world, roster(r_f, r_b), EpochFixed(10**9), EpochFixed(504),
-               12000.0, seed=2)
+               12000.0, seed=2, sinks=[slow_changes.append])
     fast = run(world, roster(r_f, r_b), EpochFixed(10**9), PerBlockWindow(16),
-               4000.0, seed=2)
-    assert slow.b_phase_durations and fast.b_phase_durations
-    assert statistics.median(fast.b_phase_durations) < 0.25 * statistics.median(
-        slow.b_phase_durations
-    )
+               4000.0, seed=2, sinks=[fast_changes.append])
+    slow_phases = b_phase_durations(slow_changes)
+    fast_phases = b_phase_durations(fast_changes)
+    assert slow_phases and fast_phases
+    assert statistics.median(fast_phases) < 0.25 * statistics.median(slow_phases)
     assert fast.fickle_cycles > slow.fickle_cycles
 
 

@@ -252,6 +252,10 @@ REFUSED = {
     # float() refused the cell, and the payload named no field.
     "k schedule csv cell": (SIMULATE + ["--k-schedule", "k.csv"], {"k.csv": "at,value\n0,abc\n"},
                             "invalid_input", "schedule"),
+    # Every row led by a header word was skipped, so this one was dropped.
+    "k schedule csv header word below the header": (
+        SIMULATE + ["--k-schedule", "k.csv"], {"k.csv": "at,value\n0,0.3\nt,0.9\n5,0.4\n"},
+        "invalid_input", "schedule"),
 }
 
 
