@@ -186,18 +186,19 @@ def _cmd_zones(args) -> int:
     zone_at, tol, labels = equilibrium.zone_at, args.tol, _LABELS
     k, n_in, n_de = config.k, config.n_in, config.n_de
 
-    def cells():
+    def cells(text: bool):
         for i in range(n):
             r_f = (i + 0.5) / n
+            cell = f"{r_f}" if text else r_f  # a CSV row formats its r_f once
             for j in range(n):
                 r_b = (j + 0.5) / n * (1.0 - r_f)
-                yield r_f, r_b, labels[zone_at(r_f, r_b, k, n_in, n_de, tol)]
+                yield cell, r_b, labels[zone_at(r_f, r_b, k, n_in, n_de, tol)]
 
     fields = ("r_f", "r_b", "zone")
     if args.format == "json":
-        _emit(_json([dict(zip(fields, cell)) for cell in cells()]), args.out)
+        _emit(_json([dict(zip(fields, cell)) for cell in cells(False)]), args.out)
     else:
-        _emit_csv(fields, cells(), args.out)
+        _emit_csv(fields, cells(True), args.out)
     return 0
 
 
@@ -240,10 +241,8 @@ def _cmd_simulate(args) -> int:
                  **_config_dict(config)})
     traj = dynamics.simulate_flow(initial, flow, config)
     fields = ("step", "r_f", "r_b", "zone", "k", "c_stick")
-    rows = (
-        (i, s.r_f, s.r_b, _LABELS[z], k, c)
-        for i, (s, z, k, c) in enumerate(zip(traj.states, traj.zones, traj.ks, traj.c_sticks))
-    )
+    rows = zip(range(len(traj.zones)), traj.r_f, traj.r_b, map(_LABELS.__getitem__, traj.zones),
+               traj.ks, traj.c_sticks)
     if args.format == "json":
         _emit(_json({"outcome": traj.outcome.value, "steps_used": traj.steps_used,
                      "trajectory": [dict(zip(fields, row)) for row in rows]}), args.out)
@@ -454,6 +453,17 @@ def _cmd_chain_sim(args) -> int:
     return 0
 
 
+def _estimate_rows(ts, labels, share, r_f, r_b):
+    """The estimates CSV rows.  Outside a period r_b is the share object, and
+    inside one every row holds its period's r_f object: each text is made once."""
+    last_rf, rf_text = None, ""
+    for t, label, sh, rf, rb in zip(ts, labels, share, r_f, r_b):
+        if rf is not last_rf:
+            last_rf, rf_text = rf, "" if rf is None else f"{rf}"
+        sh_text = f"{sh}"
+        yield t, label, sh_text, rf_text, sh_text if rb is sh else rb
+
+
 def _cmd_analyze(args) -> int:
     from . import ingest
 
@@ -484,10 +494,9 @@ def _cmd_analyze(args) -> int:
                     for p, rf in zip(periods, period_rf)
                 ], fh, allow_nan=False)
         if args.out_estimates:
-            _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"), zip(
-                ts, map(basis_labels.__getitem__, basis), share,
-                ["" if v is None else v for v in r_f], ["" if v is None else v for v in r_b],
-            ), args.out_estimates)
+            _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"),
+                      _estimate_rows(ts, map(basis_labels.__getitem__, basis), share, r_f, r_b),
+                      args.out_estimates)
         laps.append(("emit", time.perf_counter()))
         if args.out_zones:
             # zone_path runs to the end before the file opens, so a refusal

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import (GameConfig, MiningState, Schedule, Strategy, Zone, check_count,
-                   check_k_schedule, check_range)
+from .core import (GameConfig, InvalidValue, MiningState, Schedule, Strategy, Zone,
+                   check_count, check_k_schedule, check_range)
 from .equilibrium import DivergentState, Segment, equilibria, finite_deviation, zone_at
 
 
@@ -57,9 +57,10 @@ class Outcome(Enum):
 
 @dataclass
 class Trajectory:
-    """Recorded flow run: one state/zone/k/c_stick row per step."""
+    """Recorded flow run as columns: one r_f/r_b/zone/k/c_stick row per step."""
 
-    states: list[MiningState]
+    r_f: list[float]
+    r_b: list[float]
     zones: list[Zone]
     ks: list[float]
     c_sticks: list[float]
@@ -107,7 +108,7 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
     max_steps.  Schedules may keep a state moving forever, so running
     out of steps is an outcome, not an error.
     """
-    states = [initial]
+    r_fs, r_bs = [initial.r_f], [initial.r_b]
     zones: list[Zone] = []
     ks: list[float] = []
     c_sticks: list[float] = []
@@ -130,7 +131,7 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
         if r_b < c_t:
             r_b = min(c_t, 1.0)
             r_f = min(r_f, 1.0 - r_b)
-            states[-1] = MiningState(r_f, r_b)
+            r_fs[-1], r_bs[-1] = r_f, r_b
 
         zone = zone_at(r_f, r_b, k_t, n_in, n_de)
         zones.append(zone)
@@ -166,18 +167,19 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
             break
         prev = r_f, r_b
         r_f, r_b = n_f, n_b
-        states.append(MiningState(r_f, r_b))
+        r_fs.append(r_f)
+        r_bs.append(r_b)
 
-    if len(states) > len(zones):
-        # Ran out of steps with one trailing state; keep the lists matched.
+    if len(r_fs) > len(zones):
+        # Ran out of steps with one trailing state: classify it at its row's k.
         try:
-            zones.append(zone_at(r_f, r_b, config.k, n_in, n_de))
+            zones.append(zone_at(r_f, r_b, ks[-1], n_in, n_de))
         except DivergentState:
             zones.append(zones[-1])
-        ks.append(ks[-1] if ks else config.k)
-        c_sticks.append(c_sticks[-1] if c_sticks else config.c_stick)
+        ks.append(ks[-1])
+        c_sticks.append(c_sticks[-1])
 
-    return Trajectory(states, zones, ks, c_sticks, outcome, steps)
+    return Trajectory(r_fs, r_bs, zones, ks, c_sticks, outcome, steps)
 
 
 def automatic_threshold(config: GameConfig) -> float:
@@ -197,9 +199,8 @@ def assignment_state(assignment: Sequence[Strategy], config: GameConfig) -> Mini
     with config.powers and may not contain AUTOMATIC.
     """
     if len(assignment) != len(config.powers):
-        raise ValueError(
-            f"assignment length {len(assignment)} != player count {len(config.powers)}"
-        )
+        raise InvalidValue(f"assignment length {len(assignment)} != player count "
+                           f"{len(config.powers)}", field="assignment")
     r_f = 0.0
     r_b = config.c_stick
     for strategy, c_i in zip(assignment, config.powers):
@@ -208,7 +209,7 @@ def assignment_state(assignment: Sequence[Strategy], config: GameConfig) -> Mini
         elif strategy is Strategy.B_ONLY:
             r_b += c_i
         elif strategy is not Strategy.A_ONLY:
-            raise ValueError("assignments use FICKLE / A_ONLY / B_ONLY only")
+            raise InvalidValue("assignments use FICKLE / A_ONLY / B_ONLY only", field="assignment")
     return MiningState(r_f, min(r_b, 1.0))
 
 

@@ -30,12 +30,15 @@ import math
 from dataclasses import dataclass
 
 from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, check_range, coexist_rb
-from .payoff import _STRATEGY_INDEX, DivergentState, payoff_values
+from .payoff import _INF, _STRATEGY_INDEX, DivergentState, payoff_values
 
 #: Absolute tie tolerance on payoff differences for zone classification.
 ZONE_TOL = 1e-10
 
 _BISECT_MAX_ITER = 200
+
+_ZONE1, _ZONE2, _ZONE3 = Zone.ZONE1, Zone.ZONE2, Zone.ZONE3
+_BOUNDARY13, _BOUNDARY23, _COEXIST = Zone.BOUNDARY13, Zone.BOUNDARY23, Zone.COEXIST
 
 
 class NotCase3(DualchainError):
@@ -101,28 +104,24 @@ def zone_at(r_f: float, r_b: float, k: float, n_in: int, n_de: int,
     points pass a simplex point and check `tol` (finite, >= 0) once.
     """
     u_f, u_a, u_b = payoff_values(r_f, r_b, k, n_in, n_de)
-    if math.isinf(u_f) or math.isinf(u_a) or math.isinf(u_b):
+    # Plain comparisons only: this classifies every point of the zone map.
+    if u_f == _INF or u_a == _INF or u_b == _INF:
         raise DivergentState(f"payoffs diverge at ({r_f}, {r_b})")
-
-    tie_fa = abs(u_f - u_a) <= tol
-    tie_fb = abs(u_f - u_b) <= tol
-    if tie_fa and tie_fb:
-        return Zone.COEXIST
-    if tie_fa:
-        return Zone.BOUNDARY13 if u_f > u_b + tol else Zone.ZONE2
-    if tie_fb:
-        return Zone.BOUNDARY23 if u_f > u_a + tol else Zone.ZONE1
-    if abs(u_a - u_b) <= tol:
+    if -tol <= u_f - u_a <= tol:
+        if -tol <= u_f - u_b <= tol:
+            return _COEXIST
+        return _BOUNDARY13 if u_f > u_b + tol else _ZONE2
+    if -tol <= u_f - u_b <= tol:
+        return _BOUNDARY23 if u_f > u_a + tol else _ZONE1
+    if -tol <= u_a - u_b <= tol:
         # A-B tie away from the fickle boundaries: the fickle payoff decides.
         if u_f > u_a + tol:
-            return Zone.ZONE3
-        return Zone.ZONE1 if u_a >= u_b else Zone.ZONE2
-    best = max(u_f, u_a, u_b)
-    if best == u_a:
-        return Zone.ZONE1
-    if best == u_b:
-        return Zone.ZONE2
-    return Zone.ZONE3
+            return _ZONE3
+        return _ZONE1 if u_a >= u_b else _ZONE2
+    # No two payoffs tie, so the strict maximum names the zone.
+    if u_a > u_b:
+        return _ZONE1 if u_a > u_f else _ZONE3
+    return _ZONE2 if u_b > u_f else _ZONE3
 
 
 # Upper evaluation bound stays off the singular corner (0, 1); edge roots

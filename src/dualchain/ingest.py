@@ -184,7 +184,14 @@ def load_series(path: str) -> SeriesLoad:
     ts = columns["timestamp"]
     for a, b in zip(ts, ts[1:]):
         if a == b:
-            raise InvariantViolation(f"duplicate timestamp {a}", field="timestamp")
+            # Sorted rows keep no line numbers, so read the file again for
+            # them (a pipe reads empty then, and no line is named).
+            with open(path, newline="") as fh:
+                lines = [n for n, row in enumerate(csv.reader(fh), 1)
+                         if n > 1 and row and int(float(row[0])) == a]
+            first = f", first on line {lines[0]}" if len(lines) > 1 else ""
+            raise InvariantViolation(f"duplicate timestamp {a}{first}",
+                                     line=lines[1] if first else None, field="timestamp")
     return SeriesLoad(columns, out_of_order)
 
 

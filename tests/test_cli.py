@@ -274,6 +274,24 @@ def test_best_response_subcommand(tmp_path, capsys):
     assert payload["r_b"] == pytest.approx(0.94)
 
 
+@pytest.mark.parametrize("names,message", [
+    (["fickle"], "assignment length 1 != player count 2"),
+    # Used to read as a bare ValueError with no field.
+    (["fickle", "automatic"], "assignments use FICKLE / A_ONLY / B_ONLY only"),
+])
+def test_best_response_refuses_a_bad_assignment_by_its_field(tmp_path, capsys, names, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 0.3, "n_in": 2016, "n_de": 2016, "c_stick": 0.0,
+                               "powers": [0.5, 0.5]}))
+    assignment = tmp_path / "assign.json"
+    assignment.write_text(json.dumps(names))
+    code, out, err = run_cli(capsys, "best-response", "--config", str(cfg),
+                             "--assignment", str(assignment), "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "message": message,
+                               "field": "assignment"}
+
+
 @pytest.fixture
 def sim_inputs(tmp_path):
     world = tmp_path / "world.json"
@@ -803,8 +821,9 @@ def test_simulate_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_f
     traj = dynamics.simulate_flow(MiningState(0.01, 0.01), dynamics.FlowConfig(0.01),
                                   config_from_json(config_path))
     rows = [
-        {"step": i, "r_f": s.r_f, "r_b": s.r_b, "zone": z.value, "k": k, "c_stick": c}
-        for i, (s, z, k, c) in enumerate(zip(traj.states, traj.zones, traj.ks, traj.c_sticks))
+        {"step": i, "r_f": r_f, "r_b": r_b, "zone": z.value, "k": k, "c_stick": c}
+        for i, (r_f, r_b, z, k, c) in enumerate(zip(traj.r_f, traj.r_b, traj.zones, traj.ks,
+                                                     traj.c_sticks))
     ]
     expected = dictwriter_text(("step", "r_f", "r_b", "zone", "k", "c_stick"), rows)
     assert cli_table(capsys, tmp_path, to_file, "simulate", "--config", config_path,

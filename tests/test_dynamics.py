@@ -36,7 +36,7 @@ def one_step(state, cfg, rate=0.01, eps=1e-9):
     traj = simulate_flow(state, FlowConfig(migration_rate=rate, max_steps=1,
                                            convergence_eps=eps), cfg)
     assert traj.outcome is Outcome.UNDECIDED
-    return traj.zones[0], traj.states[-1]
+    return traj.zones[0], MiningState(traj.r_f[-1], traj.r_b[-1])
 
 
 def test_direction_by_zone():
@@ -70,7 +70,7 @@ def test_step_flow_fixed_at_coexistence():
     state = MiningState(0.0, coexist_rb(0.3) + 1e-13)
     traj = simulate_flow(state, FlowConfig(max_steps=5, convergence_eps=1e-300), cfg)
     assert traj.zones[0] is Zone.COEXIST
-    assert traj.states == [state]
+    assert (traj.r_f, traj.r_b) == ([state.r_f], [state.r_b])
     assert (traj.outcome, traj.steps_used) == (Outcome.UNDECIDED, 0)
 
 
@@ -87,12 +87,12 @@ def test_trajectory_l1_step_bound_and_simplex():
     cfg = config(0.3, c_stick=0.05, powers=[0.95])
     flow = FlowConfig(migration_rate=0.002, max_steps=20000)
     traj = simulate_flow(MiningState(0.5, 0.3), flow, cfg)
-    for a, b in zip(traj.states, traj.states[1:]):
-        assert abs(a.r_f - b.r_f) + abs(a.r_b - b.r_b) <= flow.migration_rate + 1e-15
-    for s in traj.states:
-        assert s.r_f >= 0.0
-        assert s.r_b >= cfg.c_stick - 1e-15
-        assert s.r_f + s.r_b <= 1.0 + 1e-12
+    for a_f, a_b, b_f, b_b in zip(traj.r_f, traj.r_b, traj.r_f[1:], traj.r_b[1:]):
+        assert abs(a_f - b_f) + abs(a_b - b_b) <= flow.migration_rate + 1e-15
+    for r_f, r_b in zip(traj.r_f, traj.r_b):
+        assert r_f >= 0.0
+        assert r_b >= cfg.c_stick - 1e-15
+        assert r_f + r_b <= 1.0 + 1e-12
 
 
 def test_flow_deep_zone2_reaches_coexistence():
@@ -107,9 +107,8 @@ def test_flow_zone3_case2_reaches_corner_equilibrium():
     # c_stick below alpha (case 2): the lack point is (1 - c_stick, c_stick).
     traj = simulate_flow(MiningState(0.5, c), FlowConfig(), cfg)
     assert traj.outcome is Outcome.LOYAL_LACK
-    final = traj.states[-1]
-    assert final.r_f == pytest.approx(1.0 - c, abs=2 * FlowConfig().convergence_eps)
-    assert final.r_b == pytest.approx(c, abs=1e-12)
+    assert traj.r_f[-1] == pytest.approx(1.0 - c, abs=2 * FlowConfig().convergence_eps)
+    assert traj.r_b[-1] == pytest.approx(c, abs=1e-12)
 
 
 def test_flow_from_equilibria_stays_put():
@@ -128,9 +127,8 @@ def test_flow_from_equilibria_stays_put():
             traj = simulate_flow(p, flow, cfg)
             assert traj.outcome is not Outcome.UNDECIDED
             assert traj.steps_used == 0
-            final = traj.states[-1]
-            assert abs(final.r_f - p.r_f) <= flow.convergence_eps
-            assert abs(final.r_b - p.r_b) <= flow.convergence_eps
+            assert abs(traj.r_f[-1] - p.r_f) <= flow.convergence_eps
+            assert abs(traj.r_b[-1] - p.r_b) <= flow.convergence_eps
 
 
 def test_flow_determinism():
@@ -138,7 +136,7 @@ def test_flow_determinism():
     flow = FlowConfig(migration_rate=0.003)
     a = simulate_flow(MiningState(0.4, 0.3), flow, cfg)
     b = simulate_flow(MiningState(0.4, 0.3), flow, cfg)
-    assert a.states == b.states
+    assert (a.r_f, a.r_b) == (b.r_f, b.r_b)
     assert a.zones == b.zones
     assert a.outcome == b.outcome
 
@@ -165,8 +163,8 @@ def test_c_stick_schedule_lifts_floor():
         c_stick_schedule=Schedule.from_pairs([(10, 0.5)]),
     )
     traj = simulate_flow(MiningState(0.2, 0.06), flow, cfg)
-    after = [s for s, c in zip(traj.states, traj.c_sticks) if c == 0.5]
-    assert after and all(s.r_b >= 0.5 - 1e-12 for s in after)
+    after = [r_b for r_b, c in zip(traj.r_b, traj.c_sticks) if c == 0.5]
+    assert after and all(r_b >= 0.5 - 1e-12 for r_b in after)
 
 
 def test_schedule_value_lookup():
@@ -258,7 +256,7 @@ def test_flow_settles_on_predicted_lack_equilibrium(k, c_stick):
         starts.append(MiningState(max(0.0, eq.beta - 0.05), c_stick))
     for start in starts:
         traj = simulate_flow(start, flow, cfg)
-        final = traj.states[-1]
+        final = MiningState(traj.r_f[-1], traj.r_b[-1])
         if traj.outcome is Outcome.COEXISTENCE:
             continue  # a basin boundary sent it to the coexistence point
         assert traj.outcome is Outcome.LOYAL_LACK, (start, traj.outcome)
@@ -279,8 +277,8 @@ def test_oscillating_price_schedule_keeps_state_undecided():
     )
     traj = simulate_flow(MiningState(0.3, 0.2), flow, cfg)
     assert traj.outcome is Outcome.UNDECIDED
-    assert len({(s.r_f, s.r_b) for s in traj.states}) > 100
-    assert len(traj.states) == len(traj.zones) == len(traj.ks)
+    assert len(set(zip(traj.r_f, traj.r_b))) > 100
+    assert len(traj.r_f) == len(traj.r_b) == len(traj.zones) == len(traj.ks)
 
 
 def test_automatic_threshold_is_price_ratio():
@@ -309,13 +307,24 @@ def test_trailing_zone_keeps_last_zone_only_for_divergent_state(monkeypatch):
 
     monkeypatch.setattr(dynamics, "zone_at", failing_second_call(DivergentState("corner")))
     traj = simulate_flow(MiningState(0.01, 0.01), FlowConfig(max_steps=1), cfg)
-    assert len(calls) == 2 and len(traj.states) == 2
+    assert len(calls) == 2 and len(traj.r_f) == len(traj.r_b) == 2
     assert traj.zones == [traj.zones[0]] * 2
 
     calls.clear()
     monkeypatch.setattr(dynamics, "zone_at", failing_second_call(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         simulate_flow(MiningState(0.01, 0.01), FlowConfig(max_steps=1), cfg)
+
+
+def test_trailing_row_is_classified_at_the_k_it_reports():
+    # Runs out of steps under a k schedule; the base k (0.05) would read zone 1.
+    cfg = config(0.05)
+    flow = FlowConfig(max_steps=5, k_schedule=Schedule.from_pairs([(0, 0.6)]))
+    traj = simulate_flow(MiningState(0.3, 0.2), flow, cfg)
+    assert traj.outcome is Outcome.UNDECIDED and len(traj.zones) == 6
+    assert traj.ks[-1] == 0.6
+    assert traj.zones[-1] is zone_at(traj.r_f[-1], traj.r_b[-1], 0.6, 2016, 2016) is Zone.ZONE3
+    assert zone_at(traj.r_f[-1], traj.r_b[-1], 0.05, 2016, 2016) is Zone.ZONE1
 
 
 def test_schedule_lives_in_core():
@@ -427,13 +436,15 @@ def reference_simulate_flow(initial, flow, config):
         state = nxt
         states.append(state)
     if len(states) > len(zones):
+        # The trailing row is classified at the k it reports.
         try:
-            zones.append(zone_of(states[-1], config))
+            zones.append(zone_of(states[-1], replace(config, k=ks[-1])))
         except DivergentState:
             zones.append(zones[-1])
-        ks.append(ks[-1] if ks else config.k)
-        c_sticks.append(c_sticks[-1] if c_sticks else config.c_stick)
-    return dynamics.Trajectory(states, zones, ks, c_sticks, outcome, steps)
+        ks.append(ks[-1])
+        c_sticks.append(c_sticks[-1])
+    return dynamics.Trajectory([s.r_f for s in states], [s.r_b for s in states], zones, ks,
+                               c_sticks, outcome, steps)
 
 
 def flow_outcome(fn, *args):
@@ -494,4 +505,4 @@ def test_simulate_flow_matches_reference_on_long_runs(k, c_stick, start, schedul
     initial = MiningState(*start)
     traj = simulate_flow(initial, flow, cfg)
     assert traj == reference_simulate_flow(initial, flow, cfg)
-    assert len(traj.states) > 100
+    assert len(traj.r_f) > 100

@@ -467,7 +467,8 @@ GAME = st.builds(
     lambda k, n_in, n_de: config(k, n_in=n_in, n_de=n_de),
     st.floats(0.01, 1.0), st.sampled_from([6, 144, 2016]), st.sampled_from([6, 144, 2016]),
 )
-TOLS = st.sampled_from([0.0, 1e-10, 1e-6])
+# The wide ties reach the COEXIST, A-B tie and boundary branches off the curves.
+TOLS = st.sampled_from([0.0, 1e-10, 1e-6, 1e-3, 0.05, 1.0])
 
 
 def assert_same_zone(r_f, r_b, cfg, tol):
@@ -502,6 +503,21 @@ def test_zone_at_matches_reference_on_axis(cfg, r_f, tol):
     # The axis tie point r_f = k and its neighbours.
     for x in (math.nextafter(cfg.k, 0.0), cfg.k, math.nextafter(cfg.k, 2.0)):
         assert_same_zone(min(x, 1.0), 0.0, cfg, tol)
+
+
+def test_zone_at_returns_every_zone_over_a_fixed_point_set():
+    cfg = config(0.3)
+    points = [(0.1, 0.5), (0.1, 0.1), (0.5, 0.15), (0.0, coexist_rb(0.3)),
+              (0.2, boundary13_rb(0.2, cfg)), (0.2, boundary23_rb(0.2, cfg))]
+    zones = [zone_at(r_f, r_b, cfg.k, cfg.n_in, cfg.n_de) for r_f, r_b in points]
+    assert zones == [Zone.ZONE1, Zone.ZONE2, Zone.ZONE3, Zone.COEXIST, Zone.BOUNDARY13,
+                     Zone.BOUNDARY23]
+    assert set(zones) == set(Zone)
+    # A grid under every tie width, against the reference.
+    n = 40
+    for tol in (0.0, 1e-10, 1e-3, 0.05, 1.0):
+        for r_f, r_b in points + [(i / n, j / n) for i in range(n + 1) for j in range(n + 1 - i)]:
+            assert_same_zone(r_f, r_b, cfg, tol)
 
 
 @pytest.mark.parametrize("r_f,r_b", [(0.0, 0.0), (0.0, 1.0)])

@@ -92,6 +92,12 @@ def cases():
         "simulate json": (["simulate", "--config", "game.json", "--initial", "0.1,0.15",
                            "--rate", "0.02", "--max-steps", "80", "--format", "json",
                            "--k-schedule", "k_steps.json"], ()),
+        # Runs out of steps at a scheduled k of 0.6, so the trailing row is
+        # classified at that k, not at the config's 0.3.
+        "simulate json max-steps": (["simulate", "--config", "game.json",
+                                     "--initial", "0.2,0.3", "--rate", "0.01",
+                                     "--max-steps", "60", "--format", "json",
+                                     "--k-schedule", "k_steps.json"], ()),
         "analyze": (["analyze", "--config", "game.json", "--input", "series.csv",
                      "--hysteresis", "0.05", "--out-periods", "periods.json",
                      "--out-estimates", "estimates.csv", "--out-zones", "zones.csv"],

@@ -125,6 +125,21 @@ def test_load_series_rejects_non_finite_values(tmp_path, cells, field):
     assert (err.value.line, err.value.field) == (3, field)
 
 
+@pytest.mark.parametrize("body,lines", [
+    (["0", "600", "600"], (3, 4)),
+    # Out of order, with blank lines and a whole float between the two.
+    (["1200", "600", "", "0", "", "600.0"], (3, 7)),
+])
+def test_a_duplicate_timestamp_names_both_lines(tmp_path, body, lines):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join([",".join(SERIES_COLUMNS)] + [
+        t and ",".join([t, *map(str, synthetic_row(0, 0.1, 0.5)[1:])]) for t in body]) + "\n")
+    with pytest.raises(InvariantViolation) as err:
+        load_series(str(path))
+    assert (err.value.line, err.value.field) == (lines[1], "timestamp")
+    assert str(err.value) == f"line {lines[1]}: duplicate timestamp 600, first on line {lines[0]}"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_series_rejects_non_finite_timestamp(tmp_path, value):
     path = write_csv(tmp_path / "s.csv", [synthetic_row(0, 0.1, 0.5),

@@ -75,11 +75,10 @@ def test_faction_surge_and_withdrawal_arc():
         c_stick_schedule=Schedule.from_pairs([(0, 0.05), (200, 0.6), (550, 0.05)]),
     )
     traj = simulate_flow(MiningState(0.2, 0.3), flow, cfg)
-    during = [s for s, c in zip(traj.states, traj.c_sticks) if c == 0.6]
-    assert during and all(s.r_b >= 0.6 for s in during)
+    during = [(r_f, r_b) for r_f, r_b, c in zip(traj.r_f, traj.r_b, traj.c_sticks) if c == 0.6]
+    assert during and all(r_b >= 0.6 for _, r_b in during)
     # While the surge lasts the non-faction power leaves coin_B's side.
-    assert during[-1].r_f <= during[0].r_f - 0.25
+    assert during[-1][0] <= during[0][0] - 0.25
     assert traj.outcome is Outcome.COEXISTENCE
-    final = traj.states[-1]
-    assert abs(final.r_b - coexist_rb(k)) <= 2 * flow.convergence_eps
-    assert final.r_f <= 2 * flow.convergence_eps
+    assert abs(traj.r_b[-1] - coexist_rb(k)) <= 2 * flow.convergence_eps
+    assert traj.r_f[-1] <= 2 * flow.convergence_eps
