@@ -19,6 +19,7 @@ import os
 import stat
 import sys
 import time
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .core import (DualchainError, GameConfig, InvalidValue, MiningState, Schedule, Strategy,
@@ -34,6 +35,10 @@ _POLICIES = {s.value: s for s in Strategy}
 # CSV cells of the enum columns.  Enum.value is a Python-level property;
 # this lookup measured ~1.4x faster per cell.
 _LABELS = {m: m.value for m in Zone}
+# The same labels as JSON strings, for the JSON rows writer.
+_JSON_LABELS = {m: json.dumps(m.value) for m in Zone}
+# Rows the JSON rows writer joins into one write.
+_JSON_CHUNK = 256
 
 
 class _UsageError(Exception):
@@ -83,12 +88,19 @@ def _json(obj) -> str:
     return json.dumps(obj, allow_nan=False) + "\n"
 
 
-def _emit(text: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None, newline: str | None = None):
+    """The --out file opened for writing, or stdout without it."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        with open(out, "w", newline=newline) as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: str | None):
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _write_csv(fh, fields, rows):
@@ -104,11 +116,43 @@ def _write_csv(fh, fields, rows):
 
 
 def _emit_csv(fields, rows, out: str | None):
-    if out:
-        with open(out, "w", newline="") as fh:
-            _write_csv(fh, fields, rows)
-    else:
-        _write_csv(sys.stdout, fields, rows)
+    with _output(out, newline="") as fh:
+        _write_csv(fh, fields, rows)
+
+
+def _write_json_rows(fh, fields, rows):
+    """Write the JSON array of one object per row tuple, keyed by `fields`,
+    as json.dumps writes it.
+
+    Cells are ints, finite floats or JSON strings (`_JSON_LABELS`); "%s"
+    of each is its JSON text.  Rows are joined a chunk at a time, so
+    neither an object per row nor the text of the whole array is built.
+    """
+    line = "{" + ", ".join(json.dumps(f) + ": %s" for f in fields) + "}"
+    rows = iter(rows)
+    fh.write("[")
+    sep = ""
+    while chunk := [line % row for row in islice(rows, _JSON_CHUNK)]:
+        fh.write(sep)
+        fh.write(", ".join(chunk))
+        sep = ", "
+    fh.write("]")
+
+
+def _emit_json_rows(head: str, fields, rows, tail: str, out: str | None, floats=()):
+    """Write head, the JSON rows array and tail as one line, with the bytes
+    `_json` gives the same object.
+
+    `floats` holds the float columns, in field order.  They are checked
+    before anything is written: a NaN or infinity raises the ValueError
+    `_json` raises (exit 2), and leaves no output.
+    """
+    if not all(all(map(math.isfinite, column)) for column in floats):
+        _json(list(zip(*floats)))  # raises, naming the first such value in row order
+    with _output(out) as fh:
+        fh.write(head)
+        _write_json_rows(fh, fields, rows)
+        fh.write(tail + "\n")
 
 
 def _echo(args, resolved: dict):
@@ -183,22 +227,23 @@ def _cmd_zones(args) -> int:
     n = check_count(args.grid, "grid")
     check_range(args.tol, "tol", 0.0, hi_open=True)
     _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **_config_dict(config)})
-    zone_at, tol, labels = equilibrium.zone_at, args.tol, _LABELS
+    zone_at, tol = equilibrium.zone_at, args.tol
     k, n_in, n_de = config.k, config.n_in, config.n_de
 
-    def cells(text: bool):
+    def cells(labels):
         for i in range(n):
             r_f = (i + 0.5) / n
-            cell = f"{r_f}" if text else r_f  # a CSV row formats its r_f once
+            cell = f"{r_f}"  # a grid row formats its r_f once
             for j in range(n):
                 r_b = (j + 0.5) / n * (1.0 - r_f)
                 yield cell, r_b, labels[zone_at(r_f, r_b, k, n_in, n_de, tol)]
 
     fields = ("r_f", "r_b", "zone")
     if args.format == "json":
-        _emit(_json([dict(zip(fields, cell)) for cell in cells(False)]), args.out)
+        # Every grid point is finite, so no float column needs a check.
+        _emit_json_rows("", fields, cells(_JSON_LABELS), "", args.out)
     else:
-        _emit_csv(fields, cells(True), args.out)
+        _emit_csv(fields, cells(_LABELS), args.out)
     return 0
 
 
@@ -241,11 +286,15 @@ def _cmd_simulate(args) -> int:
                  **_config_dict(config)})
     traj = dynamics.simulate_flow(initial, flow, config)
     fields = ("step", "r_f", "r_b", "zone", "k", "c_stick")
-    rows = zip(range(len(traj.zones)), traj.r_f, traj.r_b, map(_LABELS.__getitem__, traj.zones),
+    json_out = args.format == "json"
+    rows = zip(range(len(traj.zones)), traj.r_f, traj.r_b,
+               map((_JSON_LABELS if json_out else _LABELS).__getitem__, traj.zones),
                traj.ks, traj.c_sticks)
-    if args.format == "json":
-        _emit(_json({"outcome": traj.outcome.value, "steps_used": traj.steps_used,
-                     "trajectory": [dict(zip(fields, row)) for row in rows]}), args.out)
+    if json_out:
+        head = '{"outcome": %s, "steps_used": %s, "trajectory": ' % (
+            json.dumps(traj.outcome.value), traj.steps_used)
+        _emit_json_rows(head, fields, rows, "}", args.out,
+                        floats=(traj.r_f, traj.r_b, traj.ks, traj.c_sticks))
     else:
         _emit_csv(fields, rows, args.out)
         if not args.quiet:

@@ -236,9 +236,12 @@ class Schedule:
     def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "Schedule":
         try:
             entries = tuple((number(a, "schedule"), number(v, "schedule")) for a, v in pairs)
-        except TypeError as exc:
-            # A number or a bare value where a pair belongs.
-            raise ValueError(f"schedule must hold [at, value] number pairs: {exc}") from exc
+        except InvalidValue:
+            raise
+        except (TypeError, ValueError) as exc:
+            # A number, a bare value or a pair of another length where a pair belongs.
+            raise InvalidValue(f"schedule must hold [at, value] number pairs: {exc}",
+                               field="schedule") from exc
         return cls(entries)
 
     @classmethod
@@ -329,7 +332,7 @@ def config_from_json(path: str) -> GameConfig:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise ValueError("config file must contain a JSON object")
+        raise InvalidValue("config file must contain a JSON object", field="config")
     return validate_config(data)
 
 

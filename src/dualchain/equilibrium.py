@@ -117,6 +117,9 @@ def zone_at(r_f: float, r_b: float, k: float, n_in: int, n_de: int,
         # A-B tie away from the fickle boundaries: the fickle payoff decides.
         if u_f > u_a + tol:
             return _ZONE3
+        # u_f below both: exact arithmetic never gives it (u_f - u_a and
+        # u_f - u_b cannot both be negative), but rounding does next to the
+        # coexistence point when tol is under an ulp of the payoffs.
         return _ZONE1 if u_a >= u_b else _ZONE2
     # No two payoffs tie, so the strict maximum names the zone.
     if u_a > u_b:

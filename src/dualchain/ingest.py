@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import csv
 import statistics
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import itemgetter
 from typing import Sequence
 
-from .core import SERIES_COLUMNS, DualchainError, GameConfig, Zone, check_range
+from .core import SERIES_COLUMNS, DualchainError, GameConfig, InvalidValue, Zone, check_range
 from .equilibrium import ZONE_TOL, zone_at
 
 
@@ -97,7 +97,11 @@ class StatePath(_Columns):
 
 class SeriesLoad(_Columns):
     """A loaded series, one column per SERIES_COLUMNS name, sorted by
-    timestamp, plus a count of out-of-order rows that were sorted."""
+    timestamp, plus a count of out-of-order rows that were sorted.
+
+    `load_series` gives `timestamp` as a tuple of ints and every other
+    column as an `array('d')`.
+    """
 
     def __init__(self, columns: dict[str, Sequence], out_of_order_count: int = 0):
         super().__init__(columns)
@@ -122,8 +126,12 @@ def load_series(path: str) -> SeriesLoad:
     duplicate timestamps are rejected, and so are non-finite values and
     hash rates whose sum overflows.
     """
-    rows: list[tuple] = []
-    append = rows.append
+    # Each row goes straight into its columns: an int list for the
+    # timestamps, 8 bytes per value for the rest.
+    ts: list[int] = []
+    floats = [array("d") for _ in SERIES_COLUMNS[1:]]
+    add_t = ts.append
+    add_h_a, add_h_b, add_d_a, add_d_b, add_k = (column.append for column in floats)
     n_fields = len(SERIES_COLUMNS)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -173,16 +181,23 @@ def load_series(path: str) -> SeriesLoad:
                     f"price ratio {k} outside (0, 1]",
                     line=lineno, field="price_ratio_k",
                 )
-            append((timestamp, h_a, h_b, d_a, d_b, k))
+            add_t(timestamp)
+            add_h_a(h_a)
+            add_h_b(h_b)
+            add_d_a(d_a)
+            add_d_b(d_b)
+            add_k(k)
 
-    if not rows:
+    if not ts:
         raise EmptySeries(f"{path} has no data rows")
-    out_of_order = sum(1 for a, b in zip(rows, rows[1:]) if b[0] < a[0])
+    out_of_order = sum(1 for a, b in zip(ts, islice(ts, 1, None)) if b < a)
     if out_of_order:
-        rows.sort(key=itemgetter(0))
-    columns = dict(zip(SERIES_COLUMNS, zip(*rows)))
-    ts = columns["timestamp"]
-    for a, b in zip(ts, ts[1:]):
+        # One stable permutation sorts every column, as sorting the rows did.
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        ts = [ts[i] for i in order]
+        floats = [array("d", map(column.__getitem__, order)) for column in floats]
+    ts = tuple(ts)
+    for a, b in zip(ts, islice(ts, 1, None)):
         if a == b:
             # Sorted rows keep no line numbers, so read the file again for
             # them (a pipe reads empty then, and no line is named).
@@ -192,7 +207,7 @@ def load_series(path: str) -> SeriesLoad:
             first = f", first on line {lines[0]}" if len(lines) > 1 else ""
             raise InvariantViolation(f"duplicate timestamp {a}{first}",
                                      line=lines[1] if first else None, field="timestamp")
-    return SeriesLoad(columns, out_of_order)
+    return SeriesLoad(dict(zip(SERIES_COLUMNS, (ts, *floats))), out_of_order)
 
 
 def detect_fickle_periods(series: SeriesLoad, hysteresis: float = 0.02) -> list[FicklePeriod]:
@@ -321,7 +336,8 @@ def zone_path(
         r_b = min(r_b, 1.0 - r_f)
         # The clamps keep r_f + r_b <= 1; the signs come from the estimates.
         if not (r_f >= 0.0 and r_b >= 0.0):
-            raise ValueError(f"power fractions must be >= 0: ({r_f}, {r_b})")
+            raise InvalidValue(f"record {i}: power fractions must be >= 0: ({r_f}, {r_b})",
+                               field="r_b" if r_f >= 0.0 else "r_f")
         zone = zone_at(r_f, r_b, k, n_in, n_de, tol)
         if zones and zone is not zones[-1]:
             transitions.append((i, zones[-1], zone))

@@ -9,16 +9,17 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import dualchain
 from dualchain import chainsim, cli, dynamics, ingest, replicas
 from dualchain.cli import dispatch
-from dualchain.core import DualchainError, MiningState, Zone, config_from_json
+from dualchain.core import DualchainError, MiningState, Schedule, Zone, config_from_json
 from dualchain.equilibrium import zone_of
 from dualchain.payoff import payoff_triple
 
@@ -796,6 +797,27 @@ def test_write_csv_matches_csv_writer(table):
     assert got.getvalue() == expected.getvalue()
 
 
+JSON_CELLS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([*Zone, *ingest.Basis]).map(lambda m: m.value),
+)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.tuples(*[JSON_CELLS] * width), max_size=600).map(
+        lambda rows: (width, rows))))
+def test_write_json_rows_matches_json_dumps(table):
+    # Up to 600 rows, so that more than one chunk is joined.
+    width, rows = table
+    fields = tuple(f"c{i}" for i in range(width))
+    got = io.StringIO()
+    cli._write_json_rows(got, fields, (tuple(json.dumps(c) if isinstance(c, str) else c
+                                             for c in row) for row in rows))
+    assert got.getvalue() == json.dumps([dict(zip(fields, row)) for row in rows],
+                                        allow_nan=False)
+
+
 @pytest.mark.parametrize("member", [*Zone, *ingest.Basis])
 def test_enum_labels_need_no_csv_quoting(member):
     assert not set(member.value) & set(',"\r\n')
@@ -844,6 +866,143 @@ def test_payoff_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_fil
     assert ",," in expected or ",\r\n" in expected
     assert cli_table(capsys, tmp_path, to_file, "payoff", "--config", config_path,
                      "--state", "0,0", "--format", "csv", "--quiet") == expected
+
+
+def cli_json(argv, to_file):
+    """dispatch(argv) in a fresh directory; (exit code, stdout, --out text or None)."""
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "out.json")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = dispatch([*argv, "--quiet", *(["--out", out] if to_file else [])])
+        text = None
+        if os.path.exists(out):
+            with open(out) as fh:
+                text = fh.read()
+    return code, stdout.getvalue(), text
+
+
+def game_file(root, k, n_in, n_de, c_stick):
+    path = os.path.join(root, "game.json")
+    with open(path, "w") as fh:
+        json.dump({"k": k, "n_in": n_in, "n_de": n_de, "c_stick": c_stick,
+                   "powers": [1.0 - c_stick]}, fh)
+    return path
+
+
+JSON_GAME = st.tuples(st.floats(0.01, 1.0), st.sampled_from([6, 144, 2016]),
+                      st.sampled_from([6, 144, 2016]), st.sampled_from([0.0, 0.05, 0.2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(JSON_GAME, st.floats(0.01, 0.5), st.floats(0.01, 0.5), st.floats(1e-3, 0.05),
+       st.integers(1, 400), st.none() | st.lists(st.tuples(st.integers(0, 400),
+                                                          st.floats(0.05, 1.0)),
+                                                min_size=1, max_size=4),
+       st.booleans())
+def test_simulate_json_bytes_match_json_dumps(game, r_f, r_b, rate, max_steps, k_pairs,
+                                              to_file):
+    with tempfile.TemporaryDirectory() as root:
+        config_path = game_file(root, *game)
+        argv = ["simulate", "--config", config_path, "--initial", f"{r_f!r},{r_b!r}",
+                "--rate", repr(rate), "--max-steps", str(max_steps), "--format", "json"]
+        flow = dynamics.FlowConfig(rate, max_steps)
+        if k_pairs:
+            k_path = os.path.join(root, "k.json")
+            with open(k_path, "w") as fh:
+                json.dump(k_pairs, fh)
+            argv += ["--k-schedule", k_path]
+            flow = dynamics.FlowConfig(rate, max_steps,
+                                       k_schedule=Schedule.from_pairs(k_pairs))
+        code, stdout, text = cli_json(argv, to_file)
+        try:
+            traj = dynamics.simulate_flow(MiningState(r_f, r_b), flow,
+                                          config_from_json(config_path))
+        except DualchainError:  # a flow that runs into a divergent corner
+            assert (code, stdout, text) == (2, "", None)
+            return
+    expected = json.dumps({
+        "outcome": traj.outcome.value, "steps_used": traj.steps_used,
+        "trajectory": [
+            {"step": i, "r_f": f, "r_b": b, "zone": z.value, "k": k, "c_stick": c}
+            for i, (f, b, z, k, c) in enumerate(zip(traj.r_f, traj.r_b, traj.zones, traj.ks,
+                                                    traj.c_sticks))
+        ],
+    }, allow_nan=False) + "\n"
+    assert code == 0
+    assert (text, stdout) == ((expected, "") if to_file else (None, expected))
+
+
+@settings(max_examples=30, deadline=None)
+@given(JSON_GAME, st.integers(1, 40), st.sampled_from([0.0, 1e-10, 1e-3]), st.booleans())
+def test_zones_json_bytes_match_json_dumps(game, n, tol, to_file):
+    with tempfile.TemporaryDirectory() as root:
+        config_path = game_file(root, *game)
+        config = config_from_json(config_path)
+        code, stdout, text = cli_json(["zones", "--config", config_path, "--grid", str(n),
+                                       "--tol", repr(tol), "--format", "json"], to_file)
+    cells = []
+    for i in range(n):
+        r_f = (i + 0.5) / n
+        for j in range(n):
+            r_b = (j + 0.5) / n * (1.0 - r_f)
+            cells.append({"r_f": r_f, "r_b": r_b,
+                          "zone": zone_of(MiningState(r_f, r_b), config, tol).value})
+    expected = json.dumps(cells, allow_nan=False) + "\n"
+    assert code == 0
+    assert (text, stdout) == ((expected, "") if to_file else (None, expected))
+
+
+@pytest.mark.parametrize("column", ["r_f", "r_b", "ks", "c_sticks"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_simulate_json_refuses_a_non_finite_cell_before_writing(config_path, tmp_path, capsys,
+                                                                 monkeypatch, column, value,
+                                                                 to_file):
+    flow = dynamics.simulate_flow
+
+    def spoilt(*args, **kwargs):
+        traj = flow(*args, **kwargs)
+        getattr(traj, column)[-2] = value
+        return traj
+
+    monkeypatch.setattr(dynamics, "simulate_flow", spoilt)
+    out = tmp_path / "flow.json"
+    code, stdout, err = run_cli(capsys, "simulate", "--config", config_path,
+                                "--initial", "0.3,0.2", "--max-steps", "50", "--format", "json",
+                                "--quiet", *(["--out", str(out)] if to_file else []))
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "message":
+                               "ValueError: Out of range float values are not JSON compliant"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [[0.3], "k"])
+def test_config_that_is_no_object_is_refused_by_its_field(tmp_path, capsys, content):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, "equilibria", "--config", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "field": "config",
+                               "message": "config file must contain a JSON object"}
+
+
+@pytest.mark.parametrize("content,detail", [
+    (5, "'int' object is not iterable"),
+    ([5], "cannot unpack non-iterable int object"),
+    ([[0]], "not enough values to unpack (expected 2, got 1)"),
+    ([[0, 0.3, 1]], "too many values to unpack (expected 2)"),
+])
+@pytest.mark.parametrize("flag", ["--k-schedule", "--c-stick-schedule"])
+def test_schedule_that_holds_no_pairs_is_refused_by_its_field(config_path, tmp_path, capsys,
+                                                               content, detail, flag):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, "simulate", "--config", config_path, "--initial", "0.3,0.2",
+                             flag, str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "field": "schedule", "message":
+                               f"schedule must hold [at, value] number pairs: {detail}"}
 
 
 def write_series(path, rows):
@@ -1348,3 +1507,65 @@ def test_chain_sim_event_log_and_series_memory_is_flat_in_the_horizon(tmp_path):
     events = (tmp_path / "events.csv").read_text().count("\n")
     assert events > 10_000
     assert long < 1.5 * short, (short, long)
+
+
+def _simulate_writer_peak_bytes(tmp_path, monkeypatch, max_steps):
+    """tracemalloc's peak while `simulate --format json --out` writes a flow
+    that never settles, above what it held once the flow was integrated."""
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps({"k": 0.1, "n_in": 2016, "n_de": 2016, "powers": [1.0]}))
+    # A price that flips every 40 steps keeps the state undecided.
+    schedule = tmp_path / "k.json"
+    schedule.write_text(json.dumps([[i * 40, 0.9 if i % 2 else 0.1] for i in range(1000)]))
+    out = tmp_path / "flow.json"
+    flow, held = dynamics.simulate_flow, []
+
+    def integrated(*args, **kwargs):
+        traj = flow(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return traj
+
+    monkeypatch.setattr(dynamics, "simulate_flow", integrated)
+    tracemalloc.start()
+    try:
+        assert dispatch(["simulate", "--config", str(config), "--initial", "0.3,0.2",
+                         "--rate", "0.001", "--eps", "1e-6", "--max-steps", str(max_steps),
+                         "--k-schedule", str(schedule), "--format", "json", "--out", str(out),
+                         "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = json.loads(out.read_text())
+    assert (written["outcome"], written["steps_used"]) == ("undecided", max_steps - 1)
+    return peak - held[0]
+
+
+def test_simulate_json_memory_is_flat_in_the_flow_length(tmp_path, monkeypatch):
+    # The rows go out a chunk at a time: no object per row, no text of the
+    # whole array.  Measured: ~95 kB at both lengths (the whole-text writer
+    # took 2.5 MB at 2000 steps and 11 MB at 20000).
+    short = _simulate_writer_peak_bytes(tmp_path, monkeypatch, 2000)
+    long = _simulate_writer_peak_bytes(tmp_path, monkeypatch, 20000)
+    assert long <= 1.25 * short, (short, long)
+
+
+def _zones_json_peak_bytes(tmp_path, config_path, grid):
+    tracemalloc.start()
+    try:
+        assert dispatch(["zones", "--config", config_path, "--grid", str(grid),
+                         "--format", "json", "--out", str(tmp_path / "zones.json"),
+                         "--quiet"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_zones_json_memory_is_flat_in_the_grid(tmp_path, config_path):
+    # Measured: 78 kB at --grid 20 and 86 kB at --grid 200 (the whole-text
+    # writer took 0.30 MB and 13.8 MB).
+    _zones_json_peak_bytes(tmp_path, config_path, 5)
+    short = _zones_json_peak_bytes(tmp_path, config_path, 20)
+    long = _zones_json_peak_bytes(tmp_path, config_path, 200)
+    assert len(json.loads((tmp_path / "zones.json").read_text())) == 200 * 200
+    assert long <= 1.25 * short, (short, long)

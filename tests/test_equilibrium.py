@@ -520,6 +520,27 @@ def test_zone_at_returns_every_zone_over_a_fixed_point_set():
             assert_same_zone(r_f, r_b, cfg, tol)
 
 
+@pytest.mark.parametrize("k,n_in,n_de,r_b", [
+    (0.6, 2016, 144, 0.375),
+    (0.3, 2016, 2016, 0.23076923076923078),
+    (0.05, 144, 2016, 0.04761904761904762),
+])
+def test_zone_at_exact_ab_tie_below_fickle_is_zone1(k, n_in, n_de, r_b):
+    # On the r_f = 0 axis u_f is a weighted mean of u_a and u_b, so in exact
+    # arithmetic it can never sit below both.  At these coexistence points
+    # (r_b one ulp above k/(1+k) or equal to it) u_a == u_b in floats and
+    # u_f rounds one ulp below them: with no tie width, only the A-B tie
+    # branch's `u_a >= u_b` test classifies them, and it says zone 1.
+    assert abs(r_b - coexist_rb(k)) <= math.ulp(r_b)
+    u_f, u_a, u_b = payoff_values(0.0, r_b, k, n_in, n_de)
+    assert u_a == u_b and u_f < u_a
+    cfg = config(k, n_in=n_in, n_de=n_de)
+    assert zone_at(0.0, r_b, k, n_in, n_de, 0.0) is Zone.ZONE1
+    assert_same_zone(0.0, r_b, cfg, 0.0)
+    # Any tie width wider than the rounding makes it the coexistence point.
+    assert zone_at(0.0, r_b, k, n_in, n_de) is Zone.COEXIST
+
+
 @pytest.mark.parametrize("r_f,r_b", [(0.0, 0.0), (0.0, 1.0)])
 def test_zone_at_divergent_corners_raise_like_reference(r_f, r_b):
     ref, at, of = classify_both_ways(r_f, r_b, config(0.3), 1e-10)

@@ -1,11 +1,14 @@
+import random
 import re
 import statistics
+import tracemalloc
+from array import array
 from collections import namedtuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dualchain.core import GameConfig, MiningState, Strategy, Zone, validate_config
+from dualchain.core import GameConfig, InvalidValue, MiningState, Strategy, Zone, validate_config
 from dualchain.chainsim import ChainWorld, EpochFixed, MinerAgent, run, sample_series
 from dualchain.equilibrium import zone_of
 from dualchain.ingest import (
@@ -173,6 +176,47 @@ def test_load_series_reads_whole_float_timestamps_as_before(tmp_path):
     assert all(type(t) is int for t in timestamps)
 
 
+def test_shuffled_series_loads_into_the_same_columns_as_a_sorted_row_reference(tmp_path):
+    rows = [synthetic_row(1_500_000_000 + 600 * i, 0.05 + (i % 13) / 40, 0.2 + (i % 7) / 10,
+                          k=0.1 + (i % 5) / 10, total=1e18 * (1 + i % 3), d_a=1e12 + i)
+            for i in range(500)]
+    random.Random(5).shuffle(rows)
+    loaded = load_series(write_csv(tmp_path / "s.csv", rows))
+    # The per-row reference: the row tuples, sorted by timestamp.
+    reference = sorted(rows, key=lambda r: r[0])
+    assert loaded.out_of_order_count == sum(b[0] < a[0] for a, b in zip(rows, rows[1:])) > 0
+    assert list(loaded.columns) == list(SERIES_COLUMNS)
+    for name, column in zip(SERIES_COLUMNS, zip(*reference)):
+        assert list(loaded.columns[name]) == list(column), name
+    assert type(loaded.columns["timestamp"]) is tuple
+    assert all(type(t) is int for t in loaded.columns["timestamp"])
+    assert all(type(loaded.columns[name]) is array and loaded.columns[name].typecode == "d"
+               for name in SERIES_COLUMNS[1:])
+
+
+@pytest.mark.parametrize("shuffled,bound", [
+    # Measured at 20 000 rows: 92 bytes per row in order and 182 shuffled
+    # (the sort's permutation and the sorted copies); 345 with a tuple per row.
+    (False, 128),
+    (True, 224),
+])
+def test_load_series_peak_bytes_per_row_is_bounded(tmp_path, shuffled, bound):
+    n = 20_000
+    rows = [synthetic_row(1_500_000_000 + 600 * i, 0.1 + (i % 9) / 30, 0.3 + (i % 4) / 10,
+                          total=5e18, d_a=1e12) for i in range(n)]
+    if shuffled:
+        random.Random(3).shuffle(rows)
+    path = write_csv(tmp_path / "s.csv", rows)
+    tracemalloc.start()
+    try:
+        loaded = load_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == n and (loaded.out_of_order_count > 0) == shuffled
+    assert peak / n <= bound, peak / n
+
+
 def test_detect_reads_difficulties_whose_sum_overflows():
     # Near the float maximum any sum of difficulties overflows; their ratio does not.
     series = with_columns(SeriesLoad, [SeriesRecord(i, 0.9, 0.1, 1e308, d_b, 0.3)
@@ -318,15 +362,22 @@ def test_zone_path_price_step_flips_zone(tmp_path):
     assert any(frm is Zone.ZONE3 and to is Zone.ZONE2 for _, frm, to in transitions)
 
 
-@pytest.mark.parametrize("estimate", [
-    StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, -0.01, 0.3),
-    StateEstimate(0, Basis.GRAY_PERIOD, 0.3, -0.2, 0.1, 0.3),
-    StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, float("nan"), 0.3),
+@pytest.mark.parametrize("estimate,field", [
+    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, -0.01, 0.3), "r_b",
+                 id="estimate0"),
+    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, -0.2, 0.1, 0.3), "r_f",
+                 id="estimate1"),
+    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, float("nan"), 0.3), "r_b",
+                 id="estimate2"),
+    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, float("nan"), 0.1, 0.3), "r_f",
+                 id="estimate3"),
 ])
-def test_zone_path_rejects_hand_built_negative_fractions(estimate):
+def test_zone_path_rejects_hand_built_negative_fractions(estimate, field):
     cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
-    with pytest.raises(ValueError, match="power fractions must be >= 0"):
-        zone_path(with_columns(StatePath, [estimate]), cfg)
+    ok = StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, 0.1, 0.3)
+    with pytest.raises(InvalidValue, match=r"^record 1: power fractions must be >= 0") as err:
+        zone_path(with_columns(StatePath, [ok, estimate]), cfg)
+    assert (err.value.code, err.value.field) == ("invalid_input", field)
 
 
 def reference_zone_path(estimates, config, tol=1e-10):
