@@ -48,11 +48,11 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, MiningState,
-                   NegativePower, PowerSumMismatch, Schedule, Strategy, check_count,
-                   check_k_schedule, check_range, power_sum)
+from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, InvalidValue,
+                   MiningState, NegativePower, PowerSumMismatch, Schedule, Strategy,
+                   check_count, check_k_schedule, check_range, power_sum)
 
 _INF = math.inf
 
@@ -296,8 +296,8 @@ class _Chain:
     finished run leaves no reference cycle behind.
     """
 
-    __slots__ = ("coin", "label", "difficulty", "power", "alloc", "acc", "height", "progress",
-                 "threshold", "first_ts", "last_ts")
+    __slots__ = ("coin", "label", "difficulty", "power", "alloc", "acc", "height", "first_ts",
+                 "last_ts")
 
     def __init__(self, coin: Coin, difficulty: float):
         self.coin = coin
@@ -307,8 +307,6 @@ class _Chain:
         self.alloc = 0.0
         self.acc = 0.0
         self.height = 0
-        self.progress = 0.0
-        self.threshold = 1.0
         self.first_ts: float | None = None
         self.last_ts: float | None = None
 
@@ -340,12 +338,12 @@ def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
     roster = []
     for a in agents:
         if a.id in seen:
-            raise ValueError(f"duplicate agent id {a.id!r}")
+            raise InvalidValue(f"duplicate agent id {a.id!r}", field="id")
         seen.add(a.id)
         if not (a.power > 0.0):
             raise NegativePower(f"agent {a.id!r} power must be > 0", field="power")
         if not isinstance(a.policy, Strategy):
-            raise ValueError(f"agent {a.id!r} has no policy")
+            raise InvalidValue(f"agent {a.id!r} has no policy", field="agents")
         roster.append(a)
     check_range(power_sum(a.power for a in roster) - 1.0, "power", -POWER_SUM_TOL,
                 POWER_SUM_TOL, error=PowerSumMismatch, name="roster power sum - 1")
@@ -360,7 +358,8 @@ def run(
     duration: float,
     seed: int,
     mode: str = "exponential",
-    on_event: Callable[[tuple], object] | None = None,
+    on_block: Callable[[float, str], object] | None = None,
+    on_event: Callable[..., object] | None = None,
     sinks: Sequence[Callable[[tuple], object]] = (),
 ) -> SimReport:
     """Run the event loop until the horizon and aggregate a report.
@@ -373,10 +372,10 @@ def run(
     roster size; only set-up and the final split, each agent's power times
     its crew's reward per unit, grow with it.
 
-    on_event, when given, receives each block and state change as it
-    happens, as an EVENT_FIELDS-ordered tuple (a switch once per agent
-    moved).  Pass `list.append` to keep them, or the callback
-    write_events_csv returns to stream them to a file.
+    on_block(t, chain label) gets each block of the event log and on_event(t,
+    chain, kind, d_a, d_b, r_f, r_b, lines) each state change below with its
+    log lines (a switch one per agent moved, "start" and "end" none); a block
+    line holds the state of the last change.  write_events_csv returns both.
 
     Each of `sinks` receives every state change once, as a tuple (t, chain,
     kind, d_a, d_b, k, alloc_a, alloc_b) holding the state from t on; chain
@@ -388,7 +387,7 @@ def run(
     """
     check_range(duration, "duration", 0.0, lo_open=True, hi_open=True)
     if mode not in ("exponential", "deterministic"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidValue(f"unknown mode {mode!r}", field="mode")
     exponential = mode == "exponential"
     # Exp(1) thresholds are drawn as -log(1 - random()), the body of
     # random.expovariate(1.0), so a seed draws the same thresholds.
@@ -400,8 +399,8 @@ def run(
     A = _Chain(Coin.A, world.difficulty_a)
     B = _Chain(Coin.B, world.difficulty_b)
     # The hooks live only in this frame (see _Chain).
-    on_block_a = regime_a._hook(A)
-    on_block_b = regime_b._hook(B)
+    hook_a = regime_a._hook(A)
+    hook_b = regime_b._hook(B)
 
     # Rewards are kept per crew (see _Crew); `member` holds each agent's
     # crew by roster index.  Loyalists take their coin; switchers start on
@@ -443,9 +442,10 @@ def run(
     A.alloc = A.power / _ONE
     B.alloc = B.power / _ONE
 
-    if exponential:
-        A.threshold = -ln(1.0 - rand())
-        B.threshold = -ln(1.0 - rand())
+    # Block clocks: work done toward each chain's next block, and the work it takes.
+    prog_a = prog_b = 0.0
+    work_a = -ln(1.0 - rand()) if exponential else 1.0
+    work_b = -ln(1.0 - rand()) if exponential else 1.0
 
     t = 0.0
     price_changes = list(world.k_schedule.entries) if world.k_schedule else []
@@ -463,13 +463,12 @@ def run(
     cycle_mark_last = None
 
     def emit(label: str, kind: str, lines: int = 1):
-        """The one place a state change leaves run: as `lines` event-log
-        lines (a switch one per agent moved, "start" and "end" none), which
-        are counted, and as one change tuple to each sink, if any."""
+        """The one place a state change leaves run: to on_event with its
+        `lines` event-log lines, which are counted, and as one change tuple
+        to each sink, if any."""
         counts[label, kind] = counts.get((label, kind), 0) + lines
         if on_event is not None:
-            for _ in range(lines):
-                on_event((t, label, kind, A.difficulty, B.difficulty, r_f_policy, r_b_policy))
+            on_event(t, label, kind, A.difficulty, B.difficulty, r_f_policy, r_b_policy, lines)
         if sinks:
             change = (t, label, kind, A.difficulty, B.difficulty, k, A.alloc, B.alloc)
             for sink in sinks:
@@ -551,19 +550,17 @@ def run(
     while True:
         alloc_a = A.alloc
         alloc_b = B.alloc
-        t_a = t + (A.threshold - A.progress) * A.difficulty / alloc_a if alloc_a > 0.0 \
-            else _INF
-        t_b = t + (B.threshold - B.progress) * B.difficulty / alloc_b if alloc_b > 0.0 \
-            else _INF
+        t_a = t + (work_a - prog_a) * A.difficulty / alloc_a if alloc_a > 0.0 else _INF
+        t_b = t + (work_b - prog_b) * B.difficulty / alloc_b if alloc_b > 0.0 else _INF
         t_block = t_a if t_a <= t_b else t_b
         t_next = t_price if t_price < t_block else t_block
         if t_next > duration or t_next == _INF:
             break
         dt = t_next - t
         if alloc_a > 0.0:
-            A.progress += alloc_a / A.difficulty * dt
+            prog_a += alloc_a / A.difficulty * dt
         if alloc_b > 0.0:
-            B.progress += alloc_b / B.difficulty * dt
+            prog_b += alloc_b / B.difficulty * dt
         t = t_next
 
         if t_price <= t_block:
@@ -577,22 +574,24 @@ def run(
         if t_a <= t_b:
             ch = A
             ch.acc += 1.0 / alloc_a
-            on_block = on_block_a
+            prog_a = 0.0
+            work_a = -ln(1.0 - rand()) if exponential else 1.0
+            hook = hook_a
         else:
             ch = B
             ch.acc += k / alloc_b
-            on_block = on_block_b
+            prog_b = 0.0
+            work_b = -ln(1.0 - rand()) if exponential else 1.0
+            hook = hook_b
         ch.height += 1
         if ch.first_ts is None:
             ch.first_ts = t
         ch.last_ts = t
-        ch.progress = 0.0
-        ch.threshold = -ln(1.0 - rand()) if exponential else 1.0
-        if on_event is not None:
-            on_event((t, ch.label, "block", A.difficulty, B.difficulty, r_f_policy, r_b_policy))
+        if on_block is not None:
+            on_block(t, ch.label)
         if not ch.height % settle_every:
             settle()
-        kind = on_block(t)
+        kind = hook(t)
         if kind is not None:
             emit(ch.label, kind)
             reevaluate()
@@ -720,7 +719,7 @@ def eda_expected_nde(
 
 
 def sample_series(
-    emit: Callable[[tuple], object],
+    emit: Callable[[tuple, Iterator[int]], object],
     step: float = 1.0,
     pag_seconds: int = 600,
     t0_epoch: int = 0,
@@ -728,25 +727,29 @@ def sample_series(
     """A sink for run that samples its changes into rows of the analyzer's
     input schema, handed to `emit` as the run goes.
 
-    Rows are SERIES_FIELDS-ordered tuples: timestamp (epoch seconds),
-    hashrate_a/b (allocated power fractions), difficulty_a/b (normalized
-    units), price_ratio_k.  The grid is t = 0, then t += step (P_ag) while
-    t is before the horizon; a row holds the state of the last change at or
-    before its t, so each change emits the rows before it and "end" the
-    rest.  The step is checked (`check_series_step`) when this is called.
+    Each stretch of unchanged state comes as emit(state, timestamps), which
+    must exhaust timestamps; its rows are (timestamp, *state) in
+    SERIES_FIELDS order: epoch seconds, allocated powers, normalized
+    difficulties and k.  The grid is t = 0, then t += step (P_ag) while t is
+    before the horizon; a row holds the state of the last change at or
+    before its t.  check_series_step checks the step at this call.
     """
     check_series_step(step, pag_seconds)
     t = 0.0
     last = None  # the change in effect
 
+    def stamps(t_change: float) -> Iterator[int]:
+        nonlocal t
+        while t < t_change:
+            yield t0_epoch + round(t * pag_seconds)
+            t += step
+
     def on_change(change: tuple):
-        nonlocal t, last
+        nonlocal last
         t_change = change[0]
         if t < t_change and last is not None:
             _, _, _, d_a, d_b, k, h_a, h_b = last
-            while t < t_change:
-                emit((t0_epoch + round(t * pag_seconds), h_a, h_b, d_a, d_b, k))
-                t += step
+            emit((h_a, h_b, d_a, d_b, k), stamps(t_change))
         last = change
 
     return on_change
@@ -792,66 +795,70 @@ def b_phase_durations(changes: Iterable[tuple]) -> list[float]:
 _UNSET = object()
 
 
-def write_series_csv(fh) -> Callable[[tuple], None]:
-    """Write the series header to fh; return a callback that writes one
-    SERIES_FIELDS-ordered row, as sample_series emits them.
+def write_series_csv(fh) -> Callable[[tuple, Iterable[int]], None]:
+    """Write the series header to fh; return the callback that writes each
+    stretch of rows as sample_series hands them on.
 
     Lines are formatted directly, in the bytes csv.writer writes for
-    numbers: floats as repr, ints as str, CRLF line ends.  A column is
-    formatted again only when its value is a different object, so a row
-    inside a stretch of unchanged state costs the str of its timestamp.
+    numbers: floats as repr, ints as str, CRLF line ends.  The state's text
+    is built once per stretch, formatting again only the columns whose value
+    is a different object, so a row costs the str of its timestamp.
     """
     h_a0 = h_b0 = d_a0 = d_b0 = k0 = _UNSET
-    s_ha = s_hb = s_da = s_db = s_k = tail = ""
+    s_ha = s_hb = s_da = s_db = s_k = ""
     write = fh.write
     write(",".join(SERIES_FIELDS) + "\r\n")
 
-    def on_row(row: tuple):
-        nonlocal h_a0, h_b0, d_a0, d_b0, k0, s_ha, s_hb, s_da, s_db, s_k, tail
-        ts, h_a, h_b, d_a, d_b, k = row
-        if h_a is not h_a0 or h_b is not h_b0 or d_a is not d_a0 or d_b is not d_b0 \
-                or k is not k0:
-            if h_a is not h_a0:
-                h_a0, s_ha = h_a, f"{h_a}"
-            if h_b is not h_b0:
-                h_b0, s_hb = h_b, f"{h_b}"
-            if d_a is not d_a0:
-                d_a0, s_da = d_a, f"{d_a}"
-            if d_b is not d_b0:
-                d_b0, s_db = d_b, f"{d_b}"
-            if k is not k0:
-                k0, s_k = k, f"{k}"
-            tail = f",{s_ha},{s_hb},{s_da},{s_db},{s_k}\r\n"
-        write(f"{ts}{tail}")
+    def on_stretch(state: tuple, timestamps: Iterable[int]):
+        nonlocal h_a0, h_b0, d_a0, d_b0, k0, s_ha, s_hb, s_da, s_db, s_k
+        h_a, h_b, d_a, d_b, k = state
+        if h_a is not h_a0:
+            h_a0, s_ha = h_a, f"{h_a}"
+        if h_b is not h_b0:
+            h_b0, s_hb = h_b, f"{h_b}"
+        if d_a is not d_a0:
+            d_a0, s_da = d_a, f"{d_a}"
+        if d_b is not d_b0:
+            d_b0, s_db = d_b, f"{d_b}"
+        if k is not k0:
+            k0, s_k = k, f"{k}"
+        tail = f",{s_ha},{s_hb},{s_da},{s_db},{s_k}\r\n"
+        for ts in timestamps:
+            write(f"{ts}{tail}")
 
-    return on_row
+    return on_stretch
 
 
-def write_events_csv(fh) -> Callable[[tuple], None]:
-    """Write the event-log header to fh; return the on_event callback for run.
+def write_events_csv(fh) -> tuple[Callable[[float, str], None], Callable[..., None]]:
+    """Write the event-log header to fh; return run's on_block and on_event,
+    which write the log's lines to fh as the run goes.
 
-    The callback writes each event as one line, in the bytes csv.writer
-    writes for its numbers and labels.  A field is formatted again only
-    when its value is a different object, so an event costs at most the
-    repr of its time and of the difficulty that changed, and events at one
-    time share the text of that time.
+    Lines are formatted directly, in the bytes csv.writer writes for their
+    numbers and labels.  A field is formatted again only when its value is a
+    different object: a block line costs the repr of its time, and reuses
+    the text of the state columns (d_a, d_b, r_f, r_b) of the last change.
     """
     t0 = d_a0 = d_b0 = r_f0 = r_b0 = _UNSET
-    s_t = s_da = s_db = s_r = ""
+    s_t = s_da = s_db = s_r = state = ""
     write = fh.write
     write(",".join(EVENT_FIELDS) + "\r\n")
 
-    def on_event(event: tuple):
-        nonlocal t0, d_a0, d_b0, r_f0, r_b0, s_t, s_da, s_db, s_r
-        t, chain, kind, d_a, d_b, r_f, r_b = event
-        if t is not t0:
-            t0, s_t = t, f"{t},"
-        if d_a is not d_a0:
-            d_a0, s_da = d_a, f"{d_a},"
-        if d_b is not d_b0:
-            d_b0, s_db = d_b, f"{d_b},"
-        if r_f is not r_f0 or r_b is not r_b0:
-            r_f0, r_b0, s_r = r_f, r_b, f"{r_f},{r_b}\r\n"
-        write(f"{s_t}{chain},{kind},{s_da}{s_db}{s_r}")
+    def on_block(t: float, chain: str):
+        nonlocal t0, s_t
+        t0, s_t = t, f"{t}"
+        write(f"{s_t},{chain},block,{state}")
 
-    return on_event
+    def on_event(t, chain, kind, d_a, d_b, r_f, r_b, lines):
+        nonlocal t0, d_a0, d_b0, r_f0, r_b0, s_t, s_da, s_db, s_r, state
+        if t is not t0:
+            t0, s_t = t, f"{t}"
+        if d_a is not d_a0:
+            d_a0, s_da = d_a, f"{d_a}"
+        if d_b is not d_b0:
+            d_b0, s_db = d_b, f"{d_b}"
+        if r_f is not r_f0 or r_b is not r_b0:
+            r_f0, r_b0, s_r = r_f, r_b, f"{r_f},{r_b}"
+        state = f"{s_da},{s_db},{s_r}\r\n"
+        write(f"{s_t},{chain},{kind},{state}" * lines)
+
+    return on_block, on_event

@@ -348,15 +348,17 @@ def _load_agents(path: str) -> list[chainsim.MinerAgent]:
     with open(path) as fh:
         raw = json.load(fh)
     if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
-        raise _UsageError("--agents must be a JSON list of {id, power, policy} objects")
+        raise InvalidValue("agents file must contain a JSON list of objects", field="agents")
     agents = []
     for entry in raw:
         name = entry.get("id")
         policy = entry.get("policy")
         if not (isinstance(policy, str) and policy in _POLICIES):
             raise _UsageError(f"agent {name!r}: unknown policy {policy!r}")
-        agents.append(chainsim.MinerAgent(str(entry["id"]),
-                                          number(entry["power"], "power",
+        if "id" not in entry:
+            raise InvalidValue("an agent has no id", field="id")
+        agents.append(chainsim.MinerAgent(str(name),
+                                          number(entry.get("power"), "power",
                                                  f"agent {name!r}: power"),
                                           _POLICIES[policy]))
     return agents
@@ -424,12 +426,12 @@ def _cmd_chain_sim(args) -> int:
     with open(args.config) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        raise _UsageError("--config must be a JSON object {k, difficulty_a?, difficulty_b?}")
+        raise InvalidValue("config file must contain a JSON object", field="config")
     d_b = "difficulty_b" if "difficulty_b" in raw else "k"  # coin_B's difficulty defaults to k
     world = chainsim.ChainWorld(
         difficulty_a=number(raw["difficulty_a"], "difficulty_a") if "difficulty_a" in raw else 1.0,
-        difficulty_b=number(raw[d_b], d_b),
-        k=number(raw["k"], "k"),
+        difficulty_b=number(raw.get(d_b), d_b),
+        k=number(raw.get("k"), "k"),
         k_schedule=(
             Schedule.from_file(args.k_schedule) if args.k_schedule else None
         ),
@@ -445,9 +447,9 @@ def _cmd_chain_sim(args) -> int:
                  "replicas": args.replicas, "k": world.k,
                  "difficulty_a": world.difficulty_a, "difficulty_b": world.difficulty_b})
 
-    def one(seed: int, on_event=None, sinks=()) -> tuple[dict, dict]:
+    def one(seed: int, **outputs) -> tuple[dict, dict]:
         report = chainsim.run(world, agents, regime_a, regime_b, args.duration, seed,
-                              mode=args.mode, on_event=on_event, sinks=sinks)
+                              mode=args.mode, **outputs)
         return _report_dict(report), report.stats
 
     workers = 1
@@ -473,11 +475,11 @@ def _cmd_chain_sim(args) -> int:
                     opened.append(path)
                     return fh
 
-                on_event = chainsim.write_events_csv(create(args.events)) if args.events \
-                    else None
+                on_block, on_event = chainsim.write_events_csv(create(args.events)) \
+                    if args.events else (None, None)
                 sinks = [chainsim.sample_series(chainsim.write_series_csv(create(args.series)),
                                                 step=step)] if args.series else []
-                result = one(args.seed, on_event, sinks)
+                result = one(args.seed, on_block=on_block, on_event=on_event, sinks=sinks)
             laps.append(("run", time.perf_counter()))
             runs = [(result, laps[1][1] - laps[0][1])]
             _emit(_json(result[0]), args.out)

@@ -106,7 +106,8 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
     (0, k/(1+k)); LOYAL_LACK within eps of the r_b = c_stick equilibrium
     (point, or the axis segment for c_stick = 0); UNDECIDED at
     max_steps.  Schedules may keep a state moving forever, so running
-    out of steps is an outcome, not an error.
+    out of steps is an outcome, not an error.  The all-coin_A corner (0, 0)
+    is zone 1, though its payoffs diverge, so a flow stops there.
     """
     r_fs, r_bs = [initial.r_f], [initial.r_b]
     zones: list[Zone] = []
@@ -133,7 +134,7 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
             r_f = min(r_f, 1.0 - r_b)
             r_fs[-1], r_bs[-1] = r_f, r_b
 
-        zone = zone_at(r_f, r_b, k_t, n_in, n_de)
+        zone = zone_at(r_f, r_b, k_t, n_in, n_de) if r_f or r_b else Zone.ZONE1
         zones.append(zone)
         ks.append(k_t)
         c_sticks.append(c_t)
@@ -173,7 +174,7 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
     if len(r_fs) > len(zones):
         # Ran out of steps with one trailing state: classify it at its row's k.
         try:
-            zones.append(zone_at(r_f, r_b, ks[-1], n_in, n_de))
+            zones.append(zone_at(r_f, r_b, ks[-1], n_in, n_de) if r_f or r_b else Zone.ZONE1)
         except DivergentState:
             zones.append(zones[-1])
         ks.append(ks[-1])

@@ -352,6 +352,14 @@ def test_criterion_10_automatic_mining_threshold():
            "5 seeds each")
 
 
+def _write_rows(fh):
+    """A sample_series consumer writing each row as plain comma-joined str()."""
+    def on_stretch(state, stamps):
+        for ts in stamps:
+            fh.write(",".join(map(str, (ts, *state))) + "\n")
+    return on_stretch
+
+
 def test_criterion_11_ingest_round_trip(tmp_path):
     started = time.monotonic()
     r_f, r_b, k, n = 0.3, 0.1, 0.3, 504
@@ -365,9 +373,8 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         rep = run(world, loyal_roster(r_f, r_b), EpochFixed(10**9), EpochFixed(n),
-                  10 * cycle, seed=11, mode="exponential", on_event=events.append,
-                  sinks=[sample_series(lambda row: fh.write(",".join(map(str, row)) + "\n"),
-                                       step=1.0)])
+                  10 * cycle, seed=11, mode="exponential",
+                  sinks=[events.append, sample_series(_write_rows(fh), step=1.0)])
 
     loaded = load_series(str(path))
     periods = detect_fickle_periods(loaded, hysteresis=0.02)

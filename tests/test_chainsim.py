@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualchain.core import MiningState, PowerSumMismatch, Strategy, validate_config
+from dualchain.core import InvalidValue, MiningState, PowerSumMismatch, Strategy, validate_config
 from dualchain.chainsim import (
     ChainWorld,
     Coin,
@@ -47,6 +48,28 @@ def loyal_roster(r_f, r_b):
     if 1.0 - r_f - r_b > 0:
         agents.append(MinerAgent("a", 1.0 - r_f - r_b, Strategy.A_ONLY))
     return agents
+
+
+def log_to(events):
+    """run's on_block and on_event, as keyword arguments, appending each line
+    of the event log to `events` as an EVENT_FIELDS-ordered tuple."""
+    state = ()
+
+    def on_event(t, chain, kind, d_a, d_b, r_f, r_b, lines):
+        nonlocal state
+        state = (d_a, d_b, r_f, r_b)
+        events.extend([(t, chain, kind, *state)] * lines)
+
+    def on_block(t, chain):
+        events.append((t, chain, "block", *state))
+
+    return {"on_block": on_block, "on_event": on_event}
+
+
+def rows_to(rows):
+    """A sample_series consumer appending each row to `rows` as a
+    SERIES_FIELDS-ordered tuple."""
+    return lambda state, stamps: rows.extend((ts, *state) for ts in stamps)
 
 
 def avg_coin_a_difficulty(r_f, r_b, n):
@@ -107,7 +130,7 @@ def test_fickle_switches_satisfy_switching_predicate():
     )
     events, changes = [], []
     run(world, agents, EpochFixed(10**9), EpochFixed(n), 4000.0, seed=5,
-        on_event=events.append, sinks=[changes.append])
+        **log_to(events), sinks=[changes.append])
     switches = [e for e in events if e[2] == "switch_fickle"]
     assert switches
     for (t, chain, _, d_a, d_b, rf_active, rb_active) in switches:
@@ -124,9 +147,9 @@ def test_event_log_deterministic_under_seed():
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)
     events1, events2 = [], []
     rep1 = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=77,
-               on_event=events1.append)
+               **log_to(events1))
     rep2 = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=77,
-               on_event=events2.append)
+               **log_to(events2))
     assert events1 == events2
     assert rep1.agent_rewards == rep2.agent_rewards
 
@@ -139,7 +162,7 @@ def test_reward_conservation():
     )
     events, changes = [], []
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=3,
-              on_event=events.append, sinks=[changes.append])
+              **log_to(events), sinks=[changes.append])
     expected = 0.0
     k_changes = _histories(changes).k_history
     for (t, chain, kind, *_rest) in events:
@@ -254,7 +277,7 @@ def test_eda_fires_on_slow_windows():
     world = ChainWorld(difficulty_a=0.9, difficulty_b=0.05, k=0.3)
     regime = EpochWithEda(n=500, eda_window=6, eda_threshold=12.0, eda_factor=0.8)
     events = []
-    rep = run(world, agents, EpochFixed(10**9), regime, 4000.0, seed=6, on_event=events.append)
+    rep = run(world, agents, EpochFixed(10**9), regime, 4000.0, seed=6, **log_to(events))
     kinds = {e[2] for e in events}
     assert "eda" in kinds
     assert rep.fickle_cycles > 0
@@ -407,12 +430,26 @@ def test_roster_validation():
             EpochFixed(10), EpochFixed(10), 10.0, seed=1)
 
 
+@pytest.mark.parametrize("agents,mode,field,message", [
+    ([MinerAgent("a", 0.5, Strategy.A_ONLY), MinerAgent("a", 0.5, Strategy.B_ONLY)],
+     "exponential", "id", "duplicate agent id 'a'"),
+    ([MinerAgent("a", 0.5, Strategy.A_ONLY), MinerAgent("x", 0.5, None)],
+     "exponential", "agents", "agent 'x' has no policy"),
+    ([MinerAgent("a", 1.0, Strategy.A_ONLY)], "fixed", "mode", "unknown mode 'fixed'"),
+])
+def test_run_refusals_name_their_field(agents, mode, field, message):
+    with pytest.raises(InvalidValue) as err:
+        run(ChainWorld(1.0, 0.5, 0.3), agents, EpochFixed(10), EpochFixed(10), 10.0, seed=1,
+            mode=mode)
+    assert (err.value.field, str(err.value)) == (field, message)
+
+
 def test_sample_series_schema_and_monotone_timestamps():
     agents = loyal_roster(0.3, 0.1)
     world = ChainWorld(difficulty_a=0.88, difficulty_b=0.1, k=0.3)
     rows = []
     run(world, agents, EpochFixed(10**9), EpochFixed(504), 3000.0, seed=2,
-        sinks=[sample_series(rows.append, step=1.0)])
+        sinks=[sample_series(rows_to(rows), step=1.0)])
     assert len(rows) == 3000
     assert SERIES_FIELDS == ("timestamp", "hashrate_a", "hashrate_b",
                              "difficulty_a", "difficulty_b", "price_ratio_k")
@@ -452,18 +489,18 @@ def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
         assert ch.difficulty == min(max(inferred, 0.5 * d), 2.0 * d)
 
 
-def _old_events_csv(events, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_FIELDS)
-        writer.writerows(events)
+def _old_events_csv(events, fh):
+    """The event log as csv.writer writes its EVENT_FIELDS-ordered tuples:
+    the reference for write_events_csv."""
+    writer = csv.writer(fh)
+    writer.writerow(EVENT_FIELDS)
+    writer.writerows(events)
 
 
-def _old_series_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SERIES_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+def _old_series_csv(rows, fh):
+    writer = csv.DictWriter(fh, fieldnames=SERIES_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _histories(changes):
@@ -540,31 +577,89 @@ def _old_sample_series(report, step=1.0, pag_seconds=600, t0_epoch=0):
     return rows
 
 
+_REGIMES = st.one_of(
+    st.builds(EpochFixed, st.integers(1, 40)),
+    st.builds(EpochWithEda, st.integers(1, 40), st.integers(1, 6),
+              st.sampled_from([1.5, 4.0, 12.0]), st.sampled_from([0.5, 0.8])),
+    st.builds(PerBlockWindow, st.integers(1, 20)),
+)
+
+
+def _written_and_reference(world, agents, regime_a, regime_b, duration, seed, mode, step):
+    """One run streaming its event log and series through write_events_csv
+    and write_series_csv, and the same two files from csv.writer, fed with
+    the run's blocks and state changes as EVENT_FIELDS tuples and with the
+    per-row reference sampler: (written, reference, event tuples), the
+    files as (events, series) text."""
+    written = io.StringIO(newline=""), io.StringIO(newline="")
+    reference = io.StringIO(newline=""), io.StringIO(newline="")
+    events, changes = [], []
+    to_file = write_events_csv(written[0])
+    kept = log_to(events)
+
+    def on_block(t, chain):
+        to_file[0](t, chain)
+        kept["on_block"](t, chain)
+
+    def on_event(*change):
+        to_file[1](*change)
+        kept["on_event"](*change)
+
+    run(world, agents, regime_a, regime_b, duration, seed=seed, mode=mode, on_block=on_block,
+        on_event=on_event,
+        sinks=[changes.append, sample_series(write_series_csv(written[1]), step=step)])
+    _old_events_csv(events, reference[0])
+    _old_series_csv(_old_sample_series(_histories(changes), step=step), reference[1])
+    return tuple(f.getvalue() for f in written), tuple(f.getvalue() for f in reference), events
+
+
 @pytest.mark.parametrize("mode", ["exponential", "deterministic"])
-def test_csv_writers_match_plain_csv_output(tmp_path, mode):
+def test_csv_writers_match_plain_csv_output(mode):
     agents = loyal_roster(0.3, 0.2)
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378,
                        k_schedule=Schedule.from_pairs([(0.0, 0.378), (400.0, 0.5)]))
     for regime_b in (EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8), PerBlockWindow(144)):
-        events, changes = [], []
-        with open(tmp_path / "events.new.csv", "w", newline="") as fh, \
-                open(tmp_path / "series.new.csv", "w", newline="") as series:
-            write = write_events_csv(fh)
-
-            def tee(event):
-                events.append(event)
-                write(event)
-
-            run(world, agents, EpochFixed(10**9), regime_b, 800.0, seed=11, mode=mode,
-                on_event=tee,
-                sinks=[changes.append, sample_series(write_series_csv(series), step=0.5)])
+        written, reference, events = _written_and_reference(
+            world, agents, EpochFixed(10**9), regime_b, 800.0, 11, mode, 0.5)
         assert {e[2] for e in events} >= {"block", "switch_fickle", "price"}
-        _old_events_csv(events, tmp_path / "events.old.csv")
-        _old_series_csv(_old_sample_series(_histories(changes), step=0.5),
-                        tmp_path / "series.old.csv")
-        for name in ("events", "series"):
-            assert (tmp_path / f"{name}.new.csv").read_bytes() == \
-                (tmp_path / f"{name}.old.csv").read_bytes(), (name, regime_b)
+        assert written == reference, regime_b
+
+
+@st.composite
+def _log_rosters(draw):
+    """Loyalists only, fickle agents or three or more automatic ones, each
+    beside coin_A and coin_B loyalists, with powers summing to 1."""
+    kind = draw(st.sampled_from(["loyalists", "fickle", "automatic"]))
+    counts = {Strategy.A_ONLY: draw(st.integers(1, 3)), Strategy.B_ONLY: draw(st.integers(1, 3))}
+    if kind == "fickle":
+        counts[Strategy.FICKLE] = draw(st.integers(1, 3))
+    elif kind == "automatic":
+        counts[Strategy.AUTOMATIC] = draw(st.integers(3, 6))
+        counts[Strategy.FICKLE] = draw(st.integers(0, 2))
+    policies = [p for p, n in counts.items() for _ in range(n)]
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(policies),
+                            max_size=len(policies)))
+    total = math.fsum(weights)
+    return [MinerAgent(f"m{i}", w / total, p) for i, (w, p) in enumerate(zip(weights, policies))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(agents=_log_rosters(), d_a=st.floats(0.3, 1.2), d_b=st.floats(0.05, 0.8),
+       k=st.floats(0.1, 1.0),
+       prices=st.none() | st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(0.05, 1.0)),
+                                   min_size=1, max_size=3),
+       regime_a=_REGIMES, regime_b=_REGIMES, mode=st.sampled_from(["exponential", "deterministic"]),
+       duration=st.floats(5.0, 120.0), step=st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+       seed=st.integers(0, 2**16))
+def test_csv_writers_match_csv_writer_reference(agents, d_a, d_b, k, prices, regime_a, regime_b,
+                                                mode, duration, step, seed):
+    schedule = None if prices is None else Schedule.from_pairs([(0.0, k)] + sorted(prices))
+    world = ChainWorld(difficulty_a=d_a, difficulty_b=d_b, k=k, k_schedule=schedule)
+    written, reference, events = _written_and_reference(
+        world, agents, regime_a, regime_b, duration, seed, mode, step)
+    assert written == reference
+    if all(a.policy in (Strategy.A_ONLY, Strategy.B_ONLY) for a in agents):
+        assert not any(e[2].startswith("switch") for e in events)
 
 
 def test_series_writer_formats_signed_zero_and_non_floats(tmp_path):
@@ -578,8 +673,9 @@ def test_series_writer_formats_signed_zero_and_non_floats(tmp_path):
     with open(tmp_path / "new.csv", "w", newline="") as fh:
         write = write_series_csv(fh)
         for row in rows:
-            write(row)
-    _old_series_csv([dict(zip(SERIES_FIELDS, r)) for r in rows], tmp_path / "old.csv")
+            write(row[1:], iter(row[:1]))
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        _old_series_csv([dict(zip(SERIES_FIELDS, r)) for r in rows], fh)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -623,7 +719,7 @@ def test_sample_series_matches_per_row_reference(data, step, duration, t0_epoch)
         difficulty_history={Coin.A: history(1), Coin.B: history(1)},
     )
     got = []
-    sink = sample_series(got.append, step=step, t0_epoch=t0_epoch)
+    sink = sample_series(rows_to(got), step=step, t0_epoch=t0_epoch)
     for change in _change_stream(report):
         sink(change)
     want = [tuple(r[f] for f in SERIES_FIELDS)
@@ -672,7 +768,7 @@ def test_rewards_sum_to_coins_minted(regime_b):
                        k_schedule=Schedule.from_pairs([(700.0, 0.45), (1400.0, 0.3)]))
     events, changes = [], []
     rep = run(world, _split_roster(9), EpochFixed(144), regime_b, 2500.0, seed=8,
-              on_event=events.append, sinks=[changes.append])
+              **log_to(events), sinks=[changes.append])
     k_history = _histories(changes).k_history
     minted = 0.0
     for (t, chain, kind, *_rest) in events:
@@ -699,7 +795,7 @@ def test_fickle_cohort_starting_apart_moves_together():
     world = ChainWorld(difficulty_a=0.6, difficulty_b=0.1, k=0.4)
     events, changes = [], []
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 300.0, seed=1,
-              mode="deterministic", on_event=events.append, sinks=[changes.append])
+              mode="deterministic", **log_to(events), sinks=[changes.append])
     occupancy = _histories(changes).occupancy
     assert occupancy[0] == pytest.approx((0.0, 0.6, 0.4))
     assert occupancy[1] == pytest.approx((0.0, 0.4, 0.6))
@@ -772,7 +868,7 @@ def test_long_run_rewards_match_per_block_sum():
     events, changes = [], []
     agents = _split_roster(1)
     rep = run(world, agents, EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
-              60000.0, seed=5, on_event=events.append, sinks=[changes.append])
+              60000.0, seed=5, **log_to(events), sinks=[changes.append])
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
     assert rep.fickle_cycles > 500
     _assert_rewards_match(rep, events, changes, agents)
@@ -793,7 +889,7 @@ def test_automatic_crews_split_by_a_tie_keep_their_own_rewards():
     world = ChainWorld(difficulty_a=1.0, difficulty_b=k, k=k)
     events, changes = [], []
     rep = run(world, agents, EpochFixed(20), EpochFixed(20), 400.0, seed=1,
-              mode="deterministic", on_event=events.append, sinks=[changes.append])
+              mode="deterministic", **log_to(events), sinks=[changes.append])
     assert _histories(changes).occupancy[0] == pytest.approx((0.0, 0.7, 0.3))
     # The first retarget moves only the agent that was not there yet.
     moves = [e[:2] for e in events if e[2] == "switch_auto"]
@@ -802,12 +898,6 @@ def test_automatic_crews_split_by_a_tie_keep_their_own_rewards():
     _assert_rewards_match(rep, events, changes, agents)
 
 
-_REGIMES = st.one_of(
-    st.builds(EpochFixed, st.integers(1, 40)),
-    st.builds(EpochWithEda, st.integers(1, 40), st.integers(1, 6),
-              st.sampled_from([1.5, 4.0, 12.0]), st.sampled_from([0.5, 0.8])),
-    st.builds(PerBlockWindow, st.integers(1, 20)),
-)
 _POLICIES = [Strategy.FICKLE, Strategy.AUTOMATIC, Strategy.A_ONLY, Strategy.B_ONLY]
 
 
@@ -851,7 +941,7 @@ def _switching_run(agents, d_a, d_b, k, prices, regime_a, regime_b, mode, seed):
     events, changes = [], []
     try:
         rep = run(world, agents, regime_a, regime_b, 150.0, seed=seed, mode=mode,
-                  on_event=events.append, sinks=[changes.append])
+                  **log_to(events), sinks=[changes.append])
     except ZeroPowerChain:
         return None
     return rep, events, changes
@@ -905,7 +995,7 @@ def test_run_leaves_no_reference_cycles(regime):
     gc.collect()
     gc.disable()
     try:
-        rep = run(world, agents, EpochFixed(36), regime, 500.0, seed=2, on_event=events.append)
+        rep = run(world, agents, EpochFixed(36), regime, 500.0, seed=2, **log_to(events))
         assert rep.blocks[Coin.B] > 0 and rep.fickle_cycles > 0
         del rep
         assert gc.collect() == 0
@@ -921,8 +1011,9 @@ def test_stats_count_the_event_log_and_repeat(tmp_path, regime_b):
     stats = []
     for _ in range(2):
         with open(tmp_path / "events.csv", "w", newline="") as fh:
+            on_block, on_event = write_events_csv(fh)
             rep = run(world, _split_roster(3), EpochWithEda(144, 6, 12.0, 0.8), regime_b,
-                      2500.0, seed=8, on_event=write_events_csv(fh))
+                      2500.0, seed=8, on_block=on_block, on_event=on_event)
         stats.append(rep.stats)
     assert stats[0] == stats[1]
     with open(tmp_path / "events.csv", newline="") as fh:
@@ -952,12 +1043,13 @@ def _peak_bytes(tmp_path, duration):
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)
     with open(tmp_path / "events.csv", "w", newline="") as events, \
             open(tmp_path / "series.csv", "w", newline="") as series:
-        on_event = write_events_csv(events)
+        on_block, on_event = write_events_csv(events)
         sinks = [sample_series(write_series_csv(series))]
         tracemalloc.start()
         try:
             rep = run(world, loyal_roster(0.3, 0.2), EpochFixed(10**9), PerBlockWindow(144),
-                      duration, seed=1, mode="deterministic", on_event=on_event, sinks=sinks)
+                      duration, seed=1, mode="deterministic", on_block=on_block,
+                      on_event=on_event, sinks=sinks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

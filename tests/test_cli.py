@@ -14,7 +14,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dualchain
 from dualchain import chainsim, cli, dynamics, ingest, replicas
@@ -379,12 +379,12 @@ SHAPE_ARGVS = {
     # Each of these exited 1 as an internal error.
     ("best-response", "assignment.json", 5, "usage"),
     ("best-response", "assignment.json", [["fickle"]], "usage"),
-    ("chain-sim", "agents.json", 5, "usage"),
-    ("chain-sim", "agents.json", [5], "usage"),
+    ("chain-sim", "agents.json", 5, "invalid_input"),
+    ("chain-sim", "agents.json", [5], "invalid_input"),
     ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": [1]}], "invalid_input"),
     ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": None}], "invalid_input"),
     ("chain-sim", "agents.json", [{**SHAPE_AGENT, "policy": ["a_only"]}], "usage"),
-    ("chain-sim", "world.json", [1, 2], "usage"),
+    ("chain-sim", "world.json", [1, 2], "invalid_input"),
     ("chain-sim", "world.json", {"k": [0.3]}, "invalid_input"),
     ("equilibria", "game.json", {**SHAPE_GAME, "k": [0.3]}, "invalid_input"),
     ("equilibria", "game.json", {**SHAPE_GAME, "powers": 5}, "invalid_input"),
@@ -420,6 +420,37 @@ def test_wrongly_shaped_json_input_exits_2(tmp_path, capsys, command, name, cont
     assert (code, out) == (2, "")
     [line] = err.splitlines()
     assert json.loads(line)["code"] == code_name
+
+
+AGENTS_SHAPE = "agents file must contain a JSON list of objects"
+
+
+@pytest.mark.parametrize("name,content,payload", [
+    ("world.json", {"difficulty_b": 0.2},
+     {"code": "invalid_input", "message": "k must be a number, got None", "field": "k"}),
+    ("world.json", {"difficulty_a": 0.5},
+     {"code": "invalid_input", "message": "k must be a number, got None", "field": "k"}),
+    ("world.json", [1, 2], {"code": "invalid_input", "field": "config",
+                            "message": "config file must contain a JSON object"}),
+    ("agents.json", 5, {"code": "invalid_input", "message": AGENTS_SHAPE, "field": "agents"}),
+    ("agents.json", [5], {"code": "invalid_input", "message": AGENTS_SHAPE, "field": "agents"}),
+    ("agents.json", [{"id": "a", "policy": "a_only"}],
+     {"code": "invalid_input", "message": "agent 'a': power must be a number, got None",
+      "field": "power"}),
+    ("agents.json", [{"power": 1.0, "policy": "a_only"}],
+     {"code": "invalid_input", "message": "an agent has no id", "field": "id"}),
+    ("agents.json", [{**SHAPE_AGENT, "power": 0.5}, {**SHAPE_AGENT, "power": 0.5}],
+     {"code": "invalid_input", "message": "duplicate agent id 'a'", "field": "id"}),
+])
+def test_chain_sim_refusals_name_their_field(tmp_path, capsys, name, content, payload):
+    # Each of these exited 2 with a KeyError or ValueError message and no
+    # field, or as a usage error.
+    for file, value in {**SHAPE_FILES, name: content}.items():
+        (tmp_path / file).write_text(json.dumps(value))
+    argv = [str(tmp_path / a) if a in SHAPE_FILES else a for a in SHAPE_ARGVS["chain-sim"]]
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == payload
 
 
 def help_text(only):
@@ -496,7 +527,8 @@ def test_chain_sim_records_events_only_when_written(sim_inputs, tmp_path, capsys
 
     def spy(*args, **kwargs):
         report = real_run(*args, **kwargs)
-        seen.append(kwargs.get("on_event") is not None)
+        seen.append(kwargs.get("on_block") is not None)
+        assert (kwargs.get("on_event") is not None) == seen[-1]
         return report
 
     monkeypatch.setattr(chainsim, "run", spy)
@@ -900,6 +932,9 @@ JSON_GAME = st.tuples(st.floats(0.01, 1.0), st.sampled_from([6, 144, 2016]),
                                                           st.floats(0.05, 1.0)),
                                                 min_size=1, max_size=4),
        st.booleans())
+# A zone-1 step lands on the (0, 0) corner; this used to exit 2 as divergent_state.
+@example((0.015625, 6, 6, 0.0), 0.015625, 0.015625, 0.03125, 2, None, False)
+@example((0.015625, 6, 6, 0.0), 0.015625, 0.015625, 0.03125, 1, None, True)
 def test_simulate_json_bytes_match_json_dumps(game, r_f, r_b, rate, max_steps, k_pairs,
                                               to_file):
     with tempfile.TemporaryDirectory() as root:
@@ -915,12 +950,10 @@ def test_simulate_json_bytes_match_json_dumps(game, r_f, r_b, rate, max_steps, k
             flow = dynamics.FlowConfig(rate, max_steps,
                                        k_schedule=Schedule.from_pairs(k_pairs))
         code, stdout, text = cli_json(argv, to_file)
-        try:
-            traj = dynamics.simulate_flow(MiningState(r_f, r_b), flow,
-                                          config_from_json(config_path))
-        except DualchainError:  # a flow that runs into a divergent corner
-            assert (code, stdout, text) == (2, "", None)
-            return
+        # No flow from these states refuses: one that reaches the (0, 0)
+        # corner stays there in zone 1.
+        traj = dynamics.simulate_flow(MiningState(r_f, r_b), flow,
+                                      config_from_json(config_path))
     expected = json.dumps({
         "outcome": traj.outcome.value, "steps_used": traj.steps_used,
         "trajectory": [

@@ -316,6 +316,22 @@ def test_trailing_zone_keeps_last_zone_only_for_divergent_state(monkeypatch):
         simulate_flow(MiningState(0.01, 0.01), FlowConfig(max_steps=1), cfg)
 
 
+@pytest.mark.parametrize("max_steps", [1, 2, 5])
+def test_flow_that_reaches_the_all_coin_a_corner_stays_there_in_zone_1(max_steps):
+    # A zone-1 step lands exactly on (0, 0), where the payoffs diverge; this
+    # used to refuse with DivergentState.
+    cfg = config(0.015625, n_in=6, n_de=6)
+    initial = MiningState(0.015625, 0.015625)
+    flow = FlowConfig(migration_rate=0.03125, max_steps=max_steps)
+    with pytest.raises(DivergentState):
+        zone_at(0.0, 0.0, cfg.k, cfg.n_in, cfg.n_de)
+    traj = simulate_flow(initial, flow, cfg)
+    assert (traj.r_f, traj.r_b) == ([0.015625, 0.0], [0.015625, 0.0])
+    assert traj.zones == [Zone.ZONE1] * 2
+    assert traj.outcome is Outcome.UNDECIDED and traj.steps_used == min(max_steps - 1, 1)
+    assert traj == reference_simulate_flow(initial, flow, cfg)
+
+
 def test_trailing_row_is_classified_at_the_k_it_reports():
     # Runs out of steps under a k schedule; the base k (0.05) would read zone 1.
     cfg = config(0.05)
@@ -391,6 +407,13 @@ def _reference_lack_target(config, cache):
     return cache[key]
 
 
+def _reference_zone(state, cfg):
+    # Everyone on coin_A: the payoffs diverge, and the flow reads zone 1.
+    if state.r_f == 0.0 and state.r_b == 0.0:
+        return Zone.ZONE1
+    return zone_of(state, cfg)
+
+
 def reference_simulate_flow(initial, flow, config):
     states = [initial]
     zones, ks, c_sticks = [], [], []
@@ -409,7 +432,7 @@ def reference_simulate_flow(initial, flow, config):
             r_b = min(c_t, 1.0)
             state = MiningState(min(state.r_f, 1.0 - r_b), r_b)
             states[-1] = state
-        zone = zone_of(state, cfg)
+        zone = _reference_zone(state, cfg)
         zones.append(zone)
         ks.append(k_t)
         c_sticks.append(c_t)
@@ -438,7 +461,7 @@ def reference_simulate_flow(initial, flow, config):
     if len(states) > len(zones):
         # The trailing row is classified at the k it reports.
         try:
-            zones.append(zone_of(states[-1], replace(config, k=ks[-1])))
+            zones.append(_reference_zone(states[-1], replace(config, k=ks[-1])))
         except DivergentState:
             zones.append(zones[-1])
         ks.append(ks[-1])

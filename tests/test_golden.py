@@ -36,6 +36,19 @@ AGENTS = [
     {"id": "auto", "power": 0.05, "policy": "automatic"},
     {"id": "a", "power": 0.45, "policy": "a_only"},
 ]
+# Loyalists only: the event log opens with a block line and has no switch.
+LOYALISTS = [
+    {"id": "a", "power": 0.7, "policy": "a_only"},
+    {"id": "b", "power": 0.3, "policy": "b_only"},
+]
+# One automatic crew of three: each of its switches writes three lines.
+AUTOMATIC_CREW = [
+    {"id": "u1", "power": 0.1, "policy": "automatic"},
+    {"id": "u2", "power": 0.1, "policy": "automatic"},
+    {"id": "u3", "power": 0.05, "policy": "automatic"},
+    {"id": "b", "power": 0.2, "policy": "b_only"},
+    {"id": "a", "power": 0.55, "policy": "a_only"},
+]
 REGIMES_B = {"epoch": "epoch:4", "eda": "eda:6:3:4:0.8", "perblock": "perblock:10"}
 MODES = ("exponential", "deterministic")
 
@@ -60,6 +73,8 @@ def write_inputs(root):
                                        "powers": [1.0]}),
         "world.json": json.dumps(WORLD),
         "agents.json": json.dumps(AGENTS),
+        "loyalists.json": json.dumps(LOYALISTS),
+        "automatic_crew.json": json.dumps(AUTOMATIC_CREW),
         "assignment.json": json.dumps(["fickle", "a_only", "b_only"]),
         "k_steps.json": json.dumps([[0, 0.3], [40, 0.6], [90, 0.2]]),
         "k_times.csv": "at,value\n0,0.378\n150,0.2\n300,0.5\n",
@@ -82,6 +97,15 @@ def cases():
             if regime == "epoch" and mode == "deterministic":
                 argv += ["--k-schedule", "k_times.csv"]
             out[f"chain-sim {regime} {mode}"] = (argv, ("events.csv", "series_out.csv"))
+    for name, agents, spec, mode in (("loyalists perblock", "loyalists.json", "perblock:10",
+                                      "exponential"),
+                                     ("automatic crew eda", "automatic_crew.json",
+                                      REGIMES_B["eda"], "exponential")):
+        argv = ["chain-sim", "--config", "world.json", "--agents", agents,
+                "--regime-a", "epoch:40", "--regime-b", spec, "--mode", mode,
+                "--duration", "600", "--seed", "7", "--events", "events.csv",
+                "--series", "series_out.csv", "--series-step", "5"]
+        out[f"chain-sim {name}"] = (argv, ("events.csv", "series_out.csv"))
     out.update({
         "zones csv": (["zones", "--config", "game.json", "--grid", "12"], ()),
         "zones json": (["zones", "--config", "game.json", "--grid", "9",

@@ -459,8 +459,8 @@ def test_round_trip_recovers_simulated_state(tmp_path):
     with open(path, "w") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         run(world, agents, EpochFixed(10**9), EpochFixed(n), 6 * (t_b + t_a), seed=21,
-            sinks=[sample_series(lambda row: fh.write(",".join(map(str, row)) + "\n"),
-                                 step=1.0)])
+            sinks=[sample_series(lambda state, stamps: fh.writelines(
+                ",".join(map(str, (ts, *state))) + "\n" for ts in stamps), step=1.0)])
     loaded = load_series(str(path))
     periods = detect_fickle_periods(loaded, hysteresis=0.02)
     assert periods

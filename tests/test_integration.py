@@ -33,14 +33,14 @@ def test_emergency_decrease_accelerates_fickle_cycling():
     horizon = 8000.0
     plain = run(world, roster(r_f, r_b), EpochFixed(10**9), EpochFixed(504),
                 horizon, seed=1)
-    events = []
+    changes = []
     eda = run(world, roster(r_f, r_b), EpochFixed(10**9),
               EpochWithEda(n=504, eda_window=6, eda_threshold=12.0, eda_factor=0.8),
-              horizon, seed=1, on_event=events.append)
+              horizon, seed=1, sinks=[changes.append])
     assert eda.fickle_cycles > 2 * max(plain.fickle_cycles, 1)
     assert eda.blocks[Coin.B] > 2 * plain.blocks[Coin.B]
     # The emergency decreases show up between the regular epoch updates.
-    assert any(e[2] == "eda" for e in events)
+    assert any(c[2] == "eda" for c in changes)
 
 
 def test_per_block_adjustment_shortens_fickle_phases():
