@@ -55,6 +55,7 @@ from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, Inval
                    check_count, check_k_schedule, check_range, power_sum)
 
 _INF = math.inf
+PAG_SECONDS = 600  # series seconds per P_ag; series time starts at epoch 0
 
 
 class ZeroPowerChain(DualchainError):
@@ -721,8 +722,6 @@ def eda_expected_nde(
 def sample_series(
     emit: Callable[[tuple, Iterator[int]], object],
     step: float = 1.0,
-    pag_seconds: int = 600,
-    t0_epoch: int = 0,
 ) -> Callable[[tuple], None]:
     """A sink for run that samples its changes into rows of the analyzer's
     input schema, handed to `emit` as the run goes.
@@ -734,14 +733,14 @@ def sample_series(
     before the horizon; a row holds the state of the last change at or
     before its t.  check_series_step checks the step at this call.
     """
-    check_series_step(step, pag_seconds)
+    check_series_step(step)
     t = 0.0
     last = None  # the change in effect
 
     def stamps(t_change: float) -> Iterator[int]:
         nonlocal t
         while t < t_change:
-            yield t0_epoch + round(t * pag_seconds)
+            yield round(t * PAG_SECONDS)
             t += step
 
     def on_change(change: tuple):
@@ -755,11 +754,11 @@ def sample_series(
     return on_change
 
 
-def check_series_step(step: float, pag_seconds: int = 600) -> None:
+def check_series_step(step: float) -> None:
     """Refuse a sampling step that is not finite and positive, or that maps
     to less than one second of series time."""
     check_range(step, "series_step", 0.0, lo_open=True, hi_open=True, name="sampling step")
-    check_range(step * pag_seconds, "series_step", 1.0, name="sampling step in seconds")
+    check_range(step * PAG_SECONDS, "series_step", 1.0, name="sampling step in seconds")
 
 
 def avg_b_occupancy(changes: Iterable[tuple], t_from: float, t_to: float) -> float:

@@ -70,10 +70,9 @@ def _setup_logging():
     log.setLevel(chosen)
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True):
-    sub.add_argument("--config", required=config_required,
+def _add_common(sub: argparse.ArgumentParser):
+    sub.add_argument("--config", required=True,
                      help="game config JSON {k, n_in, n_de, c_stick, powers}")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="output file (default stdout)")
     sub.add_argument("--quiet", action="store_true")
 
@@ -351,13 +350,13 @@ def _load_agents(path: str) -> list[chainsim.MinerAgent]:
         raise InvalidValue("agents file must contain a JSON list of objects", field="agents")
     agents = []
     for entry in raw:
-        name = entry.get("id")
-        policy = entry.get("policy")
+        name, policy = entry.get("id"), entry.get("policy")
+        if not isinstance(name, str):
+            raise InvalidValue(f"agent id must be a string, got {name!r}" if "id" in entry
+                               else "an agent has no id", field="id")
         if not (isinstance(policy, str) and policy in _POLICIES):
-            raise _UsageError(f"agent {name!r}: unknown policy {policy!r}")
-        if "id" not in entry:
-            raise InvalidValue("an agent has no id", field="id")
-        agents.append(chainsim.MinerAgent(str(name),
+            raise InvalidValue(f"agent {name!r}: unknown policy {policy!r}", field="policy")
+        agents.append(chainsim.MinerAgent(name,
                                           number(entry.get("power"), "power",
                                                  f"agent {name!r}: power"),
                                           _POLICIES[policy]))
@@ -504,15 +503,22 @@ def _cmd_chain_sim(args) -> int:
     return 0
 
 
-def _estimate_rows(ts, labels, share, r_f, r_b):
-    """The estimates CSV rows.  Outside a period r_b is the share object, and
-    inside one every row holds its period's r_f object: each text is made once."""
+def _estimate_rows(ts, share, r_f):
+    """The estimates CSV rows: a record with an r_f is gray, with r_b =
+    max(0, share - r_f); any other has r_b = share.  A period's rows hold
+    one r_f object, so each text is made once."""
+    from .ingest import Basis
+
+    gray, non_gray = Basis.GRAY_PERIOD.value, Basis.NON_GRAY.value
     last_rf, rf_text = None, ""
-    for t, label, sh, rf, rb in zip(ts, labels, share, r_f, r_b):
-        if rf is not last_rf:
-            last_rf, rf_text = rf, "" if rf is None else f"{rf}"
+    for t, sh, rf in zip(ts, share, r_f):
         sh_text = f"{sh}"
-        yield t, label, sh_text, rf_text, sh_text if rb is sh else rb
+        if rf is None:
+            yield t, non_gray, sh_text, "", sh_text
+        else:
+            if rf is not last_rf:
+                last_rf, rf_text = rf, f"{rf}"
+            yield t, gray, sh_text, rf_text, max(0.0, sh - rf)
 
 
 def _cmd_analyze(args) -> int:
@@ -534,8 +540,7 @@ def _cmd_analyze(args) -> int:
         seen["periods"] = len(periods)
         laps.append(("detect", time.perf_counter()))
         estimates, period_rf = ingest.estimate_state_path(loaded, periods)
-        ts, basis, share, r_f, r_b, k = estimates.columns.values()
-        basis_labels = {m: m.value for m in ingest.Basis}
+        ts, share, r_f, k = estimates.columns.values()
         laps.append(("estimate", time.perf_counter()))
         if args.out_periods:
             with open(args.out_periods, "w") as fh:
@@ -546,7 +551,7 @@ def _cmd_analyze(args) -> int:
                 ], fh, allow_nan=False)
         if args.out_estimates:
             _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"),
-                      _estimate_rows(ts, map(basis_labels.__getitem__, basis), share, r_f, r_b),
+                      _estimate_rows(ts, share, r_f),
                       args.out_estimates)
         laps.append(("emit", time.perf_counter()))
         if args.out_zones:
@@ -595,6 +600,7 @@ def _best_response_args(p):
     p.add_argument("--assignment", required=True,
                    help="JSON list of per-player strategies")
     p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _chain_sim_args(p):
@@ -609,6 +615,7 @@ def _chain_sim_args(p):
     p.add_argument("--series-step", type=float, default=None)
     p.add_argument("--k-schedule")
     p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _analyze_args(p):

@@ -254,15 +254,20 @@ class Schedule:
 
         with open(path, newline="") as fh:
             rows = []
-            for n, row in enumerate(csv.reader(fh), 1):
-                # Only the first row may be a header.
-                if not row or n == 1 and row[0].strip().lower() in ("at", "step", "time", "t"):
-                    continue
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except (IndexError, ValueError):  # fewer than two cells, or not numbers
-                    raise InvalidValue(f"schedule row {n} needs two numbers (at, value), "
-                                       f"got {row!r}", field="schedule") from None
+            reader = csv.reader(fh)
+            headers = ("at", "step", "time", "t")  # a first row led by one is a header
+            try:
+                for n, row in enumerate(reader, 1):
+                    if not row or n == 1 and row[0].strip().lower() in headers:
+                        continue
+                    try:
+                        rows.append((float(row[0]), float(row[1])))
+                    except (IndexError, ValueError):  # fewer than two cells, or not numbers
+                        raise InvalidValue(f"schedule row {n} needs two numbers (at, value), "
+                                           f"got {row!r}", field="schedule") from None
+            except csv.Error as exc:  # a line csv cannot split, such as an oversized cell
+                raise InvalidValue(f"schedule row {reader.line_num}: {exc}",
+                                   field="schedule") from None
         return cls.from_pairs(rows)
 
 
@@ -272,23 +277,21 @@ def check_k_schedule(schedule: Schedule | None) -> None:
         schedule.check_values("k", **K_RANGE)
 
 
-def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameConfig:
+def validate_config(raw: GameConfig | Mapping) -> GameConfig:
     """Check a config candidate against the game's parameter bounds.
 
     `raw` may be a GameConfig or a mapping with keys k, n_in, n_de,
-    c_stick, powers.  With `normalize=True` all power fractions
-    (c_stick included) are divided by their observed sum instead of
-    requiring the sum to be exactly 1; real hash-rate data never sums
-    exactly.  Idempotent: validating a validated config returns an
-    equal value.  A k, c_stick or power that is not a number, or powers
-    that are not a list, raise InvalidValue.
+    c_stick, powers.  Idempotent: validating a validated config returns
+    an equal value.  A k, c_stick or power that is not a number, or
+    powers that are not a list, raise InvalidValue; a missing k, n_in or
+    n_de is refused by the check of that key.
     """
     if isinstance(raw, GameConfig):
         k, n_in, n_de = raw.k, raw.n_in, raw.n_de
         c_stick, powers = raw.c_stick, list(raw.powers)
     else:
-        k = raw["k"]
-        n_in, n_de = raw["n_in"], raw["n_de"]
+        k = raw.get("k")
+        n_in, n_de = raw.get("n_in"), raw.get("n_de")
         c_stick = raw.get("c_stick", 0.0)
         powers = raw.get("powers", ())
         if not isinstance(powers, (list, tuple)):
@@ -308,16 +311,8 @@ def validate_config(raw: GameConfig | Mapping, normalize: bool = False) -> GameC
     for i, p in enumerate(powers):
         check_range(p, "powers", 0.0, lo_open=True, error=NegativePower, name=f"powers[{i}]")
 
-    total = c_stick + power_sum(powers)
-    if normalize:
-        check_range(total, "powers", 0.0, lo_open=True, hi_open=True, error=PowerSumMismatch,
-                    name="c_stick + sum(powers)")
-        if abs(total - 1.0) > POWER_SUM_TOL:
-            c_stick = c_stick / total
-            powers = [p / total for p in powers]
-    else:
-        check_range(total - 1.0, "powers", -POWER_SUM_TOL, POWER_SUM_TOL,
-                    error=PowerSumMismatch, name="c_stick + sum(powers) - 1")
+    check_range(c_stick + power_sum(powers) - 1.0, "powers", -POWER_SUM_TOL, POWER_SUM_TOL,
+                error=PowerSumMismatch, name="c_stick + sum(powers) - 1")
     check_range(c_stick, "c_stick", hi=1.0, hi_open=True, error=PowerSumMismatch)
 
     return GameConfig(k, counts["n_in"], counts["n_de"], c_stick, tuple(powers))

@@ -53,6 +53,8 @@ class UnresolvableState(DualchainError):
 
 
 _INF = float("inf")
+# Non-period records on each side of a period whose median share is its baseline.
+FLANK = 24
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,6 @@ class Basis(Enum):
     GRAY_PERIOD = "gray_period"
     NON_GRAY = "non_gray"
 
-    __hash__ = object.__hash__  # identity hash, as on core.Zone
-
 
 class _Columns:
     """Rows held as `columns`, one sequence per field name; len() counts the rows."""
@@ -85,13 +85,13 @@ class _Columns:
 
 
 class StatePath(_Columns):
-    """Per-record state estimates, in the columns timestamp, basis, share,
-    r_f, r_b and k.
+    """Per-record state estimates, in the columns timestamp, share, r_f and k.
 
     `share` is the observed B fraction of the total hash rate: inside a
-    period it measures r_f + r_b, outside it measures r_b.  r_f / r_b
-    are filled where the period estimates resolve them (None elsewhere);
-    k is copied from the series for zone classification.
+    period it measures r_f + r_b, outside it measures r_b.  r_f is the
+    period's estimate on period records and None elsewhere, so a record
+    is gray exactly when its r_f is set; k is copied from the series for
+    zone classification.
     """
 
 
@@ -135,58 +135,61 @@ def load_series(path: str) -> SeriesLoad:
     n_fields = len(SERIES_COLUMNS)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptySeries(f"{path} is empty")
-        if tuple(h.strip() for h in header) != SERIES_COLUMNS:
-            raise ParseError(
-                f"expected header {','.join(SERIES_COLUMNS)}, got {','.join(header)}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_fields:
-                raise ParseError(f"expected {n_fields} fields", line=lineno)
-            try:
-                t = float(row[0])
-                timestamp = int(t)
-                h_a = float(row[1])
-                h_b = float(row[2])
-                d_a = float(row[3])
-                d_b = float(row[4])
-                k = float(row[5])
-            except (ValueError, OverflowError) as exc:
-                # int(float("inf")) overflows; int(float("nan")) is a ValueError.
-                raise ParseError(str(exc), line=lineno, field=_unread_column(row)) from exc
-            if timestamp != t:
-                raise ParseError(f"timestamp {row[0]} is not a whole number", line=lineno,
-                                 field="timestamp")
-            # The chained tests are false for NaN as well as out of range.
-            # Rates >= 0 with a finite sum are finite, and h_b / (h_a + h_b) is a share.
-            if not (0.0 <= h_a and 0.0 <= h_b and h_a + h_b < _INF):
-                raise InvariantViolation(
-                    f"hash rates ({row[1]}, {row[2]}) and their sum must be finite and >= 0",
-                    line=lineno, field="hashrate",
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptySeries(f"{path} is empty")
+            if tuple(h.strip() for h in header) != SERIES_COLUMNS:
+                raise ParseError(
+                    f"expected header {','.join(SERIES_COLUMNS)}, got {','.join(header)}",
+                    line=1,
                 )
-            if h_a == 0.0 and h_b == 0.0:
-                raise InvariantViolation("both hash rates zero", line=lineno, field="hashrate")
-            if not (0.0 < d_a < _INF and 0.0 < d_b < _INF):
-                raise InvariantViolation(
-                    f"difficulties ({row[3]}, {row[4]}) must be finite and > 0",
-                    line=lineno, field="difficulty",
-                )
-            if not (0.0 < k <= 1.0):
-                raise InvariantViolation(
-                    f"price ratio {k} outside (0, 1]",
-                    line=lineno, field="price_ratio_k",
-                )
-            add_t(timestamp)
-            add_h_a(h_a)
-            add_h_b(h_b)
-            add_d_a(d_a)
-            add_d_b(d_b)
-            add_k(k)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != n_fields:
+                    raise ParseError(f"expected {n_fields} fields", line=lineno)
+                try:
+                    t = float(row[0])
+                    timestamp = int(t)
+                    h_a = float(row[1])
+                    h_b = float(row[2])
+                    d_a = float(row[3])
+                    d_b = float(row[4])
+                    k = float(row[5])
+                except (ValueError, OverflowError) as exc:
+                    # int(float("inf")) overflows; int(float("nan")) is a ValueError.
+                    raise ParseError(str(exc), line=lineno, field=_unread_column(row)) from exc
+                if timestamp != t:
+                    raise ParseError(f"timestamp {row[0]} is not a whole number", line=lineno,
+                                     field="timestamp")
+                # The chained tests are false for NaN as well as out of range.
+                # Rates >= 0 with a finite sum are finite, and h_b / (h_a + h_b) is a share.
+                if not (0.0 <= h_a and 0.0 <= h_b and h_a + h_b < _INF):
+                    raise InvariantViolation(
+                        f"hash rates ({row[1]}, {row[2]}) and their sum must be finite and >= 0",
+                        line=lineno, field="hashrate",
+                    )
+                if h_a == 0.0 and h_b == 0.0:
+                    raise InvariantViolation("both hash rates zero", line=lineno, field="hashrate")
+                if not (0.0 < d_a < _INF and 0.0 < d_b < _INF):
+                    raise InvariantViolation(
+                        f"difficulties ({row[3]}, {row[4]}) must be finite and > 0",
+                        line=lineno, field="difficulty",
+                    )
+                if not (0.0 < k <= 1.0):
+                    raise InvariantViolation(
+                        f"price ratio {k} outside (0, 1]",
+                        line=lineno, field="price_ratio_k",
+                    )
+                add_t(timestamp)
+                add_h_a(h_a)
+                add_h_b(h_b)
+                add_d_a(d_a)
+                add_d_b(d_b)
+                add_k(k)
+        except csv.Error as exc:  # a line csv cannot split, such as an oversized cell
+            raise ParseError(str(exc), line=reader.line_num, field="input") from None
 
     if not ts:
         raise EmptySeries(f"{path} has no data rows")
@@ -246,15 +249,13 @@ def detect_fickle_periods(series: SeriesLoad, hysteresis: float = 0.02) -> list[
 def estimate_state_path(
     series: SeriesLoad,
     periods: Sequence[FicklePeriod],
-    flank: int = 24,
 ) -> tuple[StatePath, list[float]]:
     """Per-record state estimates plus one r_f estimate per period.
 
     A period's r_f is the median in-period share minus the median share
-    of up to `flank` non-period records on each side, floored at 0.
-    Inside a period the share observes r_f + r_b, so r_b is the share
-    minus the period's r_f; outside, r_b is the share and r_f is left
-    unresolved (zone_path carries the last period estimate forward).
+    of up to FLANK non-period records on each side, floored at 0.  Period
+    records carry their period's r_f; the others carry None (zone_path
+    carries the last period estimate forward).
     Raises ValueError for a period that is not 0 <= start <= end < len(series).
     """
     n = len(series)
@@ -273,21 +274,17 @@ def estimate_state_path(
     for p in periods:
         before = (i for i in range(p.start_index - 1, -1, -1) if rf_at[i] is None)
         after = (i for i in range(p.end_index + 1, n) if rf_at[i] is None)
-        flanking = [shares[i] for side in (before, after) for i in islice(side, max(flank, 0))]
+        flanking = [shares[i] for side in (before, after) for i in islice(side, FLANK)]
         base = statistics.median(flanking) if flanking else 0.0
         inside = statistics.median(shares[p.start_index:p.end_index + 1])
         period_rf.append(max(0.0, inside - base))
     for p, rf in zip(periods, period_rf):
         rf_at[p.start_index:p.end_index + 1] = [rf] * (p.end_index + 1 - p.start_index)
 
-    gray, non_gray = Basis.GRAY_PERIOD, Basis.NON_GRAY
     return StatePath({
         "timestamp": columns["timestamp"],
-        "basis": [non_gray if rf is None else gray for rf in rf_at],
         "share": shares,
         "r_f": rf_at,
-        "r_b": [share if rf is None else max(0.0, share - rf)
-                for share, rf in zip(shares, rf_at)],
         "k": columns["price_ratio_k"],
     }), period_rf
 
@@ -295,50 +292,49 @@ def estimate_state_path(
 def zone_path(
     estimates: StatePath,
     config: GameConfig,
-    tol: float = ZONE_TOL,
 ) -> tuple[list[Zone], list[tuple[int, Zone, Zone]]]:
     """Zone per record (using each record's own k) plus transition events.
 
-    Non-period records inherit the most recent period's r_f.  Records
-    with no observed B mining classify as zone 1: with nobody mining
-    coin_B its difficulty has nowhere to fall, which is the
+    A period record (one with an r_f) has r_b = max(0, share - r_f); the
+    others inherit the most recent period's r_f and have r_b = share.
+    Records with no observed B mining classify as zone 1: with nobody
+    mining coin_B its difficulty has nowhere to fall, which is the
     coin_A-dominant downfall reading rather than the analytic near-axis
     bonanza.  A record that does carry B mining before any period has
-    provided an r_f estimate is unresolvable.
+    provided an r_f estimate is unresolvable.  A negative or NaN share
+    or r_f raises InvalidValue naming that column.
     """
-    check_range(tol, "tol", 0.0, hi_open=True)
     zones: list[Zone] = []
     transitions: list[tuple[int, Zone, Zone]] = []
     carried_rf: float | None = None
     n_in, n_de = config.n_in, config.n_de
-    gray, zone1 = Basis.GRAY_PERIOD, Zone.ZONE1
-    columns = (estimates.columns[c] for c in ("basis", "share", "r_f", "r_b", "k"))
-    for i, (basis, share, r_f, r_b, k) in enumerate(zip(*columns)):
-        if basis is gray:
-            if r_f is None:
-                raise UnresolvableState(f"period record {i} lacks an r_f estimate")
+    zone1 = Zone.ZONE1
+    columns = (estimates.columns[c] for c in ("share", "r_f", "k"))
+    for i, (share, r_f, k) in enumerate(zip(*columns)):
+        # The chained tests are false for NaN as well as below 0.
+        if not (share >= 0.0 and (r_f is None or r_f >= 0.0)):
+            raise InvalidValue(f"record {i}: power fractions must be >= 0: "
+                               f"share {share}, r_f {r_f}",
+                               field="r_f" if share >= 0.0 else "share")
+        if r_f is not None:
             carried_rf = r_f
-            r_b = 0.0 if r_b is None else r_b
+            r_b = max(0.0, share - r_f)
+            r_f = min(r_f, 1.0)
+        elif share == 0.0:
+            if zones and zone1 is not zones[-1]:
+                transitions.append((i, zones[-1], zone1))
+            zones.append(zone1)
+            continue
+        elif carried_rf is None:
+            raise UnresolvableState(
+                f"record {i}: B mining observed before any fickle period "
+                "provided an r_f estimate"
+            )
         else:
-            if share <= 0.0:
-                if zones and zone1 is not zones[-1]:
-                    transitions.append((i, zones[-1], zone1))
-                zones.append(zone1)
-                continue
-            if carried_rf is None:
-                raise UnresolvableState(
-                    f"record {i}: B mining observed before any fickle period "
-                    "provided an r_f estimate"
-                )
-            r_b = share if r_b is None else r_b
-            r_f = min(carried_rf, max(0.0, 1.0 - r_b))
-        r_f = min(r_f, 1.0)
-        r_b = min(r_b, 1.0 - r_f)
-        # The clamps keep r_f + r_b <= 1; the signs come from the estimates.
-        if not (r_f >= 0.0 and r_b >= 0.0):
-            raise InvalidValue(f"record {i}: power fractions must be >= 0: ({r_f}, {r_b})",
-                               field="r_b" if r_f >= 0.0 else "r_f")
-        zone = zone_at(r_f, r_b, k, n_in, n_de, tol)
+            r_b = share
+            r_f = min(carried_rf, max(0.0, 1.0 - share), 1.0)
+        # Keep r_f + r_b <= 1.
+        zone = zone_at(r_f, min(r_b, 1.0 - r_f), k, n_in, n_de, ZONE_TOL)
         if zones and zone is not zones[-1]:
             transitions.append((i, zones[-1], zone))
         zones.append(zone)

@@ -36,7 +36,6 @@ from dualchain.equilibrium import (
     zone_of,
 )
 from dualchain.ingest import (
-    Basis,
     SERIES_COLUMNS,
     detect_fickle_periods,
     estimate_state_path,
@@ -381,9 +380,10 @@ def test_criterion_11_ingest_round_trip(tmp_path):
     assert periods
     estimates, period_rf = estimate_state_path(loaded, periods)
     rf_est = statistics.median(period_rf)
+    # The non-gray records are those without an r_f; their share observes r_b.
     rb_est = statistics.median(
-        r_b for basis, r_b in zip(estimates.columns["basis"], estimates.columns["r_b"])
-        if basis is Basis.NON_GRAY
+        share for share, r_f in zip(estimates.columns["share"], estimates.columns["r_f"])
+        if r_f is None
     )
     assert abs(rf_est - r_f) <= 0.05
     assert abs(rb_est - r_b) <= 0.05

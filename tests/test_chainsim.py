@@ -699,8 +699,8 @@ def _history(draw, grid, duration):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), step=st.sampled_from([0.1, 0.7, 1.0, 0.25, 1 / 600, 2.5, 0.3]),
-       duration=st.floats(min_value=0.01, max_value=40.0), t0_epoch=st.integers(0, 10**9))
-def test_sample_series_matches_per_row_reference(data, step, duration, t0_epoch):
+       duration=st.floats(min_value=0.01, max_value=40.0))
+def test_sample_series_matches_per_row_reference(data, step, duration):
     grid = [0.0]
     while grid[-1] < duration:
         grid.append(grid[-1] + step)
@@ -719,11 +719,11 @@ def test_sample_series_matches_per_row_reference(data, step, duration, t0_epoch)
         difficulty_history={Coin.A: history(1), Coin.B: history(1)},
     )
     got = []
-    sink = sample_series(rows_to(got), step=step, t0_epoch=t0_epoch)
+    sink = sample_series(rows_to(got), step=step)
     for change in _change_stream(report):
         sink(change)
     want = [tuple(r[f] for f in SERIES_FIELDS)
-            for r in _old_sample_series(report, step=step, t0_epoch=t0_epoch)]
+            for r in _old_sample_series(report, step=step)]
     assert got == want
     # The same value objects, so the writer formats the same bytes.
     assert all(a is b for g, w in zip(got, want) for a, b in zip(g[1:], w[1:]))

@@ -383,7 +383,7 @@ SHAPE_ARGVS = {
     ("chain-sim", "agents.json", [5], "invalid_input"),
     ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": [1]}], "invalid_input"),
     ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": None}], "invalid_input"),
-    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "policy": ["a_only"]}], "usage"),
+    ("chain-sim", "agents.json", [{**SHAPE_AGENT, "policy": ["a_only"]}], "invalid_input"),
     ("chain-sim", "world.json", [1, 2], "invalid_input"),
     ("chain-sim", "world.json", {"k": [0.3]}, "invalid_input"),
     ("equilibria", "game.json", {**SHAPE_GAME, "k": [0.3]}, "invalid_input"),
@@ -441,6 +441,19 @@ AGENTS_SHAPE = "agents file must contain a JSON list of objects"
      {"code": "invalid_input", "message": "an agent has no id", "field": "id"}),
     ("agents.json", [{**SHAPE_AGENT, "power": 0.5}, {**SHAPE_AGENT, "power": 0.5}],
      {"code": "invalid_input", "message": "duplicate agent id 'a'", "field": "id"}),
+    # A null id ran as an agent named "None", a number as its text.
+    ("agents.json", [{**SHAPE_AGENT, "id": None, "power": 0.5}, {**SHAPE_AGENT, "id": "None",
+                                                                 "power": 0.5}],
+     {"code": "invalid_input", "message": "agent id must be a string, got None", "field": "id"}),
+    ("agents.json", [{**SHAPE_AGENT, "id": 7}],
+     {"code": "invalid_input", "message": "agent id must be a string, got 7", "field": "id"}),
+    # These two were usage errors with no field.
+    ("agents.json", [{**SHAPE_AGENT, "policy": "greedy"}],
+     {"code": "invalid_input", "message": "agent 'a': unknown policy 'greedy'",
+      "field": "policy"}),
+    ("agents.json", [{**SHAPE_AGENT, "policy": ["a_only"]}],
+     {"code": "invalid_input", "message": "agent 'a': unknown policy ['a_only']",
+      "field": "policy"}),
 ])
 def test_chain_sim_refusals_name_their_field(tmp_path, capsys, name, content, payload):
     # Each of these exited 2 with a KeyError or ValueError message and no
@@ -1010,6 +1023,54 @@ def test_simulate_json_refuses_a_non_finite_cell_before_writing(config_path, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,payload", [
+    ("k", {"code": "invalid_input", "message": "k must be a number, got None", "field": "k"}),
+    ("n_in", {"code": "zero_block_count", "field": "n_in",
+              "message": "n_in must be an int in [1, 1.79769e+308], got None"}),
+    # This one exited 2 as "KeyError: 'n_de'", with no field.
+    ("n_de", {"code": "zero_block_count", "field": "n_de",
+              "message": "n_de must be an int in [1, 1.79769e+308], got None"}),
+])
+def test_game_config_without_a_key_names_it(tmp_path, capsys, key, payload):
+    path = tmp_path / "game.json"
+    game = {"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]}
+    del game[key]
+    path.write_text(json.dumps(game))
+    code, out, err = run_cli(capsys, "equilibria", "--config", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == payload
+
+
+# csv refuses a cell over its field size limit (131072 characters by default).
+BIG_CELL = "1" * 200_000
+
+
+def test_analyze_oversized_csv_cell_is_a_parse_error(config_path, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text(",".join(ingest.SERIES_COLUMNS) + "\n"
+                      + ",".join(map(str, series_row(0, 0.1, 0.5, 0.05))) + "\n"
+                      + ",".join([BIG_CELL, "0.9", "0.1", "1.0", "0.5", "0.05"]) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", str(series),
+                             "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "parse_error", "field": "input",
+                               "message": "line 3: field larger than field limit (131072)"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "chain-sim"])
+def test_oversized_csv_cell_in_a_k_schedule_is_refused_by_its_field(config_path, sim_inputs,
+                                                                    tmp_path, capsys, command):
+    schedule = tmp_path / "big.csv"
+    schedule.write_text(f"at,value\n0,0.05\n10,{BIG_CELL}\n")
+    argv = (["simulate", "--config", config_path, "--initial", "0.3,0.2"]
+            if command == "simulate" else [*sim_inputs, "--duration", "10"])
+    code, out, err = run_cli(capsys, *argv, "--k-schedule", str(schedule), "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "field": "schedule",
+                               "message": "schedule row 3: field larger than field limit "
+                                          "(131072)"}
+
+
 @pytest.mark.parametrize("content", [[0.3], "k"])
 def test_config_that_is_no_object_is_refused_by_its_field(tmp_path, capsys, content):
     path = tmp_path / "game.json"
@@ -1064,12 +1125,15 @@ def expected_analyze_tables(config_path, series_path):
     loaded = ingest.load_series(series_path)
     periods = ingest.detect_fickle_periods(loaded)
     estimates, _ = ingest.estimate_state_path(loaded, periods)
-    ts, basis, share, r_f, r_b, k = estimates.columns.values()
+    ts, share, r_f, k = estimates.columns.values()
+    # A record with an r_f is gray, with r_b the share less r_f floored at 0;
+    # elsewhere r_b is the share.
     est_text = dictwriter_text(("timestamp", "basis", "share", "r_f_est", "r_b_est"), [{
-        "timestamp": t, "basis": b.value, "share": s,
+        "timestamp": t, "basis": (ingest.Basis.NON_GRAY if f is None
+                                  else ingest.Basis.GRAY_PERIOD).value, "share": s,
         "r_f_est": "" if f is None else f,
-        "r_b_est": "" if rb is None else rb,
-    } for t, b, s, f, rb in zip(ts, basis, share, r_f, r_b)])
+        "r_b_est": s if f is None else max(0.0, s - f),
+    } for t, s, f in zip(ts, share, r_f)])
     try:
         zones, _ = ingest.zone_path(estimates, config_from_json(config_path))
     except ingest.UnresolvableState:

@@ -68,19 +68,6 @@ def test_validate_rejects_nonpositive_powers():
         validate_config({"k": 0.3, "n_in": 10, "n_de": 10, "c_stick": -0.1, "powers": [1.1]})
 
 
-def test_normalize_flag_rescales_all_fractions():
-    cfg = validate_config(
-        {"k": 0.3, "n_in": 10, "n_de": 10, "c_stick": 0.5, "powers": [1.0, 0.5]},
-        normalize=True,
-    )
-    assert math.isclose(cfg.c_stick, 0.25)
-    assert math.isclose(sum(cfg.powers) + cfg.c_stick, 1.0)
-    with pytest.raises(PowerSumMismatch):
-        validate_config(
-            {"k": 0.3, "n_in": 10, "n_de": 10, "c_stick": 0.5, "powers": [1.0, 0.5]}
-        )
-
-
 @given(
     k=st.floats(0.01, 1.0),
     n_in=st.integers(1, 4032),
@@ -93,7 +80,6 @@ def test_validate_idempotent(k, n_in, n_de, weights, c_frac):
     powers = [w / total * (1.0 - c_frac) for w in weights]
     cfg = validate_config(
         {"k": k, "n_in": n_in, "n_de": n_de, "c_stick": c_frac, "powers": powers},
-        normalize=True,
     )
     again = validate_config(cfg)
     assert again == cfg
@@ -139,12 +125,10 @@ def test_mining_state_rejects_invalid(r_f, r_b):
     (math.inf, [1.0], PowerSumMismatch),
     (0.0, [math.inf], PowerSumMismatch),
 ])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_validate_rejects_non_finite_powers(c_stick, powers, exc, normalize):
-    # With normalize=True an infinite total would divide into NaN fractions.
+def test_validate_rejects_non_finite_powers(c_stick, powers, exc):
     with pytest.raises(exc):
         validate_config({"k": 0.3, "n_in": 10, "n_de": 10, "c_stick": c_stick,
-                         "powers": powers}, normalize=normalize)
+                         "powers": powers})
 
 
 @pytest.mark.parametrize("pairs", [

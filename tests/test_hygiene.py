@@ -1,17 +1,22 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every CLI option is read.
 
 No linter ships with the test dependencies, and a deleted function or
 field can leave the import that served it behind.  This walks each
 module of the package with `ast` and fails on an imported name that the
-module never reads (`from __future__` imports excepted).
+module never reads (`from __future__` imports excepted).  In the same
+way, an option that a command defines and its handler never reads is a
+knob with no effect.
 """
 
 import ast
+import inspect
 import pathlib
+import textwrap
 
 import pytest
 
 import dualchain
+from dualchain import cli
 
 MODULES = sorted(pathlib.Path(dualchain.__file__).parent.glob("*.py"))
 
@@ -40,3 +45,25 @@ def test_the_check_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport os.path\nimport sys\n"
               "from math import inf, nan as NaN\nprint(sys.argv, inf)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: NaN"]
+
+
+def options_read(function) -> set[str]:
+    """The `args.<name>` attributes a cli function reads, with those read by
+    the cli functions it hands `args` to (as `_echo` reads `quiet`)."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            read |= options_read(getattr(cli, node.func.id))
+    return read
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_every_option_is_read_by_its_command(name):
+    [sub] = cli.build_parser(name)._subparsers._group_actions[0].choices.values()
+    defined = {action.dest for action in sub._actions if action.dest != "help"}
+    assert defined - options_read(cli._COMMANDS[name][2]) == set()

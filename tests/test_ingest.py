@@ -38,8 +38,10 @@ def write_csv(path, rows, header=SERIES_COLUMNS):
 
 # Rows of a SeriesLoad and of a StatePath, for the record-based references below.
 SeriesRecord = namedtuple("SeriesRecord", SERIES_COLUMNS)
-StateEstimate = namedtuple("StateEstimate", ("timestamp", "basis", "share", "r_f", "r_b", "k"))
+StateEstimate = namedtuple("StateEstimate", ("timestamp", "share", "r_f", "k"))
 ROW = {SeriesLoad: SeriesRecord, StatePath: StateEstimate}
+# A StatePath row with the basis and r_b that the references store.
+BasedEstimate = namedtuple("BasedEstimate", ("timestamp", "basis", "share", "r_f", "r_b", "k"))
 
 
 def with_columns(cls, records):
@@ -50,6 +52,17 @@ def with_columns(cls, records):
 def rows_of(loaded):
     """The rows of a SeriesLoad or StatePath, as records."""
     return list(map(ROW[type(loaded)], *loaded.columns.values()))
+
+
+def with_basis(estimates):
+    """StateEstimate rows with basis and r_b derived as the estimator once
+    stored them: gray with r_b = max(0, share - r_f) where r_f is set,
+    non-gray with r_b = share elsewhere."""
+    return [BasedEstimate(e.timestamp, Basis.NON_GRAY, e.share, None, e.share, e.k)
+            if e.r_f is None else
+            BasedEstimate(e.timestamp, Basis.GRAY_PERIOD, e.share, e.r_f,
+                          max(0.0, e.share - e.r_f), e.k)
+            for e in estimates]
 
 
 def synthetic_row(ts, share, d_b_over_d_a, k=0.3, total=1.0, d_a=1.0):
@@ -289,7 +302,7 @@ def test_estimate_state_path_square_wave(tmp_path):
     assert len(estimates) == len(loaded)
     for rf in period_rf:
         assert rf == pytest.approx(0.3, abs=0.02)
-    for e in rows_of(estimates):
+    for e in with_basis(rows_of(estimates)):
         assert 0.0 <= e.share <= 1.0
         if e.basis is Basis.NON_GRAY:
             assert e.r_b == e.share
@@ -303,7 +316,7 @@ def test_estimate_constant_series_no_periods(tmp_path):
     estimates, period_rf = estimate_state_path(loaded, [])
     assert period_rf == []
     assert all(e.basis is Basis.NON_GRAY and e.r_b == pytest.approx(0.25)
-               for e in rows_of(estimates))
+               for e in with_basis(rows_of(estimates)))
 
 
 def test_estimate_whole_series_period(tmp_path):
@@ -311,7 +324,8 @@ def test_estimate_whole_series_period(tmp_path):
     loaded = load_series(write_csv(tmp_path / "g.csv", rows))
     periods = [FicklePeriod(0, 39, 0.1)]
     estimates, _ = estimate_state_path(loaded, periods)
-    assert all(basis is Basis.GRAY_PERIOD for basis in estimates.columns["basis"])
+    # Every record is gray: each carries the period's r_f.
+    assert all(r_f is not None for r_f in estimates.columns["r_f"])
 
 
 def test_zone_path_all_a_series(tmp_path):
@@ -322,16 +336,6 @@ def test_zone_path_all_a_series(tmp_path):
     zones, transitions = zone_path(estimates, cfg)
     assert zones == [Zone.ZONE1] * 20
     assert transitions == []
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
-def test_zone_path_rejects_bad_tol(tmp_path, tol):
-    cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
-    rows = [(i * 600, 1.0, 0.0, 1.0, 0.5, 0.3) for i in range(5)]
-    loaded = load_series(write_csv(tmp_path / "a.csv", rows))
-    estimates, _ = estimate_state_path(loaded, [])
-    with pytest.raises(ValueError, match=r"tol must be in \[0, inf\)"):
-        zone_path(estimates, cfg, tol)
 
 
 def test_zone_path_unresolvable_before_first_period(tmp_path):
@@ -363,18 +367,19 @@ def test_zone_path_price_step_flips_zone(tmp_path):
 
 
 @pytest.mark.parametrize("estimate,field", [
-    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, -0.01, 0.3), "r_b",
-                 id="estimate0"),
-    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, -0.2, 0.1, 0.3), "r_f",
-                 id="estimate1"),
-    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, float("nan"), 0.3), "r_b",
-                 id="estimate2"),
-    pytest.param(StateEstimate(0, Basis.GRAY_PERIOD, 0.3, float("nan"), 0.1, 0.3), "r_f",
-                 id="estimate3"),
+    pytest.param(StateEstimate(0, -0.01, 0.2, 0.3), "share", id="estimate0"),
+    pytest.param(StateEstimate(0, 0.3, -0.2, 0.3), "r_f", id="estimate1"),
+    # max(0.0, nan - r_f) is 0.0, so a NaN share would pass as r_b 0 unchecked.
+    pytest.param(StateEstimate(0, float("nan"), 0.2, 0.3), "share", id="estimate2"),
+    pytest.param(StateEstimate(0, 0.3, float("nan"), 0.3), "r_f", id="estimate3"),
+    # Outside a period a negative share used to read as zone 1.
+    pytest.param(StateEstimate(0, -0.01, None, 0.3), "share", id="estimate4"),
+    pytest.param(StateEstimate(0, float("nan"), None, 0.3), "share", id="estimate5"),
+    pytest.param(StateEstimate(0, -0.01, -0.2, 0.3), "share", id="estimate6"),
 ])
 def test_zone_path_rejects_hand_built_negative_fractions(estimate, field):
     cfg = validate_config({"k": 0.3, "n_in": 2016, "n_de": 2016, "powers": [1.0]})
-    ok = StateEstimate(0, Basis.GRAY_PERIOD, 0.3, 0.2, 0.1, 0.3)
+    ok = StateEstimate(0, 0.3, 0.2, 0.3)
     with pytest.raises(InvalidValue, match=r"^record 1: power fractions must be >= 0") as err:
         zone_path(with_columns(StatePath, [ok, estimate]), cfg)
     assert (err.value.code, err.value.field) == ("invalid_input", field)
@@ -419,29 +424,24 @@ def estimate_paths(draw):
     for t in range(draw(st.integers(1, 20))):
         k = draw(st.sampled_from([0.3, 0.05, 1.0]) | st.floats(0.01, 1.0))
         share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-        if draw(st.booleans()):
-            r_f = draw(st.floats(0.0, 1.0))
-            out.append(StateEstimate(t, Basis.GRAY_PERIOD, share, r_f,
-                                     draw(st.none() | st.floats(0.0, 1.0)), k))
-        else:
-            out.append(StateEstimate(t, Basis.NON_GRAY, share, None,
-                                     draw(st.none() | st.floats(0.0, 1.0)), k))
+        r_f = draw(st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        out.append(StateEstimate(t, share, r_f, k))
     return out
 
 
 @settings(max_examples=120, deadline=None)
-@given(estimate_paths(), st.sampled_from([0.0, 1e-10, 1e-6]))
-def test_zone_path_matches_reference(estimates, tol):
+@given(estimate_paths())
+def test_zone_path_matches_reference(estimates):
     cfg = validate_config({"k": 0.3, "n_in": 144, "n_de": 2016, "powers": [1.0]})
 
     def outcome(fn, path):
         try:
-            return fn(path, cfg, tol)
+            return fn(path, cfg)
         except Exception as exc:
             return type(exc), str(exc)
 
     assert (outcome(zone_path, with_columns(StatePath, estimates))
-            == outcome(reference_zone_path, estimates))
+            == outcome(reference_zone_path, with_basis(estimates)))
 
 
 def test_round_trip_recovers_simulated_state(tmp_path):
@@ -466,7 +466,8 @@ def test_round_trip_recovers_simulated_state(tmp_path):
     assert periods
     estimates, period_rf = estimate_state_path(loaded, periods)
     assert statistics.median(period_rf) == pytest.approx(r_f, abs=0.05)
-    non_gray = [e.r_b for e in rows_of(estimates) if e.basis is Basis.NON_GRAY]
+    # Outside the periods (no r_f) the share observes r_b.
+    non_gray = [e.share for e in rows_of(estimates) if e.r_f is None]
     assert statistics.median(non_gray) == pytest.approx(r_b, abs=0.05)
 
     # Reconstructed zone path agrees with the generating game state on
@@ -522,11 +523,11 @@ def reference_estimate_state_path(series, periods, flank=24):
         share = b_share(rec)
         if in_period[i]:
             rf = period_rf[period_idx_of[i]]
-            estimates.append(StateEstimate(rec.timestamp, Basis.GRAY_PERIOD, share,
+            estimates.append(BasedEstimate(rec.timestamp, Basis.GRAY_PERIOD, share,
                                            r_f=rf, r_b=max(0.0, share - rf),
                                            k=rec.price_ratio_k))
         else:
-            estimates.append(StateEstimate(rec.timestamp, Basis.NON_GRAY, share,
+            estimates.append(BasedEstimate(rec.timestamp, Basis.NON_GRAY, share,
                                            r_f=None, r_b=share, k=rec.price_ratio_k))
     return estimates, period_rf
 
@@ -535,8 +536,8 @@ def test_estimate_adjacent_and_end_periods_equal_reference(tmp_path):
     loaded = load_series(write_csv(tmp_path / "sq.csv", square_wave_series(n=40)))
     periods = [FicklePeriod(0, 3, 0.1), FicklePeriod(4, 9, 0.1), FicklePeriod(15, 39, 0.1)]
     estimates, period_rf = estimate_state_path(loaded, periods)
-    assert (rows_of(estimates), period_rf) == reference_estimate_state_path(rows_of(loaded),
-                                                                           periods)
+    assert (with_basis(rows_of(estimates)), period_rf) == reference_estimate_state_path(
+        rows_of(loaded), periods)
 
 
 @st.composite
@@ -560,16 +561,16 @@ def series_and_periods(draw):
         if start <= b:
             periods.append(FicklePeriod(start, b, 0.1))
             next_free = b + 1
-    return series, periods, draw(st.integers(0, 30))
+    return series, periods
 
 
 @settings(max_examples=300, deadline=None)
 @given(series_and_periods())
 def test_estimate_state_path_equals_reference(case):
-    series, periods, flank = case
-    estimates, period_rf = estimate_state_path(with_columns(SeriesLoad, series), periods, flank)
-    assert (rows_of(estimates), period_rf) == reference_estimate_state_path(series, periods,
-                                                                           flank)
+    series, periods = case
+    estimates, period_rf = estimate_state_path(with_columns(SeriesLoad, series), periods)
+    assert (with_basis(rows_of(estimates)), period_rf) == reference_estimate_state_path(
+        series, periods)
 
 
 @st.composite
@@ -622,9 +623,10 @@ def test_columnar_path_equals_record_path(tmp_path, case):
         return
     estimates, period_rf = estimate_state_path(loaded, periods)
     assert isinstance(estimates, StatePath)
-    assert (rows_of(estimates), period_rf) == reference_estimate_state_path(records, periods)
+    assert (with_basis(rows_of(estimates)), period_rf) == reference_estimate_state_path(
+        records, periods)
     zones = outcome(zone_path, estimates, cfg)
-    assert zones == outcome(reference_zone_path, rows_of(estimates), cfg)
+    assert zones == outcome(reference_zone_path, with_basis(rows_of(estimates)), cfg)
 
 
 @settings(max_examples=200, deadline=None)
