@@ -85,6 +85,44 @@ class Coin(Enum):
     B = "b"
 
 
+def _epoch_hook(chain: _Chain, n: int,
+                eda: tuple[int, float, float] | None = None) -> Callable[[float], str | None]:
+    """The chain's on_block(now) under an epoch retarget every n blocks: the
+    event kind if difficulty changed.  `eda`, a (window, threshold, factor)
+    triple, adds the emergency decrease; without it no other block moves
+    difficulty."""
+    since = 0
+    anchor = 0.0
+    if eda is not None:
+        size, threshold, factor = eda
+        # The times of the last size + 1 blocks.  A window longer than a
+        # deque can hold never fills, as no run makes that many blocks.
+        full = min(size + 1, sys.maxsize)
+        window = deque(maxlen=full)
+
+    def on_block(now: float) -> str | None:
+        nonlocal since, anchor
+        if eda is not None:
+            window.append(now)
+        since += 1
+        if since >= n:
+            span = now - anchor
+            if span > 0.0:
+                chain.difficulty = since * chain.difficulty / span
+            kind = "difficulty"
+        elif eda is not None and len(window) == full and now - window[0] > threshold:
+            chain.difficulty *= factor
+            kind = "eda"
+        else:
+            return None
+        _check_retarget(chain, now)
+        since = 0
+        anchor = now
+        return kind
+
+    return on_block
+
+
 @dataclass(frozen=True)
 class EpochFixed:
     """Difficulty recomputed every n blocks from the observed power."""
@@ -96,24 +134,7 @@ class EpochFixed:
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
-        n = self.n
-        since = 0
-        anchor = 0.0
-
-        def on_block(now: float) -> str | None:
-            nonlocal since, anchor
-            since += 1
-            if since < n:
-                return None
-            span = now - anchor
-            if span > 0.0:
-                chain.difficulty = since * chain.difficulty / span
-            _check_retarget(chain, now)
-            since = 0
-            anchor = now
-            return "difficulty"
-
-        return on_block
+        return _epoch_hook(chain, self.n)
 
 
 @dataclass(frozen=True)
@@ -133,36 +154,7 @@ class EpochWithEda:
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
         """The chain's on_block(now): the event kind if difficulty changed."""
-        n = self.n
-        threshold = self.eda_threshold
-        factor = self.eda_factor
-        # The times of the last eda_window + 1 blocks.  A window longer than
-        # a deque can hold never fills, as no run makes that many blocks.
-        full = min(self.eda_window + 1, sys.maxsize)
-        window = deque(maxlen=full)
-        since = 0
-        anchor = 0.0
-
-        def on_block(now: float) -> str | None:
-            nonlocal since, anchor
-            window.append(now)
-            since += 1
-            if since >= n:
-                span = now - anchor
-                if span > 0.0:
-                    chain.difficulty = since * chain.difficulty / span
-                kind = "difficulty"
-            elif len(window) == full and now - window[0] > threshold:
-                chain.difficulty *= factor
-                kind = "eda"
-            else:
-                return None
-            _check_retarget(chain, now)
-            since = 0
-            anchor = now
-            return kind
-
-        return on_block
+        return _epoch_hook(chain, self.n, (self.eda_window, self.eda_threshold, self.eda_factor))
 
 
 @dataclass(frozen=True)
@@ -375,8 +367,9 @@ def run(
 
     on_block(t, chain label) gets each block of the event log and on_event(t,
     chain, kind, d_a, d_b, r_f, r_b, lines) each state change below with its
-    log lines (a switch one per agent moved, "start" and "end" none); a block
-    line holds the state of the last change.  write_events_csv returns both.
+    log lines (an automatic switch one per agent moved, "start" and "end"
+    none, any other change one); a block line holds the state of the last
+    change.  write_events_csv returns both.
 
     Each of `sinks` receives every state change once, as a tuple (t, chain,
     kind, d_a, d_b, k, alloc_a, alloc_b) holding the state from t on; chain

@@ -22,8 +22,8 @@ import time
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .core import (DualchainError, GameConfig, InvalidValue, MiningState, Schedule, Strategy,
-                   Zone, check_count, check_range, config_from_json, number)
+from .core import (ZONE_TOL, DualchainError, InvalidValue, MiningState, Schedule, Strategy, Zone,
+                   check_count, check_range, config_from_json, number)
 
 if TYPE_CHECKING:
     # Annotations only: each command imports the modules it runs.
@@ -41,8 +41,8 @@ _JSON_LABELS = {m: json.dumps(m.value) for m in Zone}
 _JSON_CHUNK = 256
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(DualchainError):
+    code = "usage"
 
 
 class _HelpShown(Exception):
@@ -68,18 +68,6 @@ def _setup_logging():
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     log.handlers[:] = [handler]
     log.setLevel(chosen)
-
-
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", required=True,
-                     help="game config JSON {k, n_in, n_de, c_stick, powers}")
-    sub.add_argument("--out", help="output file (default stdout)")
-    sub.add_argument("--quiet", action="store_true")
-
-
-def _add_format(p: argparse.ArgumentParser):
-    """--format, for the commands that can write both JSON and CSV."""
-    p.add_argument("--format", choices=("json", "csv"), default=None)
 
 
 def _json(obj) -> str:
@@ -159,11 +147,6 @@ def _echo(args, resolved: dict):
         print(f"# config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
 
 
-def _config_dict(config: GameConfig) -> dict:
-    return {"k": config.k, "n_in": config.n_in, "n_de": config.n_de,
-            "c_stick": config.c_stick, "powers": list(config.powers)}
-
-
 def _parse_state(text: str, field: str) -> MiningState:
     parts = text.split(",")
     if len(parts) != 2:
@@ -205,13 +188,11 @@ def _cmd_payoff(args) -> int:
     state = _parse_state(args.state, "state")
     triple = payoff_triple(state, config)
     _echo(args, {"command": "payoff", "state": [state.r_f, state.r_b],
-                 **_config_dict(config)})
-    row = {
-        "r_f": state.r_f, "r_b": state.r_b,
-        "u_f": None if triple.divergent[0] else triple.u_f,
-        "u_a": None if triple.divergent[1] else triple.u_a,
-        "u_b": None if triple.divergent[2] else triple.u_b,
-    }
+                 **dataclasses.asdict(config)})
+    row = {"r_f": state.r_f, "r_b": state.r_b}
+    # u_f, u_a and u_b, each null where it diverges.
+    row.update((name, None if math.isinf(u) else u)
+               for name, u in dataclasses.asdict(triple).items())
     if args.format == "csv":
         _emit_csv(tuple(row), [tuple("" if v is None else v for v in row.values())], args.out)
     else:
@@ -225,7 +206,7 @@ def _cmd_zones(args) -> int:
     config = config_from_json(args.config)
     n = check_count(args.grid, "grid")
     check_range(args.tol, "tol", 0.0, hi_open=True)
-    _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **_config_dict(config)})
+    _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **dataclasses.asdict(config)})
     zone_at, tol = equilibrium.zone_at, args.tol
     k, n_in, n_de = config.k, config.n_in, config.n_de
 
@@ -250,9 +231,8 @@ def _cmd_equilibria(args) -> int:
     from . import equilibrium
 
     config = config_from_json(args.config)
-    _echo(args, {"command": "equilibria", **_config_dict(config)})
-    result = equilibrium.equilibria(config)
-    _emit(_json(result.to_dict()), args.out)
+    _echo(args, {"command": "equilibria", **dataclasses.asdict(config)})
+    _emit(_json(equilibrium.equilibria(config).to_dict()), args.out)
     return 0
 
 
@@ -260,7 +240,7 @@ def _cmd_threshold(args) -> int:
     from . import dynamics
 
     config = config_from_json(args.config)
-    _echo(args, {"command": "threshold", **_config_dict(config)})
+    _echo(args, {"command": "threshold", **dataclasses.asdict(config)})
     _emit(_json({"automatic_threshold": dynamics.automatic_threshold(config)}), args.out)
     return 0
 
@@ -282,7 +262,7 @@ def _cmd_simulate(args) -> int:
     )
     _echo(args, {"command": "simulate", "initial": [initial.r_f, initial.r_b],
                  "rate": args.rate, "max_steps": args.max_steps, "eps": args.eps,
-                 **_config_dict(config)})
+                 **dataclasses.asdict(config)})
     traj = dynamics.simulate_flow(initial, flow, config)
     fields = ("step", "r_f", "r_b", "zone", "k", "c_stick")
     json_out = args.format == "json"
@@ -311,14 +291,15 @@ def _cmd_best_response(args) -> int:
     with open(args.assignment) as fh:
         names = json.load(fh)
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise _UsageError("--assignment must be a JSON list of strategy names")
+        raise InvalidValue("--assignment must be a JSON list of strategy names",
+                           field="assignment")
     try:
         assignment = [_POLICIES[n] for n in names]
     except KeyError as exc:
-        raise _UsageError(f"unknown strategy {exc.args[0]!r}") from exc
+        raise InvalidValue(f"unknown strategy {exc.args[0]!r}", field="assignment") from None
     check_range(args.steps, "steps", 0)
     _echo(args, {"command": "best-response", "steps": args.steps, "seed": args.seed,
-                 **_config_dict(config)})
+                 **dataclasses.asdict(config)})
     rng = random.Random(args.seed)
     history = 0
     for _ in range(args.steps):
@@ -526,7 +507,7 @@ def _cmd_analyze(args) -> int:
 
     config = config_from_json(args.config)
     _echo(args, {"command": "analyze", "input": args.input,
-                 "hysteresis": args.hysteresis, **_config_dict(config)})
+                 "hysteresis": args.hysteresis, **dataclasses.asdict(config)})
     # For the debug line: what the run saw, and when each stage ended.
     seen = {"rows": None, "out_of_order": None, "periods": None, "refused": None}
     laps = [("start", time.perf_counter())]
@@ -573,74 +554,60 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _payoff_args(p):
-    p.add_argument("--state", required=True, help="rF,rB")
-    _add_format(p)
+# What --config holds: chain-sim reads a world config, the others a game config.
+_GAME_CONFIG = "game config JSON {k, n_in, n_de, c_stick, powers}"
+_WORLD_CONFIG = "world config JSON {k, difficulty_a, difficulty_b}"
+# --format, for the commands that can write both JSON and CSV.
+_FORMAT = ("--format", dict(choices=("json", "csv"), default=None))
 
-
-def _zones_args(p):
-    from .equilibrium import ZONE_TOL
-
-    p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--tol", type=float, default=ZONE_TOL)
-    _add_format(p)
-
-
-def _simulate_args(p):
-    p.add_argument("--initial", required=True, help="rF,rB")
-    p.add_argument("--rate", type=float, default=0.001)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--eps", type=float, default=0.005)
-    p.add_argument("--k-schedule")
-    p.add_argument("--c-stick-schedule")
-    _add_format(p)
-
-
-def _best_response_args(p):
-    p.add_argument("--assignment", required=True,
-                   help="JSON list of per-player strategies")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _chain_sim_args(p):
-    p.add_argument("--agents", required=True, help="JSON roster [{id,power,policy}]")
-    p.add_argument("--regime-a", default="epoch:2016")
-    p.add_argument("--regime-b", default="epoch:2016")
-    p.add_argument("--duration", type=float, required=True, help="horizon in P_ag")
-    p.add_argument("--mode", choices=("exponential", "deterministic"),
-                   default="exponential")
-    p.add_argument("--events", help="write event log CSV here")
-    p.add_argument("--series", help="write sampled series CSV here")
-    p.add_argument("--series-step", type=float, default=None)
-    p.add_argument("--k-schedule")
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _analyze_args(p):
-    p.add_argument("--input", required=True, help="series CSV")
-    p.add_argument("--hysteresis", type=float, default=0.02)
-    p.add_argument("--out-periods")
-    p.add_argument("--out-estimates")
-    p.add_argument("--out-zones")
-
-
-def _no_args(p):
-    pass
-
-
-# name -> (help, adder of the command's own arguments, handler), in help order.
+# name -> (help, the command's own arguments as (flag, add_argument keywords),
+# handler), in help order.  Every command also has --config, --out and --quiet.
 _COMMANDS = {
-    "payoff": ("profit densities at one state", _payoff_args, _cmd_payoff),
-    "zones": ("zone classification grid (CSV)", _zones_args, _cmd_zones),
-    "equilibria": ("equilibrium set (JSON)", _no_args, _cmd_equilibria),
-    "threshold": ("automatic-mining power threshold", _no_args, _cmd_threshold),
-    "simulate": ("zone-flow trajectory (CSV)", _simulate_args, _cmd_simulate),
-    "best-response": ("iterated best-response updates", _best_response_args,
-                      _cmd_best_response),
-    "chain-sim": ("block-level twin-chain simulation", _chain_sim_args, _cmd_chain_sim),
-    "analyze": ("series ingestion and reconstruction", _analyze_args, _cmd_analyze),
+    "payoff": ("profit densities at one state", (
+        ("--state", dict(required=True, help="rF,rB")),
+        _FORMAT,
+    ), _cmd_payoff),
+    "zones": ("zone classification grid (CSV)", (
+        ("--grid", dict(type=int, required=True)),
+        ("--tol", dict(type=float, default=ZONE_TOL)),
+        _FORMAT,
+    ), _cmd_zones),
+    "equilibria": ("equilibrium set (JSON)", (), _cmd_equilibria),
+    "threshold": ("automatic-mining power threshold", (), _cmd_threshold),
+    "simulate": ("zone-flow trajectory (CSV)", (
+        ("--initial", dict(required=True, help="rF,rB")),
+        ("--rate", dict(type=float, default=0.001)),
+        ("--max-steps", dict(type=int, default=1_000_000)),
+        ("--eps", dict(type=float, default=0.005)),
+        ("--k-schedule", {}),
+        ("--c-stick-schedule", {}),
+        _FORMAT,
+    ), _cmd_simulate),
+    "best-response": ("iterated best-response updates", (
+        ("--assignment", dict(required=True, help="JSON list of per-player strategies")),
+        ("--steps", dict(type=int, default=1000)),
+        ("--seed", dict(type=int, default=0)),
+    ), _cmd_best_response),
+    "chain-sim": ("block-level twin-chain simulation", (
+        ("--agents", dict(required=True, help="JSON roster [{id,power,policy}]")),
+        ("--regime-a", dict(default="epoch:2016")),
+        ("--regime-b", dict(default="epoch:2016")),
+        ("--duration", dict(type=float, required=True, help="horizon in P_ag")),
+        ("--mode", dict(choices=("exponential", "deterministic"), default="exponential")),
+        ("--events", dict(help="write event log CSV here")),
+        ("--series", dict(help="write sampled series CSV here")),
+        ("--series-step", dict(type=float, default=None)),
+        ("--k-schedule", {}),
+        ("--replicas", dict(type=int, default=1)),
+        ("--seed", dict(type=int, default=0)),
+    ), _cmd_chain_sim),
+    "analyze": ("series ingestion and reconstruction", (
+        ("--input", dict(required=True, help="series CSV")),
+        ("--hysteresis", dict(type=float, default=0.02)),
+        ("--out-periods", {}),
+        ("--out-estimates", {}),
+        ("--out-zones", {}),
+    ), _cmd_analyze),
 }
 
 
@@ -652,11 +619,15 @@ def build_parser(only: str | None = None) -> _Parser:
     """
     parser = _Parser(prog="dualchain", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, handler) in _COMMANDS.items():
+    for name, (help_text, arguments, handler) in _COMMANDS.items():
         if only is None or name == only:
             p = subs.add_parser(name, help=help_text)
-            _add_common(p)
-            add_args(p)
+            p.add_argument("--config", required=True,
+                           help=_WORLD_CONFIG if name == "chain-sim" else _GAME_CONFIG)
+            p.add_argument("--out", help="output file (default stdout)")
+            p.add_argument("--quiet", action="store_true")
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
             p.set_defaults(func=handler)
     return parser
 
@@ -672,10 +643,7 @@ def dispatch(argv: list[str]) -> int:
         return args.func(args)
     except _HelpShown:
         return 0
-    except _UsageError as exc:
-        print(json.dumps({"code": "usage", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (DualchainError,) as exc:
+    except DualchainError as exc:  # a usage error too
         payload = {"code": exc.code, "message": str(exc)}
         if getattr(exc, "field", None):
             payload["field"] = exc.field

@@ -21,6 +21,9 @@ from typing import Mapping, Sequence
 
 POWER_SUM_TOL = 1e-9
 
+#: Absolute tie tolerance on payoff differences for zone classification.
+ZONE_TOL = 1e-10
+
 # Sum r_f + r_b may exceed 1 by float dust after clamped arithmetic.
 _SIMPLEX_SLACK = 1e-12
 

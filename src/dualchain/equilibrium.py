@@ -29,11 +29,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import DualchainError, GameConfig, MiningState, Strategy, Zone, check_range, coexist_rb
+from .core import (ZONE_TOL, DualchainError, GameConfig, MiningState, Strategy, Zone, check_range,
+                   coexist_rb)
 from .payoff import _INF, _STRATEGY_INDEX, DivergentState, payoff_values
-
-#: Absolute tie tolerance on payoff differences for zone classification.
-ZONE_TOL = 1e-10
 
 _BISECT_MAX_ITER = 200
 

@@ -142,6 +142,39 @@ def test_fickle_switches_satisfy_switching_predicate():
         assert (chain == "b") == to_b, (t, chain, d_a, d_b)
 
 
+def test_a_fickle_switch_writes_one_event_line_for_its_whole_crew():
+    # Two fickle agents switch together: one line of the event log.  Two
+    # automatic agents switching together write one line each.
+    world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)
+    for policy, kind, lines in ((Strategy.FICKLE, "switch_fickle", 1),
+                                (Strategy.AUTOMATIC, "switch_auto", 2)):
+        agents = [MinerAgent("s1", 0.15, policy), MinerAgent("s2", 0.15, policy),
+                  MinerAgent("b", 0.2, Strategy.B_ONLY), MinerAgent("a", 0.5, Strategy.A_ONLY)]
+        events, changes = [], []
+        run(world, agents, EpochFixed(10**9), EpochFixed(144), 2000.0, seed=77,
+            **log_to(events), sinks=[changes.append])
+        switches = [c for c in changes if c[2] == kind]
+        assert len(switches) >= 2, kind
+        assert len([e for e in events if e[2] == kind]) == lines * len(switches)
+
+
+@pytest.mark.parametrize("mode", ["exponential", "deterministic"])
+def test_epoch_with_an_eda_that_never_fires_is_the_plain_epoch(mode):
+    # No six blocks ever take 10**9 P_ag, so only the epoch retargets.
+    world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)
+    agents = loyal_roster(0.3, 0.2)
+    runs = []
+    for regime in (EpochFixed(144), EpochWithEda(144, 6, 1e9, 0.8)):
+        events, changes = [], []
+        rep = run(world, agents, regime, regime, 3000.0, seed=21, mode=mode,
+                  **log_to(events), sinks=[changes.append])
+        runs.append((changes, events, rep.agent_rewards, rep.stats))
+    assert runs[1] == runs[0]
+    stats = runs[0][3]
+    assert stats["retargets"]["a"] > 0 and stats["retargets"]["b"] > 0
+    assert stats["eda_triggers"] == {"a": 0, "b": 0}
+
+
 def test_event_log_deterministic_under_seed():
     agents = loyal_roster(0.3, 0.2)
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)

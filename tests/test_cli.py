@@ -107,6 +107,21 @@ def test_simulate_writes_trajectory_csv(config_path, tmp_path, capsys):
     assert list(rows[0]) == ["step", "r_f", "r_b", "zone", "k", "c_stick"]
 
 
+def test_simulate_csv_reports_its_outcome_on_stderr_only(config_path, capsys):
+    argv = ["simulate", "--config", config_path, "--initial", "0.01,0.01", "--max-steps", "40"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--quiet")
+    assert code == 0
+    summary = json.loads(out)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("step,r_f,r_b,zone,k,c_stick\r\n") and "#" not in out
+    echo, outcome = err.splitlines()
+    assert echo.startswith("# config: ")
+    assert outcome == f"# outcome: {summary['outcome']} steps_used: {summary['steps_used']}"
+    code, _, err = run_cli(capsys, *argv, "--quiet")
+    assert (code, err) == (0, "")
+
+
 def test_validation_error_json_and_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"k": 1.2, "n_in": 10, "n_de": 10, "powers": [1.0]}))
@@ -377,8 +392,8 @@ SHAPE_ARGVS = {
 
 @pytest.mark.parametrize("command,name,content,code_name", [
     # Each of these exited 1 as an internal error.
-    ("best-response", "assignment.json", 5, "usage"),
-    ("best-response", "assignment.json", [["fickle"]], "usage"),
+    ("best-response", "assignment.json", 5, "invalid_input"),
+    ("best-response", "assignment.json", [["fickle"]], "invalid_input"),
     ("chain-sim", "agents.json", 5, "invalid_input"),
     ("chain-sim", "agents.json", [5], "invalid_input"),
     ("chain-sim", "agents.json", [{**SHAPE_AGENT, "power": [1]}], "invalid_input"),
@@ -420,6 +435,25 @@ def test_wrongly_shaped_json_input_exits_2(tmp_path, capsys, command, name, cont
     assert (code, out) == (2, "")
     [line] = err.splitlines()
     assert json.loads(line)["code"] == code_name
+
+
+ASSIGNMENT_SHAPE = "--assignment must be a JSON list of strategy names"
+
+
+@pytest.mark.parametrize("content,message", [
+    (5, ASSIGNMENT_SHAPE),
+    (["fickle", 7], ASSIGNMENT_SHAPE),
+    (["fickle", "greedy", "a_only"], "unknown strategy 'greedy'"),
+])
+def test_best_response_refusals_name_the_assignment(tmp_path, capsys, content, message):
+    # These were usage errors with no field.
+    for file, value in {**SHAPE_FILES, "assignment.json": content}.items():
+        (tmp_path / file).write_text(json.dumps(value))
+    argv = [str(tmp_path / a) if a in SHAPE_FILES else a for a in SHAPE_ARGVS["best-response"]]
+    code, out, err = run_cli(capsys, *argv, "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "message": message,
+                               "field": "assignment"}
 
 
 AGENTS_SHAPE = "agents file must contain a JSON list of objects"
@@ -1211,6 +1245,20 @@ def test_analyze_debug_line_reports_counts_and_stage_seconds(analyze_inputs, tmp
     [line] = debug_lines(err)
     assert (line["rows"], line["periods"], line["refused"]) == (10, 0, "unresolvable_state")
     assert "zones" not in line["seconds"]
+
+
+def test_analyze_warns_of_out_of_order_records_at_the_default_level(analyze_inputs, tmp_path,
+                                                                    capsys, monkeypatch):
+    monkeypatch.delenv("DUALCHAIN_LOG", raising=False)
+    config_path, _ = analyze_inputs
+    rows = [series_row(i * 600, 0.055, 0.5, 0.1) for i in range(6)]
+    rows[1], rows[4] = rows[4], rows[1]
+    series = write_series(tmp_path / "shuffled.csv", rows)
+    code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series,
+                             "--quiet")
+    assert code == 0
+    assert json.loads(out)["out_of_order"] == 2
+    assert err.splitlines() == ["WARNING dualchain: sorted 2 out-of-order records"]
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,13 @@ def test_step_flow_moves_both_axes_in_zone2():
     assert nxt.r_b == pytest.approx(state.r_b + 0.005)
 
 
+def test_boundary23_step_past_the_outer_edge_trims_only_r_b():
+    # A boundary-2/3 step moves only r_b, outward here, so r_b is the axis
+    # trimmed back to r_f + r_b = 1 and r_f stays where it was.
+    assert dynamics._step(0.5, 0.4995, Zone.BOUNDARY23, 0.001, 0.0) == (0.5, 0.5)
+    assert dynamics._step(0.25, 0.75, Zone.BOUNDARY23, 0.01, 0.2) == (0.25, 0.75)
+
+
 def test_trajectory_l1_step_bound_and_simplex():
     cfg = config(0.3, c_stick=0.05, powers=[0.95])
     flow = FlowConfig(migration_rate=0.002, max_steps=20000)
