@@ -203,14 +203,13 @@ DifficultyRegime = EpochFixed | EpochWithEda | PerBlockWindow
 class MinerAgent:
     """One miner: a fixed power fraction driven by a policy.
 
-    current_coin is the live allocation; leave it None to start from the
-    policy's own initial choice.
+    A loyalist mines its own coin; a fickle or automatic agent starts on
+    coin_A and moves as its policy decides (see run).
     """
 
     id: str
     power: float
     policy: Strategy
-    current_coin: Coin | None = None
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,7 @@ class _Chain:
 
 
 class _Crew:
-    """The agents of one policy that start on one chain.
+    """The agents of one policy.
 
     A policy moves all its agents to one chain at once, so a crew never
     splits and its agents share one reward per unit of power: `unit`, paid
@@ -313,10 +312,9 @@ class _Crew:
     `mark`.  `power` is the crew's exact power sum (2**-1074 units).
     """
 
-    __slots__ = ("policy", "chain", "power", "size", "mark", "unit")
+    __slots__ = ("chain", "power", "size", "mark", "unit")
 
-    def __init__(self, policy: Strategy, chain: _Chain):
-        self.policy = policy
+    def __init__(self, chain: _Chain):
         self.chain = chain
         self.power = 0
         self.size = 0
@@ -360,7 +358,7 @@ def run(
     mode "exponential" draws Exp(1) work thresholds per block;
     "deterministic" uses expected intervals exactly.  Identical inputs
     produce identical reports.  Rewards accrue per chain and are credited
-    per crew, the agents of one policy that start on one chain, so blocks,
+    per crew, the agents of one policy (at most four crews), so blocks,
     switches, settlements and fickle cycle marks cost the same whatever the
     roster size; only set-up and the final split, each agent's power times
     its crew's reward per unit, grow with it.
@@ -396,43 +394,29 @@ def run(
     hook_a = regime_a._hook(A)
     hook_b = regime_b._hook(B)
 
-    # Rewards are kept per crew (see _Crew); `member` holds each agent's
-    # crew by roster index.  Loyalists take their coin; switchers start on
-    # A (or the coin preset on the agent) and make their first decision
-    # through the regular re-evaluation below, so an opening move shows up
-    # in the event log like any other switch.  Crews never merge: two crews
-    # on one chain hold different unsettled stretches.
+    # Rewards are kept per crew (see _Crew), one per policy, empty where no
+    # agent holds it; `member` holds each agent's crew by roster index.
+    # Loyalists take their coin; switchers start on A and make their first
+    # decision through the regular re-evaluation below, so an opening move
+    # shows up in the event log like any other switch.
     ids = [a.id for a in roster]
     powers = [a.power for a in roster]
-    crews: list[_Crew] = []
-    crew_index: dict[tuple, int] = {}
+    crews = {p: _Crew(B if p is Strategy.B_ONLY else A) for p in Strategy}
     member = []
     for a in roster:
-        if a.policy is Strategy.B_ONLY or (
-                a.policy is not Strategy.A_ONLY and a.current_coin is Coin.B):
-            ch = B
-        else:
-            ch = A
-        j = crew_index.setdefault((a.policy, ch), len(crews))
-        if j == len(crews):
-            crews.append(_Crew(a.policy, ch))
-        crews[j].power += _exact(a.power)
-        crews[j].size += 1
-        member.append(j)
-    for c in crews:
+        c = crews[a.policy]
+        c.power += _exact(a.power)
+        c.size += 1
+        member.append(c)
+    for c in crews.values():
         c.chain.power += c.power
     settle_every = 4096
-    fickle = [c for c in crews if c.policy is Strategy.FICKLE]
-    automatic = [c for c in crews if c.policy is Strategy.AUTOMATIC]
+    fickle = crews[Strategy.FICKLE]
+    automatic = crews[Strategy.AUTOMATIC]
     # Exact sums rounded once: what math.fsum over the agents returns.
-    r_f_policy = sum(c.power for c in fickle) / _ONE
-    r_b_policy = sum(c.power for c in crews if c.policy is Strategy.B_ONLY) / _ONE
+    r_f_policy = fickle.power / _ONE
+    r_b_policy = crews[Strategy.B_ONLY].power / _ONE
     r_fb_policy = r_f_policy + r_b_policy
-    n_automatic = sum(c.size for c in automatic)
-    # The fickle cohort's common chain, None while it is split.
-    fickle_on = fickle[0].chain if fickle and all(c.chain is fickle[0].chain for c in fickle) \
-        else None
-    auto_on_b = sum(c.size for c in automatic if c.chain is B)
     A.alloc = A.power / _ONE
     B.alloc = B.power / _ONE
 
@@ -452,7 +436,7 @@ def run(
     counts: dict[tuple[str, str], int] = {}
     reevaluations = 0
     fickle_cycles = 0
-    # (time, each crew's unit) at the first and last fickle cycle starts.
+    # (time, {crew: unit}) at the first and last fickle cycle starts.
     cycle_mark_first = None
     cycle_mark_last = None
 
@@ -468,28 +452,23 @@ def run(
             for sink in sinks:
                 sink(change)
 
-    def shift(group: list[_Crew], dest: _Chain) -> int:
-        """Move the crews of `group` not on `dest` there; how many agents
-        moved.  Both allocations are rounded again from the exact powers."""
-        src = B if dest is A else A
-        moved = 0
-        for c in group:
-            if c.chain is src:
-                c.unit += src.acc - c.mark
-                src.power -= c.power
-                dest.power += c.power
-                c.chain = dest
-                c.mark = dest.acc
-                moved += c.size
+    def shift(crew: _Crew, dest: _Chain):
+        """Move `crew` to `dest`, the other chain.  Both allocations are
+        rounded again from the exact powers."""
+        src = crew.chain
+        crew.unit += src.acc - crew.mark
+        src.power -= crew.power
+        dest.power += crew.power
+        crew.chain = dest
+        crew.mark = dest.acc
         A.alloc = A.power / _ONE
         B.alloc = B.power / _ONE
-        return moved
 
     def settle():
         """Pay every crew up to now and restart both accumulators at 0, so
         the rounding error of `acc` never spans more than settle_every
         blocks of its chain, however long the run."""
-        for c in crews:
+        for c in crews.values():
             c.unit += c.chain.acc - c.mark
             c.mark = 0.0
         A.acc = B.acc = 0.0
@@ -498,43 +477,36 @@ def run(
         """Apply the fickle and automatic policies at the start, after a
         difficulty change and after a price tick.  Both read only d_a, d_b
         and k, so a second call before one of them changes moves nobody."""
-        nonlocal fickle_on, fickle_cycles, auto_on_b, reevaluations
-        nonlocal cycle_mark_first, cycle_mark_last
+        nonlocal fickle_cycles, reevaluations, cycle_mark_first, cycle_mark_last
         reevaluations += 1
         d_a = A.difficulty
         d_b = B.difficulty
-        if fickle:
+        if fickle.size:
             target = B if d_b < min(r_fb_policy, k * d_a) or d_b <= r_b_policy else A
-            if fickle_on is not target:
+            if fickle.chain is not target:
                 shift(fickle, target)
-                fickle_on = target
                 emit(target.label, "switch_fickle")
                 if target is B:
                     settle()
-                    mark = (t, [c.unit for c in crews])
+                    mark = (t, {c: c.unit for c in crews.values()})
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
                 elif cycle_mark_last is not None:
                     # Switches alternate: each back to A after one to B ends a cycle.
                     fickle_cycles += 1
-        if automatic:
+        if automatic.size:
             gain_a = 1.0 / d_a
             gain_b = k / d_b
-            # Ties keep every automatic agent where it is.
-            if gain_b > gain_a and auto_on_b < n_automatic:
-                target = B
-            elif gain_a > gain_b and auto_on_b:
-                target = A
-            else:
-                target = None
-            if target is not None:
-                emit(target.label, "switch_auto", shift(automatic, target))
-                auto_on_b = n_automatic if target is B else 0
+            # An exact tie keeps the automatic crew where it is.
+            target = B if gain_b > gain_a else A if gain_a > gain_b else automatic.chain
+            if automatic.chain is not target:
+                shift(automatic, target)
+                emit(target.label, "switch_auto", automatic.size)
 
     emit("-", "start", 0)
     reevaluate()
-    if B.alloc == 0.0 and (fickle or automatic) and world.k_schedule is None:
+    if B.alloc == 0.0 and (fickle.size or automatic.size) and world.k_schedule is None:
         # Nobody mines coin_B and its difficulty can never decrease, so the
         # switchable power is permanently stuck waiting for a trigger.
         raise ZeroPowerChain("coin_B starts unmined and can never adjust")
@@ -595,9 +567,9 @@ def run(
     # An open fickle B-phase at the horizon is not a completed cycle.
     settle()
 
-    def credit(units: list[float]) -> dict[str, float]:
+    def credit(units: dict[_Crew, float]) -> dict[str, float]:
         # The only per-agent pass after set-up: power times its crew's unit.
-        return dict(zip(ids, [p * units[j] for p, j in zip(powers, member)]))
+        return dict(zip(ids, [p * units[c] for p, c in zip(powers, member)]))
 
     def by_id(mark):
         return None if mark is None else (mark[0], credit(mark[1]))
@@ -611,7 +583,7 @@ def run(
         seed=seed,
         agent_power={a.id: a.power for a in roster},
         agent_policy={a.id: a.policy for a in roster},
-        agent_rewards=credit([c.unit for c in crews]),
+        agent_rewards=credit({c: c.unit for c in crews.values()}),
         blocks={Coin.A: A.height, Coin.B: B.height},
         mean_interval={ch.coin: (ch.last_ts - ch.first_ts) / (ch.height - 1)
                        if ch.height >= 2 else None for ch in (A, B)},

@@ -164,10 +164,11 @@ def _regime(spec: str) -> chainsim.DifficultyRegime:
     kind, *values = spec.split(":")
     regime = {"epoch": chainsim.EpochFixed, "eda": chainsim.EpochWithEda,
               "perblock": chainsim.PerBlockWindow}.get(kind)
-    if regime is None:
+    fields = dataclasses.fields(regime) if regime else ()
+    if regime is None or len(values) > len(fields):
         raise _UsageError(f"unknown regime {spec!r} (epoch:N | eda:N:W:T:F | perblock:W)")
     knobs = {}
-    for knob, text in zip(dataclasses.fields(regime), values):
+    for knob, text in zip(fields, values):
         convert = type(knob.default)  # int or float
         try:
             knobs[knob.name] = convert(text)
@@ -664,5 +665,5 @@ def main():
     sys.exit(dispatch(sys.argv[1:]))
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # python -m dualchain.cli: the tests run it in subprocesses
     main()

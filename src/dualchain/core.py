@@ -287,7 +287,8 @@ def validate_config(raw: GameConfig | Mapping) -> GameConfig:
     c_stick, powers.  Idempotent: validating a validated config returns
     an equal value.  A k, c_stick or power that is not a number, or
     powers that are not a list, raise InvalidValue; a missing k, n_in or
-    n_de is refused by the check of that key.
+    n_de is refused by the check of that key, and block counts whose sum
+    is not a finite float by InvalidValue with field n_de.
     """
     if isinstance(raw, GameConfig):
         k, n_in, n_de = raw.k, raw.n_in, raw.n_de
@@ -310,6 +311,9 @@ def validate_config(raw: GameConfig | Mapping) -> GameConfig:
             value = int(value)
         # The payoff forms take the counts as floats.
         counts[name] = check_count(value, name, error=ZeroBlockCount, hi=sys.float_info.max)
+    # q, d and the payoff numerators are at most n_in + n_de.
+    check_range(float(counts["n_in"]) + counts["n_de"], "n_de", 2.0, sys.float_info.max,
+                name="n_in + n_de")
     check_range(c_stick, "c_stick", 0.0, error=NegativePower)
     for i, p in enumerate(powers):
         check_range(p, "powers", 0.0, lo_open=True, error=NegativePower, name=f"powers[{i}]")

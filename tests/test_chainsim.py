@@ -15,10 +15,12 @@ from dualchain.chainsim import (
     EpochFixed,
     EpochWithEda,
     InsufficientCycles,
+    MIN_CYCLES,
     MinerAgent,
     EVENT_FIELDS,
     SERIES_FIELDS,
     PerBlockWindow,
+    SimReport,
     ZeroPowerChain,
     _Chain,
     avg_b_occupancy,
@@ -235,6 +237,20 @@ def test_insufficient_cycles_raises():
     world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378)
     rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 300.0, seed=1)
     with pytest.raises(InsufficientCycles):
+        empirical_payoffs(rep)
+
+
+def test_cycle_marks_at_one_instant_are_no_complete_cycle():
+    # A run cannot make MIN_CYCLES cycles in no time; a hand-built report can.
+    rewards = {"f": 1.0, "a": 1.0}
+    rep = SimReport(duration=10.0, mode="deterministic", seed=0,
+                    agent_power={"f": 0.5, "a": 0.5},
+                    agent_policy={"f": Strategy.FICKLE, "a": Strategy.A_ONLY},
+                    agent_rewards=rewards, blocks={Coin.A: 0, Coin.B: 0},
+                    mean_interval={Coin.A: None, Coin.B: None}, fickle_cycles=MIN_CYCLES,
+                    final_difficulty={Coin.A: 1.0, Coin.B: 1.0}, stats={},
+                    cycle_mark_first=(5.0, rewards), cycle_mark_last=(5.0, rewards))
+    with pytest.raises(InsufficientCycles, match="no complete fickle cycle"):
         empirical_payoffs(rep)
 
 
@@ -520,6 +536,17 @@ def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
         inferred = math.fsum(last[1:]) / span
         assert kind == "difficulty"
         assert ch.difficulty == min(max(inferred, 0.5 * d), 2.0 * d)
+
+
+def test_per_block_window_keeps_difficulty_for_blocks_at_one_instant():
+    # A window that spans no time infers no power.  In a run this takes an
+    # Exp(1) work threshold too small to move the clock.
+    ch = _Chain(Coin.B, 0.4)
+    on_block = PerBlockWindow(3)._hook(ch)
+    assert on_block(5.0) is None
+    assert on_block(5.0) is None
+    assert ch.difficulty == 0.4
+    assert on_block(6.0) == "difficulty"
 
 
 def _old_events_csv(events, fh):
@@ -816,38 +843,16 @@ def test_rewards_sum_to_coins_minted(regime_b):
         assert max(rates) - min(rates) <= 1e-12 * max(rates), policy
 
 
-def test_fickle_cohort_starting_apart_moves_together():
-    # d_b is below r_b, so the opening decision sends fickle power to B.
-    # f1 starts there already; f2 must join it instead of staying on A.
-    agents = [
-        MinerAgent("f1", 0.2, Strategy.FICKLE, current_coin=Coin.B),
-        MinerAgent("f2", 0.2, Strategy.FICKLE, current_coin=Coin.A),
-        MinerAgent("b", 0.2, Strategy.B_ONLY),
-        MinerAgent("a", 0.4, Strategy.A_ONLY),
-    ]
-    world = ChainWorld(difficulty_a=0.6, difficulty_b=0.1, k=0.4)
-    events, changes = [], []
-    rep = run(world, agents, EpochFixed(10**9), EpochFixed(144), 300.0, seed=1,
-              mode="deterministic", **log_to(events), sinks=[changes.append])
-    occupancy = _histories(changes).occupancy
-    assert occupancy[0] == pytest.approx((0.0, 0.6, 0.4))
-    assert occupancy[1] == pytest.approx((0.0, 0.4, 0.6))
-    switches = [e for e in events if e[2] == "switch_fickle"]
-    assert switches[0][:2] == (0.0, "b")
-    assert rep.agent_rewards["f1"] == pytest.approx(rep.agent_rewards["f2"], rel=1e-12)
-
-
-
-def _per_block_rewards(rep, events, changes, agents):
+def _per_block_rewards(rep, events, changes):
     # Rebuild each agent's reward from the event log, block by block: the
     # share of a block is power * (unit / chain allocation), summed exactly.
-    # Agents start where run places them; a switch event moves every agent
-    # of its policy to its chain.  Also returns the rewards at the first and
-    # last fickle switches to b, the cycle marks, as (time, rewards) or None.
+    # Agents start where run places them, b_only agents on b and all others
+    # on a; a switch event moves every agent of its policy to its chain.
+    # Also returns the rewards at the first and last fickle switches to b,
+    # the cycle marks, as (time, rewards) or None.
     power = rep.agent_power
     policy = rep.agent_policy
-    where = {a.id: "b" if a.policy is Strategy.B_ONLY or (
-        a.policy is not Strategy.A_ONLY and a.current_coin is Coin.B) else "a" for a in agents}
+    where = {aid: "b" if policy[aid] is Strategy.B_ONLY else "a" for aid in power}
     mover = {"switch_fickle": Strategy.FICKLE, "switch_auto": Strategy.AUTOMATIC}
     ks = iter(_histories(changes).k_history)
     k = next(ks)[1]
@@ -879,9 +884,9 @@ def _per_block_rewards(rep, events, changes, agents):
     return rewards, upto(marks[0]), upto(marks[-1])
 
 
-def _assert_rewards_match(rep, events, changes, agents):
+def _assert_rewards_match(rep, events, changes):
     # Every agent's reward and both cycle marks, against the per-block sums.
-    want, first, last = _per_block_rewards(rep, events, changes, agents)
+    want, first, last = _per_block_rewards(rep, events, changes)
     for got, expected in ((rep.agent_rewards, want), (rep.cycle_mark_first, first),
                           (rep.cycle_mark_last, last)):
         if expected is None:
@@ -904,31 +909,30 @@ def test_long_run_rewards_match_per_block_sum():
               60000.0, seed=5, **log_to(events), sinks=[changes.append])
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
     assert rep.fickle_cycles > 500
-    _assert_rewards_match(rep, events, changes, agents)
+    _assert_rewards_match(rep, events, changes)
 
 
-def test_automatic_crews_split_by_a_tie_keep_their_own_rewards():
-    # 1/d_a == k/d_b, so the automatic agents preset on different coins stay
-    # where they are until the first retarget, then both move to one chain.
-    # Each keeps the reward of the chain it mined before.
+def test_automatic_crew_keeps_coin_a_through_a_tie():
+    # 1/d_a == k/d_b, so the automatic agents stay on A, where they start,
+    # until a retarget breaks the tie; then both move at once.
     k = 0.4
     agents = [
         MinerAgent("a", 0.4, Strategy.A_ONLY),
         MinerAgent("b", 0.2, Strategy.B_ONLY),
         MinerAgent("f", 0.2, Strategy.FICKLE),
-        MinerAgent("u_a", 0.1, Strategy.AUTOMATIC, current_coin=Coin.A),
-        MinerAgent("u_b", 0.1, Strategy.AUTOMATIC, current_coin=Coin.B),
+        MinerAgent("u1", 0.1, Strategy.AUTOMATIC),
+        MinerAgent("u2", 0.1, Strategy.AUTOMATIC),
     ]
     world = ChainWorld(difficulty_a=1.0, difficulty_b=k, k=k)
     events, changes = [], []
     rep = run(world, agents, EpochFixed(20), EpochFixed(20), 400.0, seed=1,
               mode="deterministic", **log_to(events), sinks=[changes.append])
-    assert _histories(changes).occupancy[0] == pytest.approx((0.0, 0.7, 0.3))
-    # The first retarget moves only the agent that was not there yet.
+    assert _histories(changes).occupancy[0] == pytest.approx((0.0, 0.8, 0.2))
+    first_retarget = next(e[0] for e in events if e[2] == "difficulty")
     moves = [e[:2] for e in events if e[2] == "switch_auto"]
-    assert moves[0][0] > 0.0 and moves[1][0] > moves[0][0]
+    assert moves[0][0] >= first_retarget > 0.0 and moves[1] == moves[0]
     assert rep.fickle_cycles >= 2
-    _assert_rewards_match(rep, events, changes, agents)
+    _assert_rewards_match(rep, events, changes)
 
 
 _POLICIES = [Strategy.FICKLE, Strategy.AUTOMATIC, Strategy.A_ONLY, Strategy.B_ONLY]
@@ -941,9 +945,7 @@ def _switching_rosters(draw):
     total = math.fsum(weights)
     agents = []
     for i, w in enumerate(weights):
-        policy = draw(st.sampled_from(_POLICIES))
-        coin = draw(st.sampled_from([None, Coin.A, Coin.B]))
-        agents.append(MinerAgent(f"m{i}", w / total, policy, current_coin=coin))
+        agents.append(MinerAgent(f"m{i}", w / total, draw(st.sampled_from(_POLICIES))))
     # At least one agent that switches.
     if not any(a.policy in (Strategy.FICKLE, Strategy.AUTOMATIC) for a in agents):
         agents[0].policy = draw(st.sampled_from([Strategy.FICKLE, Strategy.AUTOMATIC]))
@@ -1004,11 +1006,10 @@ def test_switches_happen_only_at_start_retarget_or_price(agents, **world):
 @_switching_runs
 def test_crew_rewards_match_per_block_sums(agents, **world):
     # Rewards are credited per crew, not per agent; each agent's reward and
-    # both cycle marks must still be the exact per-block sums, whichever
-    # coins the switchers were preset on.
+    # both cycle marks must still be the exact per-block sums.
     result = _switching_run(agents, **world)
     if result is not None:
-        _assert_rewards_match(*result, agents)
+        _assert_rewards_match(*result)
 
 
 @pytest.mark.parametrize("regime", [EpochFixed(36), EpochWithEda(36, 6, 4.0, 0.8),

@@ -261,16 +261,41 @@ def test_simulate_json_format(config_path, capsys):
     assert payload["trajectory"][0]["step"] == 0
 
 
-def test_bad_regime_spec_exits_2(tmp_path, capsys):
+# An unknown kind, or more numbers than the regime has fields (these were
+# dropped, and the run went on without them).
+@pytest.mark.parametrize("spec", ["wavelet:9", "epoch:144:1", "perblock:144:7",
+                                  "eda:144:6:12:0.8:5"])
+def test_bad_regime_spec_exits_2(tmp_path, capsys, spec):
     world = tmp_path / "w.json"
     world.write_text(json.dumps({"k": 0.3, "difficulty_a": 1.0, "difficulty_b": 0.3}))
     agents = tmp_path / "a.json"
     agents.write_text(json.dumps([{"id": "a", "power": 1.0, "policy": "a_only"}]))
-    code, _, err = run_cli(capsys, "chain-sim", "--config", str(world),
-                           "--agents", str(agents), "--duration", "10",
-                           "--regime-b", "wavelet:9", "--quiet")
-    assert code == 2
-    assert json.loads(err.strip().splitlines()[-1])["code"] == "usage"
+    code, out, err = run_cli(capsys, "chain-sim", "--config", str(world),
+                             "--agents", str(agents), "--duration", "10",
+                             "--regime-b", spec, "--quiet")
+    assert (code, out) == (2, "")
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["code"] == "usage" and repr(spec) in payload["message"]
+
+
+def test_a_bug_in_a_handler_exits_1_as_internal(config_path, capsys, monkeypatch):
+    def bug(path):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "config_from_json", bug)
+    code, out, err = run_cli(capsys, "threshold", "--config", config_path, "--quiet")
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {"code": "internal",
+                                                        "message": "RuntimeError: bug"}
+
+
+def test_main_exits_with_the_dispatch_status(config_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dualchain", "threshold", "--config", config_path,
+                                      "--quiet"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {"automatic_threshold": 0.05}
 
 
 def test_best_response_subcommand(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualchain.core import (MiningState, Strategy, Zone, check_range, coexist_rb,
+from dualchain.core import (GameConfig, MiningState, Strategy, Zone, check_range, coexist_rb,
                             validate_config)
 from dualchain.equilibrium import (
     DivergentState,
@@ -140,6 +140,18 @@ def test_boundary13_endpoints():
     assert boundary13_rb(0.0, cfg) == pytest.approx(coexist_rb(0.3), abs=1e-10)
     assert boundary13_rb(1.0 - alpha, cfg) == pytest.approx(alpha, abs=1e-9)
     assert boundary13_rb(min(1.0, 1.0 - alpha + 0.05), cfg) is None
+    assert boundary13_rb(1.0, cfg) is None
+
+
+def test_boundary13_takes_the_edge_at_a_rounding_sized_residual():
+    # Just past the curve's end (1 - alpha, alpha), u_f - u_a on the outer
+    # edge is positive by less than the residual tolerance: the edge is
+    # the crossing.
+    cfg = config(0.3)
+    r_f = 1.0 - solve_alpha(cfg) + 1e-10
+    u_f, u_a, _ = payoff_values(r_f, 1.0 - r_f, cfg.k, cfg.n_in, cfg.n_de)
+    assert 0.0 < u_f - u_a < 1e-9
+    assert boundary13_rb(r_f, cfg) == 1.0 - r_f
 
 
 def test_boundary13_exists_near_one_for_small_k():
@@ -275,6 +287,8 @@ def test_finite_deviation_group_membership_checked():
         finite_deviation(MiningState(0.5, 0.1), 0.05, Strategy.B_ONLY, cfg)
     with pytest.raises(PowerNotInGroup):
         finite_deviation(MiningState(0.7, 0.25), 0.1, Strategy.A_ONLY, cfg)
+    with pytest.raises(PowerNotInGroup, match="automatic"):
+        finite_deviation(MiningState(0.3, 0.2), 0.1, Strategy.AUTOMATIC, cfg)
 
 
 def reference_finite_deviation(state, c_i, current, config):
@@ -411,6 +425,10 @@ def test_x_threshold_uniform_powers_equal_single():
 def test_x_threshold_requires_small_players():
     with pytest.raises(PowerExceedsK):
         x_threshold(config(0.3, powers=[0.3, 0.7]))
+    # validate_config refuses a config with no players; the raw constructor
+    # does not check.
+    with pytest.raises(PowerExceedsK, match="no non-faction players"):
+        x_threshold(GameConfig(0.3, 2016, 2016, 1.0, ()))
 
 
 # ---------------------------------------------------------------------------

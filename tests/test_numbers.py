@@ -103,6 +103,7 @@ def test_validate_config_keeps_its_typed_codes_and_fields():
         ({**base, "k": 2}, KAboveOne, "k"),
         ({**base, "k": 10 ** 400}, KAboveOne, "k"),
         ({**base, "n_de": 2.5}, ZeroBlockCount, "n_de"),
+        ({**base, "n_in": 1.7e308, "n_de": 1.7e308}, InvalidValue, "n_de"),
         ({**base, "c_stick": -0.1, "powers": [1.1]}, NegativePower, "c_stick"),
         ({**base, "powers": [0.5, 0.0]}, NegativePower, "powers"),
         ({**base, "powers": [0.5, 0.4]}, PowerSumMismatch, "powers"),
@@ -173,8 +174,8 @@ def run(tmp_path, capsys, argv, **files):
     return code, captured.out, captured.err
 
 
-# (argv, files, code, field): one case per payload this rule changed.  The
-# old payloads are listed in CHANGES.md.
+# (argv, files, code, field): one case per refused input.  Where a payload
+# changed, CHANGES.md lists the old one.
 REFUSED = {
     "grid 0": (ZONES[:-1] + ["0"], {}, "invalid_input", "grid"),
     "tol nan": (ZONES + ["--tol", "nan"], {}, "invalid_input", "tol"),
@@ -188,6 +189,7 @@ REFUSED = {
                   "invalid_input", "state"),
     "state text": (["payoff", "--config", "game.json", "--state", "x,0.1"], {},
                    "invalid_input", "state"),
+    "state one part": (["payoff", "--config", "game.json", "--state", "0.3"], {}, "usage", None),
     "hysteresis -1": (ANALYZE + ["--hysteresis", "-1"], {}, "invalid_input", "hysteresis"),
     "duration nan": (SIM[:-1] + ["nan"], {}, "invalid_input", "duration"),
     "series-step 0": (SIM + ["--series", "s.csv", "--series-step", "0"], {}, "invalid_input",
@@ -218,6 +220,9 @@ REFUSED = {
                      "invalid_input", "power"),
     "power true": (SIM, {"agents.json": [{**AGENTS[0], "power": True}, AGENTS[1]]},
                    "invalid_input", "power"),
+    "empty roster": (SIM, {"agents.json": []}, "power_sum_mismatch", None),
+    "power 0": (SIM, {"agents.json": [{**AGENTS[0], "power": 0}, AGENTS[1]]},
+                "negative_power", "power"),
     "roster sum 0.5": (SIM, {"agents.json": [{**AGENTS[0], "power": 0.1}, AGENTS[1]]},
                        "power_sum_mismatch", "power"),
     "roster sum overflows": (SIM, {"agents.json": [{**AGENTS[0], "power": 1e308},
@@ -234,6 +239,11 @@ REFUSED = {
     "game n_de past the float range": (["threshold", "--config", "game.json"],
                                        {"game.json": {**GAME, "n_de": 10 ** 400}},
                                        "zero_block_count", "n_de"),
+    # zones streamed its first rows, then exited 2 as divergent_state at an
+    # interior point: q overflowed in the payoff forms.
+    "game block counts sum past the float range": (
+        ZONES[:-1] + ["3"], {"game.json": {**GAME, "n_in": 1.7e308, "n_de": 1.7e308}},
+        "invalid_input", "n_de"),
     "game power sum overflows": (["equilibria", "--config", "game.json"],
                                  {"game.json": {**GAME, "powers": [1e308, 1e308]}},
                                  "power_sum_mismatch", "powers"),
