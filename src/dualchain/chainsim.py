@@ -25,8 +25,9 @@ Difficulty regimes:
 
 Every difficulty adjustment resets the measurement window, matching a
 model in which the adjustment count runs from the last update.  Each
-regime builds its chain's per-block hook (`_hook`), so a new rule needs no
-change to the event loop.
+regime builds its chain's block hook (`_hook`), so a new rule needs no
+change to the event loop, which calls a hook only on blocks where it can
+act: from the chain's `due` height on, n blocks ahead under EpochFixed.
 
 Agents: coin-only loyalists never move; fickle agents re-evaluate the
 switching predicate (to B iff d_b < min(r_f + r_b, k*d_a) or d_b <= r_b,
@@ -80,47 +81,17 @@ def _check_retarget(chain: _Chain, now: float) -> None:
                 name=f"coin_{chain.label} difficulty at t={now!r}")
 
 
+def _epoch_retarget(chain: _Chain, n: int, span: float, now: float) -> None:
+    """Retarget the chain at `now` to the power that n blocks over `span`
+    P_ag imply; a span of no time infers none and keeps the difficulty."""
+    if span > 0.0:
+        chain.difficulty = n * chain.difficulty / span
+    _check_retarget(chain, now)
+
+
 class Coin(Enum):
     A = "a"
     B = "b"
-
-
-def _epoch_hook(chain: _Chain, n: int,
-                eda: tuple[int, float, float] | None = None) -> Callable[[float], str | None]:
-    """The chain's on_block(now) under an epoch retarget every n blocks: the
-    event kind if difficulty changed.  `eda`, a (window, threshold, factor)
-    triple, adds the emergency decrease; without it no other block moves
-    difficulty."""
-    since = 0
-    anchor = 0.0
-    if eda is not None:
-        size, threshold, factor = eda
-        # The times of the last size + 1 blocks.  A window longer than a
-        # deque can hold never fills, as no run makes that many blocks.
-        full = min(size + 1, sys.maxsize)
-        window = deque(maxlen=full)
-
-    def on_block(now: float) -> str | None:
-        nonlocal since, anchor
-        if eda is not None:
-            window.append(now)
-        since += 1
-        if since >= n:
-            span = now - anchor
-            if span > 0.0:
-                chain.difficulty = since * chain.difficulty / span
-            kind = "difficulty"
-        elif eda is not None and len(window) == full and now - window[0] > threshold:
-            chain.difficulty *= factor
-            kind = "eda"
-        else:
-            return None
-        _check_retarget(chain, now)
-        since = 0
-        anchor = now
-        return kind
-
-    return on_block
 
 
 @dataclass(frozen=True)
@@ -132,9 +103,20 @@ class EpochFixed:
     def __post_init__(self):
         check_count(self.n, "n", name="epoch length")
 
-    def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
-        """The chain's on_block(now): the event kind if difficulty changed."""
-        return _epoch_hook(chain, self.n)
+    def _hook(self, chain: _Chain) -> Callable[[float], str]:
+        """The chain's on_block(now), due every n-th block: a retarget."""
+        n = self.n
+        anchor = 0.0
+        chain.due = n
+
+        def on_block(now: float) -> str:
+            nonlocal anchor
+            _epoch_retarget(chain, n, now - anchor, now)
+            anchor = now
+            chain.due += n
+            return "difficulty"
+
+        return on_block
 
 
 @dataclass(frozen=True)
@@ -153,8 +135,32 @@ class EpochWithEda:
         check_range(self.eda_threshold, "eda_threshold", 0.0, lo_open=True, hi_open=True)
 
     def _hook(self, chain: _Chain) -> Callable[[float], str | None]:
-        """The chain's on_block(now): the event kind if difficulty changed."""
-        return _epoch_hook(chain, self.n, (self.eda_window, self.eda_threshold, self.eda_factor))
+        """The chain's on_block(now), due every block: the kind of any retarget."""
+        n, threshold, factor = self.n, self.eda_threshold, self.eda_factor
+        since, anchor = 0, 0.0
+        # The times of the last eda_window + 1 blocks.  A window longer than
+        # a deque can hold never fills, as no run makes that many blocks.
+        full = min(self.eda_window + 1, sys.maxsize)
+        window = deque(maxlen=full)
+
+        def on_block(now: float) -> str | None:
+            nonlocal since, anchor
+            window.append(now)
+            since += 1
+            if since >= n:
+                _epoch_retarget(chain, n, now - anchor, now)
+                kind = "difficulty"
+            elif len(window) == full and now - window[0] > threshold:
+                chain.difficulty *= factor
+                _check_retarget(chain, now)
+                kind = "eda"
+            else:
+                return None
+            since = 0
+            anchor = now
+            return kind
+
+        return on_block
 
 
 @dataclass(frozen=True)
@@ -284,12 +290,13 @@ class _Chain:
     settlement per unit of power mining the chain; an agent's share of a
     stretch of blocks is its power times the growth of `acc` while it mined
     here.  The chain's regime retargets it through the hook its `_hook`
-    returns; the hook refers to the chain, never the other way round, so a
-    finished run leaves no reference cycle behind.
+    returns, which the event loop calls once `height` reaches `due` (0 for a
+    rule that may act on any block); the hook refers to the chain, never the
+    other way round, so a finished run leaves no reference cycle behind.
     """
 
-    __slots__ = ("coin", "label", "difficulty", "power", "alloc", "acc", "height", "first_ts",
-                 "last_ts")
+    __slots__ = ("coin", "label", "difficulty", "power", "alloc", "acc", "height", "due",
+                 "first_ts", "last_ts")
 
     def __init__(self, coin: Coin, difficulty: float):
         self.coin = coin
@@ -299,6 +306,7 @@ class _Chain:
         self.alloc = 0.0
         self.acc = 0.0
         self.height = 0
+        self.due = 0
         self.first_ts: float | None = None
         self.last_ts: float | None = None
 
@@ -309,24 +317,26 @@ class _Crew:
     A policy moves all its agents to one chain at once, so a crew never
     splits and its agents share one reward per unit of power: `unit`, paid
     up to the last settlement, plus the growth of its chain's `acc` since
-    `mark`.  `power` is the crew's exact power sum (2**-1074 units).
+    `mark`.  `power` is the crew's exact power sum (2**-1074 units), added
+    to its chain's at set-up.
     """
 
     __slots__ = ("chain", "power", "size", "mark", "unit")
 
-    def __init__(self, chain: _Chain):
+    def __init__(self, chain: _Chain, powers: list[float]):
         self.chain = chain
-        self.power = 0
-        self.size = 0
+        self.size = len(powers)
+        self.power = sum(map(_exact, powers))
         self.mark = 0.0
         self.unit = 0.0
+        chain.power += self.power
 
 
-def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
+def _validate_agents(agents: Sequence[MinerAgent]) -> tuple[list, list[float], list[Strategy]]:
+    """The roster's ids, powers and policies, in roster order."""
     if not agents:
-        raise PowerSumMismatch("empty roster")
+        raise PowerSumMismatch("empty roster", field="agents")
     seen = set()
-    roster = []
     for a in agents:
         if a.id in seen:
             raise InvalidValue(f"duplicate agent id {a.id!r}", field="id")
@@ -335,10 +345,10 @@ def _validate_agents(agents: Sequence[MinerAgent]) -> list[MinerAgent]:
             raise NegativePower(f"agent {a.id!r} power must be > 0", field="power")
         if not isinstance(a.policy, Strategy):
             raise InvalidValue(f"agent {a.id!r} has no policy", field="agents")
-        roster.append(a)
-    check_range(power_sum(a.power for a in roster) - 1.0, "power", -POWER_SUM_TOL,
-                POWER_SUM_TOL, error=PowerSumMismatch, name="roster power sum - 1")
-    return roster
+    powers = [a.power for a in agents]
+    check_range(power_sum(powers) - 1.0, "power", -POWER_SUM_TOL, POWER_SUM_TOL,
+                error=PowerSumMismatch, name="roster power sum - 1")
+    return [a.id for a in agents], powers, [a.policy for a in agents]
 
 
 def run(
@@ -361,7 +371,9 @@ def run(
     per crew, the agents of one policy (at most four crews), so blocks,
     switches, settlements and fickle cycle marks cost the same whatever the
     roster size; only set-up and the final split, each agent's power times
-    its crew's reward per unit, grow with it.
+    its crew's reward per unit, grow with it.  A block moves only the other
+    chain's clock and calls its chain's hook from the `due` height on; the
+    state of both chains is read again only after a retarget or price tick.
 
     on_block(t, chain label) gets each block of the event log and on_event(t,
     chain, kind, d_a, d_b, r_f, r_b, lines) each state change below with its
@@ -385,7 +397,7 @@ def run(
     # random.expovariate(1.0), so a seed draws the same thresholds.
     rand = random.Random(seed).random
     ln = math.log
-    roster = _validate_agents(agents)
+    ids, powers, policies = _validate_agents(agents)
 
     k = world.k
     A = _Chain(Coin.A, world.difficulty_a)
@@ -395,21 +407,13 @@ def run(
     hook_b = regime_b._hook(B)
 
     # Rewards are kept per crew (see _Crew), one per policy, empty where no
-    # agent holds it; `member` holds each agent's crew by roster index.
-    # Loyalists take their coin; switchers start on A and make their first
-    # decision through the regular re-evaluation below, so an opening move
-    # shows up in the event log like any other switch.
-    ids = [a.id for a in roster]
-    powers = [a.power for a in roster]
-    crews = {p: _Crew(B if p is Strategy.B_ONLY else A) for p in Strategy}
-    member = []
-    for a in roster:
-        c = crews[a.policy]
-        c.power += _exact(a.power)
-        c.size += 1
-        member.append(c)
-    for c in crews.values():
-        c.chain.power += c.power
+    # agent holds it.  Loyalists take their coin; switchers start on A and
+    # make their first decision through the regular re-evaluation below, so
+    # an opening move shows up in the event log like any other switch.
+    by_policy = {p: [] for p in Strategy}
+    for x, p in zip(powers, policies):
+        by_policy[p].append(x)
+    crews = {p: _Crew(B if p is Strategy.B_ONLY else A, xs) for p, xs in by_policy.items()}
     settle_every = 4096
     fickle = crews[Strategy.FICKLE]
     automatic = crews[Strategy.AUTOMATIC]
@@ -436,7 +440,7 @@ def run(
     counts: dict[tuple[str, str], int] = {}
     reevaluations = 0
     fickle_cycles = 0
-    # (time, {crew: unit}) at the first and last fickle cycle starts.
+    # (time, {policy: crew unit}) at the first and last fickle cycle starts.
     cycle_mark_first = None
     cycle_mark_last = None
 
@@ -488,7 +492,7 @@ def run(
                 emit(target.label, "switch_fickle")
                 if target is B:
                     settle()
-                    mark = (t, {c: c.unit for c in crews.values()})
+                    mark = (t, {p: c.unit for p, c in crews.items()})
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
@@ -513,63 +517,72 @@ def run(
 
     n_prices = len(price_changes)
     t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
-    while True:
+    t_next = 0.0
+    while t_next <= duration:
+        # Read again after each retarget or price tick, which end the block loop.
+        d_a = A.difficulty
+        d_b = B.difficulty
         alloc_a = A.alloc
         alloc_b = B.alloc
-        t_a = t + (work_a - prog_a) * A.difficulty / alloc_a if alloc_a > 0.0 else _INF
-        t_b = t + (work_b - prog_b) * B.difficulty / alloc_b if alloc_b > 0.0 else _INF
-        t_block = t_a if t_a <= t_b else t_b
-        t_next = t_price if t_price < t_block else t_block
-        if t_next > duration or t_next == _INF:
-            break
-        dt = t_next - t
-        if alloc_a > 0.0:
-            prog_a += alloc_a / A.difficulty * dt
-        if alloc_b > 0.0:
-            prog_b += alloc_b / B.difficulty * dt
-        t = t_next
+        rate_a = alloc_a / d_a if alloc_a > 0.0 else 0.0
+        rate_b = alloc_b / d_b if alloc_b > 0.0 else 0.0
+        while True:
+            t_a = t + (work_a - prog_a) * d_a / alloc_a if alloc_a > 0.0 else _INF
+            t_b = t + (work_b - prog_b) * d_b / alloc_b if alloc_b > 0.0 else _INF
+            t_block = t_a if t_a <= t_b else t_b
+            t_next = t_price if t_price < t_block else t_block
+            if t_next > duration:  # the horizon is finite, so this holds at _INF
+                break
+            dt = t_next - t
+            t = t_next
 
-        if t_price <= t_block:
-            k = price_changes[price_idx][1]
-            price_idx += 1
-            t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
-            emit("-", "price")
-            reevaluate()
-            continue
+            if t_price <= t_block:
+                prog_a += rate_a * dt
+                prog_b += rate_b * dt
+                k = price_changes[price_idx][1]
+                price_idx += 1
+                t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
+                emit("-", "price")
+                reevaluate()
+                break
 
-        if t_a <= t_b:
-            ch = A
-            ch.acc += 1.0 / alloc_a
-            prog_a = 0.0
-            work_a = -ln(1.0 - rand()) if exponential else 1.0
-            hook = hook_a
-        else:
-            ch = B
-            ch.acc += k / alloc_b
-            prog_b = 0.0
-            work_b = -ln(1.0 - rand()) if exponential else 1.0
-            hook = hook_b
-        ch.height += 1
-        if ch.first_ts is None:
-            ch.first_ts = t
-        ch.last_ts = t
-        if on_block is not None:
-            on_block(t, ch.label)
-        if not ch.height % settle_every:
-            settle()
-        kind = hook(t)
-        if kind is not None:
-            emit(ch.label, kind)
-            reevaluate()
+            if t_a <= t_b:
+                ch = A
+                ch.acc += 1.0 / alloc_a
+                prog_a = 0.0
+                prog_b += rate_b * dt  # only the other chain's clock moves on
+                work_a = -ln(1.0 - rand()) if exponential else 1.0
+                hook = hook_a
+            else:
+                ch = B
+                ch.acc += k / alloc_b
+                prog_b = 0.0
+                prog_a += rate_a * dt
+                work_b = -ln(1.0 - rand()) if exponential else 1.0
+                hook = hook_b
+            height = ch.height = ch.height + 1
+            if ch.first_ts is None:
+                ch.first_ts = t
+            ch.last_ts = t
+            if on_block is not None:
+                on_block(t, ch.label)
+            if not height % settle_every:
+                settle()
+            if height >= ch.due:
+                kind = hook(t)
+                if kind is not None:
+                    emit(ch.label, kind)
+                    reevaluate()
+                    break
 
     t = duration
     emit("-", "end", 0)
     # An open fickle B-phase at the horizon is not a completed cycle.
     settle()
 
-    def credit(units: dict[_Crew, float]) -> dict[str, float]:
+    def credit(units: dict[Strategy, float]) -> dict[str, float]:
         # The only per-agent pass after set-up: power times its crew's unit.
-        return dict(zip(ids, [p * units[c] for p, c in zip(powers, member)]))
+        return dict(zip(ids, [x * units[p] for x, p in zip(powers, policies)]))
 
     def by_id(mark):
         return None if mark is None else (mark[0], credit(mark[1]))
@@ -581,9 +594,9 @@ def run(
         duration=duration,
         mode=mode,
         seed=seed,
-        agent_power={a.id: a.power for a in roster},
-        agent_policy={a.id: a.policy for a in roster},
-        agent_rewards=credit({c: c.unit for c in crews.values()}),
+        agent_power=dict(zip(ids, powers)),
+        agent_policy=dict(zip(ids, policies)),
+        agent_rewards=credit({p: c.unit for p, c in crews.items()}),
         blocks={Coin.A: A.height, Coin.B: B.height},
         mean_interval={ch.coin: (ch.last_ts - ch.first_ts) / (ch.height - 1)
                        if ch.height >= 2 else None for ch in (A, B)},

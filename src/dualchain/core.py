@@ -195,9 +195,11 @@ class MiningState:
     def __post_init__(self):
         # Written so that NaN fails the first test; +inf fails the second.
         if not (self.r_f >= 0.0 and self.r_b >= 0.0):
-            raise ValueError(f"power fractions must be >= 0: ({self.r_f}, {self.r_b})")
+            raise InvalidValue(f"power fractions must be >= 0: ({self.r_f}, {self.r_b})",
+                               field="r_b" if self.r_f >= 0.0 else "r_f")
         if not (self.r_f + self.r_b <= 1.0 + _SIMPLEX_SLACK):
-            raise ValueError(f"r_f + r_b > 1: ({self.r_f}, {self.r_b})")
+            raise InvalidValue(f"r_f + r_b > 1: ({self.r_f}, {self.r_b})",
+                               field="r_b" if self.r_f <= 1.0 + _SIMPLEX_SLACK else "r_f")
 
     @property
     def r_a(self) -> float:

@@ -538,6 +538,19 @@ def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
         assert ch.difficulty == min(max(inferred, 0.5 * d), 2.0 * d)
 
 
+def test_epoch_hook_is_due_every_n_th_block_and_eda_every_block():
+    ch = _Chain(Coin.A, 0.5)
+    on_block = EpochFixed(4)._hook(ch)
+    assert ch.due == 4
+    assert on_block(2.0) == "difficulty" and ch.difficulty == 4 * 0.5 / 2.0
+    assert ch.due == 8
+    assert on_block(3.0) == "difficulty" and ch.difficulty == 4 * 1.0 / 1.0
+    assert ch.due == 12
+    eda = _Chain(Coin.B, 0.5)
+    EpochWithEda(4)._hook(eda)
+    assert eda.due == 0
+
+
 def test_per_block_window_keeps_difficulty_for_blocks_at_one_instant():
     # A window that spans no time infers no power.  In a run this takes an
     # Exp(1) work threshold too small to move the clock.

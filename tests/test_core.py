@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from dualchain.core import (
     EmptyPowers,
     GameConfig,
+    InvalidValue,
     KAboveOne,
     MiningState,
     NegativePower,
@@ -117,6 +118,17 @@ def test_mining_state_residual_in_unit_interval(r_f, frac):
 def test_mining_state_rejects_invalid(r_f, r_b):
     with pytest.raises(ValueError):
         MiningState(r_f, r_b)
+
+
+@pytest.mark.parametrize("r_f,r_b,field", [
+    (-0.1, 0.2, "r_f"), (0.2, -0.1, "r_b"), (0.7, 0.4, "r_b"), (1.5, 0.0, "r_f"),
+    (math.nan, 0.1, "r_f"), (0.1, math.nan, "r_b"), (-0.1, math.nan, "r_f"),
+    (math.inf, 0.0, "r_f"), (0.0, math.inf, "r_b"), (-math.inf, 0.1, "r_f"),
+])
+def test_mining_state_refusal_names_the_first_failing_component(r_f, r_b, field):
+    with pytest.raises(InvalidValue) as info:
+        MiningState(r_f, r_b)
+    assert info.value.field == field
 
 
 @pytest.mark.parametrize("c_stick,powers,exc", [

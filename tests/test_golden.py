@@ -53,6 +53,13 @@ REGIMES_B = {"epoch": "epoch:4", "eda": "eda:6:3:4:0.8", "perblock": "perblock:1
 MODES = ("exponential", "deterministic")
 
 
+def _k_ticks():
+    """A price tick every 7.3 P_ag, off the block grid of either mode."""
+    ks = (0.2, 0.6, 0.378, 0.9, 0.3)
+    return "at,value\n" + "".join(f"{7.3 * i + 0.37!r},{ks[i % len(ks)]}\n"
+                                   for i in range(60))
+
+
 def _series_rows():
     """A square wave of fickle episodes: 60 rows, one every 600 s."""
     rows = []
@@ -78,6 +85,7 @@ def write_inputs(root):
         "assignment.json": json.dumps(["fickle", "a_only", "b_only"]),
         "k_steps.json": json.dumps([[0, 0.3], [40, 0.6], [90, 0.2]]),
         "k_times.csv": "at,value\n0,0.378\n150,0.2\n300,0.5\n",
+        "k_ticks.csv": _k_ticks(),
         "series.csv": _series_rows(),
     }
     for name, text in files.items():
@@ -97,6 +105,12 @@ def cases():
             if regime == "epoch" and mode == "deterministic":
                 argv += ["--k-schedule", "k_times.csv"]
             out[f"chain-sim {regime} {mode}"] = (argv, ("events.csv", "series_out.csv"))
+    for mode in MODES:  # price ticks between blocks under a per-block retarget
+        argv = ["chain-sim", "--config", "world.json", "--agents", "agents.json",
+                "--regime-a", "epoch:40", "--regime-b", "perblock:144", "--mode", mode,
+                "--duration", "600", "--seed", "7", "--k-schedule", "k_ticks.csv",
+                "--events", "events.csv", "--series", "series_out.csv", "--series-step", "5"]
+        out[f"chain-sim perblock k ticks {mode}"] = (argv, ("events.csv", "series_out.csv"))
     for name, agents, spec, mode in (("loyalists perblock", "loyalists.json", "perblock:10",
                                       "exponential"),
                                      ("automatic crew eda", "automatic_crew.json",

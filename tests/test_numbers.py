@@ -220,7 +220,7 @@ REFUSED = {
                      "invalid_input", "power"),
     "power true": (SIM, {"agents.json": [{**AGENTS[0], "power": True}, AGENTS[1]]},
                    "invalid_input", "power"),
-    "empty roster": (SIM, {"agents.json": []}, "power_sum_mismatch", None),
+    "empty roster": (SIM, {"agents.json": []}, "power_sum_mismatch", "agents"),
     "power 0": (SIM, {"agents.json": [{**AGENTS[0], "power": 0}, AGENTS[1]]},
                 "negative_power", "power"),
     "roster sum 0.5": (SIM, {"agents.json": [{**AGENTS[0], "power": 0.1}, AGENTS[1]]},
