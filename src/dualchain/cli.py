@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -45,6 +46,10 @@ class _UsageError(DualchainError):
     code = "usage"
 
 
+class _NonFiniteOutput(DualchainError):
+    code = "non_finite_output"
+
+
 class _HelpShown(Exception):
     pass
 
@@ -70,9 +75,23 @@ def _setup_logging():
     log.setLevel(chosen)
 
 
-def _json(obj) -> str:
-    """One JSON line; NaN or infinity anywhere raises ValueError (exit 2)."""
-    return json.dumps(obj, allow_nan=False) + "\n"
+def _finite(value) -> bool:
+    """Whether JSON can carry `value`: no NaN or infinity anywhere in it."""
+    try:
+        return bool(json.dumps(value, allow_nan=False))
+    except ValueError:
+        return False
+
+
+def _json(obj: dict) -> str:
+    """One JSON line.  A NaN or infinity anywhere raises _NonFiniteOutput
+    naming the first top-level key that holds one (exit 2)."""
+    try:
+        return json.dumps(obj, allow_nan=False) + "\n"
+    except ValueError:
+        field = next(key for key, value in obj.items() if not _finite(value))
+        raise _NonFiniteOutput(f"{field} is not finite: JSON cannot carry it",
+                               field=field) from None
 
 
 @contextlib.contextmanager
@@ -126,16 +145,17 @@ def _write_json_rows(fh, fields, rows):
     fh.write("]")
 
 
-def _emit_json_rows(head: str, fields, rows, tail: str, out: str | None, floats=()):
+def _emit_json_rows(head: str, fields, rows, tail: str, out: str | None, floats=None):
     """Write head, the JSON rows array and tail as one line, with the bytes
     `_json` gives the same object.
 
-    `floats` holds the float columns, in field order.  They are checked
-    before anything is written: a NaN or infinity raises the ValueError
-    `_json` raises (exit 2), and leaves no output.
+    `floats` maps each float field, in field order, to its column.  They
+    are checked before anything is written: a NaN or infinity raises
+    _NonFiniteOutput naming the first such field (exit 2), and no output.
     """
-    if not all(all(map(math.isfinite, column)) for column in floats):
-        _json(list(zip(*floats)))  # raises, naming the first such value in row order
+    for field, column in (floats or {}).items():
+        if not all(map(math.isfinite, column)):
+            raise _NonFiniteOutput(f"{field} is not finite: JSON cannot carry it", field=field)
     with _output(out) as fh:
         fh.write(head)
         _write_json_rows(fh, fields, rows)
@@ -274,7 +294,8 @@ def _cmd_simulate(args) -> int:
         head = '{"outcome": %s, "steps_used": %s, "trajectory": ' % (
             json.dumps(traj.outcome.value), traj.steps_used)
         _emit_json_rows(head, fields, rows, "}", args.out,
-                        floats=(traj.r_f, traj.r_b, traj.ks, traj.c_sticks))
+                        floats={"r_f": traj.r_f, "r_b": traj.r_b, "k": traj.ks,
+                                "c_stick": traj.c_sticks})
     else:
         _emit_csv(fields, rows, args.out)
         if not args.quiet:
@@ -612,11 +633,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(only: str | None = None) -> _Parser:
     """The CLI parser; with `only`, just that command's subparser.
 
     A command's arguments, usage and errors do not depend on which other
-    commands the parser holds.
+    commands the parser holds.  Each is built once per process: a parse
+    keeps no state on it, and help takes the terminal's width when printed.
     """
     parser = _Parser(prog="dualchain", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -636,8 +659,8 @@ def build_parser(only: str | None = None) -> _Parser:
 def dispatch(argv: list[str]) -> int:
     """Parse and run; returns the process exit code."""
     _setup_logging()
-    # Build only the named command's subparser.  No command, -h or an
-    # unknown name gets the full parser, which lists every command.
+    # Only the named command's subparser.  No command, -h or an unknown
+    # name gets the full parser, which lists every command.
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

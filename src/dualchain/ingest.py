@@ -301,7 +301,8 @@ def zone_path(
     mining coin_B its difficulty has nowhere to fall, which is the
     coin_A-dominant downfall reading rather than the analytic near-axis
     bonanza.  A record that does carry B mining before any period has
-    provided an r_f estimate is unresolvable.  A negative or NaN share
+    provided an r_f estimate is unresolvable, a refusal that names
+    `input`.  A negative or NaN share
     or r_f raises InvalidValue naming that column.
     """
     zones: list[Zone] = []
@@ -328,8 +329,7 @@ def zone_path(
         elif carried_rf is None:
             raise UnresolvableState(
                 f"record {i}: B mining observed before any fickle period "
-                "provided an r_f estimate"
-            )
+                "provided an r_f estimate", field="input")
         else:
             r_b = share
             r_f = min(carried_rf, max(0.0, 1.0 - share), 1.0)

@@ -8,11 +8,16 @@ hook, then prints, per module under src/dualchain, the executable lines (as
 tests/line_census.py counts them) that no test reached, followed by pytest's
 exit status.  It reports and never fails on what it finds: the hook slows
 the suite about fourfold, so a wall-clock bound in the suite may fail under
-it.  Lines run only in a subprocess or a forked worker are not seen.
+it.  A worker forked from the traced process keeps the hook, and the lines
+it reached count when it leaves through os._exit (as `replicas` workers
+do).  Lines run only in a subprocess are not seen.
 """
 
+import json
+import os
 import pathlib
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -24,8 +29,9 @@ PACKAGE = ROOT / "src" / "dualchain"
 
 
 def trace_lines(package: pathlib.Path, run):
-    """Call run() with every frame of a module in `package` traced; return
-    ({module path: reached line numbers}, run's result)."""
+    """Call run() with every frame of a module in `package` traced, in this
+    process and in the children it forks; return ({module path: reached
+    line numbers}, run's result)."""
     reached: dict[str, set[int]] = {}
     # co_filename -> the line tracer of its module, or None outside `package`.
     # One tracer per module, made once: a tracer made per call would leave
@@ -47,14 +53,34 @@ def trace_lines(package: pathlib.Path, run):
                 if path.parent == package else None
         return tracers[filename]
 
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    try:
-        result = run()
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    with tempfile.TemporaryDirectory() as forks:
+        os.register_at_fork(after_in_child=lambda: _report_at_exit(reached, forks))
+        threading.settrace(on_call)
+        sys.settrace(on_call)
+        try:
+            result = run()
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+        for path in pathlib.Path(forks).iterdir():
+            for module, lines in json.loads(path.read_text()).items():
+                reached.setdefault(module, set()).update(lines)
     return reached, result
+
+
+def _report_at_exit(reached: dict[str, set[int]], directory: str):
+    """In a forked child: make os._exit first write the lines the child has
+    reached (its parent's up to the fork included) to <directory>/<pid>."""
+    leave = os._exit
+
+    def report_and_leave(status):
+        try:
+            with open(os.path.join(directory, str(os.getpid())), "w") as fh:
+                json.dump({module: sorted(lines) for module, lines in reached.items()}, fh)
+        finally:
+            leave(status)
+
+    os._exit = report_and_leave
 
 
 def main(argv: list[str]) -> None:

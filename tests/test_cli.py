@@ -133,6 +133,20 @@ def test_validation_error_json_and_exit_code(tmp_path, capsys):
     assert payload["field"] == "k"
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "FileNotFoundError: [Errno 2] No such file or directory: '{path}'"),
+    ('{"k": 0.3,', "JSONDecodeError: Expecting property name enclosed in double quotes: "
+                   "line 1 column 11 (char 10)"),
+])
+def test_unreadable_config_exits_2_as_invalid_input(tmp_path, capsys, content, message):
+    path = tmp_path / "game.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "equilibria", "--config", str(path), "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "message": message.format(path=path)}
+
+
 def test_unknown_flag_exit_code(config_path, capsys):
     code, _, err = run_cli(capsys, "equilibria", "--config", config_path, "--bogus")
     assert code == 2
@@ -797,8 +811,10 @@ def test_merge_replicas_gives_mean_and_sample_stdev():
 
 def test_merge_replicas_non_finite_density_exits_2_at_the_emit():
     reports = [{"policy_density": {"fickle": d}} for d in (math.inf, 1.0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(cli._NonFiniteOutput) as refused:
         cli._json(cli._merge_replicas(reports))
+    # The first top-level key holding one: the replica reports themselves.
+    assert refused.value.field == "replicas"
 
 
 def test_chain_sim_replicas_report_density_stdev(capsys, monkeypatch, replica_argv,
@@ -1077,8 +1093,9 @@ def test_simulate_json_refuses_a_non_finite_cell_before_writing(config_path, tmp
                                 "--initial", "0.3,0.2", "--max-steps", "50", "--format", "json",
                                 "--quiet", *(["--out", str(out)] if to_file else []))
     assert (code, stdout) == (2, "")
-    assert json.loads(err) == {"code": "invalid_input", "message":
-                               "ValueError: Out of range float values are not JSON compliant"}
+    field = {"ks": "k", "c_sticks": "c_stick"}.get(column, column)
+    assert json.loads(err) == {"code": "non_finite_output", "field": field,
+                               "message": f"{field} is not finite: JSON cannot carry it"}
     assert not out.exists()
 
 
@@ -1230,7 +1247,8 @@ def test_analyze_refusal_writes_estimates_but_no_zones(tmp_path, capsys):
                              "--quiet")
     assert code == 2
     assert out == ""
-    assert json.loads(err.strip().splitlines()[-1])["code"] == "unresolvable_state"
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert (payload["code"], payload["field"]) == ("unresolvable_state", "input")
     est_text, zone_text = expected_analyze_tables(str(config), series)
     assert zone_text is None
     assert est_out.read_bytes().decode() == est_text
@@ -1266,7 +1284,8 @@ def test_analyze_debug_line_reports_counts_and_stage_seconds(analyze_inputs, tmp
                            [series_row(i * 600, 0.25, 0.5, 0.3) for i in range(10)])
     code, _, err = run_cli(capsys, *argv[:4], refusal, *argv[5:])
     assert code == 2
-    assert json.loads(err.strip().splitlines()[-1])["code"] == "unresolvable_state"
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert (payload["code"], payload["field"]) == ("unresolvable_state", "input")
     [line] = debug_lines(err)
     assert (line["rows"], line["periods"], line["refused"]) == (10, 0, "unresolvable_state")
     assert "zones" not in line["seconds"]
@@ -1420,8 +1439,17 @@ def test_chain_sim_non_finite_difficulty_exits_2(tmp_path, capsys, field, value)
 
 def test_json_emit_refuses_non_finite(config_path, capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "automatic_threshold", lambda config: math.nan)
-    assert_exit_2(capsys, ["threshold", "--config", config_path, "--quiet"],
-                  "invalid_input")
+    code, out, err = run_cli(capsys, "threshold", "--config", config_path, "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "non_finite_output", "field": "automatic_threshold",
+                               "message": "automatic_threshold is not finite: "
+                                          "JSON cannot carry it"}
+
+
+def test_json_names_the_first_top_level_key_holding_a_non_finite_value():
+    with pytest.raises(cli._NonFiniteOutput) as refused:
+        cli._json({"a": 1.0, "b": {"c": [0.5, -math.inf]}, "d": math.nan})
+    assert refused.value.field == "b"
 
 
 # ---------------------------------------------------------------------------
@@ -1503,6 +1531,70 @@ def test_filtered_parser_holds_only_its_command():
     assert list(subs.choices) == ["zones"]
     full = cli.build_parser()._subparsers._group_actions[0]
     assert list(full.choices) == list(cli._COMMANDS)
+
+
+# Each parser is built once per process: a cached parser must run any
+# sequence of argvs as a freshly built one runs each.
+
+
+def test_build_parser_builds_each_parser_once():
+    for only in [*cli._COMMANDS, None]:
+        assert cli.build_parser(only) is cli.build_parser(only)
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("name", sorted(VALID_ARGV))
+def test_cached_parser_runs_a_sequence_like_fresh_parsers(tmp_path, monkeypatch, capsys,
+                                                          name):
+    # The files VALID_ARGV names, in the working directory.  c.json serves
+    # as the world config too: coin_B's difficulty defaults to k.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"k": 0.1, "n_in": 2016, "n_de": 6,
+                                                 "powers": [1.0]}))
+    (tmp_path / "a.json").write_text(json.dumps(
+        ["a_only"] if name == "best-response"
+        else [{"id": "a", "power": 1.0, "policy": "a_only"}]))
+    (tmp_path / "k.csv").write_text("at,value\n0,0.1\n")
+    write_series(tmp_path / "s.csv",
+                 [series_row(i * 600, 0.355 if i < 10 else 0.055, 0.05 if i < 10 else 0.5, 0.1)
+                  for i in range(40)])
+    valid = [name, *VALID_ARGV[name]]
+    errors = [argv for argv in PARSER_ARGVS if argv[:1] == [name] and "-h" not in argv]
+    sequence = [valid, *errors, [name, "-h"], valid + ["--out", "other.txt", "--quiet"]]
+
+    def outcome(argv):
+        """(exit, stdout, stderr, --out other.txt's text or None)."""
+        result = dispatch_outcome(capsys, argv)
+        other = tmp_path / "other.txt"
+        text = other.read_text() if other.exists() else None
+        other.unlink(missing_ok=True)
+        return (*result, text)
+
+    cli.build_parser.cache_clear()
+    cached = [outcome(argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cached == fresh
+    assert [code for code, *_ in cached] == [0] + [2] * len(errors) + [0, 0]
+    assert cached[-2][1] != "" and cached[-1][3]
+
+
+def test_cached_parser_help_follows_columns(monkeypatch, capsys):
+    argv = ["chain-sim", "-h"]
+    cli.build_parser("chain-sim")  # built before COLUMNS changes
+    helps = {}
+    for columns in ("40", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = dispatch_outcome(capsys, argv)
+    assert helps["40"] != helps["160"]
+    assert max(map(len, helps["160"][1].splitlines())) > 80
+    for columns, cached in helps.items():
+        monkeypatch.setenv("COLUMNS", columns)
+        cli.build_parser.cache_clear()
+        assert dispatch_outcome(capsys, argv) == cached
 
 
 # ---------------------------------------------------------------------------

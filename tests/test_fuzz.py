@@ -5,7 +5,7 @@ then spoils some of its number slots: a JSON number in an input file, or
 the text of a numeric flag.  Whatever comes in, the command exits 0 with
 parseable output on stdout, or 2 with nothing on stdout and a
 `{code, message, field?}` object as the last line of stderr.  A refused
-number names its field.
+number, and a result that is not finite, names its field.
 
 The runs are derandomized.  `--grid`, `--max-steps`, `--steps` and
 `--duration` are capped so that a valid argv stays a toy run.  Run with
@@ -43,12 +43,11 @@ BAD_TEXT = st.sampled_from(EDGE_TEXTS)
 # A flag that sizes a run (grid, steps, duration) gets no large finite value.
 BAD_CAPPED_TEXT = st.sampled_from([t for t in EDGE_TEXTS if t not in ("1e308",)])
 
-# Error codes of a refused input number; each carries `field`.
-NUMBER_CODES = {"invalid_input", "non_positive_k", "k_above_one", "zero_block_count",
-                "negative_power", "power_sum_mismatch", "invariant_violation"}
-# The one refusal of invalid_input that is about output, not an input number:
-# a result that is not finite cannot be written as JSON.
-NON_FINITE_OUTPUT = "ValueError: Out of range float values are not JSON compliant"
+# Error codes of a refused input number, and of a result that is not
+# finite and so cannot be written as JSON; each carries `field`.
+FIELD_CODES = {"invalid_input", "non_positive_k", "k_above_one", "zero_block_count",
+               "negative_power", "power_sum_mismatch", "invariant_violation",
+               "non_finite_output"}
 
 
 # A slot is spoilt when this draws its largest value, about one time in
@@ -274,7 +273,7 @@ def check_outcome(argv, code, out, err):
         assert out == "", argv
         payload = json.loads(err.strip().splitlines()[-1])
         assert {"code", "message"} <= set(payload) <= {"code", "message", "field"}, payload
-        if payload["code"] in NUMBER_CODES and payload["message"] != NON_FINITE_OUTPUT:
+        if payload["code"] in FIELD_CODES:
             assert payload.get("field"), (argv, payload)
         return
     csv_out = {"zones": "--format=json" not in argv, "simulate": "--format=json" not in argv,

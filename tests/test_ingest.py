@@ -343,8 +343,9 @@ def test_zone_path_unresolvable_before_first_period(tmp_path):
     rows = [synthetic_row(i * 600, 0.25, 0.5) for i in range(10)]
     loaded = load_series(write_csv(tmp_path / "u.csv", rows))
     estimates, _ = estimate_state_path(loaded, [])
-    with pytest.raises(UnresolvableState):
+    with pytest.raises(UnresolvableState) as refused:
         zone_path(estimates, cfg)
+    assert refused.value.field == "input"
 
 
 def test_zone_path_price_step_flips_zone(tmp_path):
