@@ -23,8 +23,11 @@ Difficulty regimes:
                        power (sum of per-interval difficulties / span),
                        clamped to x[0.5, 2] per block.
 
-Every difficulty adjustment resets the measurement window, matching a
-model in which the adjustment count runs from the last update.  Each
+Under EpochWithEda an emergency decrease also restarts the epoch count,
+so the next regular retarget comes n blocks after the last adjustment of
+either kind, matching a model in which the adjustment count runs from the
+last update.  No window restarts: the EDA's last eda_window + 1 block
+times and PerBlockWindow's intervals slide on with every block.  Each
 regime builds its chain's block hook (`_hook`), so a new rule needs no
 change to the event loop, which calls a hook only on blocks where it can
 act: from the chain's `due` height on, n blocks ahead under EpochFixed.
@@ -249,18 +252,18 @@ class SimReport:
     duration: float
     mode: str
     seed: int
-    agent_power: dict[str, float]
-    agent_policy: dict[str, Strategy]
     agent_rewards: dict[str, float]
+    # Each roster policy's reward per unit of power, in roster order.
+    policy_unit: dict[Strategy, float]
     blocks: dict[Coin, int]
     mean_interval: dict[Coin, float | None]
     fickle_cycles: int
     final_difficulty: dict[Coin, float]
     stats: dict[str, int | dict[str, int]]
-    # Reward snapshots at the first and last fickle cycle starts, for
-    # whole-cycle payoff measurement: (time, {agent: reward}).
-    cycle_mark_first: tuple[float, dict[str, float]] | None = None
-    cycle_mark_last: tuple[float, dict[str, float]] | None = None
+    # Reward per unit of power at the first and last fickle cycle starts,
+    # for whole-cycle payoff measurement: (time, {policy: unit}).
+    cycle_mark_first: tuple[float, dict[Strategy, float]] | None = None
+    cycle_mark_last: tuple[float, dict[Strategy, float]] | None = None
 
 
 EVENT_FIELDS = ("time", "chain", "event_type", "difficulty_a", "difficulty_b",
@@ -580,12 +583,7 @@ def run(
     # An open fickle B-phase at the horizon is not a completed cycle.
     settle()
 
-    def credit(units: dict[Strategy, float]) -> dict[str, float]:
-        # The only per-agent pass after set-up: power times its crew's unit.
-        return dict(zip(ids, [x * units[p] for x, p in zip(powers, policies)]))
-
-    def by_id(mark):
-        return None if mark is None else (mark[0], credit(mark[1]))
+    unit = {p: c.unit for p, c in crews.items()}
 
     def per_chain(kind: str) -> dict[str, int]:
         return {ch.label: counts.get((ch.label, kind), 0) for ch in (A, B)}
@@ -594,9 +592,9 @@ def run(
         duration=duration,
         mode=mode,
         seed=seed,
-        agent_power=dict(zip(ids, powers)),
-        agent_policy=dict(zip(ids, policies)),
-        agent_rewards=credit({p: c.unit for p, c in crews.items()}),
+        # The only per-agent pass after set-up: power times its crew's unit.
+        agent_rewards=dict(zip(ids, [x * unit[p] for x, p in zip(powers, policies)])),
+        policy_unit={p: unit[p] for p in dict.fromkeys(policies)},
         blocks={Coin.A: A.height, Coin.B: B.height},
         mean_interval={ch.coin: (ch.last_ts - ch.first_ts) / (ch.height - 1)
                        if ch.height >= 2 else None for ch in (A, B)},
@@ -607,8 +605,8 @@ def run(
                "fickle_switches": sum(per_chain("switch_fickle").values()),
                "auto_switches": sum(per_chain("switch_auto").values()),
                "reevaluations": reevaluations},
-        cycle_mark_first=by_id(cycle_mark_first),
-        cycle_mark_last=by_id(cycle_mark_last),
+        cycle_mark_first=cycle_mark_first,
+        cycle_mark_last=cycle_mark_last,
     )
 
 
@@ -617,43 +615,25 @@ MIN_CYCLES = 50
 
 
 def empirical_payoffs(report: SimReport) -> dict[Strategy, float]:
-    """Per-policy profit density: reward per P_ag per unit power.
+    """Per-policy profit density: reward per P_ag per unit power, in roster
+    order.
 
     Rosters containing fickle agents are measured between the first and
     last fickle cycle starts (whole cycles only) and require at least
     MIN_CYCLES completed cycles; loyal-only rosters use the full horizon.
     """
-    powers: dict[Strategy, float] = {}
-    for aid, p in report.agent_power.items():
-        policy = report.agent_policy[aid]
-        powers[policy] = powers.get(policy, 0.0) + p
-    has_fickle = Strategy.FICKLE in powers
-    if has_fickle:
-        if report.fickle_cycles < MIN_CYCLES or report.cycle_mark_first is None:
-            raise InsufficientCycles(
-                f"{report.fickle_cycles} fickle cycles < required {MIN_CYCLES}"
-            )
-        t0, rew0 = report.cycle_mark_first
-        t1, rew1 = report.cycle_mark_last
-        if t1 <= t0:
-            raise InsufficientCycles("no complete fickle cycle in report")
-        span = t1 - t0
-        earned = {
-            aid: rew1[aid] - rew0[aid] for aid in report.agent_rewards
-        }
-    else:
-        span = report.duration
-        earned = dict(report.agent_rewards)
-
-    densities: dict[Strategy, float] = {}
-    for policy, total_power in powers.items():
-        total = math.fsum(
-            earned[aid]
-            for aid, pol in report.agent_policy.items()
-            if pol is policy
+    units = report.policy_unit
+    if Strategy.FICKLE not in units:
+        return {p: unit / report.duration for p, unit in units.items()}
+    if report.fickle_cycles < MIN_CYCLES or report.cycle_mark_first is None:
+        raise InsufficientCycles(
+            f"{report.fickle_cycles} fickle cycles < required {MIN_CYCLES}"
         )
-        densities[policy] = total / span / total_power
-    return densities
+    t0, start = report.cycle_mark_first
+    t1, end = report.cycle_mark_last
+    if t1 <= t0:
+        raise InsufficientCycles("no complete fickle cycle in report")
+    return {p: (end[p] - start[p]) / (t1 - t0) for p in units}
 
 
 def eda_expected_nde(

@@ -162,9 +162,12 @@ def _emit_json_rows(head: str, fields, rows, tail: str, out: str | None, floats=
         fh.write(tail + "\n")
 
 
-def _echo(args, resolved: dict):
+def _echo(args, config, **fields):
+    """Unless --quiet, echo `fields` and the game config's, if any, to stderr."""
     if not args.quiet:
-        print(f"# config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
+        if config is not None:
+            fields.update(dataclasses.asdict(config))
+        print(f"# config: {json.dumps(fields, sort_keys=True)}", file=sys.stderr)
 
 
 def _parse_state(text: str, field: str) -> MiningState:
@@ -208,8 +211,7 @@ def _cmd_payoff(args) -> int:
     config = config_from_json(args.config)
     state = _parse_state(args.state, "state")
     triple = payoff_triple(state, config)
-    _echo(args, {"command": "payoff", "state": [state.r_f, state.r_b],
-                 **dataclasses.asdict(config)})
+    _echo(args, config, command="payoff", state=[state.r_f, state.r_b])
     row = {"r_f": state.r_f, "r_b": state.r_b}
     # u_f, u_a and u_b, each null where it diverges.
     row.update((name, None if math.isinf(u) else u)
@@ -227,7 +229,7 @@ def _cmd_zones(args) -> int:
     config = config_from_json(args.config)
     n = check_count(args.grid, "grid")
     check_range(args.tol, "tol", 0.0, hi_open=True)
-    _echo(args, {"command": "zones", "grid": n, "tol": args.tol, **dataclasses.asdict(config)})
+    _echo(args, config, command="zones", grid=n, tol=args.tol)
     zone_at, tol = equilibrium.zone_at, args.tol
     k, n_in, n_de = config.k, config.n_in, config.n_de
 
@@ -252,7 +254,7 @@ def _cmd_equilibria(args) -> int:
     from . import equilibrium
 
     config = config_from_json(args.config)
-    _echo(args, {"command": "equilibria", **dataclasses.asdict(config)})
+    _echo(args, config, command="equilibria")
     _emit(_json(equilibrium.equilibria(config).to_dict()), args.out)
     return 0
 
@@ -261,7 +263,7 @@ def _cmd_threshold(args) -> int:
     from . import dynamics
 
     config = config_from_json(args.config)
-    _echo(args, {"command": "threshold", **dataclasses.asdict(config)})
+    _echo(args, config, command="threshold")
     _emit(_json({"automatic_threshold": dynamics.automatic_threshold(config)}), args.out)
     return 0
 
@@ -281,9 +283,8 @@ def _cmd_simulate(args) -> int:
             if args.c_stick_schedule else None
         ),
     )
-    _echo(args, {"command": "simulate", "initial": [initial.r_f, initial.r_b],
-                 "rate": args.rate, "max_steps": args.max_steps, "eps": args.eps,
-                 **dataclasses.asdict(config)})
+    _echo(args, config, command="simulate", initial=[initial.r_f, initial.r_b],
+          rate=args.rate, max_steps=args.max_steps, eps=args.eps)
     traj = dynamics.simulate_flow(initial, flow, config)
     fields = ("step", "r_f", "r_b", "zone", "k", "c_stick")
     json_out = args.format == "json"
@@ -320,8 +321,7 @@ def _cmd_best_response(args) -> int:
     except KeyError as exc:
         raise InvalidValue(f"unknown strategy {exc.args[0]!r}", field="assignment") from None
     check_range(args.steps, "steps", 0)
-    _echo(args, {"command": "best-response", "steps": args.steps, "seed": args.seed,
-                 **dataclasses.asdict(config)})
+    _echo(args, config, command="best-response", steps=args.steps, seed=args.seed)
     rng = random.Random(args.seed)
     history = 0
     for _ in range(args.steps):
@@ -444,10 +444,10 @@ def _cmd_chain_sim(args) -> int:
     step = 1.0 if args.series_step is None else args.series_step
     if args.series:
         chainsim.check_series_step(step)  # before any output file is opened
-    _echo(args, {"command": "chain-sim", "duration": args.duration, "seed": args.seed,
-                 "mode": args.mode, "regime_a": args.regime_a, "regime_b": args.regime_b,
-                 "replicas": args.replicas, "k": world.k,
-                 "difficulty_a": world.difficulty_a, "difficulty_b": world.difficulty_b})
+    _echo(args, None, command="chain-sim", duration=args.duration, seed=args.seed,
+          mode=args.mode, regime_a=args.regime_a, regime_b=args.regime_b,
+          replicas=args.replicas, k=world.k,
+          difficulty_a=world.difficulty_a, difficulty_b=world.difficulty_b)
 
     def one(seed: int, **outputs) -> tuple[dict, dict]:
         report = chainsim.run(world, agents, regime_a, regime_b, args.duration, seed,
@@ -528,8 +528,7 @@ def _cmd_analyze(args) -> int:
     from . import ingest
 
     config = config_from_json(args.config)
-    _echo(args, {"command": "analyze", "input": args.input,
-                 "hysteresis": args.hysteresis, **dataclasses.asdict(config)})
+    _echo(args, config, command="analyze", input=args.input, hysteresis=args.hysteresis)
     # For the debug line: what the run saw, and when each stage ended.
     seen = {"rows": None, "out_of_order": None, "periods": None, "refused": None}
     laps = [("start", time.perf_counter())]

@@ -242,16 +242,64 @@ def test_insufficient_cycles_raises():
 
 def test_cycle_marks_at_one_instant_are_no_complete_cycle():
     # A run cannot make MIN_CYCLES cycles in no time; a hand-built report can.
-    rewards = {"f": 1.0, "a": 1.0}
+    units = {Strategy.FICKLE: 2.0, Strategy.A_ONLY: 2.0}
     rep = SimReport(duration=10.0, mode="deterministic", seed=0,
-                    agent_power={"f": 0.5, "a": 0.5},
-                    agent_policy={"f": Strategy.FICKLE, "a": Strategy.A_ONLY},
-                    agent_rewards=rewards, blocks={Coin.A: 0, Coin.B: 0},
+                    agent_rewards={"f": 1.0, "a": 1.0}, policy_unit=units,
+                    blocks={Coin.A: 0, Coin.B: 0},
                     mean_interval={Coin.A: None, Coin.B: None}, fickle_cycles=MIN_CYCLES,
                     final_difficulty={Coin.A: 1.0, Coin.B: 1.0}, stats={},
-                    cycle_mark_first=(5.0, rewards), cycle_mark_last=(5.0, rewards))
+                    cycle_mark_first=(5.0, units), cycle_mark_last=(5.0, units))
     with pytest.raises(InsufficientCycles, match="no complete fickle cycle"):
         empirical_payoffs(rep)
+
+
+def _per_agent_densities(agents, rep):
+    # The per-agent formula: each policy's earnings, summed over its agents
+    # with fsum, over the span and over its agents' total power.  Earnings
+    # between the cycle marks are each agent's power times its policy's units.
+    totals = {}
+    for a in agents:
+        totals[a.policy] = totals.get(a.policy, 0.0) + a.power
+    if Strategy.FICKLE in totals:
+        (t0, start), (t1, end) = rep.cycle_mark_first, rep.cycle_mark_last
+        span = t1 - t0
+        earned = {a.id: a.power * end[a.policy] - a.power * start[a.policy] for a in agents}
+    else:
+        span, earned = rep.duration, rep.agent_rewards
+    return {policy: math.fsum(earned[a.id] for a in agents if a.policy is policy) / span / total
+            for policy, total in totals.items()}
+
+
+def _pieces(aid, power, policy, n):
+    # n agents of `policy` whose powers sum to `power`, unequal so that a
+    # per-agent sum rounds differently from the policy's unit.
+    weights = [i + 1 for i in range(n)]
+    return [MinerAgent(f"{aid}{i}", power * w / sum(weights), policy)
+            for i, w in enumerate(weights)]
+
+
+@pytest.mark.parametrize("mode", ["exponential", "deterministic"])
+@pytest.mark.parametrize("fickle", [True, False])
+def test_empirical_payoffs_equal_the_per_agent_formula(mode, fickle):
+    r_f, r_b, k, n = 0.3, 0.2, 0.378, 144
+    world = ChainWorld(difficulty_a=avg_coin_a_difficulty(r_f, r_b, n), difficulty_b=r_b, k=k)
+    # Roster order differs from Strategy's, and the densities must follow it.
+    agents = [*_pieces("a", 1.0 - r_b - (r_f if fickle else 0.0), Strategy.A_ONLY, 4),
+              *_pieces("b", r_b, Strategy.B_ONLY, 3)]
+    if fickle:
+        agents[4:4] = _pieces("f", r_f, Strategy.FICKLE, 5)
+        order = [Strategy.A_ONLY, Strategy.FICKLE, Strategy.B_ONLY]
+    else:
+        agents = agents[::-1]
+        order = [Strategy.B_ONLY, Strategy.A_ONLY]
+    cycle = n * r_b / (r_f + r_b) + n * (r_f + r_b) / r_b
+    rep = run(world, agents, EpochFixed(10**9), EpochFixed(n), 60 * cycle, seed=11, mode=mode)
+    assert (rep.fickle_cycles >= MIN_CYCLES) is fickle
+    dens = empirical_payoffs(rep)
+    want = _per_agent_densities(agents, rep)
+    assert list(dens) == list(want) == order
+    for policy, value in want.items():
+        assert abs(dens[policy] - value) <= 1e-12 * abs(value), (policy, dens[policy], value)
 
 
 def test_empirical_matches_analytic_at_stationary_state():
@@ -820,17 +868,20 @@ def _split_roster(n):
 def test_splitting_agents_keeps_policy_rewards(regime_b, mode):
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3)
     streams = [[] for _ in range(3)]
-    reports = [run(world, _split_roster(n), EpochFixed(144), regime_b, 1500.0, seed=4,
-                   mode=mode, sinks=[changes.append]) for n, changes in zip((1, 7, 40), streams)]
+    rosters = [_split_roster(n) for n in (1, 7, 40)]
+    reports = [run(world, agents, EpochFixed(144), regime_b, 1500.0, seed=4,
+                   mode=mode, sinks=[changes.append]) for agents, changes in zip(rosters, streams)]
+
+    def policy_reward(agents, rep, policy):
+        return math.fsum(rep.agent_rewards[a.id] for a in agents if a.policy is policy)
+
     base = reports[0]
-    for rep, changes in zip(reports[1:], streams[1:]):
+    for agents, rep, changes in zip(rosters[1:], reports[1:], streams[1:]):
         assert rep.blocks == base.blocks
         assert changes == streams[0]
         for policy in Strategy:
-            want = math.fsum(r for aid, r in base.agent_rewards.items()
-                             if base.agent_policy[aid] is policy)
-            got = math.fsum(r for aid, r in rep.agent_rewards.items()
-                            if rep.agent_policy[aid] is policy)
+            want = policy_reward(rosters[0], base, policy)
+            got = policy_reward(agents, rep, policy)
             assert abs(got - want) <= 1e-12 * abs(want), policy
 
 
@@ -840,7 +891,8 @@ def test_rewards_sum_to_coins_minted(regime_b):
     world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3,
                        k_schedule=Schedule.from_pairs([(700.0, 0.45), (1400.0, 0.3)]))
     events, changes = [], []
-    rep = run(world, _split_roster(9), EpochFixed(144), regime_b, 2500.0, seed=8,
+    agents = _split_roster(9)
+    rep = run(world, agents, EpochFixed(144), regime_b, 2500.0, seed=8,
               **log_to(events), sinks=[changes.append])
     k_history = _histories(changes).k_history
     minted = 0.0
@@ -851,20 +903,19 @@ def test_rewards_sum_to_coins_minted(regime_b):
     assert math.fsum(rep.agent_rewards.values()) == pytest.approx(minted, rel=1e-9)
     # Power-proportional crediting: one reward rate per policy.
     for policy in Strategy:
-        rates = [r / rep.agent_power[aid] for aid, r in rep.agent_rewards.items()
-                 if rep.agent_policy[aid] is policy]
+        rates = [rep.agent_rewards[a.id] / a.power for a in agents if a.policy is policy]
         assert max(rates) - min(rates) <= 1e-12 * max(rates), policy
 
 
-def _per_block_rewards(rep, events, changes):
+def _per_block_rewards(agents, events, changes):
     # Rebuild each agent's reward from the event log, block by block: the
     # share of a block is power * (unit / chain allocation), summed exactly.
     # Agents start where run places them, b_only agents on b and all others
     # on a; a switch event moves every agent of its policy to its chain.
     # Also returns the rewards at the first and last fickle switches to b,
     # the cycle marks, as (time, rewards) or None.
-    power = rep.agent_power
-    policy = rep.agent_policy
+    power = {a.id: a.power for a in agents}
+    policy = {a.id: a.policy for a in agents}
     where = {aid: "b" if policy[aid] is Strategy.B_ONLY else "a" for aid in power}
     mover = {"switch_fickle": Strategy.FICKLE, "switch_auto": Strategy.AUTOMATIC}
     ks = iter(_histories(changes).k_history)
@@ -897,19 +948,22 @@ def _per_block_rewards(rep, events, changes):
     return rewards, upto(marks[0]), upto(marks[-1])
 
 
-def _assert_rewards_match(rep, events, changes):
-    # Every agent's reward and both cycle marks, against the per-block sums.
-    want, first, last = _per_block_rewards(rep, events, changes)
-    for got, expected in ((rep.agent_rewards, want), (rep.cycle_mark_first, first),
-                          (rep.cycle_mark_last, last)):
-        if expected is None:
-            assert got is None
-            continue
-        if isinstance(expected, tuple):
-            assert got[0] == expected[0]
-            got, expected = got[1], expected[1]
+def _assert_rewards_match(agents, rep, events, changes):
+    # Every agent's reward and its share of both cycle marks (its power times
+    # its policy's unit there), against the per-block sums.
+    want, first, last = _per_block_rewards(agents, events, changes)
+
+    def close(got, expected):
         for aid, value in expected.items():
             assert abs(got[aid] - value) <= 1e-12 * value, (aid, got[aid], value)
+
+    close(rep.agent_rewards, want)
+    for mark, expected in ((rep.cycle_mark_first, first), (rep.cycle_mark_last, last)):
+        if expected is None:
+            assert mark is None
+            continue
+        assert mark[0] == expected[0]
+        close({a.id: a.power * mark[1][a.policy] for a in agents}, expected[1])
 
 
 def test_long_run_rewards_match_per_block_sum():
@@ -922,7 +976,7 @@ def test_long_run_rewards_match_per_block_sum():
               60000.0, seed=5, **log_to(events), sinks=[changes.append])
     assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
     assert rep.fickle_cycles > 500
-    _assert_rewards_match(rep, events, changes)
+    _assert_rewards_match(agents, rep, events, changes)
 
 
 def test_automatic_crew_keeps_coin_a_through_a_tie():
@@ -945,7 +999,7 @@ def test_automatic_crew_keeps_coin_a_through_a_tie():
     moves = [e[:2] for e in events if e[2] == "switch_auto"]
     assert moves[0][0] >= first_retarget > 0.0 and moves[1] == moves[0]
     assert rep.fickle_cycles >= 2
-    _assert_rewards_match(rep, events, changes)
+    _assert_rewards_match(agents, rep, events, changes)
 
 
 _POLICIES = [Strategy.FICKLE, Strategy.AUTOMATIC, Strategy.A_ONLY, Strategy.B_ONLY]
@@ -1022,7 +1076,7 @@ def test_crew_rewards_match_per_block_sums(agents, **world):
     # both cycle marks must still be the exact per-block sums.
     result = _switching_run(agents, **world)
     if result is not None:
-        _assert_rewards_match(*result)
+        _assert_rewards_match(agents, *result)
 
 
 @pytest.mark.parametrize("regime", [EpochFixed(36), EpochWithEda(36, 6, 4.0, 0.8),

@@ -681,6 +681,25 @@ def test_replica_workers_write_the_loop_bytes(capsys, monkeypatch, tmp_path, rep
     assert [r["seed"] for r in json.loads(serial)["replicas"]] == [3, 4, 5, 6, 7]
 
 
+def test_replica_worker_that_dies_before_writing_is_run_here(capsys, monkeypatch, tmp_path,
+                                                            replica_argv):
+    # A worker that leaves without a word: its seeds run again in this process.
+    out = tmp_path / "merged.json"
+    assert replicas_outcome(capsys, monkeypatch, replica_argv, 1) == (0, "", "")
+    serial = out.read_bytes()
+    out.unlink()
+    parent, real_timed = os.getpid(), replicas._timed
+
+    def dying(job, seed):
+        if os.getpid() != parent:
+            os._exit(0)
+        return real_timed(job, seed)
+
+    monkeypatch.setattr(replicas, "_timed", dying)
+    assert replicas_outcome(capsys, monkeypatch, replica_argv, 2) == (0, "", "")
+    assert out.read_bytes() == serial
+
+
 class _Boom(DualchainError):
     code = "boom"
 
