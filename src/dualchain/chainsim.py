@@ -424,8 +424,15 @@ def run(
     r_f_policy = fickle.power / _ONE
     r_b_policy = crews[Strategy.B_ONLY].power / _ONE
     r_fb_policy = r_f_policy + r_b_policy
-    A.alloc = A.power / _ONE
-    B.alloc = B.power / _ONE
+    # Each exact chain power rounded once (at most four per chain), so that
+    # a switch back reuses the float, and the series writer its text.
+    allocs: dict[int, float] = {}
+
+    def rounded(power: int) -> float:
+        return allocs[power] if power in allocs else allocs.setdefault(power, power / _ONE)
+
+    A.alloc = rounded(A.power)
+    B.alloc = rounded(B.power)
 
     # Block clocks: work done toward each chain's next block, and the work it takes.
     prog_a = prog_b = 0.0
@@ -461,15 +468,15 @@ def run(
 
     def shift(crew: _Crew, dest: _Chain):
         """Move `crew` to `dest`, the other chain.  Both allocations are
-        rounded again from the exact powers."""
+        read again from the exact powers."""
         src = crew.chain
         crew.unit += src.acc - crew.mark
         src.power -= crew.power
         dest.power += crew.power
         crew.chain = dest
         crew.mark = dest.acc
-        A.alloc = A.power / _ONE
-        B.alloc = B.power / _ONE
+        A.alloc = rounded(A.power)
+        B.alloc = rounded(B.power)
 
     def settle():
         """Pay every crew up to now and restart both accumulators at 0, so

@@ -65,13 +65,25 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpShown
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is at that record, so that one
+    handler serves every dispatch, whatever stream stderr has been swapped for."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
+@functools.cache
+def _handler() -> logging.Handler:
+    handler = _StderrHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    return handler
+
+
 def _setup_logging():
     level = os.environ.get("DUALCHAIN_LOG", "warn").lower()
     chosen = {"error": logging.ERROR, "warn": logging.WARNING,
               "info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.WARNING)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    log.handlers[:] = [handler]
+    log.handlers[:] = [_handler()]
     log.setLevel(chosen)
 
 
@@ -109,21 +121,32 @@ def _emit(text: str, out: str | None):
         fh.write(text)
 
 
-def _write_csv(fh, fields, rows):
-    """Write a header line, then one line per row tuple.
+def _write_csv(fh, fields, lines):
+    """Write the header line of `fields`, then `lines`, each ending in CRLF.
 
     Cells are ints, floats, "" or enum labels.  csv.writer writes each of
-    them as str() of the cell, unquoted, so "%s" per cell gives its bytes.
+    them as str() of the cell, unquoted, so a line is its cells' str()
+    joined by commas: "%s" or an f-string field per cell gives its bytes.
+    Callers with row tuples pass map("%s,...,%s\\r\\n".__mod__, rows).
     """
-    line = ",".join(["%s"] * len(fields)) + "\r\n"
     fh.write(",".join(fields) + "\r\n")
-    for row in rows:
-        fh.write(line % row)
+    fh.writelines(lines)
 
 
-def _emit_csv(fields, rows, out: str | None):
+def _emit_csv(fields, lines, out: str | None):
     with _output(out, newline="") as fh:
-        _write_csv(fh, fields, rows)
+        _write_csv(fh, fields, lines)
+
+
+def _texts(column):
+    """f"{cell}" of each cell, formatted again only when the cell is a
+    different object from the one before: a column that holds one float
+    for many rows formats it once."""
+    last, text = object(), ""
+    for cell in column:
+        if cell is not last:
+            last, text = cell, f"{cell}"
+        yield text
 
 
 def _write_json_rows(fh, fields, rows):
@@ -217,7 +240,8 @@ def _cmd_payoff(args) -> int:
     row.update((name, None if math.isinf(u) else u)
                for name, u in dataclasses.asdict(triple).items())
     if args.format == "csv":
-        _emit_csv(tuple(row), [tuple("" if v is None else v for v in row.values())], args.out)
+        _emit_csv(tuple(row), [",".join("" if v is None else f"{v}" for v in row.values())
+                               + "\r\n"], args.out)
     else:
         _emit(_json(row), args.out)
     return 0
@@ -233,20 +257,21 @@ def _cmd_zones(args) -> int:
     zone_at, tol = equilibrium.zone_at, args.tol
     k, n_in, n_de = config.k, config.n_in, config.n_de
 
-    def cells(labels):
+    def cells(labels, csv):  # the grid's row tuples, or with `csv` its CSV lines
         for i in range(n):
             r_f = (i + 0.5) / n
             cell = f"{r_f}"  # a grid row formats its r_f once
             for j in range(n):
                 r_b = (j + 0.5) / n * (1.0 - r_f)
-                yield cell, r_b, labels[zone_at(r_f, r_b, k, n_in, n_de, tol)]
+                zone = labels[zone_at(r_f, r_b, k, n_in, n_de, tol)]
+                yield f"{cell},{r_b},{zone}\r\n" if csv else (cell, r_b, zone)
 
     fields = ("r_f", "r_b", "zone")
     if args.format == "json":
         # Every grid point is finite, so no float column needs a check.
-        _emit_json_rows("", fields, cells(_JSON_LABELS), "", args.out)
+        _emit_json_rows("", fields, cells(_JSON_LABELS, False), "", args.out)
     else:
-        _emit_csv(fields, cells(_LABELS), args.out)
+        _emit_csv(fields, cells(_LABELS, True), args.out)
     return 0
 
 
@@ -290,7 +315,7 @@ def _cmd_simulate(args) -> int:
     json_out = args.format == "json"
     rows = zip(range(len(traj.zones)), traj.r_f, traj.r_b,
                map((_JSON_LABELS if json_out else _LABELS).__getitem__, traj.zones),
-               traj.ks, traj.c_sticks)
+               _texts(traj.ks), _texts(traj.c_sticks))
     if json_out:
         head = '{"outcome": %s, "steps_used": %s, "trajectory": ' % (
             json.dumps(traj.outcome.value), traj.steps_used)
@@ -298,7 +323,7 @@ def _cmd_simulate(args) -> int:
                         floats={"r_f": traj.r_f, "r_b": traj.r_b, "k": traj.ks,
                                 "c_stick": traj.c_sticks})
     else:
-        _emit_csv(fields, rows, args.out)
+        _emit_csv(fields, map("%s,%s,%s,%s,%s,%s\r\n".__mod__, rows), args.out)
         if not args.quiet:
             print(f"# outcome: {traj.outcome.value} steps_used: {traj.steps_used}",
                   file=sys.stderr)
@@ -506,8 +531,8 @@ def _cmd_chain_sim(args) -> int:
     return 0
 
 
-def _estimate_rows(ts, share, r_f):
-    """The estimates CSV rows: a record with an r_f is gray, with r_b =
+def _estimate_lines(ts, share, r_f):
+    """The estimates CSV lines: a record with an r_f is gray, with r_b =
     max(0, share - r_f); any other has r_b = share.  A period's rows hold
     one r_f object, so each text is made once."""
     from .ingest import Basis
@@ -515,13 +540,13 @@ def _estimate_rows(ts, share, r_f):
     gray, non_gray = Basis.GRAY_PERIOD.value, Basis.NON_GRAY.value
     last_rf, rf_text = None, ""
     for t, sh, rf in zip(ts, share, r_f):
-        sh_text = f"{sh}"
         if rf is None:
-            yield t, non_gray, sh_text, "", sh_text
+            sh_text = f"{sh}"
+            yield f"{t},{non_gray},{sh_text},,{sh_text}\r\n"
         else:
             if rf is not last_rf:
                 last_rf, rf_text = rf, f"{rf}"
-            yield t, gray, sh_text, rf_text, max(0.0, sh - rf)
+            yield f"{t},{gray},{sh},{rf_text},{sh - rf if sh > rf else 0.0}\r\n"
 
 
 def _cmd_analyze(args) -> int:
@@ -553,7 +578,7 @@ def _cmd_analyze(args) -> int:
                 ], fh, allow_nan=False)
         if args.out_estimates:
             _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"),
-                      _estimate_rows(ts, share, r_f),
+                      _estimate_lines(ts, share, r_f),
                       args.out_estimates)
         laps.append(("emit", time.perf_counter()))
         if args.out_zones:
@@ -562,7 +587,8 @@ def _cmd_analyze(args) -> int:
             zones, _ = ingest.zone_path(estimates, config)
             laps.append(("zones", time.perf_counter()))
             _emit_csv(("timestamp", "zone", "k"),
-                      zip(ts, map(_LABELS.__getitem__, zones), k), args.out_zones)
+                      map("%s,%s,%s\r\n".__mod__, zip(ts, map(_LABELS.__getitem__, zones), k)),
+                      args.out_zones)
         _emit(_json({"records": len(loaded), "periods": len(periods),
                      "out_of_order": loaded.out_of_order_count}), args.out)
         laps.append(("emit", time.perf_counter()))

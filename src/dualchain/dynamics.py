@@ -78,17 +78,22 @@ _DIRECTIONS = {
 }
 
 
+# Each zone's move with its count of active axes, for _step.
+_MOVES = {zone: (dx, dy, abs(dx) + abs(dy)) for zone, (dx, dy) in _DIRECTIONS.items()}
+
+
 def _step(r_f: float, r_b: float, zone: Zone, rate: float,
           c_stick: float) -> tuple[float, float]:
-    dx, dy = _DIRECTIONS[zone]
-    active = abs(dx) + abs(dy)
+    dx, dy, active = _MOVES[zone]
     if active == 0:
         return r_f, r_b
     h = rate / active
     r_f = r_f + dx * h
     r_b = r_b + dy * h
-    r_f = max(r_f, 0.0)
-    r_b = max(r_b, c_stick)
+    if r_f < 0.0:
+        r_f = 0.0
+    if r_b < c_stick:
+        r_b = c_stick
     # Cap the sum by trimming whichever axis moved outward.
     if r_f + r_b > 1.0:
         if dx > 0:
@@ -113,6 +118,8 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
     zones: list[Zone] = []
     ks: list[float] = []
     c_sticks: list[float] = []
+    add_rf, add_rb, add_zone, add_k, add_c = (r_fs.append, r_bs.append, zones.append,
+                                              ks.append, c_sticks.append)
     # (k, c_stick) -> (coexistence point or None, lack-of-loyal-miners set)
     targets: dict[tuple[float, float], tuple] = {}
     k_sched, c_sched = flow.k_schedule, flow.c_stick_schedule
@@ -120,7 +127,8 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
     n_in, n_de = config.n_in, config.n_de
     rate, eps = flow.migration_rate, flow.convergence_eps
     r_f, r_b = initial.r_f, initial.r_b
-    prev = None  # the state before (r_f, r_b), for the period-2 stop
+    p_f = p_b = None  # the state before (r_f, r_b), for the period-2 stop
+    key_k = key_c = None  # the (k, c_stick) whose targets coexist and lack hold
     outcome = Outcome.UNDECIDED
     steps = 0
 
@@ -135,22 +143,25 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
             r_fs[-1], r_bs[-1] = r_f, r_b
 
         zone = zone_at(r_f, r_b, k_t, n_in, n_de) if r_f or r_b else Zone.ZONE1
-        zones.append(zone)
-        ks.append(k_t)
-        c_sticks.append(c_t)
+        add_zone(zone)
+        add_k(k_t)
+        add_c(c_t)
         steps = t
 
-        target = targets.get((k_t, c_t))
-        if target is None:
-            cfg = (config if (k_t == config.k and c_t == config.c_stick)
-                   else GameConfig(k_t, n_in, n_de, c_t, config.powers))
-            eq = equilibria(cfg)
-            target = targets[(k_t, c_t)] = (eq.coexist_point, eq.lack_points)
-        coexist, lack = target
+        if k_t != key_k or c_t != key_c:
+            key_k, key_c = k_t, c_t
+            target = targets.get((k_t, c_t))
+            if target is None:
+                cfg = (config if (k_t == config.k and c_t == config.c_stick)
+                       else GameConfig(k_t, n_in, n_de, c_t, config.powers))
+                eq = equilibria(cfg)
+                target = targets[k_t, c_t] = (eq.coexist_point, eq.lack_points)
+            coexist, lack = target
+            on_segment = isinstance(lack, Segment)
         if coexist is not None and r_f <= eps and abs(r_b - coexist.r_b) <= eps:
             outcome = Outcome.COEXISTENCE
             break
-        if isinstance(lack, Segment):
+        if on_segment:
             if r_b <= eps and r_f >= lack.start - eps:
                 outcome = Outcome.LOYAL_LACK
                 break
@@ -162,14 +173,14 @@ def simulate_flow(initial: MiningState, flow: FlowConfig, config: GameConfig) ->
         if n_f == r_f and n_b == r_b:
             # Pinned with nowhere to go and not near a target: give up early.
             break
-        if not scheduled and prev is not None and n_f == prev[0] and n_b == prev[1]:
+        if not scheduled and n_f == p_f and n_b == p_b:
             # Exact period-2 oscillation across a boundary; with constant
             # parameters it would repeat until max_steps, so stop now.
             break
-        prev = r_f, r_b
+        p_f, p_b = r_f, r_b
         r_f, r_b = n_f, n_b
-        r_fs.append(r_f)
-        r_bs.append(r_b)
+        add_rf(r_f)
+        add_rb(r_b)
 
     if len(r_fs) > len(zones):
         # Ran out of steps with one trailing state: classify it at its row's k.

@@ -306,7 +306,9 @@ def zone_path(
     or r_f raises InvalidValue naming that column.
     """
     zones: list[Zone] = []
+    add = zones.append
     transitions: list[tuple[int, Zone, Zone]] = []
+    last = None  # the previous record's zone
     carried_rf: float | None = None
     n_in, n_de = config.n_in, config.n_de
     zone1 = Zone.ZONE1
@@ -319,23 +321,29 @@ def zone_path(
                                field="r_f" if share >= 0.0 else "share")
         if r_f is not None:
             carried_rf = r_f
-            r_b = max(0.0, share - r_f)
-            r_f = min(r_f, 1.0)
+            r_b = share - r_f if share > r_f else 0.0
+            if r_f > 1.0:
+                r_f = 1.0
         elif share == 0.0:
-            if zones and zone1 is not zones[-1]:
-                transitions.append((i, zones[-1], zone1))
-            zones.append(zone1)
+            if zone1 is not last and zones:
+                transitions.append((i, last, zone1))
+            last = zone1
+            add(zone1)
             continue
         elif carried_rf is None:
             raise UnresolvableState(
                 f"record {i}: B mining observed before any fickle period "
                 "provided an r_f estimate", field="input")
         else:
+            # The carried r_f, capped by the room 1 - share (below 1: share > 0).
             r_b = share
-            r_f = min(carried_rf, max(0.0, 1.0 - share), 1.0)
+            room = 1.0 - share if share < 1.0 else 0.0
+            r_f = room if room < carried_rf else carried_rf
         # Keep r_f + r_b <= 1.
-        zone = zone_at(r_f, min(r_b, 1.0 - r_f), k, n_in, n_de, ZONE_TOL)
-        if zones and zone is not zones[-1]:
-            transitions.append((i, zones[-1], zone))
-        zones.append(zone)
+        room = 1.0 - r_f
+        zone = zone_at(r_f, room if room < r_b else r_b, k, n_in, n_de, ZONE_TOL)
+        if zone is not last and zones:
+            transitions.append((i, last, zone))
+        last = zone
+        add(zone)
     return zones, transitions

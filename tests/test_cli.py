@@ -792,6 +792,12 @@ def test_replica_interrupt_leaves_no_worker_behind(capsys, monkeypatch, replica_
                     os.waitpid(pid, 0)
 
 
+def test_cpus_counts_all_cpus_without_an_affinity_call(monkeypatch):
+    # Not every platform has os.sched_getaffinity.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert replicas.cpus() == (os.cpu_count() or 1)
+
+
 def test_only_replica_runs_load_the_fork_machinery(sim_inputs):
     # A fresh interpreter: which modules a dispatch loads sets its peak RSS.
     src = os.path.dirname(os.path.dirname(os.path.abspath(dualchain.__file__)))
@@ -931,8 +937,10 @@ def test_write_csv_matches_csv_writer(table):
     writer = csv.writer(expected)
     writer.writerow(fields)
     writer.writerows(rows)
+    # The lines as the callers with row tuples build them: "%s" per cell.
+    line = ",".join(["%s"] * width) + "\r\n"
     got = io.StringIO()
-    cli._write_csv(got, fields, iter(rows))
+    cli._write_csv(got, fields, map(line.__mod__, rows))
     assert got.getvalue() == expected.getvalue()
 
 
@@ -1322,6 +1330,26 @@ def test_analyze_warns_of_out_of_order_records_at_the_default_level(analyze_inpu
     assert code == 0
     assert json.loads(out)["out_of_order"] == 2
     assert err.splitlines() == ["WARNING dualchain: sorted 2 out-of-order records"]
+
+
+def test_log_lines_go_to_stderr_as_each_dispatch_finds_it(analyze_inputs, tmp_path,
+                                                         monkeypatch):
+    # One handler serves every dispatch; it writes to whatever sys.stderr is.
+    monkeypatch.delenv("DUALCHAIN_LOG", raising=False)
+    config_path, _ = analyze_inputs
+    rows = [series_row(i * 600, 0.055, 0.5, 0.1) for i in range(6)]
+    rows[1], rows[4] = rows[4], rows[1]
+    series = write_series(tmp_path / "shuffled.csv", rows)
+    argv = ["analyze", "--config", config_path, "--input", series, "--quiet"]
+    errs, handlers = [], []
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert dispatch(argv) == 0
+        errs.append(err.getvalue())
+        handlers.append(list(cli.log.handlers))
+    assert errs == ["WARNING dualchain: sorted 2 out-of-order records\n"] * 2
+    assert len(handlers[0]) == 1 and handlers[0] == handlers[1]
 
 
 # ---------------------------------------------------------------------------

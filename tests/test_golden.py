@@ -84,6 +84,8 @@ def write_inputs(root):
         "automatic_crew.json": json.dumps(AUTOMATIC_CREW),
         "assignment.json": json.dumps(["fickle", "a_only", "b_only"]),
         "k_steps.json": json.dumps([[0, 0.3], [40, 0.6], [90, 0.2]]),
+        # A c_stick surge above the state's r_b, then back to the config's.
+        "c_steps.json": json.dumps([[25, 0.35], [35, 0.1]]),
         "k_times.csv": "at,value\n0,0.378\n150,0.2\n300,0.5\n",
         "k_ticks.csv": _k_ticks(),
         "series.csv": _series_rows(),
@@ -136,6 +138,17 @@ def cases():
                                      "--initial", "0.2,0.3", "--rate", "0.01",
                                      "--max-steps", "60", "--format", "json",
                                      "--k-schedule", "k_steps.json"], ()),
+        # Both schedules: the flow's (k, c_stick) pair changes at steps 25,
+        # 35, 40 and 90, and at 35 returns to the (0.3, 0.1) of steps 0-24.
+        "simulate csv schedules": (["simulate", "--config", "game.json",
+                                    "--initial", "0.4,0.2", "--rate", "0.01",
+                                    "--max-steps", "130", "--k-schedule", "k_steps.json",
+                                    "--c-stick-schedule", "c_steps.json"], ()),
+        "simulate json schedules": (["simulate", "--config", "game.json",
+                                     "--initial", "0.4,0.2", "--rate", "0.01",
+                                     "--max-steps", "130", "--format", "json",
+                                     "--k-schedule", "k_steps.json",
+                                     "--c-stick-schedule", "c_steps.json"], ()),
         "analyze": (["analyze", "--config", "game.json", "--input", "series.csv",
                      "--hysteresis", "0.05", "--out-periods", "periods.json",
                      "--out-estimates", "estimates.csv", "--out-zones", "zones.csv"],

@@ -422,10 +422,16 @@ def reference_zone_path(estimates, config, tol=1e-10):
 @st.composite
 def estimate_paths(draw):
     out = []
-    for t in range(draw(st.integers(1, 20))):
+    # Fractions above 1 and a share equal to its record's r_f reach every
+    # clamp of zone_path on both sides of its comparison.
+    above_one = st.floats(1.0, 3.0, exclude_min=True)
+    for t in range(draw(st.integers(1, 60))):
         k = draw(st.sampled_from([0.3, 0.05, 1.0]) | st.floats(0.01, 1.0))
-        share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-        r_f = draw(st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        r_f = draw(st.none() | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | above_one)
+        shares = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | above_one
+        if r_f is not None:
+            shares |= st.just(r_f)
+        share = draw(shares)
         out.append(StateEstimate(t, share, r_f, k))
     return out
 
