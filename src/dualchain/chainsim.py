@@ -141,10 +141,11 @@ class EpochWithEda:
         """The chain's on_block(now), due every block: the kind of any retarget."""
         n, threshold, factor = self.n, self.eda_threshold, self.eda_factor
         since, anchor = 0, 0.0
-        # The times of the last eda_window + 1 blocks.  A window longer than
-        # a deque can hold never fills, as no run makes that many blocks.
-        full = min(self.eda_window + 1, sys.maxsize)
-        window = deque(maxlen=full)
+        # The times of the last eda_window + 1 blocks, led by an infinite
+        # time until that many have come: now - inf keeps the rule off.  A
+        # window longer than a deque can hold never fills, as no run makes
+        # that many blocks.
+        window = deque([math.inf], maxlen=min(self.eda_window + 1, sys.maxsize))
 
         def on_block(now: float) -> str | None:
             nonlocal since, anchor
@@ -153,7 +154,7 @@ class EpochWithEda:
             if since >= n:
                 _epoch_retarget(chain, n, now - anchor, now)
                 kind = "difficulty"
-            elif len(window) == full and now - window[0] > threshold:
+            elif now - window[0] > threshold:
                 chain.difficulty *= factor
                 _check_retarget(chain, now)
                 kind = "eda"
@@ -656,6 +657,11 @@ def eda_expected_nde(
     (r_f + r_b) / r_b.  The count is capped by the epoch length n; with
     r_f = 0 no emergency decrease occurs (the difficulty matches the
     power) and the epoch length is returned exactly.
+
+    The window here starts at the difficulty increase, so the count is
+    never below eda_window.  The hook that `run` calls for `EpochWithEda`
+    does not agree: its window slides on through a regular retarget, so an
+    emergency decrease can come 1 to eda_window - 1 coin_B blocks after it.
     """
     check_range(state.r_b, "r_b", 0.0, lo_open=True, name="eda_expected_nde r_b")
     if state.r_f == 0.0:

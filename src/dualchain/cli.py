@@ -24,7 +24,7 @@ from itertools import islice
 from typing import TYPE_CHECKING
 
 from .core import (ZONE_TOL, DualchainError, InvalidValue, MiningState, Schedule, Strategy, Zone,
-                   check_count, check_range, config_from_json, number)
+                   check_count, check_range, config_from_json, number, read_json)
 
 if TYPE_CHECKING:
     # Annotations only: each command imports the modules it runs.
@@ -121,7 +121,7 @@ def _emit(text: str, out: str | None):
         fh.write(text)
 
 
-def _write_csv(fh, fields, lines):
+def _emit_csv(fields, lines, out: str | None):
     """Write the header line of `fields`, then `lines`, each ending in CRLF.
 
     Cells are ints, floats, "" or enum labels.  csv.writer writes each of
@@ -129,13 +129,9 @@ def _write_csv(fh, fields, lines):
     joined by commas: "%s" or an f-string field per cell gives its bytes.
     Callers with row tuples pass map("%s,...,%s\\r\\n".__mod__, rows).
     """
-    fh.write(",".join(fields) + "\r\n")
-    fh.writelines(lines)
-
-
-def _emit_csv(fields, lines, out: str | None):
     with _output(out, newline="") as fh:
-        _write_csv(fh, fields, lines)
+        fh.write(",".join(fields) + "\r\n")
+        fh.writelines(lines)
 
 
 def _texts(column):
@@ -149,29 +145,14 @@ def _texts(column):
         yield text
 
 
-def _write_json_rows(fh, fields, rows):
-    """Write the JSON array of one object per row tuple, keyed by `fields`,
-    as json.dumps writes it.
+def _emit_json_rows(head: str, fields, rows, tail: str, out: str | None, floats=None):
+    """Write head, the JSON array of one object per row tuple, keyed by
+    `fields`, and tail as one line, with the bytes `_json` gives the same
+    object.
 
     Cells are ints, finite floats or JSON strings (`_JSON_LABELS`); "%s"
     of each is its JSON text.  Rows are joined a chunk at a time, so
     neither an object per row nor the text of the whole array is built.
-    """
-    line = "{" + ", ".join(json.dumps(f) + ": %s" for f in fields) + "}"
-    rows = iter(rows)
-    fh.write("[")
-    sep = ""
-    while chunk := [line % row for row in islice(rows, _JSON_CHUNK)]:
-        fh.write(sep)
-        fh.write(", ".join(chunk))
-        sep = ", "
-    fh.write("]")
-
-
-def _emit_json_rows(head: str, fields, rows, tail: str, out: str | None, floats=None):
-    """Write head, the JSON rows array and tail as one line, with the bytes
-    `_json` gives the same object.
-
     `floats` maps each float field, in field order, to its column.  They
     are checked before anything is written: a NaN or infinity raises
     _NonFiniteOutput naming the first such field (exit 2), and no output.
@@ -179,15 +160,23 @@ def _emit_json_rows(head: str, fields, rows, tail: str, out: str | None, floats=
     for field, column in (floats or {}).items():
         if not all(map(math.isfinite, column)):
             raise _NonFiniteOutput(f"{field} is not finite: JSON cannot carry it", field=field)
+    line = "{" + ", ".join(json.dumps(f) + ": %s" for f in fields) + "}"
+    rows = iter(rows)
     with _output(out) as fh:
-        fh.write(head)
-        _write_json_rows(fh, fields, rows)
-        fh.write(tail + "\n")
+        fh.write(head + "[")
+        sep = ""
+        while chunk := [line % row for row in islice(rows, _JSON_CHUNK)]:
+            fh.write(sep)
+            fh.write(", ".join(chunk))
+            sep = ", "
+        fh.write("]" + tail + "\n")
 
 
 def _echo(args, config, **fields):
-    """Unless --quiet, echo `fields` and the game config's, if any, to stderr."""
+    """Unless --quiet, echo the command, `fields` and the game config's, if
+    any, to stderr."""
     if not args.quiet:
+        fields["command"] = args.command
         if config is not None:
             fields.update(dataclasses.asdict(config))
         print(f"# config: {json.dumps(fields, sort_keys=True)}", file=sys.stderr)
@@ -201,6 +190,10 @@ def _parse_state(text: str, field: str) -> MiningState:
         return MiningState(float(parts[0]), float(parts[1]))
     except ValueError as exc:  # not two numbers, or not a point of the simplex
         raise InvalidValue(str(exc), field=field) from None
+
+
+def _schedule(path: str | None) -> Schedule | None:
+    return Schedule.from_file(path) if path else None
 
 
 def _regime(spec: str) -> chainsim.DifficultyRegime:
@@ -228,32 +221,31 @@ def _regime(spec: str) -> chainsim.DifficultyRegime:
 # subcommands
 
 
-def _cmd_payoff(args) -> int:
+def _cmd_payoff(args):
     from .payoff import payoff_triple
 
     config = config_from_json(args.config)
     state = _parse_state(args.state, "state")
     triple = payoff_triple(state, config)
-    _echo(args, config, command="payoff", state=[state.r_f, state.r_b])
+    _echo(args, config, state=[state.r_f, state.r_b])
     row = {"r_f": state.r_f, "r_b": state.r_b}
     # u_f, u_a and u_b, each null where it diverges.
     row.update((name, None if math.isinf(u) else u)
                for name, u in dataclasses.asdict(triple).items())
     if args.format == "csv":
-        _emit_csv(tuple(row), [",".join("" if v is None else f"{v}" for v in row.values())
-                               + "\r\n"], args.out)
+        _emit_csv(tuple(row), ["%s,%s,%s,%s,%s\r\n" % tuple("" if v is None else v
+                                                           for v in row.values())], args.out)
     else:
         _emit(_json(row), args.out)
-    return 0
 
 
-def _cmd_zones(args) -> int:
+def _cmd_zones(args):
     from . import equilibrium
 
     config = config_from_json(args.config)
     n = check_count(args.grid, "grid")
     check_range(args.tol, "tol", 0.0, hi_open=True)
-    _echo(args, config, command="zones", grid=n, tol=args.tol)
+    _echo(args, config, grid=n, tol=args.tol)
     zone_at, tol = equilibrium.zone_at, args.tol
     k, n_in, n_de = config.k, config.n_in, config.n_de
 
@@ -272,28 +264,25 @@ def _cmd_zones(args) -> int:
         _emit_json_rows("", fields, cells(_JSON_LABELS, False), "", args.out)
     else:
         _emit_csv(fields, cells(_LABELS, True), args.out)
-    return 0
 
 
-def _cmd_equilibria(args) -> int:
+def _cmd_equilibria(args):
     from . import equilibrium
 
     config = config_from_json(args.config)
-    _echo(args, config, command="equilibria")
+    _echo(args, config)
     _emit(_json(equilibrium.equilibria(config).to_dict()), args.out)
-    return 0
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args):
     from . import dynamics
 
     config = config_from_json(args.config)
-    _echo(args, config, command="threshold")
+    _echo(args, config)
     _emit(_json({"automatic_threshold": dynamics.automatic_threshold(config)}), args.out)
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     from . import dynamics
 
     config = config_from_json(args.config)
@@ -302,14 +291,11 @@ def _cmd_simulate(args) -> int:
         migration_rate=args.rate,
         max_steps=args.max_steps,
         convergence_eps=args.eps,
-        k_schedule=Schedule.from_file(args.k_schedule) if args.k_schedule else None,
-        c_stick_schedule=(
-            Schedule.from_file(args.c_stick_schedule)
-            if args.c_stick_schedule else None
-        ),
+        k_schedule=_schedule(args.k_schedule),
+        c_stick_schedule=_schedule(args.c_stick_schedule),
     )
-    _echo(args, config, command="simulate", initial=[initial.r_f, initial.r_b],
-          rate=args.rate, max_steps=args.max_steps, eps=args.eps)
+    _echo(args, config, initial=[initial.r_f, initial.r_b], rate=args.rate,
+          max_steps=args.max_steps, eps=args.eps)
     traj = dynamics.simulate_flow(initial, flow, config)
     fields = ("step", "r_f", "r_b", "zone", "k", "c_stick")
     json_out = args.format == "json"
@@ -327,26 +313,22 @@ def _cmd_simulate(args) -> int:
         if not args.quiet:
             print(f"# outcome: {traj.outcome.value} steps_used: {traj.steps_used}",
                   file=sys.stderr)
-    return 0
 
 
-def _cmd_best_response(args) -> int:
+def _cmd_best_response(args):
     import random  # only this command draws
 
     from . import dynamics, equilibrium
 
     config = config_from_json(args.config)
-    with open(args.assignment) as fh:
-        names = json.load(fh)
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-        raise InvalidValue("--assignment must be a JSON list of strategy names",
-                           field="assignment")
+    names = read_json(args.assignment, list, str,
+                      "--assignment must be a JSON list of strategy names", "assignment")
     try:
         assignment = [_POLICIES[n] for n in names]
     except KeyError as exc:
         raise InvalidValue(f"unknown strategy {exc.args[0]!r}", field="assignment") from None
     check_range(args.steps, "steps", 0)
-    _echo(args, config, command="best-response", steps=args.steps, seed=args.seed)
+    _echo(args, config, steps=args.steps, seed=args.seed)
     rng = random.Random(args.seed)
     history = 0
     for _ in range(args.steps):
@@ -366,16 +348,12 @@ def _cmd_best_response(args) -> int:
         "max_gain": max(gains) if gains else 0.0,
         "converged": all(g <= 0.0 for g in gains),
     }), args.out)
-    return 0
 
 
 def _load_agents(path: str) -> list[chainsim.MinerAgent]:
     from . import chainsim
 
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not (isinstance(raw, list) and all(isinstance(entry, dict) for entry in raw)):
-        raise InvalidValue("agents file must contain a JSON list of objects", field="agents")
+    raw = read_json(path, list, dict, "agents file must contain a JSON list of objects", "agents")
     agents = []
     for entry in raw:
         name, policy = entry.get("id"), entry.get("policy")
@@ -441,7 +419,7 @@ def _merge_replicas(reports: list[dict]) -> dict:
     return merged
 
 
-def _cmd_chain_sim(args) -> int:
+def _cmd_chain_sim(args):
     from . import chainsim
 
     check_count(args.replicas, "replicas")
@@ -450,18 +428,13 @@ def _cmd_chain_sim(args) -> int:
                           "combined with --replicas > 1")
     if args.series_step is not None and not args.series:
         raise _UsageError("--series-step applies only with --series")
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise InvalidValue("config file must contain a JSON object", field="config")
+    raw = read_json(args.config)
     d_b = "difficulty_b" if "difficulty_b" in raw else "k"  # coin_B's difficulty defaults to k
     world = chainsim.ChainWorld(
         difficulty_a=number(raw["difficulty_a"], "difficulty_a") if "difficulty_a" in raw else 1.0,
         difficulty_b=number(raw.get(d_b), d_b),
         k=number(raw.get("k"), "k"),
-        k_schedule=(
-            Schedule.from_file(args.k_schedule) if args.k_schedule else None
-        ),
+        k_schedule=_schedule(args.k_schedule),
     )
     agents = _load_agents(args.agents)
     regime_a = _regime(args.regime_a)
@@ -469,9 +442,8 @@ def _cmd_chain_sim(args) -> int:
     step = 1.0 if args.series_step is None else args.series_step
     if args.series:
         chainsim.check_series_step(step)  # before any output file is opened
-    _echo(args, None, command="chain-sim", duration=args.duration, seed=args.seed,
-          mode=args.mode, regime_a=args.regime_a, regime_b=args.regime_b,
-          replicas=args.replicas, k=world.k,
+    _echo(args, None, duration=args.duration, seed=args.seed, mode=args.mode,
+          regime_a=args.regime_a, regime_b=args.regime_b, replicas=args.replicas, k=world.k,
           difficulty_a=world.difficulty_a, difficulty_b=world.difficulty_b)
 
     def one(seed: int, **outputs) -> tuple[dict, dict]:
@@ -523,12 +495,11 @@ def _cmd_chain_sim(args) -> int:
     finally:
         if log.isEnabledFor(logging.DEBUG):
             _log_stages({
-                "command": "chain-sim", "replicas": args.replicas, "workers": workers,
+                "command": args.command, "replicas": args.replicas, "workers": workers,
                 "runs": [{"seed": r["seed"], "blocks": r["blocks"], "stats": stats,
                           "seconds": s} for (r, stats), s in runs],
                 "refused": refused,
             }, laps)
-    return 0
 
 
 def _estimate_lines(ts, share, r_f):
@@ -549,11 +520,11 @@ def _estimate_lines(ts, share, r_f):
             yield f"{t},{gray},{sh},{rf_text},{sh - rf if sh > rf else 0.0}\r\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     from . import ingest
 
     config = config_from_json(args.config)
-    _echo(args, config, command="analyze", input=args.input, hysteresis=args.hysteresis)
+    _echo(args, config, input=args.input, hysteresis=args.hysteresis)
     # For the debug line: what the run saw, and when each stage ended.
     seen = {"rows": None, "out_of_order": None, "periods": None, "refused": None}
     laps = [("start", time.perf_counter())]
@@ -597,8 +568,7 @@ def _cmd_analyze(args) -> int:
         raise
     finally:
         if log.isEnabledFor(logging.DEBUG):
-            _log_stages({"command": "analyze", **seen}, laps)
-    return 0
+            _log_stages({"command": args.command, **seen}, laps)
 
 
 # What --config holds: chain-sim reads a world config, the others a game config.
@@ -689,7 +659,8 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except _HelpShown:
         return 0
     except DualchainError as exc:  # a usage error too

@@ -253,8 +253,7 @@ class Schedule:
     def from_file(cls, path: str) -> "Schedule":
         """Load from JSON ([[at, value], ...]) or two-column CSV."""
         if path.endswith(".json"):
-            with open(path) as fh:
-                return cls.from_pairs(json.load(fh))
+            return cls.from_pairs(read_json(path, object))
         import csv  # only CSV schedules need it
 
         with open(path, newline="") as fh:
@@ -327,17 +326,27 @@ def validate_config(raw: GameConfig | Mapping) -> GameConfig:
     return GameConfig(k, counts["n_in"], counts["n_de"], c_stick, tuple(powers))
 
 
+def read_json(path: str, shape: type = dict, items: type | None = None,
+              message: str = "config file must contain a JSON object", field: str = "config"):
+    """The JSON value in the file at `path`, by default a config's object.
+
+    A value that is not a `shape`, or with `items` one that holds an item
+    of another type, raises InvalidValue(message, field).
+    """
+    with open(path) as fh:
+        value = json.load(fh)
+    if not isinstance(value, shape) or items and not all(isinstance(v, items) for v in value):
+        raise InvalidValue(message, field=field)
+    return value
+
+
 def config_from_json(path: str) -> GameConfig:
     """Load and validate a config from a JSON file.
 
     Expected object: {"k": ..., "n_in": ..., "n_de": ..., "c_stick": ...,
     "powers": [...]}.
     """
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise InvalidValue("config file must contain a JSON object", field="config")
-    return validate_config(data)
+    return validate_config(read_json(path))
 
 
 def c_max(config: GameConfig) -> float:

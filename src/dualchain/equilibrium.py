@@ -131,6 +131,12 @@ _EDGE_CLEARANCE = 1e-12
 _EDGE_RESIDUAL_TOL = 1e-9
 
 
+def _gap(config: GameConfig, index: int, r_f: float, r_b: float) -> float:
+    """u_f minus the payoff at `index` of payoff_values (1: u_a, 2: u_b)."""
+    values = payoff_values(r_f, r_b, config.k, config.n_in, config.n_de)
+    return values[0] - values[index]
+
+
 def boundary13_rb(r_f: float, config: GameConfig) -> float | None:
     """r_b where the fickle and coin_A-only payoffs tie, or None.
 
@@ -140,12 +146,7 @@ def boundary13_rb(r_f: float, config: GameConfig) -> float | None:
     positive just above the axis and changes sign exactly once, so the
     bisected crossing is the curve.
     """
-    k, n_in, n_de = config.k, config.n_in, config.n_de
-
-    def g(r_b: float) -> float:
-        u_f, u_a, _ = payoff_values(r_f, r_b, k, n_in, n_de)
-        return u_f - u_a
-
+    g = functools.partial(_gap, config, 1, r_f)  # u_f - u_a at r_b
     hi = min(1.0 - r_f, 1.0 - _EDGE_CLEARANCE)
     if hi <= 0.0:
         return None
@@ -164,20 +165,14 @@ def boundary23_rb(r_f: float, config: GameConfig) -> float | None:
     The curve runs from (0, k/(1+k)) down to (k, 0); the r_b -> 0 limit
     at r_f = k is returned as 0.0, and r_f > k has no solution.
     """
-    k, n_in, n_de = config.k, config.n_in, config.n_de
-    if r_f > k:
+    if r_f > config.k:
         return None
-    if r_f == k:
+    if r_f == config.k:
         return 0.0
-
-    def g(r_b: float) -> float:
-        u_f, _, u_b = payoff_values(r_f, r_b, k, n_in, n_de)
-        return u_f - u_b
-
     hi = min(1.0 - r_f, 1.0 - _EDGE_CLEARANCE)
-    # g < 0 just above the axis for r_f < k, g(hi) > 0 (B-only cannot beat
-    # fickle near the outer edge for k <= 1).
-    return _bisect(g, 1e-15, hi, f_lo_negative=True)
+    # u_f - u_b < 0 just above the axis for r_f < k, > 0 at hi (B-only
+    # cannot beat fickle near the outer edge for k <= 1).
+    return _bisect(functools.partial(_gap, config, 2, r_f), 1e-15, hi, f_lo_negative=True)
 
 
 def solve_beta(config: GameConfig) -> float:
@@ -200,13 +195,7 @@ def solve_beta(config: GameConfig) -> float:
     # Walk the line r_b = c_stick instead of re-solving the curve: u_f - u_a
     # is positive at r_f = 0 (c_stick below k/(1+k)) and negative at the
     # outer edge (c_stick above alpha), crossing once.
-    k, n_in, n_de = config.k, config.n_in, config.n_de
-
-    def g(r_f: float) -> float:
-        u_f, u_a, _ = payoff_values(r_f, c, k, n_in, n_de)
-        return u_f - u_a
-
-    return _bisect(g, 0.0, 1.0 - c, f_lo_negative=False)
+    return _bisect(lambda r_f: _gap(config, 1, r_f, c), 0.0, 1.0 - c, f_lo_negative=False)
 
 
 @dataclass(frozen=True)

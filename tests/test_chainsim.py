@@ -586,6 +586,36 @@ def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
         assert ch.difficulty == min(max(inferred, 0.5 * d), 2.0 * d)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    window=st.integers(min_value=1, max_value=12),
+    threshold=st.floats(min_value=0.5, max_value=100.0),
+    gaps=st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=80),
+)
+def test_eda_hook_matches_a_plain_list_of_block_times(n, window, threshold, gaps):
+    # Drive the EDA hook with arbitrary non-decreasing block times and
+    # check each retarget against a list that keeps every block's time.
+    ch = _Chain(Coin.B, 1.0)
+    on_block = EpochWithEda(n, window, threshold, 0.8)._hook(ch)
+    times, since, anchor, now = [], 0, 0.0, 0.0
+    for gap in gaps:
+        now += gap
+        times.append(now)
+        since += 1
+        ch.difficulty = 1.0  # each retarget starts from 1, so none collapses
+        if since >= n:
+            kind, expected = "difficulty", n / (now - anchor) if now > anchor else 1.0
+        elif len(times) > window and now - times[-window - 1] > threshold:
+            kind, expected = "eda", 0.8
+        else:
+            kind, expected = None, 1.0
+        if kind:
+            since, anchor = 0, now
+        assert on_block(now) == kind
+        assert ch.difficulty == expected
+
+
 def test_epoch_hook_is_due_every_n_th_block_and_eda_every_block():
     ch = _Chain(Coin.A, 0.5)
     on_block = EpochFixed(4)._hook(ch)

@@ -133,16 +133,39 @@ def test_validation_error_json_and_exit_code(tmp_path, capsys):
     assert payload["field"] == "k"
 
 
-@pytest.mark.parametrize("content,message", [
+# Each JSON input, as the argv of a command that reads it from {bad}; the
+# other files it names hold valid inputs.
+JSON_INPUTS = {
+    "game": ["equilibria", "--config", "{bad}"],
+    "world": ["chain-sim", "--config", "{bad}", "--agents", "{agents}", "--duration", "10"],
+    "agents": ["chain-sim", "--config", "{world}", "--agents", "{bad}", "--duration", "10"],
+    "assignment": ["best-response", "--config", "{game}", "--assignment", "{bad}"],
+    "k_schedule": ["simulate", "--config", "{game}", "--initial", "0.3,0.2",
+                   "--k-schedule", "{bad}"],
+}
+UNREADABLE = [
     (None, "FileNotFoundError: [Errno 2] No such file or directory: '{path}'"),
     ('{"k": 0.3,', "JSONDecodeError: Expecting property name enclosed in double quotes: "
                    "line 1 column 11 (char 10)"),
+]
+
+
+# The game config's cases keep the bare "content-message" ids.
+@pytest.mark.parametrize("argv,content,message", [
+    pytest.param(argv, content, message,
+                 id=f"{content}-{message}" + ("" if name == "game" else f"-{name}"))
+    for name, argv in JSON_INPUTS.items() for content, message in UNREADABLE
 ])
-def test_unreadable_config_exits_2_as_invalid_input(tmp_path, capsys, content, message):
-    path = tmp_path / "game.json"
+def test_unreadable_config_exits_2_as_invalid_input(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "bad.json"
     if content is not None:
         path.write_text(content)
-    code, out, err = run_cli(capsys, "equilibria", "--config", str(path), "--quiet")
+    files = {"bad": path, "game": tmp_path / "game.json", "world": tmp_path / "world.json",
+             "agents": tmp_path / "agents.json"}
+    files["game"].write_text(json.dumps({"k": 0.3, "n_in": 10, "n_de": 10, "powers": [1.0]}))
+    files["world"].write_text(json.dumps({"k": 0.3, "difficulty_b": 0.1}))
+    files["agents"].write_text(json.dumps([{"id": "a", "power": 1.0, "policy": "a_only"}]))
+    code, out, err = run_cli(capsys, *(arg.format(**files) for arg in argv), "--quiet")
     assert (code, out) == (2, "")
     assert json.loads(err) == {"code": "invalid_input", "message": message.format(path=path)}
 
@@ -940,7 +963,8 @@ def test_write_csv_matches_csv_writer(table):
     # The lines as the callers with row tuples build them: "%s" per cell.
     line = ",".join(["%s"] * width) + "\r\n"
     got = io.StringIO()
-    cli._write_csv(got, fields, map(line.__mod__, rows))
+    with contextlib.redirect_stdout(got):
+        cli._emit_csv(fields, map(line.__mod__, rows), None)
     assert got.getvalue() == expected.getvalue()
 
 
@@ -959,10 +983,11 @@ def test_write_json_rows_matches_json_dumps(table):
     width, rows = table
     fields = tuple(f"c{i}" for i in range(width))
     got = io.StringIO()
-    cli._write_json_rows(got, fields, (tuple(json.dumps(c) if isinstance(c, str) else c
-                                             for c in row) for row in rows))
+    with contextlib.redirect_stdout(got):
+        cli._emit_json_rows("", fields, (tuple(json.dumps(c) if isinstance(c, str) else c
+                                               for c in row) for row in rows), "", None)
     assert got.getvalue() == json.dumps([dict(zip(fields, row)) for row in rows],
-                                        allow_nan=False)
+                                        allow_nan=False) + "\n"
 
 
 @pytest.mark.parametrize("member", [*Zone, *ingest.Basis])
