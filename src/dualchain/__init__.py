@@ -21,9 +21,9 @@ _EXPORTS = {
                      "solve_beta", "x_threshold", "zone_of"), "equilibrium"),
     **dict.fromkeys(("FlowConfig", "Outcome", "Trajectory", "automatic_threshold",
                      "simulate_flow", "step_best_response"), "dynamics"),
-    **dict.fromkeys(("ChainWorld", "Coin", "EpochFixed", "EpochWithEda", "MinerAgent",
-                     "PerBlockWindow", "SimReport", "eda_expected_nde", "empirical_payoffs",
-                     "run", "sample_series"), "chainsim"),
+    **dict.fromkeys(("ChainWorld", "EpochFixed", "EpochWithEda", "MinerAgent", "PerBlockWindow",
+                     "SimReport", "eda_expected_nde", "empirical_payoffs", "run",
+                     "sample_series"), "chainsim"),
     **dict.fromkeys(("FicklePeriod", "detect_fickle_periods", "estimate_state_path",
                      "load_series", "zone_path"), "ingest"),
 }

@@ -51,7 +51,6 @@ import random
 import sys
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (K_RANGE, POWER_SUM_TOL, SERIES_COLUMNS, DualchainError, InvalidValue,
@@ -90,11 +89,6 @@ def _epoch_retarget(chain: _Chain, n: int, span: float, now: float) -> None:
     if span > 0.0:
         chain.difficulty = n * chain.difficulty / span
     _check_retarget(chain, now)
-
-
-class Coin(Enum):
-    A = "a"
-    B = "b"
 
 
 @dataclass(frozen=True)
@@ -245,9 +239,13 @@ class ChainWorld:
 class SimReport:
     """Aggregates of one simulation run; none grows with the horizon.
 
-    `stats` counts "blocks", regular "retargets" and "eda_triggers" per
-    chain label, "fickle_switches", "auto_switches" (agents moved) and
-    "reevaluations" of the switching policies.
+    The per-chain dicts are keyed by chain label, "a" or "b".  `stats`
+    counts "blocks" (the dict `blocks`), regular "retargets" and
+    "eda_triggers" per chain, "fickle_switches", "auto_switches" (agents
+    moved) and "reevaluations" of the switching policies: one at the start
+    and one after each retarget of either kind and each price tick.
+    `fickle_cycles` counts the fickle switches back to coin_A: switches
+    alternate and the first goes to coin_B, so each of them closes a cycle.
     """
 
     duration: float
@@ -256,10 +254,10 @@ class SimReport:
     agent_rewards: dict[str, float]
     # Each roster policy's reward per unit of power, in roster order.
     policy_unit: dict[Strategy, float]
-    blocks: dict[Coin, int]
-    mean_interval: dict[Coin, float | None]
+    blocks: dict[str, int]
+    mean_interval: dict[str, float | None]
     fickle_cycles: int
-    final_difficulty: dict[Coin, float]
+    final_difficulty: dict[str, float]
     stats: dict[str, int | dict[str, int]]
     # Reward per unit of power at the first and last fickle cycle starts,
     # for whole-cycle payoff measurement: (time, {policy: unit}).
@@ -299,12 +297,11 @@ class _Chain:
     other way round, so a finished run leaves no reference cycle behind.
     """
 
-    __slots__ = ("coin", "label", "difficulty", "power", "alloc", "acc", "height", "due",
+    __slots__ = ("label", "difficulty", "power", "alloc", "acc", "height", "due",
                  "first_ts", "last_ts")
 
-    def __init__(self, coin: Coin, difficulty: float):
-        self.coin = coin
-        self.label = coin.value
+    def __init__(self, label: str, difficulty: float):
+        self.label = label
         self.difficulty = difficulty
         self.power = 0
         self.alloc = 0.0
@@ -404,8 +401,8 @@ def run(
     ids, powers, policies = _validate_agents(agents)
 
     k = world.k
-    A = _Chain(Coin.A, world.difficulty_a)
-    B = _Chain(Coin.B, world.difficulty_b)
+    A = _Chain("a", world.difficulty_a)
+    B = _Chain("b", world.difficulty_b)
     # The hooks live only in this frame (see _Chain).
     hook_a = regime_a._hook(A)
     hook_b = regime_b._hook(B)
@@ -441,16 +438,15 @@ def run(
     work_b = -ln(1.0 - rand()) if exponential else 1.0
 
     t = 0.0
-    price_changes = list(world.k_schedule.entries) if world.k_schedule else []
-    price_idx = 0
-    while price_idx < len(price_changes) and price_changes[price_idx][0] <= 0.0:
-        k = price_changes[price_idx][1]
-        price_idx += 1
+    # Price ticks as (time, k), ended by one that never comes.
+    ticks = iter((*(world.k_schedule.entries if world.k_schedule else ()), (_INF, None)))
+    t_price, k_next = next(ticks)
+    while t_price <= 0.0:
+        k = k_next
+        t_price, k_next = next(ticks)
 
-    # Event-log lines by (chain label, event kind), for `stats`.
+    # Event-log lines by (chain label, event kind), the source of `stats`.
     counts: dict[tuple[str, str], int] = {}
-    reevaluations = 0
-    fickle_cycles = 0
     # (time, {policy: crew unit}) at the first and last fickle cycle starts.
     cycle_mark_first = None
     cycle_mark_last = None
@@ -492,8 +488,7 @@ def run(
         """Apply the fickle and automatic policies at the start, after a
         difficulty change and after a price tick.  Both read only d_a, d_b
         and k, so a second call before one of them changes moves nobody."""
-        nonlocal fickle_cycles, reevaluations, cycle_mark_first, cycle_mark_last
-        reevaluations += 1
+        nonlocal cycle_mark_first, cycle_mark_last
         d_a = A.difficulty
         d_b = B.difficulty
         if fickle.size:
@@ -507,9 +502,6 @@ def run(
                     if cycle_mark_first is None:
                         cycle_mark_first = mark
                     cycle_mark_last = mark
-                elif cycle_mark_last is not None:
-                    # Switches alternate: each back to A after one to B ends a cycle.
-                    fickle_cycles += 1
         if automatic.size:
             gain_a = 1.0 / d_a
             gain_b = k / d_b
@@ -526,8 +518,6 @@ def run(
         # switchable power is permanently stuck waiting for a trigger.
         raise ZeroPowerChain("coin_B starts unmined and can never adjust")
 
-    n_prices = len(price_changes)
-    t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
     t_next = 0.0
     while t_next <= duration:
         # Read again after each retarget or price tick, which end the block loop.
@@ -550,9 +540,8 @@ def run(
             if t_price <= t_block:
                 prog_a += rate_a * dt
                 prog_b += rate_b * dt
-                k = price_changes[price_idx][1]
-                price_idx += 1
-                t_price = price_changes[price_idx][0] if price_idx < n_prices else _INF
+                k = k_next
+                t_price, k_next = next(ticks)
                 emit("-", "price")
                 reevaluate()
                 break
@@ -596,6 +585,9 @@ def run(
     def per_chain(kind: str) -> dict[str, int]:
         return {ch.label: counts.get((ch.label, kind), 0) for ch in (A, B)}
 
+    blocks = {A.label: A.height, B.label: B.height}
+    retargets = per_chain("difficulty")
+    eda_triggers = per_chain("eda")
     return SimReport(
         duration=duration,
         mode=mode,
@@ -603,16 +595,16 @@ def run(
         # The only per-agent pass after set-up: power times its crew's unit.
         agent_rewards=dict(zip(ids, [x * unit[p] for x, p in zip(powers, policies)])),
         policy_unit={p: unit[p] for p in dict.fromkeys(policies)},
-        blocks={Coin.A: A.height, Coin.B: B.height},
-        mean_interval={ch.coin: (ch.last_ts - ch.first_ts) / (ch.height - 1)
+        blocks=blocks,
+        mean_interval={ch.label: (ch.last_ts - ch.first_ts) / (ch.height - 1)
                        if ch.height >= 2 else None for ch in (A, B)},
-        fickle_cycles=fickle_cycles,
-        final_difficulty={Coin.A: A.difficulty, Coin.B: B.difficulty},
-        stats={"blocks": {A.label: A.height, B.label: B.height},
-               "retargets": per_chain("difficulty"), "eda_triggers": per_chain("eda"),
+        fickle_cycles=counts.get((A.label, "switch_fickle"), 0),
+        final_difficulty={A.label: A.difficulty, B.label: B.difficulty},
+        stats={"blocks": blocks, "retargets": retargets, "eda_triggers": eda_triggers,
                "fickle_switches": sum(per_chain("switch_fickle").values()),
                "auto_switches": sum(per_chain("switch_auto").values()),
-               "reevaluations": reevaluations},
+               "reevaluations": 1 + sum(retargets.values()) + sum(eda_triggers.values())
+               + counts.get(("-", "price"), 0)},
         cycle_mark_first=cycle_mark_first,
         cycle_mark_last=cycle_mark_last,
     )
@@ -754,7 +746,7 @@ def b_phase_durations(changes: Iterable[tuple]) -> list[float]:
     start = None
     for t, chain, kind, *_ in changes:
         if kind == "switch_fickle":
-            if chain == Coin.B.value:
+            if chain == "b":
                 start = t
             elif start is not None:
                 durations.append(t - start)

@@ -380,9 +380,9 @@ def _report_dict(report: chainsim.SimReport) -> dict:
         "duration": report.duration,
         "mode": report.mode,
         "seed": report.seed,
-        "blocks": {c.value: n for c, n in report.blocks.items()},
-        "mean_interval": {c.value: v for c, v in report.mean_interval.items()},
-        "final_difficulty": {c.value: d for c, d in report.final_difficulty.items()},
+        "blocks": report.blocks,
+        "mean_interval": report.mean_interval,
+        "final_difficulty": report.final_difficulty,
         "fickle_cycles": report.fickle_cycles,
         "agent_rewards": report.agent_rewards,
         "policy_density": densities,

@@ -32,6 +32,8 @@ _SIMPLEX_SLACK = 1e-12
 SERIES_COLUMNS = ("timestamp", "hashrate_a", "hashrate_b", "difficulty_a",
                   "difficulty_b", "price_ratio_k")
 
+_PAIRS = "schedule must hold [at, value] number pairs"  # a schedule's shape refusal
+
 
 class DualchainError(Exception):
     """Base error. `code` is the stable machine-readable identifier."""
@@ -245,15 +247,14 @@ class Schedule:
             raise
         except (TypeError, ValueError) as exc:
             # A number, a bare value or a pair of another length where a pair belongs.
-            raise InvalidValue(f"schedule must hold [at, value] number pairs: {exc}",
-                               field="schedule") from exc
+            raise InvalidValue(f"{_PAIRS}: {exc}", field="schedule") from exc
         return cls(entries)
 
     @classmethod
     def from_file(cls, path: str) -> "Schedule":
         """Load from JSON ([[at, value], ...]) or two-column CSV."""
         if path.endswith(".json"):
-            return cls.from_pairs(read_json(path, object))
+            return cls.from_pairs(read_json(path, list, message=_PAIRS, field="schedule"))
         import csv  # only CSV schedules need it
 
         with open(path, newline="") as fh:

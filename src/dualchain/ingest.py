@@ -217,10 +217,10 @@ def detect_fickle_periods(series: SeriesLoad, hysteresis: float = 0.02) -> list[
     """Find spans where the difficulty ratio sits below the price ratio.
 
     A period opens when D_B/D_A falls below k*(1 - hysteresis) and closes
-    when it rises above k*(1 + hysteresis); a period still open at the
-    series end closes there.  The ratio is taken as is, which requires
-    both difficulty columns to share units (true for PoW-compatible
-    chains).
+    when it rises above k*(1 + hysteresis); one still open at the series
+    end closes there, unless it opened on the last record (no period).
+    The ratio is taken as is, which requires both difficulty columns to
+    share units (true for PoW-compatible chains).
     """
     n = len(series)
     if n < 2:

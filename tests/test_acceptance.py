@@ -14,7 +14,6 @@ import pytest
 from dualchain.core import MiningState, Strategy, Zone, coexist_rb, validate_config
 from dualchain.chainsim import (
     ChainWorld,
-    Coin,
     EpochFixed,
     EpochWithEda,
     MinerAgent,

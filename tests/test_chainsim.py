@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from dualchain.core import InvalidValue, MiningState, PowerSumMismatch, Strategy, validate_config
 from dualchain.chainsim import (
     ChainWorld,
-    Coin,
     EpochFixed,
     EpochWithEda,
     InsufficientCycles,
@@ -35,6 +34,7 @@ from dualchain.chainsim import (
 from dualchain.dynamics import Schedule
 from dualchain.equilibrium import zone_of
 from dualchain.payoff import payoff_triple
+from test_golden import AGENTS as GOLDEN_AGENTS, LOYALISTS as GOLDEN_LOYALISTS
 
 
 def config(k, n_in=2016, n_de=2016):
@@ -86,8 +86,8 @@ def test_all_power_on_a_mean_interval_is_one():
     agents = [MinerAgent("a", 1.0, Strategy.A_ONLY)]
     world = ChainWorld(difficulty_a=1.0, difficulty_b=0.5, k=0.05)
     rep = run(world, agents, EpochFixed(2016), EpochFixed(2016), 3000.0, seed=42)
-    assert rep.mean_interval[Coin.A] == pytest.approx(1.0, rel=0.02)
-    assert rep.blocks[Coin.B] == 0
+    assert rep.mean_interval["a"] == pytest.approx(1.0, rel=0.02)
+    assert rep.blocks["b"] == 0
 
 
 def test_difficulty_converges_to_constant_power():
@@ -99,11 +99,11 @@ def test_difficulty_converges_to_constant_power():
     # Deterministic mode locks on after one epoch.
     rep = run(world, agents, EpochFixed(100), EpochFixed(100), 900.0, seed=1,
               mode="deterministic")
-    assert rep.final_difficulty[Coin.A] == pytest.approx(0.7, rel=1e-9)
-    assert rep.final_difficulty[Coin.B] == pytest.approx(0.3, rel=1e-9)
+    assert rep.final_difficulty["a"] == pytest.approx(0.7, rel=1e-9)
+    assert rep.final_difficulty["b"] == pytest.approx(0.3, rel=1e-9)
     # Exponential mode: within 5% after three epochs at this window size.
     rep = run(world, agents, EpochFixed(2016), EpochFixed(2016), 3.2 * 2016 / 0.7, seed=9)
-    assert rep.final_difficulty[Coin.A] == pytest.approx(0.7, rel=0.05)
+    assert rep.final_difficulty["a"] == pytest.approx(0.7, rel=0.05)
 
 
 def test_fickle_phase_duration_matches_cycle_formula():
@@ -245,9 +245,9 @@ def test_cycle_marks_at_one_instant_are_no_complete_cycle():
     units = {Strategy.FICKLE: 2.0, Strategy.A_ONLY: 2.0}
     rep = SimReport(duration=10.0, mode="deterministic", seed=0,
                     agent_rewards={"f": 1.0, "a": 1.0}, policy_unit=units,
-                    blocks={Coin.A: 0, Coin.B: 0},
-                    mean_interval={Coin.A: None, Coin.B: None}, fickle_cycles=MIN_CYCLES,
-                    final_difficulty={Coin.A: 1.0, Coin.B: 1.0}, stats={},
+                    blocks={"a": 0, "b": 0},
+                    mean_interval={"a": None, "b": None}, fickle_cycles=MIN_CYCLES,
+                    final_difficulty={"a": 1.0, "b": 1.0}, stats={},
                     cycle_mark_first=(5.0, units), cycle_mark_last=(5.0, units))
     with pytest.raises(InsufficientCycles, match="no complete fickle cycle"):
         empirical_payoffs(rep)
@@ -567,7 +567,7 @@ def test_sample_series_schema_and_monotone_timestamps():
 def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
     # Drive the per-block hook with arbitrary difficulties and check each
     # retarget against the fsum of the window it replaced.
-    ch = _Chain(Coin.B, difficulties[0])
+    ch = _Chain("b", difficulties[0])
     on_block = PerBlockWindow(window)._hook(ch)
     seen = []
     for height, d in enumerate(difficulties, start=1):
@@ -596,7 +596,7 @@ def test_per_block_window_sum_is_bit_identical_to_fsum(window, difficulties):
 def test_eda_hook_matches_a_plain_list_of_block_times(n, window, threshold, gaps):
     # Drive the EDA hook with arbitrary non-decreasing block times and
     # check each retarget against a list that keeps every block's time.
-    ch = _Chain(Coin.B, 1.0)
+    ch = _Chain("b", 1.0)
     on_block = EpochWithEda(n, window, threshold, 0.8)._hook(ch)
     times, since, anchor, now = [], 0, 0.0, 0.0
     for gap in gaps:
@@ -617,14 +617,14 @@ def test_eda_hook_matches_a_plain_list_of_block_times(n, window, threshold, gaps
 
 
 def test_epoch_hook_is_due_every_n_th_block_and_eda_every_block():
-    ch = _Chain(Coin.A, 0.5)
+    ch = _Chain("a", 0.5)
     on_block = EpochFixed(4)._hook(ch)
     assert ch.due == 4
     assert on_block(2.0) == "difficulty" and ch.difficulty == 4 * 0.5 / 2.0
     assert ch.due == 8
     assert on_block(3.0) == "difficulty" and ch.difficulty == 4 * 1.0 / 1.0
     assert ch.due == 12
-    eda = _Chain(Coin.B, 0.5)
+    eda = _Chain("b", 0.5)
     EpochWithEda(4)._hook(eda)
     assert eda.due == 0
 
@@ -632,7 +632,7 @@ def test_epoch_hook_is_due_every_n_th_block_and_eda_every_block():
 def test_per_block_window_keeps_difficulty_for_blocks_at_one_instant():
     # A window that spans no time infers no power.  In a run this takes an
     # Exp(1) work threshold too small to move the clock.
-    ch = _Chain(Coin.B, 0.4)
+    ch = _Chain("b", 0.4)
     on_block = PerBlockWindow(3)._hook(ch)
     assert on_block(5.0) is None
     assert on_block(5.0) is None
@@ -666,8 +666,8 @@ def _histories(changes):
         duration=changes[-1][0],
         occupancy=history(("switch_fickle", "switch_auto"), 6, 7),
         k_history=history(("price",), 5),
-        difficulty_history={Coin.A: history(("difficulty", "eda"), 3, chain="a"),
-                            Coin.B: history(("difficulty", "eda"), 4, chain="b")},
+        difficulty_history={"a": history(("difficulty", "eda"), 3, chain="a"),
+                            "b": history(("difficulty", "eda"), 4, chain="b")},
     )
 
 
@@ -675,12 +675,12 @@ def _change_stream(report):
     """The four histories of `report` as one change stream: "start" from
     their first entries, a change per later entry up to the horizon in time
     order, each carrying the state then in effect, and "end"."""
-    state = {"occupancy": report.occupancy[0][1:], "a": report.difficulty_history[Coin.A][0][1],
-             "b": report.difficulty_history[Coin.B][0][1], "k": report.k_history[0][1]}
+    state = {"occupancy": report.occupancy[0][1:], "a": report.difficulty_history["a"][0][1],
+             "b": report.difficulty_history["b"][0][1], "k": report.k_history[0][1]}
     entries = [(e[0], "occupancy", e[1:]) for e in report.occupancy[1:]]
     entries += [(e[0], "k", e[1]) for e in report.k_history[1:]]
-    for coin in (Coin.A, Coin.B):
-        entries += [(e[0], coin.value, e[1]) for e in report.difficulty_history[coin][1:]]
+    for coin in ("a", "b"):
+        entries += [(e[0], coin, e[1]) for e in report.difficulty_history[coin][1:]]
 
     def change(t, kind):
         return (t, "-", kind, state["a"], state["b"], state["k"], *state["occupancy"])
@@ -702,8 +702,8 @@ def _old_sample_series(report, step=1.0, pag_seconds=600, t0_epoch=0):
         raise ValueError("sampling step must map to at least one second")
     rows = []
     occ = report.occupancy
-    da = report.difficulty_history[Coin.A]
-    db = report.difficulty_history[Coin.B]
+    da = report.difficulty_history["a"]
+    db = report.difficulty_history["b"]
     ks = report.k_history
     i_occ = i_da = i_db = i_k = 0
     t = 0.0
@@ -867,7 +867,7 @@ def test_sample_series_matches_per_row_reference(data, step, duration):
 
     report = SimpleNamespace(
         duration=duration, occupancy=history(2), k_history=history(1),
-        difficulty_history={Coin.A: history(1), Coin.B: history(1)},
+        difficulty_history={"a": history(1), "b": history(1)},
     )
     got = []
     sink = sample_series(rows_to(got), step=step)
@@ -929,7 +929,7 @@ def test_rewards_sum_to_coins_minted(regime_b):
     for (t, chain, kind, *_rest) in events:
         if kind == "block":
             minted += 1.0 if chain == "a" else [k for at, k in k_history if at <= t][-1]
-    assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 1000
+    assert rep.blocks["a"] + rep.blocks["b"] > 1000
     assert math.fsum(rep.agent_rewards.values()) == pytest.approx(minted, rel=1e-9)
     # Power-proportional crediting: one reward rate per policy.
     for policy in Strategy:
@@ -1004,7 +1004,7 @@ def test_long_run_rewards_match_per_block_sum():
     agents = _split_roster(1)
     rep = run(world, agents, EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
               60000.0, seed=5, **log_to(events), sinks=[changes.append])
-    assert rep.blocks[Coin.A] + rep.blocks[Coin.B] > 150_000
+    assert rep.blocks["a"] + rep.blocks["b"] > 150_000
     assert rep.fickle_cycles > 500
     _assert_rewards_match(agents, rep, events, changes)
 
@@ -1127,7 +1127,7 @@ def test_run_leaves_no_reference_cycles(regime):
     gc.disable()
     try:
         rep = run(world, agents, EpochFixed(36), regime, 500.0, seed=2, **log_to(events))
-        assert rep.blocks[Coin.B] > 0 and rep.fickle_cycles > 0
+        assert rep.blocks["b"] > 0 and rep.fickle_cycles > 0
         del rep
         assert gc.collect() == 0
     finally:
@@ -1163,9 +1163,40 @@ def test_stats_count_the_event_log_and_repeat(tmp_path, regime_b):
         # At the start, after each difficulty change and after each price tick.
         "reevaluations": 1 + sum(1 for _, kind in lines if kind in ("difficulty", "eda", "price")),
     }
-    assert rep.stats["blocks"] == {coin.value: n for coin, n in rep.blocks.items()}
+    assert rep.stats["blocks"] == rep.blocks
     assert min(rep.stats["retargets"]["b"], rep.stats["fickle_switches"],
                rep.stats["auto_switches"]) > 0
+
+
+# The chain-sim rosters of the golden cases, and a fickle/b_only/a_only roster.
+DERIVATION_ROSTERS = {
+    **{name: [MinerAgent(a["id"], a["power"], Strategy(a["policy"])) for a in roster]
+       for name, roster in (("mix", GOLDEN_AGENTS), ("loyalists", GOLDEN_LOYALISTS))},
+    "fickle": loyal_roster(0.3, 0.2),
+}
+
+
+@pytest.mark.parametrize("schedule", [None, [(0.0, 0.3), (400.0, 0.45), (900.0, 0.378)]])
+@pytest.mark.parametrize("mode", ["exponential", "deterministic"])
+@pytest.mark.parametrize("regime_a", [EpochFixed(10**9), EpochWithEda(144, 6, 12.0, 0.8)])
+@pytest.mark.parametrize("regime_b", [EpochFixed(144), EpochWithEda(144, 6, 12.0, 0.8),
+                                      PerBlockWindow(36)])
+@pytest.mark.parametrize("roster", list(DERIVATION_ROSTERS))
+def test_cycle_and_reevaluation_counts_follow_from_the_changes(roster, regime_b, regime_a, mode,
+                                                               schedule):
+    # Fickle switches alternate and the first goes to b, so each switch back
+    # to a closes a cycle; the policies are re-evaluated at the start, after
+    # each retarget of either kind and after each price tick, and only then.
+    world = ChainWorld(difficulty_a=0.76, difficulty_b=0.2, k=0.378,
+                       k_schedule=schedule and Schedule.from_pairs(schedule))
+    changes = []
+    rep = run(world, DERIVATION_ROSTERS[roster], regime_a, regime_b, 1500.0, seed=4, mode=mode,
+              sinks=[changes.append])
+    kinds = [(chain, kind) for _, chain, kind, *_ in changes]
+    assert rep.fickle_cycles == kinds.count(("a", "switch_fickle"))
+    assert rep.stats["reevaluations"] == (1 + sum(rep.stats["retargets"].values())
+                                          + sum(rep.stats["eda_triggers"].values())
+                                          + kinds.count(("-", "price")))
 
 
 def _peak_bytes(tmp_path, duration):

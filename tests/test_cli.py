@@ -1210,7 +1210,7 @@ def test_config_that_is_no_object_is_refused_by_its_field(tmp_path, capsys, cont
 
 
 @pytest.mark.parametrize("content,detail", [
-    (5, "'int' object is not iterable"),
+    ([None], "cannot unpack non-iterable NoneType object"),
     ([5], "cannot unpack non-iterable int object"),
     ([[0]], "not enough values to unpack (expected 2, got 1)"),
     ([[0, 0.3, 1]], "too many values to unpack (expected 2)"),
@@ -1225,6 +1225,32 @@ def test_schedule_that_holds_no_pairs_is_refused_by_its_field(config_path, tmp_p
     assert (code, out) == (2, "")
     assert json.loads(err) == {"code": "invalid_input", "field": "schedule", "message":
                                f"schedule must hold [at, value] number pairs: {detail}"}
+
+
+@pytest.mark.parametrize("content", [{"a": 1}, {"01": 5}, {}, "12", 5])
+@pytest.mark.parametrize("command,flag", [("simulate", "--k-schedule"),
+                                          ("simulate", "--c-stick-schedule"),
+                                          ("chain-sim", "--k-schedule")])
+def test_json_schedule_that_is_not_a_list_is_refused_by_its_field(config_path, sim_inputs,
+                                                                  tmp_path, capsys, content,
+                                                                  command, flag):
+    # An object used to be read as its keys and a string as its characters,
+    # and {} as an empty schedule.
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(content))
+    argv = [*sim_inputs, "--duration", "10"] if command == "chain-sim" else \
+        ["simulate", "--config", config_path, "--initial", "0.3,0.2", "--quiet"]
+    code, out, err = run_cli(capsys, *argv, flag, str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "field": "schedule",
+                               "message": "schedule must hold [at, value] number pairs"}
+
+
+def test_empty_json_schedule_list_is_no_schedule(config_path, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text("[]")
+    argv = ["simulate", "--config", config_path, "--initial", "0.3,0.2", "--quiet"]
+    assert run_cli(capsys, *argv, "--k-schedule", str(path)) == run_cli(capsys, *argv)
 
 
 def write_series(path, rows):

@@ -1,14 +1,17 @@
-"""Every name a module imports is used in it, and every CLI option is read.
+"""Every name a module imports is used in it, every CLI option is read, and
+every error code is documented.
 
 No linter ships with the test dependencies, and a deleted function or
 field can leave the import that served it behind.  This walks each
 module of the package with `ast` and fails on an imported name that the
 module never reads (`from __future__` imports excepted).  In the same
 way, an option that a command defines and its handler never reads is a
-knob with no effect.
+knob with no effect.  A refusal's `code` is an interface, so each one
+has its row in the README's table of codes.
 """
 
 import ast
+import importlib
 import inspect
 import pathlib
 import textwrap
@@ -17,6 +20,7 @@ import pytest
 
 import dualchain
 from dualchain import cli
+from dualchain.core import DualchainError
 
 MODULES = sorted(pathlib.Path(dualchain.__file__).parent.glob("*.py"))
 
@@ -67,3 +71,22 @@ def test_every_option_is_read_by_its_command(name):
     [sub] = cli.build_parser(name)._subparsers._group_actions[0].choices.values()
     defined = {action.dest for action in sub._actions if action.dest != "help"}
     assert defined - options_read(cli._COMMANDS[name][2]) == set()
+
+
+def error_codes() -> set[str]:
+    """The `code` of every DualchainError subclass in the package."""
+    for path in MODULES:
+        if path.stem != "__init__":
+            importlib.import_module(f"dualchain.{path.stem}")
+    todo, codes = [DualchainError], set()
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("dualchain."):  # not a test's own subclass
+            codes.add(cls.code)
+        todo.extend(cls.__subclasses__())
+    return codes
+
+
+def test_every_error_code_is_in_the_readme():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert {code for code in error_codes() if f"| `{code}` |" not in readme} == set()

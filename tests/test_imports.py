@@ -25,9 +25,8 @@ PUBLIC = {
                     "solve_beta", "x_threshold", "zone_of"],
     "dynamics": ["FlowConfig", "Outcome", "Trajectory", "automatic_threshold",
                  "simulate_flow", "step_best_response"],
-    "chainsim": ["ChainWorld", "Coin", "EpochFixed", "EpochWithEda", "MinerAgent",
-                 "PerBlockWindow", "SimReport", "eda_expected_nde", "empirical_payoffs",
-                 "run", "sample_series"],
+    "chainsim": ["ChainWorld", "EpochFixed", "EpochWithEda", "MinerAgent", "PerBlockWindow",
+                 "SimReport", "eda_expected_nde", "empirical_payoffs", "run", "sample_series"],
     "ingest": ["FicklePeriod", "detect_fickle_periods", "estimate_state_path", "load_series",
                "zone_path"],
 }

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualchain.core import GameConfig, InvalidValue, MiningState, Strategy, Zone, validate_config
-from dualchain.chainsim import ChainWorld, EpochFixed, MinerAgent, run, sample_series
+from dualchain.chainsim import (ChainWorld, EpochFixed, EpochWithEda, MinerAgent, PerBlockWindow,
+                                run, sample_series)
 from dualchain.equilibrium import zone_of
 from dualchain.ingest import (
     Basis,
@@ -484,6 +485,44 @@ def test_round_trip_recovers_simulated_state(tmp_path):
     truth = zone_of(MiningState(r_f, r_b), cfg)
     agreement = sum(1 for z in zones if z is truth) / len(zones)
     assert agreement >= 0.9
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+@pytest.mark.parametrize("regime_b,floor", [
+    (EpochFixed(504), 0.99),
+    (EpochWithEda(504, 6, 12.0, 0.8), 0.95),
+    (PerBlockWindow(144), 0.65),
+    (PerBlockWindow(36), 0.75),
+], ids=["epoch:504", "eda:504:6:12:0.8", "perblock:144", "perblock:36"])
+def test_round_trip_agreement_per_coin_b_regime(tmp_path, regime_b, floor, seed):
+    """Characterises today's detector, not a bound to keep: the share of
+    records whose reconstructed zone is the generating state's, for the
+    round trip above under each coin_B regime.  At the default hysteresis
+    the per-block figures sit near 0.70 (window 144) and 0.80 (window 36);
+    a detector that follows the share jumps is expected to raise those
+    floors."""
+    r_f, r_b, k, n = 0.3, 0.1, 0.3, 504
+    s = r_f + r_b
+    t_b, t_a = n * r_b / s, n * s / r_b
+    pbar = ((1 - s) * t_b + (1 - r_b) * t_a) / (t_b + t_a)
+    agents = [
+        MinerAgent("f", r_f, Strategy.FICKLE),
+        MinerAgent("b", r_b, Strategy.B_ONLY),
+        MinerAgent("a", 1 - s, Strategy.A_ONLY),
+    ]
+    world = ChainWorld(difficulty_a=pbar, difficulty_b=r_b, k=k)
+    path = tmp_path / "sim.csv"
+    with open(path, "w") as fh:
+        fh.write(",".join(SERIES_COLUMNS) + "\n")
+        run(world, agents, EpochFixed(10**9), regime_b, 6 * (t_b + t_a), seed=seed,
+            sinks=[sample_series(lambda state, stamps: fh.writelines(
+                ",".join(map(str, (ts, *state))) + "\n" for ts in stamps), step=1.0)])
+    loaded = load_series(str(path))
+    estimates, _ = estimate_state_path(loaded, detect_fickle_periods(loaded, hysteresis=0.02))
+    cfg = validate_config({"k": k, "n_in": n, "n_de": n, "powers": [1.0]})
+    zones, _ = zone_path(estimates, cfg)
+    truth = zone_of(MiningState(r_f, r_b), cfg)
+    assert sum(1 for z in zones if z is truth) / len(zones) >= floor
 
 
 @pytest.mark.parametrize("start,end", [(30, 45), (-3, 2), (5, 3), (40, 40), (0, -1)])

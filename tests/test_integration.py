@@ -5,7 +5,6 @@ import statistics
 from dualchain.core import MiningState, Strategy, coexist_rb, validate_config
 from dualchain.chainsim import (
     ChainWorld,
-    Coin,
     EpochFixed,
     EpochWithEda,
     MinerAgent,
@@ -38,7 +37,7 @@ def test_emergency_decrease_accelerates_fickle_cycling():
               EpochWithEda(n=504, eda_window=6, eda_threshold=12.0, eda_factor=0.8),
               horizon, seed=1, sinks=[changes.append])
     assert eda.fickle_cycles > 2 * max(plain.fickle_cycles, 1)
-    assert eda.blocks[Coin.B] > 2 * plain.blocks[Coin.B]
+    assert eda.blocks["b"] > 2 * plain.blocks["b"]
     # The emergency decreases show up between the regular epoch updates.
     assert any(c[2] == "eda" for c in changes)
 
