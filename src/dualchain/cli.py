@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import stat
@@ -29,8 +28,6 @@ from .core import (ZONE_TOL, DualchainError, InvalidValue, MiningState, Schedule
 if TYPE_CHECKING:
     # Annotations only: each command imports the modules it runs.
     from . import chainsim
-
-log = logging.getLogger("dualchain")
 
 _POLICIES = {s.value: s for s in Strategy}
 # CSV cells of the enum columns.  Enum.value is a Python-level property;
@@ -65,26 +62,20 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpShown
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to sys.stderr as it is at that record, so that one
-    handler serves every dispatch, whatever stream stderr has been swapped for."""
-
-    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+# The rank of each DUALCHAIN_LOG name (lower case) and line level (upper case).
+_RANKS = {"debug": 0, "info": 1, "warn": 2, "error": 3, "DEBUG": 0, "WARNING": 2, "ERROR": 3}
 
 
-@functools.cache
-def _handler() -> logging.Handler:
-    handler = _StderrHandler()
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    return handler
+def _logs(level: str) -> bool:
+    """Whether `level` ranks at least DUALCHAIN_LOG (unset or unknown: warn)."""
+    return _RANKS[level] >= _RANKS.get(os.environ.get("DUALCHAIN_LOG", "warn").lower(), 2)
 
 
-def _setup_logging():
-    level = os.environ.get("DUALCHAIN_LOG", "warn").lower()
-    chosen = {"error": logging.ERROR, "warn": logging.WARNING,
-              "info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.WARNING)
-    log.handlers[:] = [_handler()]
-    log.setLevel(chosen)
+def _log(level: str, message: str):
+    """Write "`level` dualchain: `message`" to the stderr of the moment, if allowed."""
+    if _logs(level):
+        sys.stderr.write(f"{level} dualchain: {message}\n")
+        sys.stderr.flush()
 
 
 def _finite(value) -> bool:
@@ -389,13 +380,30 @@ def _report_dict(report: chainsim.SimReport) -> dict:
     }
 
 
-def _log_stages(fields: dict, laps: list[tuple[str, float]]):
-    """Log one debug line: `fields` plus `seconds`, the time from each lap to
-    the next summed per stage name (the later lap's)."""
+@contextlib.contextmanager
+def _debug_line(args, **fields):
+    """Yield the debug line's fields (the command, `fields` and `refused`,
+    which a DualchainError sets to its code) and `lap(stage)`, which adds the
+    seconds since the last lap to the stage's and returns them.  The line,
+    with `seconds`, is formatted and logged on exit only when debug is on."""
+    line = {"command": args.command, **fields, "refused": None}
     seconds: dict[str, float] = {}
-    for (_, begun), (stage, ended) in zip(laps, laps[1:]):
-        seconds[stage] = seconds.get(stage, 0.0) + ended - begun
-    log.debug("%s", json.dumps({**fields, "seconds": seconds}))
+    last = time.perf_counter()
+
+    def lap(stage: str) -> float:
+        nonlocal last
+        begun, last = last, time.perf_counter()
+        seconds[stage] = seconds.get(stage, 0.0) + (last - begun)
+        return last - begun
+
+    try:
+        yield line, lap
+    except DualchainError as exc:
+        line["refused"] = exc.code
+        raise
+    finally:
+        if _logs("DEBUG"):
+            _log("DEBUG", json.dumps({**line, "seconds": seconds}))
 
 
 def _merge_replicas(reports: list[dict]) -> dict:
@@ -451,55 +459,42 @@ def _cmd_chain_sim(args):
                               mode=args.mode, **outputs)
         return _report_dict(report), report.stats
 
-    workers = 1
-    # For the debug line: [(report dict, stats), seconds] per run, and when
-    # each stage ended.
-    runs: list = []
-    refused = None
     opened = []  # the files this run writes, which a refused run removes
-    laps = [("start", time.perf_counter())]
-    try:
-        if args.replicas > 1:
-            from . import replicas  # loaded only for runs with more than one replica
+    with _debug_line(args, replicas=args.replicas, workers=1, runs=[]) as (line, lap):
+        try:
+            if args.replicas > 1:
+                from . import replicas  # loaded only for runs with more than one replica
 
-            workers = replicas.workers(args.replicas)
-            runs = replicas.run(one, list(range(args.seed, args.seed + args.replicas)), workers)
-            laps.append(("run", time.perf_counter()))
-            _emit(_json(_merge_replicas([report for (report, _), _ in runs])), args.out)
-        else:
-            # The event log and the series stream to their files as the run goes.
-            with contextlib.ExitStack() as files:
-                def create(path):
-                    fh = files.enter_context(open(path, "w", newline=""))
-                    opened.append(path)
-                    return fh
+                line["workers"] = workers = replicas.workers(args.replicas)
+                seeds = list(range(args.seed, args.seed + args.replicas))
+                runs = replicas.run(one, seeds, workers)  # [(report dict, stats), seconds] each
+                lap("run")
+            else:
+                # The event log and the series stream to their files as the run goes.
+                with contextlib.ExitStack() as files:
+                    def create(path):
+                        fh = files.enter_context(open(path, "w", newline=""))
+                        opened.append(path)
+                        return fh
 
-                on_block, on_event = chainsim.write_events_csv(create(args.events)) \
-                    if args.events else (None, None)
-                sinks = [chainsim.sample_series(chainsim.write_series_csv(create(args.series)),
-                                                step=step)] if args.series else []
-                result = one(args.seed, on_block=on_block, on_event=on_event, sinks=sinks)
-            laps.append(("run", time.perf_counter()))
-            runs = [(result, laps[1][1] - laps[0][1])]
-            _emit(_json(result[0]), args.out)
-        laps.append(("emit", time.perf_counter()))
-    except BaseException as exc:
-        if isinstance(exc, DualchainError):
-            refused = exc.code
-        # A command that fails leaves no partial output file.  Devices, pipes
-        # and symlinks given as --events or --series are left alone.
-        for path in opened:
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.remove(path)
-        raise
-    finally:
-        if log.isEnabledFor(logging.DEBUG):
-            _log_stages({
-                "command": args.command, "replicas": args.replicas, "workers": workers,
-                "runs": [{"seed": r["seed"], "blocks": r["blocks"], "stats": stats,
-                          "seconds": s} for (r, stats), s in runs],
-                "refused": refused,
-            }, laps)
+                    on_block, on_event = chainsim.write_events_csv(create(args.events)) \
+                        if args.events else (None, None)
+                    sinks = [chainsim.sample_series(chainsim.write_series_csv(
+                        create(args.series)), step=step)] if args.series else []
+                    result = one(args.seed, on_block=on_block, on_event=on_event, sinks=sinks)
+                runs = [(result, lap("run"))]
+            line["runs"] = [{"seed": r["seed"], "blocks": r["blocks"], "stats": stats,
+                             "seconds": s} for (r, stats), s in runs]
+            reports = [report for (report, _), _ in runs]
+            _emit(_json(_merge_replicas(reports) if args.replicas > 1 else reports[0]), args.out)
+            lap("emit")
+        except BaseException:
+            # A command that fails leaves no partial output file.  Devices, pipes
+            # and symlinks given as --events or --series are left alone.
+            for path in opened:
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+            raise
 
 
 def _estimate_lines(ts, share, r_f):
@@ -525,21 +520,18 @@ def _cmd_analyze(args):
 
     config = config_from_json(args.config)
     _echo(args, config, input=args.input, hysteresis=args.hysteresis)
-    # For the debug line: what the run saw, and when each stage ended.
-    seen = {"rows": None, "out_of_order": None, "periods": None, "refused": None}
-    laps = [("start", time.perf_counter())]
-    try:
+    with _debug_line(args, rows=None, out_of_order=None, periods=None) as (seen, lap):
         loaded = ingest.load_series(args.input)
         seen.update(rows=len(loaded), out_of_order=loaded.out_of_order_count)
-        laps.append(("load", time.perf_counter()))
+        lap("load")
         if loaded.out_of_order_count:
-            log.warning("sorted %d out-of-order records", loaded.out_of_order_count)
+            _log("WARNING", f"sorted {loaded.out_of_order_count} out-of-order records")
         periods = ingest.detect_fickle_periods(loaded, hysteresis=args.hysteresis)
         seen["periods"] = len(periods)
-        laps.append(("detect", time.perf_counter()))
+        lap("detect")
         estimates, period_rf = ingest.estimate_state_path(loaded, periods)
         ts, share, r_f, k = estimates.columns.values()
-        laps.append(("estimate", time.perf_counter()))
+        lap("estimate")
         if args.out_periods:
             with open(args.out_periods, "w") as fh:
                 json.dump([
@@ -551,24 +543,18 @@ def _cmd_analyze(args):
             _emit_csv(("timestamp", "basis", "share", "r_f_est", "r_b_est"),
                       _estimate_lines(ts, share, r_f),
                       args.out_estimates)
-        laps.append(("emit", time.perf_counter()))
+        lap("emit")
         if args.out_zones:
             # zone_path runs to the end before the file opens, so a refusal
             # leaves no zones file behind.
             zones, _ = ingest.zone_path(estimates, config)
-            laps.append(("zones", time.perf_counter()))
+            lap("zones")
             _emit_csv(("timestamp", "zone", "k"),
                       map("%s,%s,%s\r\n".__mod__, zip(ts, map(_LABELS.__getitem__, zones), k)),
                       args.out_zones)
         _emit(_json({"records": len(loaded), "periods": len(periods),
                      "out_of_order": loaded.out_of_order_count}), args.out)
-        laps.append(("emit", time.perf_counter()))
-    except DualchainError as exc:
-        seen["refused"] = exc.code
-        raise
-    finally:
-        if log.isEnabledFor(logging.DEBUG):
-            _log_stages({"command": args.command, **seen}, laps)
+        lap("emit")
 
 
 # What --config holds: chain-sim reads a world config, the others a game config.
@@ -651,14 +637,25 @@ def build_parser(only: str | None = None) -> _Parser:
     return parser
 
 
+# The output file flags, as argparse dests.  Two may name one file only if it
+# exists and is not regular (/dev/null): else one write would spoil the other.
+_OUTPUTS = ("out", "events", "series", "out_periods", "out_estimates", "out_zones")
+
+
 def dispatch(argv: list[str]) -> int:
     """Parse and run; returns the process exit code."""
-    _setup_logging()
     # Only the named command's subparser.  No command, -h or an unknown
     # name gets the full parser, which lists every command.
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
+        named = {}  # the real path of each output file -> its flag
+        for dest in _OUTPUTS:
+            if path := getattr(args, dest, None):
+                real, flag = os.path.realpath(path), "--" + dest.replace("_", "-")
+                if real in named and (os.path.isfile(real) or not os.path.exists(real)):
+                    raise _UsageError(f"{named[real]} and {flag} name the same file")
+                named[real] = flag
         args.func(args)
         return 0
     except _HelpShown:
@@ -674,7 +671,9 @@ def dispatch(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     except Exception as exc:  # internal bug surface
-        log.exception("internal error")
+        import traceback  # only an internal error prints one
+
+        _log("ERROR", "internal error\n" + traceback.format_exc().removesuffix("\n"))
         print(json.dumps({"code": "internal", "message": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return 1

@@ -1385,22 +1385,72 @@ def test_analyze_warns_of_out_of_order_records_at_the_default_level(analyze_inpu
 
 def test_log_lines_go_to_stderr_as_each_dispatch_finds_it(analyze_inputs, tmp_path,
                                                          monkeypatch):
-    # One handler serves every dispatch; it writes to whatever sys.stderr is.
+    # Each dispatch writes its log lines to whatever sys.stderr is then.
     monkeypatch.delenv("DUALCHAIN_LOG", raising=False)
     config_path, _ = analyze_inputs
     rows = [series_row(i * 600, 0.055, 0.5, 0.1) for i in range(6)]
     rows[1], rows[4] = rows[4], rows[1]
     series = write_series(tmp_path / "shuffled.csv", rows)
     argv = ["analyze", "--config", config_path, "--input", series, "--quiet"]
-    errs, handlers = [], []
+    errs = []
     for _ in range(2):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             assert dispatch(argv) == 0
         errs.append(err.getvalue())
-        handlers.append(list(cli.log.handlers))
     assert errs == ["WARNING dualchain: sorted 2 out-of-order records\n"] * 2
-    assert len(handlers[0]) == 1 and handlers[0] == handlers[1]
+
+
+# DUALCHAIN_LOG -> whether it lets through (the out-of-order warning, the
+# debug lines).  The internal-error traceback gets through at every level.
+LOG_LEVELS = {None: (True, False), "warn": (True, False), "WARN": (True, False),
+              "info": (True, False), "error": (False, False), "debug": (True, True),
+              "DEBUG": (True, True), "bogus": (True, False)}
+
+
+@pytest.mark.parametrize("level", LOG_LEVELS)
+def test_each_log_level_lets_through_its_lines(level, analyze_inputs, sim_inputs, tmp_path,
+                                               capsys, monkeypatch):
+    if level is None:
+        monkeypatch.delenv("DUALCHAIN_LOG", raising=False)
+    else:
+        monkeypatch.setenv("DUALCHAIN_LOG", level)
+    warns, debugs = LOG_LEVELS[level]
+    debug = "DEBUG dualchain: "
+
+    def shape(err):
+        """The lines of `err`, each debug line's JSON object (checked to be
+        one) shown as {...}."""
+        lines = err.splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith(debug):
+                assert isinstance(json.loads(line[len(debug):]), dict)
+                lines[i] = debug + "{...}"
+        return lines
+
+    config_path, _ = analyze_inputs
+    rows = [series_row(i * 600, 0.055, 0.5, 0.1) for i in range(6)]
+    rows[1], rows[4] = rows[4], rows[1]
+    series = write_series(tmp_path / "shuffled.csv", rows)
+    code, _, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series,
+                           "--quiet")
+    assert code == 0
+    assert shape(err) == (["WARNING dualchain: sorted 2 out-of-order records"] * warns
+                          + [debug + "{...}"] * debugs)
+
+    code, _, err = run_cli(capsys, *sim_inputs, "--duration", "50", "--out", os.devnull)
+    assert code == 0
+    assert shape(err) == [debug + "{...}"] * debugs
+
+    monkeypatch.setattr(dynamics, "automatic_threshold", lambda config: 1 / 0)
+    code, out, err = run_cli(capsys, "threshold", "--config", config_path, "--quiet")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[:2] == ["ERROR dualchain: internal error", "Traceback (most recent call last):"]
+    assert all(line.startswith("  ") for line in lines[2:-2])
+    assert lines[-2:] == ["ZeroDivisionError: division by zero",
+                          json.dumps({"code": "internal",
+                                      "message": "ZeroDivisionError: division by zero"})]
 
 
 # ---------------------------------------------------------------------------
@@ -1762,6 +1812,40 @@ def test_chain_sim_series_step_needs_series(sim_inputs, tmp_path, capsys):
     assert_exit_2(capsys, [*sim_inputs, "--duration", "50", "--events", str(events),
                            "--series-step", "2"], "usage")
     assert not events.exists()
+
+
+# Two outputs of one command that name one file would interleave in it or
+# replace each other; the second may spell the path differently.
+@pytest.mark.parametrize("first,second", [("--events", "--series"), ("--out", "--events")])
+def test_chain_sim_refuses_two_outputs_naming_one_file(sim_inputs, tmp_path, capsys,
+                                                       monkeypatch, first, second):
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, *sim_inputs, "--duration", "50", first, "x.csv",
+                             second, str(tmp_path / "." / "x.csv"))
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "code": "usage", "message": f"{first} and {second} name the same file"}
+    assert not target.exists()
+
+
+def test_analyze_refuses_two_outputs_naming_one_file(analyze_inputs, tmp_path, capsys):
+    config_path, series_path = analyze_inputs
+    target = tmp_path / "t.csv"
+    target.write_text("kept\n")
+    code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series_path,
+                             "--out-estimates", str(target), "--out-zones", str(target),
+                             "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "code": "usage", "message": "--out-estimates and --out-zones name the same file"}
+    assert target.read_text() == "kept\n"
+
+
+def test_a_device_may_take_two_outputs(sim_inputs, capsys):
+    code, out, _ = run_cli(capsys, *sim_inputs, "--duration", "50", "--events", os.devnull,
+                           "--series", os.devnull)
+    assert code == 0 and json.loads(out)["blocks"]
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0"])

@@ -32,12 +32,13 @@ PUBLIC = {
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
-# Prints the dualchain modules and csv as loaded after the import, then
-# after dispatch(argv) when argv is given.
+# Prints the dualchain modules, csv, logging and traceback as loaded after
+# the import, then after dispatch(argv) when argv is given.
 PROBE = """\
 import json, sys
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("dualchain") or m == "csv")
+    return sorted(m for m in sys.modules
+                  if m.startswith("dualchain") or m in ("csv", "logging", "traceback"))
 from dualchain.cli import dispatch
 print(json.dumps(loaded()))
 if sys.argv[1:]:
@@ -63,7 +64,8 @@ def test_cli_import_loads_only_core_and_a_zones_run_adds_no_simulator(tmp_path):
                                        "--grid", "2", "--out", os.devnull, "--quiet")
     assert imported == ["dualchain", "dualchain.cli", "dualchain.core"]
     assert "dualchain.equilibrium" in after_zones
-    assert not {"dualchain.chainsim", "dualchain.ingest"} & set(after_zones)
+    assert not {"dualchain.chainsim", "dualchain.ingest", "logging", "traceback"} & set(
+        after_zones)
 
 
 def test_chain_sim_run_loads_no_analytic_module(tmp_path):
@@ -74,7 +76,8 @@ def test_chain_sim_run_loads_no_analytic_module(tmp_path):
                           "--agents", str(agents), "--duration", "5",
                           "--out", os.devnull, "--quiet")
     assert "dualchain.chainsim" in after
-    assert not {"dualchain.ingest", "dualchain.dynamics", "dualchain.equilibrium"} & set(after)
+    assert not {"dualchain.ingest", "dualchain.dynamics", "dualchain.equilibrium", "logging",
+                "traceback"} & set(after)
 
 
 def test_a_public_name_loads_its_module_on_first_use():
