@@ -13,9 +13,9 @@ import types
 
 # public name -> module that defines it
 _EXPORTS = {
-    **dict.fromkeys(("GameConfig", "MiningState", "Schedule", "Strategy", "Zone", "c_max",
-                     "coexist_rb", "config_from_json", "validate_config"), "core"),
-    **dict.fromkeys(("PayoffTriple", "ap_fickle", "payoff", "payoff_triple"), "payoff"),
+    **dict.fromkeys(("GameConfig", "MiningState", "Schedule", "Strategy", "Zone", "coexist_rb",
+                     "config_from_json", "validate_config"), "core"),
+    **dict.fromkeys(("PayoffTriple", "payoff", "payoff_triple"), "payoff"),
     **dict.fromkeys(("DeviationReport", "EquilibriumSet", "Segment", "boundary13_rb",
                      "boundary23_rb", "equilibria", "finite_deviation", "solve_alpha",
                      "solve_beta", "x_threshold", "zone_of"), "equilibrium"),

@@ -268,7 +268,7 @@ class SimReport:
 EVENT_FIELDS = ("time", "chain", "event_type", "difficulty_a", "difficulty_b",
                 "r_f_active", "r_b_active")
 
-SERIES_FIELDS = SERIES_COLUMNS
+SERIES_FIELDS = SERIES_COLUMNS  # the series header under the name bench/workloads.py reads
 
 
 # Exact sums: every finite float is an integer multiple of 2**-1074, so a
@@ -691,7 +691,7 @@ def sample_series(
 
     Each stretch of unchanged state comes as emit(state, timestamps), which
     must exhaust timestamps; its rows are (timestamp, *state) in
-    SERIES_FIELDS order: epoch seconds, allocated powers, normalized
+    SERIES_COLUMNS order: epoch seconds, allocated powers, normalized
     difficulties and k.  The grid is t = 0, then t += step (P_ag) while t is
     before the horizon; a row holds the state of the last change at or
     before its t.  check_series_step checks the step at this call.
@@ -769,7 +769,7 @@ def write_series_csv(fh) -> Callable[[tuple, Iterable[int]], None]:
     h_a0 = h_b0 = d_a0 = d_b0 = k0 = _UNSET
     s_ha = s_hb = s_da = s_db = s_k = ""
     write = fh.write
-    write(",".join(SERIES_FIELDS) + "\r\n")
+    write(",".join(SERIES_COLUMNS) + "\r\n")
 
     def on_stretch(state: tuple, timestamps: Iterable[int]):
         nonlocal h_a0, h_b0, d_a0, d_b0, k0, s_ha, s_hb, s_da, s_db, s_k

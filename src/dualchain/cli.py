@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 validation error (machine-readable JSON on
 stderr with {code, message, field?}), 1 internal error.  Unless --quiet,
 each run echoes its fully resolved parameters to stderr for
 reproducibility; stdout carries data only.  DUALCHAIN_LOG
-(error|warn|info|debug) controls diagnostics on stderr.
+(error|warn|debug) controls diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -63,12 +63,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The rank of each DUALCHAIN_LOG name (lower case) and line level (upper case).
-_RANKS = {"debug": 0, "info": 1, "warn": 2, "error": 3, "DEBUG": 0, "WARNING": 2, "ERROR": 3}
+_RANKS = {"debug": 0, "warn": 1, "error": 2, "DEBUG": 0, "WARNING": 1, "ERROR": 2}
 
 
 def _logs(level: str) -> bool:
     """Whether `level` ranks at least DUALCHAIN_LOG (unset or unknown: warn)."""
-    return _RANKS[level] >= _RANKS.get(os.environ.get("DUALCHAIN_LOG", "warn").lower(), 2)
+    return _RANKS[level] >= _RANKS.get(os.environ.get("DUALCHAIN_LOG", "warn").lower(), 1)
 
 
 def _log(level: str, message: str):
@@ -637,8 +637,10 @@ def build_parser(only: str | None = None) -> _Parser:
     return parser
 
 
-# The output file flags, as argparse dests.  Two may name one file only if it
-# exists and is not regular (/dev/null): else one write would spoil the other.
+# The input and the output file flags, as argparse dests.  Inputs may share a
+# file.  An output may name the file of another flag only if it exists and is
+# not regular (/dev/null): else its write would spoil that output or input.
+_INPUTS = ("config", "agents", "assignment", "input", "k_schedule", "c_stick_schedule")
 _OUTPUTS = ("out", "events", "series", "out_periods", "out_estimates", "out_zones")
 
 
@@ -649,11 +651,12 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        named = {}  # the real path of each output file -> its flag
-        for dest in _OUTPUTS:
+        named = {}  # the real path of each file flag -> the flag
+        for dest in _INPUTS + _OUTPUTS:
             if path := getattr(args, dest, None):
                 real, flag = os.path.realpath(path), "--" + dest.replace("_", "-")
-                if real in named and (os.path.isfile(real) or not os.path.exists(real)):
+                if real in named and dest in _OUTPUTS and (
+                        os.path.isfile(real) or not os.path.exists(real)):
                     raise _UsageError(f"{named[real]} and {flag} name the same file")
                 named[real] = flag
         args.func(args)

@@ -74,10 +74,6 @@ class NegativePower(InvalidValue):
     code = "negative_power"
 
 
-class EmptyPowers(DualchainError):
-    code = "empty_powers"
-
-
 def number(value, field: str, name: str | None = None) -> float:
     """A decoded JSON number as a float: an int or a float, never a bool,
     str, null, list or object (InvalidValue).  An int past the float range
@@ -348,13 +344,6 @@ def config_from_json(path: str) -> GameConfig:
     "powers": [...]}.
     """
     return validate_config(read_json(path))
-
-
-def c_max(config: GameConfig) -> float:
-    """Maximum single-player power among the non-faction players."""
-    if not config.powers:
-        raise EmptyPowers("config has no non-faction players")
-    return max(config.powers)
 
 
 def coexist_rb(k: float) -> float:

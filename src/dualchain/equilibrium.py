@@ -266,14 +266,12 @@ def equilibria(config: GameConfig) -> EquilibriumSet:
 class DeviationReport:
     """Outcome of a single-player deviation check at one state.
 
-    binding_inequality identifies the stay-put comparison that failed
-    ("<current>-><best>"), None when no deviation is profitable.
+    best_strategy is the current strategy, and payoff_gain 0, when no
+    deviation is profitable.
     """
 
-    current_strategy: Strategy
     best_strategy: Strategy
     payoff_gain: float
-    binding_inequality: str | None
 
 
 # Group-membership slack: a player's power must already be inside its group.
@@ -316,8 +314,7 @@ def finite_deviation(
             gain = value - u_cur
             if gain > best_gain:
                 best_strategy, best_gain = target, gain
-    binding = f"{current.value}->{best_strategy.value}" if best_gain > 0.0 else None
-    return DeviationReport(current, best_strategy, best_gain, binding)
+    return DeviationReport(best_strategy, best_gain)
 
 
 def x_threshold(config: GameConfig) -> float:

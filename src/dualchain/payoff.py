@@ -27,13 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DualchainError, GameConfig, MiningState, Strategy, check_range
+from .core import DualchainError, GameConfig, MiningState, Strategy
 
 _INF = math.inf
-
-
-class DegenerateState(DualchainError):
-    code = "degenerate_state"
 
 
 class DivergentPayoff(DualchainError):
@@ -52,17 +48,13 @@ class DivergentState(DualchainError):
 class PayoffTriple:
     """Profit densities of the three strategies at one state.
 
-    Divergent components are math.inf; check `divergent` or compare with
-    math.isinf before arithmetic.
+    Divergent components are math.inf; test each with math.isinf before
+    arithmetic.
     """
 
     u_f: float
     u_a: float
     u_b: float
-
-    @property
-    def divergent(self) -> tuple[bool, bool, bool]:
-        return (math.isinf(self.u_f), math.isinf(self.u_a), math.isinf(self.u_b))
 
 
 def payoff_values(r_f: float, r_b: float, k: float, n_in: int, n_de: int):
@@ -114,21 +106,5 @@ def payoff(strategy: Strategy, state: MiningState, config: GameConfig) -> float:
     values = payoff_values(state.r_f, state.r_b, config.k, config.n_in, config.n_de)
     value = values[_STRATEGY_INDEX[strategy]]
     if math.isinf(value):
-        raise DivergentPayoff(
-            f"{strategy.value} payoff diverges at ({state.r_f}, {state.r_b})"
-        )
+        raise DivergentPayoff(f"{strategy.value} payoff diverges at ({state.r_f}, {state.r_b})")
     return value
-
-
-def ap_fickle(state: MiningState, config: GameConfig, c_i: float) -> float:
-    """Reward per P_ag of a fickle player during its coin_A phase.
-
-    The raw form with the player's power c_i kept explicit: c_i times
-    u_a, the inverse of the average coin_A difficulty; linear in c_i.
-    """
-    check_range(c_i, "c_i", 0.0, lo_open=True, hi_open=True)
-    check_range(state.r_b, "r_b", 0.0, lo_open=True, error=DegenerateState, name="ap_fickle r_b")
-    u_a = payoff_values(state.r_f, state.r_b, config.k, config.n_in, config.n_de)[1]
-    if math.isinf(u_a):
-        raise DivergentPayoff(f"ap_fickle diverges at ({state.r_f}, {state.r_b})")
-    return c_i * u_a

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualchain.core import InvalidValue, MiningState, PowerSumMismatch, Strategy, validate_config
+from dualchain.core import (SERIES_COLUMNS, InvalidValue, MiningState, PowerSumMismatch, Strategy,
+                            validate_config)
 from dualchain.chainsim import (
     ChainWorld,
     EpochFixed,
@@ -17,7 +18,6 @@ from dualchain.chainsim import (
     MIN_CYCLES,
     MinerAgent,
     EVENT_FIELDS,
-    SERIES_FIELDS,
     PerBlockWindow,
     SimReport,
     ZeroPowerChain,
@@ -70,7 +70,7 @@ def log_to(events):
 
 def rows_to(rows):
     """A sample_series consumer appending each row to `rows` as a
-    SERIES_FIELDS-ordered tuple."""
+    SERIES_COLUMNS-ordered tuple."""
     return lambda state, stamps: rows.extend((ts, *state) for ts in stamps)
 
 
@@ -548,9 +548,9 @@ def test_sample_series_schema_and_monotone_timestamps():
     run(world, agents, EpochFixed(10**9), EpochFixed(504), 3000.0, seed=2,
         sinks=[sample_series(rows_to(rows), step=1.0)])
     assert len(rows) == 3000
-    assert SERIES_FIELDS == ("timestamp", "hashrate_a", "hashrate_b",
-                             "difficulty_a", "difficulty_b", "price_ratio_k")
-    assert all(len(r) == len(SERIES_FIELDS) for r in rows)
+    assert SERIES_COLUMNS == ("timestamp", "hashrate_a", "hashrate_b",
+                              "difficulty_a", "difficulty_b", "price_ratio_k")
+    assert all(len(r) == len(SERIES_COLUMNS) for r in rows)
     ts = [r[0] for r in rows]
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert all(0.0 < r[5] <= 1.0 for r in rows)
@@ -649,7 +649,7 @@ def _old_events_csv(events, fh):
 
 
 def _old_series_csv(rows, fh):
-    writer = csv.DictWriter(fh, fieldnames=SERIES_FIELDS)
+    writer = csv.DictWriter(fh, fieldnames=SERIES_COLUMNS)
     writer.writeheader()
     writer.writerows(rows)
 
@@ -826,7 +826,7 @@ def test_series_writer_formats_signed_zero_and_non_floats(tmp_path):
         for row in rows:
             write(row[1:], iter(row[:1]))
     with open(tmp_path / "old.csv", "w", newline="") as fh:
-        _old_series_csv([dict(zip(SERIES_FIELDS, r)) for r in rows], fh)
+        _old_series_csv([dict(zip(SERIES_COLUMNS, r)) for r in rows], fh)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -873,7 +873,7 @@ def test_sample_series_matches_per_row_reference(data, step, duration):
     sink = sample_series(rows_to(got), step=step)
     for change in _change_stream(report):
         sink(change)
-    want = [tuple(r[f] for f in SERIES_FIELDS)
+    want = [tuple(r[f] for f in SERIES_COLUMNS)
             for r in _old_sample_series(report, step=step)]
     assert got == want
     # The same value objects, so the writer formats the same bytes.

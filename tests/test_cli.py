@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import signal
 import statistics
 import subprocess
@@ -1028,11 +1029,10 @@ def test_simulate_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_f
 @pytest.mark.parametrize("to_file", [False, True])
 def test_payoff_csv_bytes_match_dictwriter(config_path, tmp_path, capsys, to_file):
     triple = payoff_triple(MiningState(0.0, 0.0), config_from_json(config_path))
-    assert any(triple.divergent)
     values = (triple.u_f, triple.u_a, triple.u_b)
+    assert any(map(math.isinf, values))
     row = {"r_f": 0.0, "r_b": 0.0, **{
-        name: None if div else v
-        for name, v, div in zip(("u_f", "u_a", "u_b"), values, triple.divergent)
+        name: None if math.isinf(v) else v for name, v in zip(("u_f", "u_a", "u_b"), values)
     }}
     expected = dictwriter_text(("r_f", "r_b", "u_f", "u_a", "u_b"), [row])
     assert ",," in expected or ",\r\n" in expected
@@ -1815,31 +1815,51 @@ def test_chain_sim_series_step_needs_series(sim_inputs, tmp_path, capsys):
 
 
 # Two outputs of one command that name one file would interleave in it or
-# replace each other; the second may spell the path differently.
-@pytest.mark.parametrize("first,second", [("--events", "--series"), ("--out", "--events")])
+# replace each other, and an output that names an input's file would replace
+# the input; the second flag may spell the path differently.
+@pytest.mark.parametrize("first,second", [("--events", "--series"), ("--out", "--events"),
+                                          ("--config", "--out")])
 def test_chain_sim_refuses_two_outputs_naming_one_file(sim_inputs, tmp_path, capsys,
                                                        monkeypatch, first, second):
     monkeypatch.chdir(tmp_path)
     target = tmp_path / "x.csv"
+    world = (tmp_path / "world.json").read_bytes()
+    if first == "--config":
+        target.write_bytes(world)
     code, out, err = run_cli(capsys, *sim_inputs, "--duration", "50", first, "x.csv",
                              second, str(tmp_path / "." / "x.csv"))
     assert (code, out) == (2, "")
     assert json.loads(err.strip().splitlines()[-1]) == {
         "code": "usage", "message": f"{first} and {second} name the same file"}
-    assert not target.exists()
+    if first == "--config":
+        assert target.read_bytes() == world
+    else:
+        assert not target.exists()
 
 
-def test_analyze_refuses_two_outputs_naming_one_file(analyze_inputs, tmp_path, capsys):
+@pytest.mark.parametrize("first,second", [("--out-estimates", "--out-zones"),
+                                          ("--input", "--out-estimates")])
+def test_analyze_refuses_two_outputs_naming_one_file(analyze_inputs, tmp_path, capsys,
+                                                     first, second):
     config_path, series_path = analyze_inputs
     target = tmp_path / "t.csv"
-    target.write_text("kept\n")
+    series = pathlib.Path(series_path).read_bytes()
+    target.write_bytes(series)
     code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series_path,
-                             "--out-estimates", str(target), "--out-zones", str(target),
-                             "--quiet")
+                             first, str(target), second, str(target), "--quiet")
     assert (code, out) == (2, "")
     assert json.loads(err.strip().splitlines()[-1]) == {
-        "code": "usage", "message": "--out-estimates and --out-zones name the same file"}
-    assert target.read_text() == "kept\n"
+        "code": "usage", "message": f"{first} and {second} name the same file"}
+    assert target.read_bytes() == series
+
+
+def test_inputs_may_share_a_file(config_path, tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text("[[0, 0.3]]")
+    code, out, _ = run_cli(capsys, "simulate", "--config", config_path, "--initial", "0.3,0.2",
+                           "--k-schedule", str(schedule), "--c-stick-schedule", str(schedule),
+                           "--max-steps", "5", "--quiet")
+    assert code == 0 and out
 
 
 def test_a_device_may_take_two_outputs(sim_inputs, capsys):

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dualchain.core import (
-    EmptyPowers,
-    GameConfig,
     InvalidValue,
     KAboveOne,
     MiningState,
@@ -17,7 +15,6 @@ from dualchain.core import (
     Schedule,
     Zone,
     ZeroBlockCount,
-    c_max,
     validate_config,
 )
 from dualchain.ingest import Basis
@@ -84,25 +81,6 @@ def test_validate_idempotent(k, n_in, n_de, weights, c_frac):
     )
     again = validate_config(cfg)
     assert again == cfg
-
-
-def test_c_max():
-    base = {"k": 0.3, "n_in": 10, "n_de": 10}
-    assert c_max(validate_config({**base, "powers": [0.5, 0.3, 0.2]})) == 0.5
-    assert c_max(validate_config({**base, "powers": [0.25] * 4})) == 0.25
-    assert c_max(validate_config({**base, "powers": [1.0]})) == 1.0
-
-
-def test_c_max_empty_powers():
-    with pytest.raises(EmptyPowers):
-        c_max(GameConfig(k=0.3, n_in=10, n_de=10, c_stick=1.0, powers=()))
-
-
-def test_c_max_bounded_by_non_faction_power():
-    cfg = validate_config({
-        "k": 0.3, "n_in": 10, "n_de": 10, "c_stick": 0.4, "powers": [0.35, 0.25],
-    })
-    assert c_max(cfg) <= 1.0 - cfg.c_stick
 
 
 @given(r_f=st.floats(0.0, 1.0), frac=st.floats(0.0, 1.0))

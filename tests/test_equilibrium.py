@@ -261,7 +261,6 @@ def test_finite_deviation_from_origin():
     report = finite_deviation(MiningState(0.0, 0.0), 0.01, Strategy.A_ONLY, cfg)
     assert report.best_strategy is Strategy.B_ONLY
     assert report.payoff_gain == pytest.approx(0.3 / 0.01 - 1.0, rel=1e-12)
-    assert report.binding_inequality == "a_only->b_only"
 
 
 def test_finite_deviation_zero_at_segment_threshold():
@@ -330,10 +329,7 @@ def reference_finite_deviation(state, c_i, current, config):
         gain = value - u_cur
         if gain > best_gain:
             best_strategy, best_gain = target, gain
-    binding = None
-    if best_gain > 0.0:
-        binding = f"{current.value}->{best_strategy.value}"
-    return best_strategy, best_gain, binding
+    return best_strategy, best_gain
 
 
 @st.composite
@@ -355,7 +351,7 @@ def deviation_cases(draw):
 
 
 def deviation_outcome(fn, *args):
-    """(best strategy, float.hex of the gain, binding inequality), or the
+    """(best strategy, float.hex of the gain), or the
     refusal: the type of a PowerNotInGroup (its messages were reworded),
     the type and message of any other."""
     try:
@@ -363,10 +359,9 @@ def deviation_outcome(fn, *args):
     except Exception as exc:
         return type(exc).__name__ if isinstance(exc, PowerNotInGroup) else (type(exc), str(exc))
     if not isinstance(result, tuple):
-        assert result.current_strategy is args[2]
-        result = result.best_strategy, result.payoff_gain, result.binding_inequality
-    best, gain, binding = result
-    return best, gain.hex(), binding
+        result = result.best_strategy, result.payoff_gain
+    best, gain = result
+    return best, gain.hex()
 
 
 @settings(max_examples=500, deadline=None)

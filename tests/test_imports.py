@@ -17,9 +17,9 @@ import dualchain
 
 # The public names of the package, each with the module that defines it.
 PUBLIC = {
-    "core": ["GameConfig", "MiningState", "Schedule", "Strategy", "Zone", "c_max",
-             "coexist_rb", "config_from_json", "validate_config"],
-    "payoff": ["PayoffTriple", "ap_fickle", "payoff", "payoff_triple"],
+    "core": ["GameConfig", "MiningState", "Schedule", "Strategy", "Zone", "coexist_rb",
+             "config_from_json", "validate_config"],
+    "payoff": ["PayoffTriple", "payoff", "payoff_triple"],
     "equilibrium": ["DeviationReport", "EquilibriumSet", "Segment", "boundary13_rb",
                     "boundary23_rb", "equilibria", "finite_deviation", "solve_alpha",
                     "solve_beta", "x_threshold", "zone_of"],

@@ -19,7 +19,6 @@ from dualchain.core import (DualchainError, InvalidValue, KAboveOne, MiningState
                             NonPositiveK, PowerSumMismatch, Strategy, ZeroBlockCount,
                             check_count, check_range, number, validate_config)
 from dualchain.equilibrium import finite_deviation
-from dualchain.payoff import ap_fickle
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +132,6 @@ def test_finite_deviation_refuses_a_bad_c_i(c_i):
     cfg = validate_config({"k": 0.3, "n_in": 10, "n_de": 10, "powers": [0.5, 0.5]})
     with pytest.raises(InvalidValue) as info:
         finite_deviation(MiningState(0.5, 0.2), c_i, Strategy.FICKLE, cfg)
-    assert info.value.field == "c_i"
-
-
-@pytest.mark.parametrize("c_i", [math.nan, 0.0, math.inf])
-def test_ap_fickle_refuses_a_bad_c_i_with_its_field(c_i):
-    cfg = validate_config({"k": 0.3, "n_in": 10, "n_de": 10, "powers": [1.0]})
-    with pytest.raises(InvalidValue) as info:
-        ap_fickle(MiningState(0.3, 0.2), cfg, c_i)
     assert info.value.field == "c_i"
 
 

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dualchain.core import MiningState, Strategy, validate_config
 from dualchain.payoff import (
     AutomaticNotAnalytic,
-    DegenerateState,
     DivergentPayoff,
     DivergentState,
-    ap_fickle,
     payoff,
     payoff_triple,
     payoff_values,
@@ -111,7 +109,7 @@ def test_triple_at_all_fickle_corner():
 
 def test_triple_flags_divergence_at_origin():
     triple = payoff_triple(MiningState(0.0, 0.0), config(0.3))
-    assert triple.divergent == (True, False, True)
+    assert list(map(math.isinf, (triple.u_f, triple.u_a, triple.u_b))) == [True, False, True]
     assert triple.u_a == 1.0
 
 
@@ -128,41 +126,6 @@ def test_payoff_raises_on_divergence():
 def test_automatic_rejected_by_analytic_payoff():
     with pytest.raises(AutomaticNotAnalytic):
         payoff(Strategy.AUTOMATIC, MiningState(0.3, 0.2), config(0.3))
-
-
-def test_ap_fickle_at_zero_fickle_share():
-    cfg = config(0.3)
-    # At r_f = 0 the raw form collapses to c_i / (1 - r_b).
-    for r_b, c_i in ((0.25, 0.03), (0.6, 0.2)):
-        assert ap_fickle(MiningState(0.0, r_b), cfg, c_i) == pytest.approx(
-            c_i / (1.0 - r_b), rel=1e-12
-        )
-    assert ap_fickle(MiningState(0.0, 0.5), cfg, 0.1) == pytest.approx(0.2, rel=1e-12)
-
-
-def test_ap_fickle_linear_in_c_i():
-    cfg = config(0.7, n_in=144)
-    state = MiningState(0.3, 0.25)
-    one = ap_fickle(state, cfg, 0.05)
-    two = ap_fickle(state, cfg, 0.10)
-    assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-
-def test_ap_fickle_degenerate_without_b_miners():
-    with pytest.raises(DegenerateState):
-        ap_fickle(MiningState(0.3, 0.0), config(0.3), 0.1)
-
-
-def test_ap_fickle_raises_typed_errors_at_the_corners():
-    cfg = config(0.3)
-    # Both divided by zero before ap_fickle went through payoff_values.
-    with pytest.raises(DivergentState, match=r"payoffs diverge at \(0.0, 1e-200\)"):
-        ap_fickle(MiningState(0.0, 1e-200), cfg, 0.1)
-    with pytest.raises(DivergentPayoff, match=r"ap_fickle diverges at \(0.0, 1.0\)"):
-        ap_fickle(MiningState(0.0, 1.0), cfg, 0.1)
-    for c_i in (0.0, -0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match=r"c_i must be in \(0, inf\)"):
-            ap_fickle(MiningState(0.3, 0.2), cfg, c_i)
 
 
 @pytest.mark.parametrize("k,n_in,n_de", [(0.05, 2016, 2016), (0.3, 144, 2016), (1.0, 10, 10)])
@@ -199,7 +162,7 @@ def test_interior_payoffs_strictly_positive():
     for r_f, r_b in INTERIOR_STATES:
         t = payoff_triple(MiningState(r_f, r_b), cfg)
         assert t.u_f > 0.0 and t.u_a > 0.0 and t.u_b > 0.0
-        assert not any(t.divergent)
+        assert not any(map(math.isinf, (t.u_f, t.u_a, t.u_b)))
 
 
 def previous_payoff_values(r_f, r_b, k, n_in, n_de):
