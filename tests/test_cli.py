@@ -1837,20 +1837,68 @@ def test_chain_sim_refuses_two_outputs_naming_one_file(sim_inputs, tmp_path, cap
         assert not target.exists()
 
 
-@pytest.mark.parametrize("first,second", [("--out-estimates", "--out-zones"),
-                                          ("--input", "--out-estimates")])
-def test_analyze_refuses_two_outputs_naming_one_file(analyze_inputs, tmp_path, capsys,
-                                                     first, second):
+def test_analyze_refuses_two_outputs_naming_one_file(analyze_inputs, tmp_path, capsys):
     config_path, series_path = analyze_inputs
     target = tmp_path / "t.csv"
-    series = pathlib.Path(series_path).read_bytes()
-    target.write_bytes(series)
+    target.write_text("kept\n")
     code, out, err = run_cli(capsys, "analyze", "--config", config_path, "--input", series_path,
-                             first, str(target), second, str(target), "--quiet")
+                             "--out-estimates", str(target), "--out-zones", str(target),
+                             "--quiet")
     assert (code, out) == (2, "")
     assert json.loads(err.strip().splitlines()[-1]) == {
-        "code": "usage", "message": f"{first} and {second} name the same file"}
-    assert target.read_bytes() == series
+        "code": "usage", "message": "--out-estimates and --out-zones name the same file"}
+    assert target.read_text() == "kept\n"
+
+
+# (command, the input flag, the output flag): each input flag of each command
+# that takes it, against an output of that command.
+OUTPUT_OVER_INPUT = [
+    ("payoff", "--config", "--out"),
+    ("zones", "--config", "--out"),
+    ("simulate", "--config", "--out"),
+    ("simulate", "--k-schedule", "--out"),
+    ("simulate", "--c-stick-schedule", "--out"),
+    ("best-response", "--assignment", "--out"),
+    ("chain-sim", "--agents", "--out"),
+    ("chain-sim", "--agents", "--events"),
+    ("chain-sim", "--k-schedule", "--series"),
+    ("analyze", "--config", "--out-zones"),
+    ("analyze", "--input", "--out-periods"),
+    ("analyze", "--input", "--out-estimates"),
+]
+
+
+@pytest.mark.parametrize("command,source,sink", OUTPUT_OVER_INPUT)
+def test_an_output_naming_an_input_exits_2_and_keeps_the_input(
+        config_path, sim_inputs, analyze_inputs, tmp_path, capsys, monkeypatch,
+        command, source, sink):
+    monkeypatch.chdir(tmp_path)
+    schedule, stick = tmp_path / "schedule.json", tmp_path / "stick.json"
+    schedule.write_text("[[0, 0.3]]")
+    stick.write_text("[[0, 0.0]]")
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text('["a_only"]')
+    game, series = analyze_inputs
+    argv = {
+        "payoff": ["payoff", "--config", config_path, "--state", "0.3,0.2"],
+        "zones": ["zones", "--config", config_path, "--grid", "4"],
+        "simulate": ["simulate", "--config", config_path, "--initial", "0.3,0.2",
+                     "--max-steps", "5", "--k-schedule", str(schedule),
+                     "--c-stick-schedule", str(stick)],
+        "best-response": ["best-response", "--config", config_path,
+                          "--assignment", str(assignment)],
+        "chain-sim": [*sim_inputs, "--duration", "50", "--k-schedule", str(schedule)],
+        "analyze": ["analyze", "--config", game, "--input", series],
+    }[command]
+    path = argv[argv.index(source) + 1]
+    kept = pathlib.Path(path).read_bytes()
+    # The output spells the input's path another way.
+    spelled = os.path.join(os.path.dirname(path), ".", os.path.basename(path))
+    code, out, err = run_cli(capsys, *argv, sink, spelled, "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "code": "usage", "message": f"{source} and {sink} name the same file"}
+    assert pathlib.Path(path).read_bytes() == kept
 
 
 def test_inputs_may_share_a_file(config_path, tmp_path, capsys):

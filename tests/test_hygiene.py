@@ -14,12 +14,14 @@ import ast
 import inspect
 import itertools
 import pathlib
+import sys
 import textwrap
 
 import pytest
 
 import dualchain
 from dualchain import cli
+import line_census
 from line_census import error_codes, options
 
 MODULES = sorted(pathlib.Path(dualchain.__file__).parent.glob("*.py"))
@@ -78,3 +80,14 @@ def test_every_error_code_is_in_the_readme():
     table = readme.split("| `code` | where it arises |\n|---|---|\n", 1)[1]
     rows = itertools.takewhile(lambda line: line.startswith("| `"), table.splitlines())
     assert sorted(row.split("`")[1] for row in rows) == sorted(error_codes())
+
+
+def test_census_prints_the_public_surface(capsys, monkeypatch):
+    # The census counts the surface the way the checks above read it.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    line_census.main([str(pathlib.Path(dualchain.__file__).parent)])
+    surface = capsys.readouterr().out.split("\nsurface", 1)[1].splitlines()[1:]
+    counts = {line[:28].rstrip(): int(line[28:]) for line in surface}
+    commands = {f"options {name}": len(options(name)) for name in cli._COMMANDS}
+    assert counts == {"__all__": len(dualchain.__all__), "error codes": len(error_codes()),
+                      **commands, "options, all commands": sum(commands.values())}
