@@ -271,9 +271,9 @@ EVENT_FIELDS = ("time", "chain", "event_type", "difficulty_a", "difficulty_b",
 SERIES_FIELDS = SERIES_COLUMNS  # the series header under the name bench/workloads.py reads
 
 
-# Exact sums: every finite float is an integer multiple of 2**-1074, so a
-# running sum kept in those units is exact, and int / _ONE rounds it once,
-# correctly, which is what math.fsum returns.
+# Exact sums, as PerBlockWindow keeps its window's: every finite float is an
+# integer multiple of 2**-1074, so a running sum kept in those units is
+# exact, and int / _ONE rounds it once, correctly, as math.fsum does.
 _ONE_BITS = 1074
 _ONE = 1 << _ONE_BITS
 
@@ -287,8 +287,7 @@ def _exact(x: float) -> int:
 class _Chain:
     """Live state of one chain.
 
-    `power` is the exact sum of the powers mining it (2**-1074 units) and
-    `alloc` its rounded value.  `acc` is the reward paid since the last
+    `alloc` is the power mining it.  `acc` is the reward paid since the last
     settlement per unit of power mining the chain; an agent's share of a
     stretch of blocks is its power times the growth of `acc` while it mined
     here.  The chain's regime retargets it through the hook its `_hook`
@@ -297,13 +296,11 @@ class _Chain:
     other way round, so a finished run leaves no reference cycle behind.
     """
 
-    __slots__ = ("label", "difficulty", "power", "alloc", "acc", "height", "due",
-                 "first_ts", "last_ts")
+    __slots__ = ("label", "difficulty", "alloc", "acc", "height", "due", "first_ts", "last_ts")
 
     def __init__(self, label: str, difficulty: float):
         self.label = label
         self.difficulty = difficulty
-        self.power = 0
         self.alloc = 0.0
         self.acc = 0.0
         self.height = 0
@@ -313,24 +310,21 @@ class _Chain:
 
 
 class _Crew:
-    """The agents of one policy.
+    """The `size` agents of one policy.
 
     A policy moves all its agents to one chain at once, so a crew never
     splits and its agents share one reward per unit of power: `unit`, paid
     up to the last settlement, plus the growth of its chain's `acc` since
-    `mark`.  `power` is the crew's exact power sum (2**-1074 units), added
-    to its chain's at set-up.
+    `mark`.
     """
 
-    __slots__ = ("chain", "power", "size", "mark", "unit")
+    __slots__ = ("chain", "size", "mark", "unit")
 
-    def __init__(self, chain: _Chain, powers: list[float]):
+    def __init__(self, chain: _Chain, size: int):
         self.chain = chain
-        self.size = len(powers)
-        self.power = sum(map(_exact, powers))
+        self.size = size
         self.mark = 0.0
         self.unit = 0.0
-        chain.power += self.power
 
 
 def _validate_agents(agents: Sequence[MinerAgent]) -> tuple[list, list[float], list[Strategy]]:
@@ -414,23 +408,25 @@ def run(
     by_policy = {p: [] for p in Strategy}
     for x, p in zip(powers, policies):
         by_policy[p].append(x)
-    crews = {p: _Crew(B if p is Strategy.B_ONLY else A, xs) for p, xs in by_policy.items()}
+    crews = {p: _Crew(B if p is Strategy.B_ONLY else A, len(xs)) for p, xs in by_policy.items()}
     settle_every = 4096
     fickle = crews[Strategy.FICKLE]
     automatic = crews[Strategy.AUTOMATIC]
-    # Exact sums rounded once: what math.fsum over the agents returns.
-    r_f_policy = fickle.power / _ONE
-    r_b_policy = crews[Strategy.B_ONLY].power / _ONE
+    r_f_policy = math.fsum(by_policy[Strategy.FICKLE])
+    r_b_policy = math.fsum(by_policy[Strategy.B_ONLY])
     r_fb_policy = r_f_policy + r_b_policy
-    # Each exact chain power rounded once (at most four per chain), so that
-    # a switch back reuses the float, and the series writer its text.
-    allocs: dict[int, float] = {}
-
-    def rounded(power: int) -> float:
-        return allocs[power] if power in allocs else allocs.setdefault(power, power / _ONE)
-
-    A.alloc = rounded(A.power)
-    B.alloc = rounded(B.power)
+    # (alloc_a, alloc_b) for each place of the two crews that move, keyed by
+    # (fickle on B, automatic on B): each chain's powers summed exactly and
+    # rounded once, so a switch back reuses the floats, and the series
+    # writer their text.
+    allocs = {}
+    for on_b in ((False, False), (False, True), (True, False), (True, True)):
+        moved = dict(zip((Strategy.FICKLE, Strategy.AUTOMATIC), on_b))
+        sides = ([], [])
+        for p, xs in by_policy.items():
+            sides[moved.get(p, p is Strategy.B_ONLY)].extend(xs)
+        allocs[on_b] = (math.fsum(sides[0]), math.fsum(sides[1]))
+    A.alloc, B.alloc = allocs[False, False]
 
     # Block clocks: work done toward each chain's next block, and the work it takes.
     prog_a = prog_b = 0.0
@@ -464,16 +460,12 @@ def run(
                 sink(change)
 
     def shift(crew: _Crew, dest: _Chain):
-        """Move `crew` to `dest`, the other chain.  Both allocations are
-        read again from the exact powers."""
-        src = crew.chain
-        crew.unit += src.acc - crew.mark
-        src.power -= crew.power
-        dest.power += crew.power
+        """Move `crew` to `dest`, the other chain, and set both allocations
+        for the crews' new places."""
+        crew.unit += crew.chain.acc - crew.mark
         crew.chain = dest
         crew.mark = dest.acc
-        A.alloc = rounded(A.power)
-        B.alloc = rounded(B.power)
+        A.alloc, B.alloc = allocs[fickle.chain is B, automatic.chain is B]
 
     def settle():
         """Pay every crew up to now and restart both accumulators at 0, so

@@ -501,18 +501,15 @@ def _estimate_lines(ts, share, r_f):
     """The estimates CSV lines: a record with an r_f is gray, with r_b =
     max(0, share - r_f); any other has r_b = share.  A period's rows hold
     one r_f object, so each text is made once."""
-    from .ingest import Basis
-
-    gray, non_gray = Basis.GRAY_PERIOD.value, Basis.NON_GRAY.value
     last_rf, rf_text = None, ""
     for t, sh, rf in zip(ts, share, r_f):
         if rf is None:
             sh_text = f"{sh}"
-            yield f"{t},{non_gray},{sh_text},,{sh_text}\r\n"
+            yield f"{t},non_gray,{sh_text},,{sh_text}\r\n"
         else:
             if rf is not last_rf:
                 last_rf, rf_text = rf, f"{rf}"
-            yield f"{t},{gray},{sh},{rf_text},{sh - rf if sh > rf else 0.0}\r\n"
+            yield f"{t},gray_period,{sh},{rf_text},{sh - rf if sh > rf else 0.0}\r\n"
 
 
 def _cmd_analyze(args):
@@ -669,7 +666,7 @@ def dispatch(argv: list[str]) -> int:
             payload["field"] = exc.field
         print(json.dumps(payload), file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError too
         print(json.dumps({"code": "invalid_input", "message": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return 2

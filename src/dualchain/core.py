@@ -328,10 +328,14 @@ def read_json(path: str, shape: type = dict, items: type | None = None,
     """The JSON value in the file at `path`, by default a config's object.
 
     A value that is not a `shape`, or with `items` one that holds an item
-    of another type, raises InvalidValue(message, field).
+    of another type, raises InvalidValue(message, field); JSON nested past
+    the decoder's recursion limit raises one with the same field.
     """
     with open(path) as fh:
-        value = json.load(fh)
+        try:
+            value = json.load(fh)
+        except RecursionError:
+            raise InvalidValue("the JSON nests too deeply", field=field) from None
     if not isinstance(value, shape) or items and not all(isinstance(v, items) for v in value):
         raise InvalidValue(message, field=field)
     return value

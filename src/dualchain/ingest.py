@@ -20,7 +20,6 @@ import csv
 import statistics
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import Sequence
 
@@ -67,11 +66,6 @@ class FicklePeriod:
     start_index: int
     end_index: int
     trigger_ratio: float
-
-
-class Basis(Enum):
-    GRAY_PERIOD = "gray_period"
-    NON_GRAY = "non_gray"
 
 
 class _Columns:

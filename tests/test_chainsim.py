@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import math
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -1107,6 +1108,41 @@ def test_crew_rewards_match_per_block_sums(agents, **world):
     result = _switching_run(agents, **world)
     if result is not None:
         _assert_rewards_match(agents, *result)
+
+
+@pytest.mark.parametrize("mode", ["exponential", "deterministic"])
+@pytest.mark.parametrize("regime_b", [EpochFixed(36), EpochWithEda(36, 6, 4.0, 0.8),
+                                      PerBlockWindow(20)])
+def test_allocations_are_the_rounded_power_sums_of_each_crew_placement(regime_b, mode):
+    # Only the fickle and automatic crews move, so each chain's allocation is
+    # the exact sum of the powers on it rounded once, and a placement of the
+    # two crews seen again hands out the same float objects.
+    world = ChainWorld(difficulty_a=0.7, difficulty_b=0.2, k=0.3, k_schedule=Schedule.from_pairs(
+        [(100.0, 0.45), (250.0, 0.3), (400.0, 0.5)]))
+    placements = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        policies = _POLICIES + [rng.choice(_POLICIES) for _ in range(rng.randrange(12))]
+        weights = [rng.uniform(0.05, 1.0) for _ in policies]
+        agents = [MinerAgent(f"m{i}", w / math.fsum(weights), p)
+                  for i, (w, p) in enumerate(zip(weights, policies))]
+        changes = []
+        run(world, agents, EpochFixed(36), regime_b, 600.0, seed=seed, mode=mode,
+            sinks=[changes.append])
+        on_b = {p: p is Strategy.B_ONLY for p in Strategy}
+        seen = {}
+        for _t, chain, kind, *_state, alloc_a, alloc_b in changes:
+            if kind in ("switch_fickle", "switch_auto"):
+                on_b[Strategy.FICKLE if kind == "switch_fickle" else Strategy.AUTOMATIC] = \
+                    chain == "b"
+            assert (alloc_a, alloc_b) == tuple(
+                math.fsum(a.power for a in agents if on_b[a.policy] is side)
+                for side in (False, True))
+            placement = (on_b[Strategy.FICKLE], on_b[Strategy.AUTOMATIC])
+            first = seen.setdefault(placement, (alloc_a, alloc_b))
+            assert first[0] is alloc_a and first[1] is alloc_b, placement
+        placements |= seen.keys()
+    assert len(placements) == 4
 
 
 @pytest.mark.parametrize("regime", [EpochFixed(36), EpochWithEda(36, 6, 4.0, 0.8),

@@ -143,6 +143,8 @@ JSON_INPUTS = {
     "assignment": ["best-response", "--config", "{game}", "--assignment", "{bad}"],
     "k_schedule": ["simulate", "--config", "{game}", "--initial", "0.3,0.2",
                    "--k-schedule", "{bad}"],
+    "c_stick_schedule": ["simulate", "--config", "{game}", "--initial", "0.3,0.2",
+                         "--c-stick-schedule", "{bad}"],
 }
 UNREADABLE = [
     (None, "FileNotFoundError: [Errno 2] No such file or directory: '{path}'"),
@@ -161,14 +163,33 @@ def test_unreadable_config_exits_2_as_invalid_input(tmp_path, capsys, argv, cont
     path = tmp_path / "bad.json"
     if content is not None:
         path.write_text(content)
-    files = {"bad": path, "game": tmp_path / "game.json", "world": tmp_path / "world.json",
-             "agents": tmp_path / "agents.json"}
+    code, out, err = run_cli(capsys, *json_input_argv(tmp_path, argv), "--quiet")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"code": "invalid_input", "message": message.format(path=path)}
+
+
+def json_input_argv(tmp_path, argv):
+    """`argv` of JSON_INPUTS with {bad} as tmp_path/bad.json and valid inputs
+    written for the other files it names."""
+    files = {"bad": tmp_path / "bad.json", "game": tmp_path / "game.json",
+             "world": tmp_path / "world.json", "agents": tmp_path / "agents.json"}
     files["game"].write_text(json.dumps({"k": 0.3, "n_in": 10, "n_de": 10, "powers": [1.0]}))
     files["world"].write_text(json.dumps({"k": 0.3, "difficulty_b": 0.1}))
     files["agents"].write_text(json.dumps([{"id": "a", "power": 1.0, "policy": "a_only"}]))
-    code, out, err = run_cli(capsys, *(arg.format(**files) for arg in argv), "--quiet")
+    return [arg.format(**files) for arg in argv]
+
+
+@pytest.mark.parametrize("name,field", [("game", "config"), ("world", "config"),
+                                        ("agents", "agents"), ("assignment", "assignment"),
+                                        ("k_schedule", "schedule"),
+                                        ("c_stick_schedule", "schedule")])
+def test_json_nested_too_deeply_exits_2_naming_its_input(tmp_path, capsys, name, field):
+    # The decoder recurses once per level and stops at the recursion limit.
+    (tmp_path / "bad.json").write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, *json_input_argv(tmp_path, JSON_INPUTS[name]), "--quiet")
     assert (code, out) == (2, "")
-    assert json.loads(err) == {"code": "invalid_input", "message": message.format(path=path)}
+    assert json.loads(err) == {"code": "invalid_input", "message": "the JSON nests too deeply",
+                               "field": field}
 
 
 def test_unknown_flag_exit_code(config_path, capsys):
@@ -316,15 +337,18 @@ def test_bad_regime_spec_exits_2(tmp_path, capsys, spec):
     assert payload["code"] == "usage" and repr(spec) in payload["message"]
 
 
-def test_a_bug_in_a_handler_exits_1_as_internal(config_path, capsys, monkeypatch):
+# No input reaches a KeyError, so one is a library bug too.
+@pytest.mark.parametrize("error,message", [(RuntimeError("bug"), "RuntimeError: bug"),
+                                           (KeyError("bug"), "KeyError: 'bug'")],
+                         ids=["RuntimeError", "KeyError"])
+def test_a_bug_in_a_handler_exits_1_as_internal(config_path, capsys, monkeypatch, error, message):
     def bug(path):
-        raise RuntimeError("bug")
+        raise error
 
     monkeypatch.setattr(cli, "config_from_json", bug)
     code, out, err = run_cli(capsys, "threshold", "--config", config_path, "--quiet")
     assert (code, out) == (1, "")
-    assert json.loads(err.strip().splitlines()[-1]) == {"code": "internal",
-                                                        "message": "RuntimeError: bug"}
+    assert json.loads(err.strip().splitlines()[-1]) == {"code": "internal", "message": message}
 
 
 def test_main_exits_with_the_dispatch_status(config_path, capsys, monkeypatch):
@@ -943,11 +967,13 @@ def cli_table(capsys, tmp_path, to_file, *argv):
     return stdout
 
 
+# The labels the tables print: the zones and the estimates' two bases.
+LABELS = [*(zone.value for zone in Zone), "gray_period", "non_gray"]
 CELLS = st.one_of(
     st.integers(-10**12, 10**12),
     st.floats(allow_nan=True, allow_infinity=True),
     st.just(""),
-    st.sampled_from([*Zone, *ingest.Basis]).map(lambda m: m.value),
+    st.sampled_from(LABELS),
 )
 
 
@@ -972,7 +998,7 @@ def test_write_csv_matches_csv_writer(table):
 JSON_CELLS = st.one_of(
     st.integers(-10**30, 10**30),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([*Zone, *ingest.Basis]).map(lambda m: m.value),
+    st.sampled_from(LABELS),
 )
 
 
@@ -991,9 +1017,9 @@ def test_write_json_rows_matches_json_dumps(table):
                                         allow_nan=False) + "\n"
 
 
-@pytest.mark.parametrize("member", [*Zone, *ingest.Basis])
-def test_enum_labels_need_no_csv_quoting(member):
-    assert not set(member.value) & set(',"\r\n')
+@pytest.mark.parametrize("label", LABELS)
+def test_enum_labels_need_no_csv_quoting(label):
+    assert not set(label) & set(',"\r\n')
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -1283,8 +1309,7 @@ def expected_analyze_tables(config_path, series_path):
     # A record with an r_f is gray, with r_b the share less r_f floored at 0;
     # elsewhere r_b is the share.
     est_text = dictwriter_text(("timestamp", "basis", "share", "r_f_est", "r_b_est"), [{
-        "timestamp": t, "basis": (ingest.Basis.NON_GRAY if f is None
-                                  else ingest.Basis.GRAY_PERIOD).value, "share": s,
+        "timestamp": t, "basis": "non_gray" if f is None else "gray_period", "share": s,
         "r_f_est": "" if f is None else f,
         "r_b_est": s if f is None else max(0.0, s - f),
     } for t, s, f in zip(ts, share, r_f)])

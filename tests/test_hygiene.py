@@ -1,5 +1,5 @@
-"""Every name a module imports is used in it, every CLI option is read, and
-every error code is documented.
+"""Every name a module imports is used in it, every CLI option is read,
+every error code is documented, and one function reads JSON input.
 
 No linter ships with the test dependencies, and a deleted function or
 field can leave the import that served it behind.  This walks each
@@ -8,6 +8,8 @@ module never reads (`from __future__` imports excepted).  In the same
 way, an option that a command defines and its handler never reads is a
 knob with no effect.  A refusal's `code` is an interface, so each one
 has its row in the README's table of codes, and the table has no other.
+Every JSON input goes through `core.read_json`, which refuses JSON nested
+too deeply to decode, so no other function may decode JSON.
 """
 
 import ast
@@ -51,6 +53,47 @@ def test_the_check_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport os.path\nimport sys\n"
               "from math import inf, nan as NaN\nprint(sys.argv, inf)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: NaN"]
+
+
+def json_decoders(source: str) -> list[str]:
+    """Each call of json.load or json.loads, under the name of the innermost
+    function around it, and each name imported from json."""
+    found, scope = [], []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        def visit_ImportFrom(self, node):
+            if node.module == "json":
+                found.extend(f"from json import {alias.name}" for alias in node.names)
+
+        def visit_Call(self, node):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("load", "loads") \
+                    and isinstance(func.value, ast.Name) and func.value.id == "json":
+                found.append(f"{scope[-1] if scope else '<module>'}: json.{func.attr}")
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+def test_only_read_json_and_the_replica_pipe_decode_json():
+    # replicas.run decodes what its own forked workers wrote, not an input.
+    found = {path.name: json_decoders(path.read_text()) for path in MODULES}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "core.py": ["read_json: json.load"], "replicas.py": ["run: json.loads"]}
+
+
+def test_the_check_sees_a_second_json_decoder():
+    source = ("import json\nfrom json import loads\n"
+              "def read(fh):\n    def inner():\n        return json.load(fh)\n"
+              "    return inner, json.dumps(1)\nCONFIG = json.loads('{}')\n")
+    assert json_decoders(source) == ["from json import loads", "inner: json.load",
+                                     "<module>: json.loads"]
 
 
 def options_read(function) -> set[str]:

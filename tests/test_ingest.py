@@ -13,7 +13,6 @@ from dualchain.chainsim import (ChainWorld, EpochFixed, EpochWithEda, MinerAgent
                                 run, sample_series)
 from dualchain.equilibrium import zone_of
 from dualchain.ingest import (
-    Basis,
     EmptySeries,
     FicklePeriod,
     InvariantViolation,
@@ -59,9 +58,9 @@ def with_basis(estimates):
     """StateEstimate rows with basis and r_b derived as the estimator once
     stored them: gray with r_b = max(0, share - r_f) where r_f is set,
     non-gray with r_b = share elsewhere."""
-    return [BasedEstimate(e.timestamp, Basis.NON_GRAY, e.share, None, e.share, e.k)
+    return [BasedEstimate(e.timestamp, "non_gray", e.share, None, e.share, e.k)
             if e.r_f is None else
-            BasedEstimate(e.timestamp, Basis.GRAY_PERIOD, e.share, e.r_f,
+            BasedEstimate(e.timestamp, "gray_period", e.share, e.r_f,
                           max(0.0, e.share - e.r_f), e.k)
             for e in estimates]
 
@@ -305,7 +304,7 @@ def test_estimate_state_path_square_wave(tmp_path):
         assert rf == pytest.approx(0.3, abs=0.02)
     for e in with_basis(rows_of(estimates)):
         assert 0.0 <= e.share <= 1.0
-        if e.basis is Basis.NON_GRAY:
+        if e.basis == "non_gray":
             assert e.r_b == e.share
         else:
             assert e.r_f is not None and e.r_b is not None
@@ -316,7 +315,7 @@ def test_estimate_constant_series_no_periods(tmp_path):
     loaded = load_series(write_csv(tmp_path / "c.csv", rows))
     estimates, period_rf = estimate_state_path(loaded, [])
     assert period_rf == []
-    assert all(e.basis is Basis.NON_GRAY and e.r_b == pytest.approx(0.25)
+    assert all(e.basis == "non_gray" and e.r_b == pytest.approx(0.25)
                for e in with_basis(rows_of(estimates)))
 
 
@@ -393,7 +392,7 @@ def reference_zone_path(estimates, config, tol=1e-10):
     carried_rf = None
     n_in, n_de, c_stick, powers = config.n_in, config.n_de, config.c_stick, config.powers
     for i, est in enumerate(estimates):
-        if est.basis is Basis.GRAY_PERIOD:
+        if est.basis == "gray_period":
             if est.r_f is None:
                 raise UnresolvableState(f"period record {i} lacks an r_f estimate")
             carried_rf = est.r_f
@@ -569,11 +568,11 @@ def reference_estimate_state_path(series, periods, flank=24):
         share = b_share(rec)
         if in_period[i]:
             rf = period_rf[period_idx_of[i]]
-            estimates.append(BasedEstimate(rec.timestamp, Basis.GRAY_PERIOD, share,
+            estimates.append(BasedEstimate(rec.timestamp, "gray_period", share,
                                            r_f=rf, r_b=max(0.0, share - rf),
                                            k=rec.price_ratio_k))
         else:
-            estimates.append(BasedEstimate(rec.timestamp, Basis.NON_GRAY, share,
+            estimates.append(BasedEstimate(rec.timestamp, "non_gray", share,
                                            r_f=None, r_b=share, k=rec.price_ratio_k))
     return estimates, period_rf
 
